@@ -21,8 +21,8 @@ retry-client bitwise gate, and a 4-worker ``SO_REUSEPORT`` front run
 with reconciled aggregate cache stats), walks the scaled-up netlist
 ladder (the ``scale`` section: gates vs generation/SSTA wall-clock
 and peak-RSS curves, each size point in its own subprocess so
-``ru_maxrss`` is an honest per-size high-water mark, with the sparse
-arrival-store footprint against its dense equivalent), and writes
+``ru_maxrss`` is an honest per-size high-water mark, with the dense
+arrival-store footprint), and writes
 ``BENCH_dist.json`` next to the repo root.  Every future optimization of the hot path
 should move these numbers and nothing else.
 
@@ -41,21 +41,12 @@ violation):
 * level-batched vs sequential sink distributions are **bitwise
   identical** per backend, cache on and off (the level scheduler's
   promise — any inequality at all fails the gate);
-* the c432 sink under ``jobs=2`` (sharded-parallel execution) is
-  **bitwise identical** to the serial sink and reproduces the golden
-  percentiles, under **both** operand transports (the shared-memory
-  arena, dispatch forced, and the pickle wire format) — the
-  execution-plan layer's promise;
-* the arena payload gate: with dispatch forced, shm shard payloads
-  pickle to <10% of the pickle transport's bytes on c432 (index
-  tuples, not mass vectors, cross the process boundary);
 * the quick c17 sizer run serves at least ``--min-hit-rate`` of its
   kernel requests from the cache — a silently broken cache key fails
   the build instead of quietly recomputing everything;
 * the scale ladder stays linear: doubling the gate count may cost at
   most ~2.8x wall-clock (generation and SSTA separately — a quadratic
-  regression in either shows up here first), and the sparse-storage
-  sink agrees with the dense run within 1e-12 total variation.
+  regression in either shows up here first).
 
 Run:  python scripts/bench_dist.py [--quick] [--check-drift]
                                    [--min-hit-rate R] [--out BENCH.json]
@@ -439,50 +430,6 @@ def _bench_sizers(quick: bool) -> dict:
     return out
 
 
-def _audit_payload(circuit_name: str) -> dict:
-    """Per-level wire-payload accounting for one ``run_ssta`` pass at
-    ``jobs=2`` under each transport, with dispatch *forced* (the shm
-    cost gate zeroed) so every level crosses the process boundary:
-    pickled shard bytes, shard and dispatch counts, and the shm
-    reduction factor the arena buys over the pickle wire format."""
-    from repro.exec import get_executor
-    from repro.netlist.benchmarks import load
-    from repro.timing.delay_model import DelayModel
-    from repro.timing.graph import TimingGraph
-    from repro.timing.ssta import run_ssta
-
-    audit = {}
-    for transport in ("shm", "pickle"):
-        ex = get_executor(2, transport)
-        saved = ex.min_dispatch_cost_us
-        ex.min_dispatch_cost_us = 0.0
-        ex.payload_audit = True
-        ex.payload_bytes = ex.payload_shards = ex.dispatches = 0
-        try:
-            cfg = AnalysisConfig(jobs=2, transport=transport)
-            circuit = load(circuit_name)
-            model = DelayModel(circuit, config=cfg)
-            run_ssta(TimingGraph(circuit), model, config=cfg)
-            audit[transport] = {
-                "payload_bytes": ex.payload_bytes,
-                "shards": ex.payload_shards,
-                "dispatched_levels": ex.dispatches,
-                "bytes_per_level": round(
-                    ex.payload_bytes / max(1, ex.dispatches), 1
-                ),
-            }
-        finally:
-            ex.payload_audit = False
-            ex.min_dispatch_cost_us = saved
-    shm_b = audit["shm"]["payload_bytes"]
-    pkl_b = audit["pickle"]["payload_bytes"]
-    audit["shm_reduction_x"] = round(pkl_b / max(1, shm_b), 2)
-    print(f"payload {circuit_name}  shm={shm_b} B  pickle={pkl_b} B  "
-          f"({audit['shm_reduction_x']:.1f}x smaller, "
-          f"{audit['shm']['dispatched_levels']} dispatched levels)")
-    return audit
-
-
 def _bench_levels(quick: bool) -> dict:
     """Level-batched vs sequential propagation.
 
@@ -522,81 +469,6 @@ def _bench_levels(quick: bool) -> dict:
                   f"batched={row['batched_ms']:8.2f} ms  "
                   f"({row['speedup']:.2f}x)")
         out["run_ssta"][circuit_name] = per_backend
-    # Sharded-parallel execution: full run_ssta per jobs count under
-    # both operand transports.  The wall-clock numbers are honest
-    # about this machine: with the default dispatch cost gate the shm
-    # plan folds cheap default-grid levels inline (a whole ISCAS level
-    # is well under the ~1 ms worker round trip), so jobs > 1 tracks
-    # serial (~1.0x) instead of losing to IPC latency; the pickle rows
-    # keep the ungated PR-5 behaviour for reference.  The payload rows
-    # (dispatch *forced*) record what each level actually ships across
-    # the process boundary — the multi-core projection: once per-level
-    # kernel work exceeds the round trip (fine grids, wide levels),
-    # speedup is bounded by level width and cores, not payload bytes,
-    # because index tuples are ~20x smaller than pickled mass vectors.
-    # Bitwise equality against jobs=1 is asserted here for every
-    # (transport, jobs) plan and gated again in --check-drift.
-    import os
-
-    from repro.exec import shutdown_executors
-
-    out["parallel"] = {
-        "cpu_count": os.cpu_count(),
-        "note": (
-            "1-CPU container: the default dispatch cost gate folds "
-            "default-grid levels inline, so shm jobs>1 tracks serial "
-            "(~1.0x +/- timing noise) while the ungated pickle rows "
-            "keep paying full IPC. Multi-core projection: the gate "
-            "opens on fine-grid/wide levels (>~5 ms kernel work per "
-            "level); with index-tuple payloads ~20x smaller than "
-            "pickled vectors (payload rows below, dispatch forced), "
-            "speedup there is bounded by level width and cores, not "
-            "serialization."
-        ),
-    }
-    for circuit_name in ["c17"] if quick else ["c432", "c880"]:
-        row = {}
-        cfg1 = AnalysisConfig(jobs=1)
-        circuit = load(circuit_name)
-        graph = TimingGraph(circuit)
-        model = DelayModel(circuit, config=cfg1)
-        serial_sink = run_ssta(graph, model, config=cfg1).sink_pdf
-        t = _time_op(lambda: run_ssta(graph, model, config=cfg1),
-                     min_repeats=3, min_seconds=0.2)
-        row["jobs1_ms"] = round(t * 1e3, 3)
-        for transport in ("shm", "pickle"):
-            trow = {}
-            for jobs in (2, 4):
-                cfg = AnalysisConfig(jobs=jobs, transport=transport)
-                circuit = load(circuit_name)
-                graph = TimingGraph(circuit)
-                model = DelayModel(circuit, config=cfg)
-                # Warm the pool (spawn cost is a one-time tax, not a
-                # per-pass cost) before timing.
-                sink = run_ssta(graph, model, config=cfg).sink_pdf
-                if (sink.offset != serial_sink.offset
-                        or not np.array_equal(sink.masses,
-                                              serial_sink.masses)):
-                    raise SystemExit(
-                        f"parallel {transport} jobs={jobs} sink diverged "
-                        f"from serial on {circuit_name}"
-                    )
-                t = _time_op(lambda: run_ssta(graph, model, config=cfg),
-                             min_repeats=3, min_seconds=0.2)
-                trow[f"jobs{jobs}_ms"] = round(t * 1e3, 3)
-                trow[f"jobs{jobs}_speedup"] = round(
-                    row["jobs1_ms"] / trow[f"jobs{jobs}_ms"], 3
-                )
-            row[transport] = trow
-            print(f"parallel {circuit_name} [{transport:6s}]  "
-                  f"jobs1={row['jobs1_ms']:8.2f} ms  "
-                  f"jobs2={trow['jobs2_ms']:8.2f} ms "
-                  f"({trow['jobs2_speedup']:.2f}x)  "
-                  f"jobs4={trow['jobs4_ms']:8.2f} ms "
-                  f"({trow['jobs4_speedup']:.2f}x)")
-        row["payload"] = _audit_payload(circuit_name)
-        out["parallel"][circuit_name] = row
-    shutdown_executors()
     for circuit_name, iters in (
         [("c17", 6)] if quick else [("c432", 8), ("c880", 4)]
     ):
@@ -729,7 +601,7 @@ def _bench_service(quick: bool) -> dict:
         stop(server, thread)
 
     # Gate 1: bitwise equality with serial local runs, per session.
-    cfg = DEFAULT_CONFIG.with_updates(cache=None, jobs=1)
+    cfg = DEFAULT_CONFIG.with_updates(cache=None)
     for (circuit, scale), (analysis, sizing, _) in zip(
         SERVICE_WORKLOADS, results
     ):
@@ -868,7 +740,7 @@ def _bench_service_overload(quick: bool) -> dict:
     from repro.timing.graph import TimingGraph
     from repro.timing.ssta import run_ssta
 
-    cfg = DEFAULT_CONFIG.with_updates(cache=None, jobs=1)
+    cfg = DEFAULT_CONFIG.with_updates(cache=None)
 
     def local_sink(circuit, scale=1.0):
         fresh = load(circuit, scale=scale)
@@ -1081,16 +953,13 @@ SCALE_FACTORS = [27, 68, 137, 274]
 SCALE_FACTORS_QUICK = [10, 20, 40]
 #: Coarse grid for the large-netlist SSTA points (the storage scaling
 #: is the point of the exercise at these node counts, not grid
-#: resolution) and the per-store sparsification budget.
+#: resolution).
 SCALE_DT = 16.0
-SCALE_SPARSE_EPS = 1e-16
 #: Doubling the gate count may cost at most 2^1.485 ~ 2.8x wall-clock
 #: (measured ~2.0x-2.4x; the slack absorbs noisy CI runners).  The
 #: ladder gate compares its endpoints, so the allowance compounds per
 #: doubling: allowed = (gate ratio) ** 1.485.
 SCALE_SUPERLINEAR_EXP = 1.485
-#: Whole-analysis sparse-vs-dense budget at the golden sinks.
-SCALE_TV_BUDGET = 1e-12
 
 
 def _scale_point(factor: float) -> dict:
@@ -1099,7 +968,6 @@ def _scale_point(factor: float) -> dict:
     mark, measures THIS size instead of the largest size run so far."""
     import resource
 
-    from repro.dist.sparse import SparseDiscretePDF
     from repro.netlist.benchmarks import spec_for
     from repro.netlist.generate import generate_circuit
     from repro.timing.delay_model import DelayModel
@@ -1112,17 +980,13 @@ def _scale_point(factor: float) -> dict:
         t0 = time.perf_counter()
         circuit = generate_circuit(spec)
         gen_s = min(gen_s, time.perf_counter() - t0)
-    cfg = AnalysisConfig(dt=SCALE_DT, sparse_eps=SCALE_SPARSE_EPS)
+    cfg = AnalysisConfig(dt=SCALE_DT)
     graph = TimingGraph(circuit)
     model = DelayModel(circuit, config=cfg)
     t0 = time.perf_counter()
     result = run_ssta(graph, model, config=cfg)
     ssta_s = time.perf_counter() - t0
-    sparse_b = dense_b = 0
-    for pdf in result.arrivals:
-        if isinstance(pdf, SparseDiscretePDF):
-            sparse_b += pdf.nbytes
-            dense_b += 8 * pdf.n_bins
+    dense_b = sum(pdf.masses.nbytes for pdf in result.arrivals)
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "factor": factor,
@@ -1132,7 +996,6 @@ def _scale_point(factor: float) -> dict:
         "generate_s": round(gen_s, 4),
         "ssta_s": round(ssta_s, 4),
         "peak_rss_mb": round(maxrss_kb / 1024.0, 1),
-        "arrival_store_sparse_mb": round(sparse_b / 1e6, 3),
         "arrival_store_dense_mb": round(dense_b / 1e6, 3),
         "sink_p99_ps": round(result.percentile(0.99), 3),
     }
@@ -1144,18 +1007,12 @@ def _bench_scale(quick: bool, check_drift: bool) -> dict:
 
     Each size point forks a fresh interpreter (``--scale-point``) so
     its ``ru_maxrss`` is an honest per-size peak.  Under
-    ``--check-drift`` two gates assert (SystemExit on breach, like the
+    ``--check-drift`` one gate asserts (SystemExit on breach, like the
     service gates): the ladder endpoints stay linear — doubling gates
     costs at most ~2.8x wall-clock for generation AND for the SSTA
-    pass — and the sparse-storage sink on base c880 agrees with the
-    dense run within ``SCALE_TV_BUDGET`` total variation.
+    pass.
     """
     import subprocess
-
-    from repro.netlist.benchmarks import load
-    from repro.timing.delay_model import DelayModel
-    from repro.timing.graph import TimingGraph
-    from repro.timing.ssta import run_ssta
 
     factors = SCALE_FACTORS_QUICK if quick else SCALE_FACTORS
     points = []
@@ -1176,8 +1033,7 @@ def _bench_scale(quick: bool, check_drift: bool) -> dict:
             f"generate={point['generate_s']:7.2f}s  "
             f"ssta={point['ssta_s']:7.2f}s  "
             f"peak-rss={point['peak_rss_mb']:7.1f} MB  "
-            f"store sparse={point['arrival_store_sparse_mb']:8.3f} MB "
-            f"(dense {point['arrival_store_dense_mb']:.3f} MB)"
+            f"store={point['arrival_store_dense_mb']:8.3f} MB"
         )
 
     small, big = points[0], points[-1]
@@ -1192,44 +1048,21 @@ def _bench_scale(quick: bool, check_drift: bool) -> dict:
         f"(allowed {allowed:.2f}x) -> {'ok' if linear_ok else 'FAIL'}"
     )
 
-    # Sparse-vs-dense differential on the base circuit, in-process
-    # (cheap) — the storage knob must not move the answer.
-    sinks = {}
-    for eps in (0.0, SCALE_SPARSE_EPS):
-        cfg = AnalysisConfig(dt=SCALE_DT, sparse_eps=eps)
-        circuit = load("c880")
-        model = DelayModel(circuit, config=cfg)
-        sinks[eps] = run_ssta(TimingGraph(circuit), model,
-                              config=cfg).sink_pdf
-    tv = sinks[0.0].tv_distance(sinks[SCALE_SPARSE_EPS])
-    tv_ok = tv <= SCALE_TV_BUDGET
-    print(f"scale sparse-vs-dense c880 sink tv={tv:.3e} "
-          f"(budget {SCALE_TV_BUDGET:.0e}) -> {'ok' if tv_ok else 'FAIL'}")
-
-    if check_drift:
-        failures = []
-        if not linear_ok:
-            failures.append(
-                ("scale-superlinear", round(max(gen_ratio, ssta_ratio), 3))
-            )
-        if not tv_ok:
-            failures.append(("scale-sparse-tv", tv))
-        if failures:
-            raise SystemExit(f"scale drift gates failed: {failures}")
+    if check_drift and not linear_ok:
+        raise SystemExit(
+            "scale drift gates failed: "
+            f"{[('scale-superlinear', round(max(gen_ratio, ssta_ratio), 3))]}"
+        )
 
     return {
         "base_spec": "c880",
         "dt": SCALE_DT,
-        "sparse_eps": SCALE_SPARSE_EPS,
         "points": points,
         "gate_ratio": round(gate_ratio, 2),
         "generate_time_ratio": round(gen_ratio, 2),
         "ssta_time_ratio": round(ssta_ratio, 2),
         "allowed_time_ratio": round(allowed, 2),
         "linear_ok": linear_ok,
-        "sparse_vs_dense_sink_tv": tv,
-        "tv_budget": SCALE_TV_BUDGET,
-        "tv_ok": tv_ok,
     }
 
 
@@ -1446,69 +1279,6 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
                     (f"c17-level-batch-{backend}-cache-{label}", 1.0)
                 )
 
-    # Sharded-parallel vs serial: the c432 golden check under jobs=2
-    # for BOTH operand transports (the shared-memory arena with its
-    # cost gate forced open, and the pickle wire format) — each sink
-    # must be bitwise the serial one AND reproduce the golden
-    # percentiles recorded in tests/timing/golden/c432.json.  Any
-    # inequality at all fails the gate (the execution plan promises
-    # exact equivalence, not closeness).
-    from repro.exec import get_executor, shutdown_executors
-
-    golden = json.loads(
-        (REPO_ROOT / "tests" / "timing" / "golden" / "c432.json").read_text()
-    )
-    cfg = AnalysisConfig(jobs=1)
-    circuit = load("c432")
-    model = DelayModel(circuit, config=cfg)
-    serial_sink = run_ssta(TimingGraph(circuit), model, config=cfg).sink_pdf
-    for transport in ("shm", "pickle"):
-        ex = get_executor(2, transport)
-        saved_gate = ex.min_dispatch_cost_us
-        ex.min_dispatch_cost_us = 0.0
-        try:
-            cfg = AnalysisConfig(jobs=2, transport=transport)
-            circuit = load("c432")
-            model = DelayModel(circuit, config=cfg)
-            sink = run_ssta(TimingGraph(circuit), model,
-                            config=cfg).sink_pdf
-        finally:
-            ex.min_dispatch_cost_us = saved_gate
-        bitwise = (
-            serial_sink.offset == sink.offset
-            and np.array_equal(serial_sink.masses, sink.masses)
-        )
-        golden_ok = all(
-            abs(sink.percentile(p) - golden[key]) <= DRIFT_TOL_PS
-            for p, key in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"))
-        )
-        report.append({
-            "circuit": "c432",
-            "jobs": 2,
-            "transport": transport,
-            "parallel_serial_bitwise": bitwise,
-            "parallel_matches_golden": golden_ok,
-        })
-        print(f"drift c432 parallel/serial [jobs=2 {transport:6s}]  "
-              f"bitwise={bitwise}  golden={golden_ok}")
-        if not bitwise:
-            failures.append((f"c432-parallel-jobs2-{transport}-bitwise", 1.0))
-        if not golden_ok:
-            failures.append((f"c432-parallel-jobs2-{transport}-golden", 1.0))
-
-    # Arena payload gate: with dispatch forced, the shm transport's
-    # per-level shard payloads must pickle to <10% of the pickle
-    # transport's bytes (measured ~18x smaller on c432; the gate
-    # catches a regression to shipping vectors instead of refs).
-    payload = _audit_payload("c432")
-    report.append({"circuit": "c432", "payload": payload})
-    if payload["shm"]["payload_bytes"] * 10 \
-            > payload["pickle"]["payload_bytes"]:
-        failures.append(
-            ("c432-shm-payload-ratio", payload["shm_reduction_x"])
-        )
-    shutdown_executors()
-
     # Minimum hit rate on the quick sizer benchmark: a silently broken
     # cache key hits nothing and fails here.
     sizer = _bench_sizers(quick=True)["pruned_c17"]
@@ -1576,18 +1346,14 @@ def main(argv=None) -> int:
                         help="fail on FFT-vs-direct percentile drift > "
                              f"{DRIFT_TOL_PS} ps, any cache-on/off drift, "
                              "any batched-vs-sequential sink inequality "
-                             "(exact, per backend, cache on/off), any "
-                             "c432 jobs=2 parallel-vs-serial sink "
-                             "inequality (shm and pickle transports), "
+                             "(exact, per backend, cache on/off), "
                              "a compiled sink off direct by more than "
                              "1e-12 TV or a compiled batched speedup "
                              f"under {COMPILED_MIN_SPEEDUP:.0f}x at the "
                              "smallest sizes (provider permitting), "
-                             "an shm payload above 10%% of pickle's, "
                              "a quick-sizer cache hit rate below "
-                             "--min-hit-rate, a superlinear scale "
-                             "ladder, or a sparse-storage sink off the "
-                             "dense run by more than 1e-12 TV")
+                             "--min-hit-rate, or a superlinear scale "
+                             "ladder")
     parser.add_argument("--min-hit-rate", type=float,
                         default=DEFAULT_MIN_HIT_RATE,
                         help="minimum cache hit rate the quick sizer "

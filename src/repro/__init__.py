@@ -51,22 +51,6 @@ from .dist import (
     truncated_gaussian_pdf,
 )
 from .errors import ReproError
-from .exec import (
-    Executor,
-    SerialExecutor,
-    get_executor,
-    shutdown_executors,
-)
-
-
-def __getattr__(name: str):
-    # Lazy like repro.exec itself: ProcessExecutor pulls in the
-    # multiprocessing stack, which pure-serial users never need.
-    if name == "ProcessExecutor":
-        from .exec.pool import ProcessExecutor
-
-        return ProcessExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from .library import CellLibrary, CellType, SizingLimits, default_library, total_gate_size
 from .netlist import (
     PAPER_SUITE,
@@ -123,12 +107,6 @@ __all__ = [
     "sample_truncated_gaussian",
     "max_percentile_gap",
     "stochastically_le",
-    # execution plans
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "get_executor",
-    "shutdown_executors",
     # library
     "CellType",
     "CellLibrary",

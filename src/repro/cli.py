@@ -33,9 +33,7 @@ from .config import (
     DEFAULT_SERVICE_HANDLER_THREADS,
     DEFAULT_SERVICE_QUEUE_DEPTH,
     DEFAULT_SERVICE_WORKERS,
-    DEFAULT_TRANSPORT,
     KNOWN_BACKENDS,
-    KNOWN_TRANSPORTS,
 )
 from .core.deterministic_sizer import DeterministicSizer
 from .core.pruned_sizer import PrunedStatisticalSizer
@@ -74,21 +72,11 @@ def _experiment_config(args: argparse.Namespace):
 
 
 def _analysis_config(args: argparse.Namespace):
-    """Resolve the shared analysis knobs (level batching and the jobs
-    plan are bitwise transparent, so the flags change cost, never
-    answers)."""
+    """Resolve the shared analysis knobs (level batching is bitwise
+    transparent, so that flag changes cost, never answers)."""
     config = DEFAULT_CONFIG
     if getattr(args, "no_level_batch", False):
         config = config.with_updates(level_batch=False)
-    jobs = getattr(args, "jobs", 1)
-    if jobs != 1:
-        config = config.with_updates(jobs=jobs)
-    transport = getattr(args, "transport", None)
-    if transport is not None and transport != config.transport:
-        config = config.with_updates(transport=transport)
-    sparse_eps = getattr(args, "sparse_eps", 0.0)
-    if sparse_eps:
-        config = config.with_updates(sparse_eps=sparse_eps)
     backend = getattr(args, "backend", None)
     if backend is not None and backend != config.backend:
         config = config.with_updates(backend=backend)
@@ -170,22 +158,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if cache_path.exists():
             cache_obj = ConvolutionCache.load(cache_path, capacity=args.cache)
             rows.append(("cache entries loaded", len(cache_obj)))
-            if config.jobs > 1:
-                # Route the snapshot through the operand arena: loaded
-                # results are the warm run's first operands, so
-                # publishing them now means parallel shards reference
-                # them as index tuples from level one instead of
-                # re-pickling the snapshot's vectors into every
-                # worker.  Purely a transport optimization — hit rate
-                # and results are jobs- and transport-invariant.
-                from .exec import get_executor
-
-                executor = get_executor(config.jobs, config.transport)
-                preload = getattr(executor, "preload_operands", None)
-                if preload is not None:
-                    preloaded = preload(cache_obj.content_arrays())
-                    if preloaded:
-                        rows.append(("cache entries preloaded", preloaded))
         else:
             cache_obj = ConvolutionCache(args.cache)
         config = config.with_updates(cache=cache_obj)
@@ -491,29 +463,6 @@ def _add_level_batch_flag(parser: argparse.ArgumentParser) -> None:
                              "dispatch (bitwise-identical results; the "
                              "sequential mode exists for differential "
                              "testing and timing comparisons)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes sharding each level's "
-                             "kernel batches (1 = in-process; parallel "
-                             "results are bitwise identical to serial — "
-                             "the knob changes wall-clock cost only)")
-    parser.add_argument("--transport", choices=list(KNOWN_TRANSPORTS),
-                        default=DEFAULT_TRANSPORT, metavar="T",
-                        help="operand transport for --jobs > 1: 'shm' "
-                             "(default) publishes operands once into a "
-                             "shared-memory arena and ships index "
-                             "tuples; 'pickle' ships full vectors per "
-                             "shard (escape hatch for platforms "
-                             "without POSIX shared memory; results are "
-                             "bitwise identical either way)")
-    parser.add_argument("--sparse-eps", type=float, default=0.0,
-                        metavar="EPS",
-                        help="store propagated arrivals in threshold-"
-                             "masked sparse form, dropping at most EPS "
-                             "total mass per node (0 = dense storage, "
-                             "the default; the memory knob for 10^5+ "
-                             "gate netlists — answers shift by a total-"
-                             "variation budget linear in depth, <=1e-12 "
-                             "at the golden sinks for EPS=1e-16)")
     parser.add_argument("--backend", choices=list(KNOWN_BACKENDS),
                         default=None, metavar="B",
                         help="convolution backend: 'auto' (default) "

@@ -15,6 +15,7 @@ analysis through :class:`AnalysisConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 #: Default grid spacing in picoseconds.  2 ps resolves a ~10% sigma on
@@ -56,18 +57,6 @@ KNOWN_BACKENDS: tuple = (
 #: 2 ps grid entirely — so historical results are reproduced bitwise
 #: while 8k-bin grids stop paying the O(n^2) wall.
 DEFAULT_BACKEND: str = "auto"
-
-#: Operand-transport names an :class:`AnalysisConfig` may select for
-#: parallel execution (inert at ``jobs=1``).  ``shm`` ships shard
-#: payloads as index tuples into a shared-memory operand arena
-#: (:mod:`repro.exec.arena`) and is the default; ``pickle`` ships full
-#: operand vectors per shard — the PR-5 wire format, kept as the
-#: fallback for platforms without POSIX shared memory and as the
-#: differential reference the shm transport is tested against.
-KNOWN_TRANSPORTS: tuple = ("shm", "pickle")
-
-#: Default operand transport for ``jobs > 1``.
-DEFAULT_TRANSPORT: str = "shm"
 
 #: Hard cap on the number of bins a single distribution may occupy; a
 #: guard against pathological configurations (dt too small for the
@@ -134,38 +123,9 @@ class AnalysisConfig:
     enforce.  The sequential path is retained (``level_batch=False``)
     as the differential-testing reference.
 
-    ``jobs`` selects the execution plan the level batches run under
-    (see :mod:`repro.exec`): 1 (the default) executes kernel batches
-    in-process; ``N > 1`` shards each batch across a persistent pool
-    of ``N`` worker processes.  Parallel execution is the third knob
-    in the cost-not-answers family: every shard's kernel output is
-    bitwise identical to the in-process computation, per-shard op
-    tallies sum to the sequential tally, and the result cache (which
-    never leaves the coordinating process) sees the exact sequential
-    request stream — enforced end to end by the parallel differential
-    suite and the CI drift gate.  Level batching is a prerequisite:
-    with ``level_batch=False`` there are no batches to shard and the
-    knob is inert.
-
-    ``transport`` selects how operands reach the worker processes when
-    ``jobs > 1`` (inert otherwise): ``"shm"`` (the default) publishes
-    mass vectors into a content-keyed shared-memory arena and ships
-    shard payloads as index tuples; ``"pickle"`` ships the full
-    vectors per shard.  Like every other execution knob it changes
-    cost, never answers — both transports are locked bitwise to the
-    serial plan by the arena differential suite and the CI drift gate.
-
-    ``sparse_eps`` enables sparse-grid arrival storage
-    (:class:`repro.dist.sparse.SparseDiscretePDF`): when positive, the
-    SSTA engines store each propagated arrival in threshold-masked
-    run-length form, dropping at most ``sparse_eps`` total mass per
-    node, and the kernels densify operands on entry.  ``0.0`` (the
-    default) keeps dense storage and is bitwise inert.  Unlike the
-    execution knobs this one *does* perturb answers — by a total-
-    variation budget that grows at most linearly in depth, kept under
-    1e-12 at the golden sinks for the default 1e-16 working value (see
-    ``repro.dist.sparse``); the ceiling below blocks budgets large
-    enough to be visible at analysis precision.
+    Every float field must be finite: NaN slips past the range checks
+    below (comparisons against it are false), and an infinite grid or
+    sigma only fails later, mid-analysis.
     """
 
     dt: float = DEFAULT_DT_PS
@@ -177,11 +137,12 @@ class AnalysisConfig:
     backend: str = DEFAULT_BACKEND
     cache: object = None
     level_batch: bool = True
-    jobs: int = 1
-    transport: str = DEFAULT_TRANSPORT
-    sparse_eps: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.tail_eps < 0.5:
@@ -216,23 +177,6 @@ class AnalysisConfig:
             raise ValueError(
                 f"level_batch must be a bool, got {self.level_batch!r}"
             )
-        if (
-            not isinstance(self.jobs, int)
-            or isinstance(self.jobs, bool)
-            or self.jobs < 1
-        ):
-            raise ValueError(
-                f"jobs must be an int >= 1, got {self.jobs!r}"
-            )
-        if not 0.0 <= self.sparse_eps < 1e-3:
-            raise ValueError(
-                f"sparse_eps must be in [0, 1e-3), got {self.sparse_eps}"
-            )
-        if self.transport not in KNOWN_TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {KNOWN_TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
         if self.cache is not None:
             # Lazy import: repro.dist imports this module for the grid
             # constants, so the dependency must stay one-directional at
@@ -250,6 +194,12 @@ class AnalysisConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)  # type: ignore[arg-type]
 
+
+#: The :class:`AnalysisConfig` fields holding floats, checked finite.
+_FLOAT_FIELDS: tuple = (
+    "dt", "tail_eps", "percentile", "sigma_fraction", "truncation_sigma",
+    "delta_w",
+)
 
 #: Shared default configuration.  Functions take an optional config and
 #: fall back to this instance, so library users who do not care about

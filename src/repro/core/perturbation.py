@@ -51,9 +51,7 @@ from ..dist.backends import get_backend
 from ..dist.metrics import max_percentile_gap
 from ..dist.ops import OpCounter
 from ..dist.pdf import DiscretePDF
-from ..dist.sparse import as_dense
 from ..errors import OptimizationError
-from ..exec import get_executor
 from ..netlist.circuit import Gate
 from ..timing.delay_model import DelayModel
 from ..timing.graph import TimingGraph
@@ -142,13 +140,6 @@ class PerturbationFront:
         # used.
         self._backend = get_backend(model.config.backend)
         self._cache = model.config.cache
-        # Execution plan, resolved once like the backend: front levels
-        # are usually narrow (a cone cut), so the plan's small-batch
-        # fold-down matters more here than raw parallel width.
-        self._executor = (
-            get_executor(model.config.jobs, model.config.transport)
-            if model.config.level_batch else None
-        )
 
         #: perturbed arrival PDFs of live nodes (the paper's A'set entries)
         self._perturbed: Dict[int, DiscretePDF] = {}
@@ -295,7 +286,6 @@ class PerturbationFront:
                 counter=self.counter,
                 backend=self._backend,
                 cache=self._cache,
-                executor=self._executor,
             )
         else:
             perturbed_list = None
@@ -316,13 +306,11 @@ class PerturbationFront:
                 )
             self.nodes_computed += 1
             self._retire_fanins(node)
-            # The dependency ledger records the *stored* object (its
-            # identity is what try_rebase checks); numerics use the
-            # dense form, which sparse-stored bases rebuild on read.
-            base_stored = self.base.arrivals[node]
+            # The dependency ledger records the base object (its
+            # identity is what try_rebase checks).
+            base_pdf = self.base.arrivals[node]
             if self._track_deps:
-                self._dep_arrivals[node] = base_stored
-            base_pdf = as_dense(base_stored)
+                self._dep_arrivals[node] = base_pdf
             if self.drop_identical and _identical(perturbed, base_pdf):
                 continue  # perturbation fully absorbed at this node
             if node == self.graph.sink:

@@ -78,13 +78,9 @@ from .ops import (
     stat_max_many,
 )
 from .pdf import DiscretePDF
-from .sparse import SparseDiscretePDF, as_dense, sparsify
 
 __all__ = [
     "DiscretePDF",
-    "SparseDiscretePDF",
-    "sparsify",
-    "as_dense",
     "OpCounter",
     "ConvolutionBackend",
     "ConvolutionCache",

@@ -33,8 +33,8 @@ Equivalence classes: the convolve/trim family is a *tolerance* class
 like the FFT backend — within 1e-12 total variation of ``direct`` but
 not bitwise (sequential instead of pairwise reductions) — while the
 max sweep is bitwise.  Within the compiled class itself everything is
-deterministic and batch-invariant: scalar, batched, and worker-sharded
-paths run the exact same compiled code per item.
+deterministic and batch-invariant: scalar and batched paths run the
+exact same compiled code per item.
 
 ``REPRO_DISABLE_COMPILED=1`` disables provider resolution entirely
 (the kill switch); ``REPRO_COMPILED_CACHE`` overrides where the C
@@ -322,7 +322,7 @@ def _cache_dir() -> Path:
 def _compile_library() -> Path:
     """Compile the C source into a content-addressed shared library,
     reusing a previous build when the source and flags are unchanged
-    (worker processes and later sessions skip straight to dlopen).
+    (later sessions skip straight to dlopen).
     ``-march=native`` is attempted first and dropped for compilers
     that reject it."""
     cc = (
@@ -517,8 +517,8 @@ class _CProvider:
         )
         if rc != 0:  # pragma: no cover - conv_batch cannot fail
             raise DistributionError("compiled convolution failed")
-        # Owned copies: callers (cache stores, worker result shipping)
-        # must not pin the whole batch buffer through one row.
+        # Owned copies: callers (cache stores) must not pin the whole
+        # batch buffer through one row.
         return [
             OUT[ooff[i]:ooff[i + 1]].copy() for i in range(len(pairs))
         ]
@@ -578,8 +578,8 @@ class _CProvider:
         # Results are read-only views into the batch's kept buffer:
         # nothing else ever writes it, and the pinned overhead is
         # bounded by one raw-sized buffer per batch.  Raws (cache
-        # stores, worker shipping) are copied out — long-lived entries
-        # must not pin the batch.
+        # stores) are copied out — long-lived entries must not pin the
+        # batch.
         KEPT.flags.writeable = False
         results = []
         raws = [] if want_raws else None
@@ -699,8 +699,8 @@ class _NumbaProvider:
 
         self._nb = nb
         self.max_ok = True
-        # Trigger JIT compilation now (pool warm-up calls land here);
-        # numba's on-disk cache makes repeats cheap.
+        # Trigger JIT compilation now; numba's on-disk cache makes
+        # repeats cheap.
         a = np.asarray([0.25, 0.5, 0.25])
         self.conv_trim_one(a, a, 1.0, 0, 1e-9)
         self.max_sweep([(

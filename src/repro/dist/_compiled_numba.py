@@ -6,7 +6,7 @@ C provider exactly — sequential reductions, scatter-form convolution,
 the padded-CDF product in ascending row order — so both providers sit
 in the same equivalence class and pass the same self-check.
 ``cache=True`` persists the compiled machine code across processes
-(pool workers and CI runs reuse it instead of re-JITting).
+(later sessions and CI runs reuse it instead of re-JITting).
 """
 
 from __future__ import annotations

@@ -440,16 +440,16 @@ class CompiledBackend:
     ``convolve_many_trimmed`` collapse the convolve → normalize → trim
     construction into one compiled call (the cache-miss fast path),
     ``trim_raws`` / ``rebuild_trimmed`` apply the same compiled
-    construction to raws computed elsewhere (executor shards, cache
-    replays — keeping every path inside one arithmetic class), and
+    construction to raws computed elsewhere (FFT-side raws of
+    ``compiled-auto``, cache replays — keeping every path inside one
+    arithmetic class), and
     ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
     All hooks are gated by the ``fused_trim_active`` /
     ``max_sweep_active`` properties so callers never need to know
     whether the tier resolved.
 
     Provider resolution is lazy — importing this module never compiles
-    anything; ``warm_up()`` forces it (pool workers call it at init so
-    the first level never pays JIT/compile latency).
+    anything.
     """
 
     name = "compiled"
@@ -556,19 +556,6 @@ class CompiledBackend:
 
             return [_max_masses(g) for g in groups]
         return p.max_sweep(groups)
-
-    # -- lifecycle ----------------------------------------------------
-    def warm_up(self):
-        """Force provider resolution (C compile / numba JIT) now.
-        Returns the provider kind (``"numba"``/``"cext"``) or ``None``
-        when degraded — pool workers call this at init.  Deliberately
-        does *not* emit the degraded warning: workers warm every
-        registry backend whether or not the analysis selected this
-        one; the warning belongs to actual degraded use."""
-        from . import _compiled
-
-        p = _compiled.get_provider()
-        return None if p is None else p.kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from ._compiled import provider_kind
@@ -701,22 +688,16 @@ class CompiledAutoBackend:
                     raws[i] = f_raws[j]
         return (raws if want_raws else None), results
 
-    def trim_raws(self, raws, dts, offsets, trim_eps) -> list:
-        return self._compiled.trim_raws(raws, dts, offsets, trim_eps)
-
     def rebuild_trimmed(self, dt, offset, raw, trim_eps):
         return self._compiled.rebuild_trimmed(dt, offset, raw, trim_eps)
 
-    # -- grouped MAX / lifecycle: the compiled backend's --------------
+    # -- grouped MAX: the compiled backend's --------------------------
     @property
     def max_sweep_active(self) -> bool:
         return self._compiled.max_sweep_active
 
     def grouped_max_raws(self, groups) -> list:
         return self._compiled.grouped_max_raws(groups)
-
-    def warm_up(self):
-        return self._compiled.warm_up()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledAutoBackend(cost_ratio={self.cost_ratio:g})"
@@ -753,11 +734,10 @@ def available_backends() -> tuple:
 def is_registry_backend(kernel) -> bool:
     """True when ``kernel`` is one of the registry singletons — the
     only case where its *name* uniquely identifies the implementation
-    in another process or a later run.  Both the parallel executor
-    (shipping kernels to workers by name) and the cache snapshots
-    (persisting entries under a backend name) gate on this: a custom
-    instance aliasing a registry name must never be resolved by name
-    into the registry kernel's bits."""
+    in another process or a later run.  The cache snapshots (persisting
+    entries under a backend name) gate on this: a custom instance
+    aliasing a registry name must never be resolved by name into the
+    registry kernel's bits."""
     name = getattr(kernel, "name", None)
     if not isinstance(name, str):
         return False

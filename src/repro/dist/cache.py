@@ -115,13 +115,6 @@ def _fingerprint(arr: np.ndarray) -> bytes:
     return digest
 
 
-#: Public name for the content digest: the shared-memory operand
-#: arena (:mod:`repro.exec.arena`) keys published vectors by exactly
-#: the digest the cache keys results by, so "same content" means the
-#: same thing on both sides of the process boundary.
-content_fingerprint = _fingerprint
-
-
 def _pdf_fingerprint(pdf: DiscretePDF) -> bytes:
     """Fingerprint of a distribution's mass vector, cached on the
     (immutable) instance.  Key construction runs several times per
@@ -212,10 +205,7 @@ class CacheStats:
         helper for reporting across several caches or runs (e.g.
         summing per-circuit warm-start snapshots).  Pure integer
         addition, so merging any number of records in any order yields
-        the same aggregate (pinned by the merge-semantics suite).
-        Note the sharded-parallel executor does *not* need this:
-        the cache never leaves the coordinating process, so its stats
-        are single-writer by design."""
+        the same aggregate (pinned by the merge-semantics suite)."""
         hits, misses, evictions = other.snapshot()
         self.record(hits=hits, misses=misses, evictions=evictions)
 
@@ -783,22 +773,6 @@ class ConvolutionCache:
             if evicted:
                 self.stats.record(evictions=evicted)
         return evicted
-
-    def content_arrays(self) -> list:
-        """Distinct result mass vectors currently resident, one per
-        content digest.  This is what a warm start publishes into the
-        shared-memory operand arena: cached results become the next
-        levels' operands, so pre-publishing them means a warm parallel
-        run ships index tuples from its very first level instead of
-        re-pickling the snapshot's vectors into every worker."""
-        with self._lock:
-            entries = list(self._entries.values())
-        seen: dict = {}
-        for entry in entries:
-            if isinstance(entry.result, DiscretePDF):
-                arr = entry.result.masses
-                seen.setdefault(_fingerprint(arr), arr)
-        return list(seen.values())
 
     def clear(self) -> None:
         """Drop every entry (stats are kept; see ``stats.reset()``)."""

@@ -65,13 +65,11 @@ from ..errors import DistributionError, GridMismatchError
 from .backends import BackendLike, get_backend
 from .cache import ConvolutionCache
 from .pdf import DiscretePDF
-from .sparse import as_dense
 
 __all__ = [
     "OpCounter",
     "convolve",
     "convolve_many",
-    "convolve_batch_raws",
     "max_batch_raws",
     "stat_max",
     "stat_max_many",
@@ -181,13 +179,7 @@ def convolve(
     ``cache`` memoizes results keyed by operand content — hits are
     bit-identical to fresh computations and tallied separately on the
     counter (they are not computed work).
-
-    Sparse (:class:`~repro.dist.sparse.SparseDiscretePDF`) operands are
-    densified on entry — here as in every public kernel entry point —
-    so caches, counters, and backends only ever see dense vectors.
     """
-    a = as_dense(a)
-    b = as_dense(b)
     dt = _require_same_grid((a, b))
     kernel = get_backend(backend)
     if cache is not None:
@@ -221,27 +213,6 @@ def convolve(
     return result
 
 
-def convolve_batch_raws(kernel, mass_pairs: Sequence) -> list:
-    """Raw kernel outputs for a batch of ``(a_masses, b_masses)``
-    operand pairs — the shardable ADD work unit of the execution layer.
-
-    A pure function of the operand vectors: no cache, no counter, no
-    trimming — exactly the compute step :func:`convolve_many` performs
-    after cache resolution, factored out so an
-    :class:`~repro.exec.Executor` can run it in a worker process.  Each
-    output is **bitwise** the vector ``kernel.convolve_masses`` would
-    return for its pair, whatever the batch composition (the
-    ``ConvolutionBackend.convolve_many`` contract), which is why any
-    contiguous sharding of a batch reproduces the unsharded batch bit
-    for bit.  Backends without the batched entry point fall back to a
-    ``convolve_masses`` loop.
-    """
-    batched = getattr(kernel, "convolve_many", None)
-    if callable(batched):
-        return batched(mass_pairs)
-    return [kernel.convolve_masses(a, b) for a, b in mass_pairs]
-
-
 def convolve_many(
     pairs: Sequence,
     *,
@@ -249,7 +220,6 @@ def convolve_many(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
-    executor=None,
 ) -> list:
     """Batched ADD: one :func:`convolve` result per ``(a, b)`` pair.
 
@@ -276,16 +246,7 @@ def convolve_many(
     sequential loop's later calls would hit the earlier call's entry.
     A batch that is empty — or whose every pair resolves from the
     cache — never touches the backend.
-
-    ``executor`` (an :class:`~repro.exec.Executor`) takes over the raw
-    compute step for the cache-resolved batch — the serial executor
-    runs :func:`convolve_batch_raws` in-process, the process executor
-    shards it across workers.  Cache resolution, dedupe, result
-    construction, and stores always stay in the calling process, so
-    the cache request stream is independent of the executor choice;
-    ``None`` keeps the historical inline path.
     """
-    pairs = [(as_dense(a), as_dense(b)) for a, b in pairs]
     if not pairs:
         return []
     kernel = get_backend(backend)
@@ -318,35 +279,25 @@ def convolve_many(
     if todo:
         batch = [(pairs[i][0].masses, pairs[i][1].masses) for i in todo]
         # Compiled-tier backends build results in the same fused kernel
-        # call that computes them (inline) or from the executor-shipped
-        # raws (trim_raws) — bitwise the fused path, since the trim is
-        # a pure function of the raw bits.  Stock backends keep the
-        # historical _trusted construction.
-        fused = getattr(kernel, "fused_trim_active", False)
+        # call that computes them; stock backends keep the historical
+        # _trusted construction.  Backends without the batched entry
+        # point fall back to a convolve_masses loop.
         built = None
-        if fused:
-            todo_dts = [pairs[i][0].dt for i in todo]
-            todo_offs = [
-                pairs[i][0].offset + pairs[i][1].offset for i in todo
-            ]
-        if executor is not None:
-            raws = executor.run_convolve_batch(kernel, batch, counter=counter)
-            if fused:
-                built = kernel.trim_raws(raws, todo_dts, todo_offs, trim_eps)
-        elif fused:
+        if getattr(kernel, "fused_trim_active", False):
             # Raws are materialized only when the cache needs them.
             raws, built = kernel.convolve_many_trimmed(
-                batch, todo_dts, todo_offs, trim_eps, cache is not None
+                batch,
+                [pairs[i][0].dt for i in todo],
+                [pairs[i][0].offset + pairs[i][1].offset for i in todo],
+                trim_eps,
+                cache is not None,
             )
-            if counter is not None:
-                counter.convolutions += len(todo)
+        elif callable(getattr(kernel, "convolve_many", None)):
+            raws = kernel.convolve_many(batch)
         else:
-            # Inline twin of SerialExecutor.run_convolve_batch, kept so
-            # repro.dist never imports repro.exec; the executor suite
-            # pins the two (and the per-shard worker tally) equal.
-            raws = convolve_batch_raws(kernel, batch)
-            if counter is not None:
-                counter.convolutions += len(todo)
+            raws = [kernel.convolve_masses(a, b) for a, b in batch]
+        if counter is not None:
+            counter.convolutions += len(todo)
         for j, i in enumerate(todo):
             a, b = pairs[i]
             if built is not None:
@@ -444,7 +395,6 @@ def _independence_max(
     # Validate eagerly; the max numerics are backend-invariant, but a
     # backend with a verified-bitwise compiled sweep may run them.
     kernel = get_backend(backend)
-    pdfs = [as_dense(p) for p in pdfs]
     dt = _require_same_grid(pdfs)
     if cache is not None:
         hit = cache.lookup_max(pdfs, trim_eps)
@@ -517,19 +467,15 @@ def _grouped_max_masses(groups: list) -> list:
 
 def max_batch_raws(groups: Sequence, kernel=None) -> list:
     """``(lo_offset, raw mass vector)`` of the independence MAX for
-    every operand group — the shardable MAX work unit of the execution
-    layer.
+    every operand group.
 
     A pure function of the groups' operand contents and alignments: no
     cache, no counter, no trimming — exactly the compute step
-    :func:`stat_max_groups` performs after cache resolution, factored
-    out so an :class:`~repro.exec.Executor` can run it in a worker
-    process.  Groups are partitioned by exact (operand count, union
-    width); same-shape runs stack into one CDF product, each group
-    bitwise its own :func:`_max_masses` call (the
-    :data:`_GROUPED_MAX_BITWISE` guard), so any contiguous sharding of
-    a batch reproduces the unsharded batch bit for bit.  Results come
-    back in input order.
+    :func:`stat_max_groups` performs after cache resolution.  Groups
+    are partitioned by exact (operand count, union width); same-shape
+    runs stack into one CDF product, each group bitwise its own
+    :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
+    Results come back in input order.
 
     ``kernel`` (a resolved backend, optional) may take over the sweep:
     a backend whose ``max_sweep_active`` property is true runs the
@@ -605,7 +551,7 @@ def stat_max_many(
         raise DistributionError("stat_max_many needs at least one distribution")
     if len(pdfs) == 1:
         get_backend(backend)
-        return as_dense(pdfs[0]).trimmed(trim_eps)
+        return pdfs[0].trimmed(trim_eps)
     return _independence_max(pdfs, trim_eps, counter, backend, cache)
 
 
@@ -616,7 +562,6 @@ def stat_max_groups(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
-    executor=None,
 ) -> list:
     """Batched MAX: one :func:`stat_max_many` result per operand group.
 
@@ -633,18 +578,12 @@ def stat_max_groups(
     and replay as hits, and single-operand groups pass through trimming
     without touching cache or counter (exactly as ``stat_max_many``
     does).  An empty batch is a no-op.
-
-    ``executor`` mirrors :func:`convolve_many`: it takes over the raw
-    compute step (:func:`max_batch_raws`) for the cache-resolved
-    groups, while cache resolution, dedupe, result construction, and
-    stores stay in the calling process.
     """
-    groups = [[as_dense(p) for p in g] for g in groups]
     if not groups:
         return []
     # Validate once; the max numerics are backend-invariant, but the
     # kernel is threaded into the compute step so a verified-bitwise
-    # compiled sweep can run it (inline or in the workers).
+    # compiled sweep can run it.
     kernel = get_backend(backend)
     results: list = [None] * len(groups)
     todo: list = []
@@ -678,20 +617,12 @@ def stat_max_groups(
         todo.append(i)
     if todo:
         # The raw compute (shape partition + stacked CDF products)
-        # lives in max_batch_raws; the executor may shard it across
-        # workers — either way every group's output is bitwise its own
-        # _max_masses call, so commit order below stays sequential.
+        # lives in max_batch_raws; every group's output is bitwise its
+        # own _max_masses call, so commit order below stays sequential.
         todo_groups = [groups[i] for i in todo]
-        if executor is not None:
-            computed = executor.run_max_batch(
-                todo_groups, counter=counter, kernel=kernel
-            )
-        else:
-            # Inline twin of SerialExecutor.run_max_batch (see
-            # convolve_many for why the duplication is deliberate).
-            computed = max_batch_raws(todo_groups, kernel=kernel)
-            if counter is not None:
-                counter.max_ops += sum(len(g) - 1 for g in todo_groups)
+        computed = max_batch_raws(todo_groups, kernel=kernel)
+        if counter is not None:
+            counter.max_ops += sum(len(g) - 1 for g in todo_groups)
         for i, (lo, masses) in zip(todo, computed):
             # original order: store order matches sequential
             pdfs = groups[i]

@@ -80,16 +80,16 @@ class DiscretePDF:
         object.__setattr__(self, "masses", masses)
 
     # ------------------------------------------------------------------
-    # Serialization (pickle / IPC)
+    # Serialization (pickle)
     # ------------------------------------------------------------------
     # Instances accumulate per-instance memos in ``__dict__`` — the
     # cached CDF/knot arrays, the ``_unit_cdf`` row, ``_ramp_floor``,
     # the trim-level marker, and the cache-key fingerprint.  All of
     # them are pure deterministic functions of ``(dt, offset, masses)``
     # and every consumer rebuilds them on demand, so pickling ships
-    # only the defining triple: payloads stay compact (the parallel
-    # executor serializes whole level shards of these), and a
-    # round-trip is bitwise — same grid, same offset, same mass bytes.
+    # only the defining triple: payloads stay compact (cache snapshots
+    # pickle every resident entry), and a round-trip is bitwise — same
+    # grid, same offset, same mass bytes.
 
     def __getstate__(self) -> tuple:
         return (self.dt, self.offset, self.masses)
@@ -130,27 +130,6 @@ class DiscretePDF:
         if total != 1.0:
             masses = masses / total
         masses.flags.writeable = False
-        self = object.__new__(cls)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "offset", int(offset))
-        object.__setattr__(self, "masses", masses)
-        return self
-
-    @classmethod
-    def _from_view(
-        cls, dt: float, offset: int, masses: np.ndarray
-    ) -> "DiscretePDF":
-        """Zero-copy constructor over an externally owned buffer.
-
-        The shared-memory transport reconstructs operand PDFs in
-        worker processes directly over arena segments: ``masses`` is a
-        read-only float64 view of bytes that *are* the coordinator
-        instance's mass vector, so no validation, normalization, or
-        copy may run — this is bit for bit the ``__setstate__`` path a
-        pickled instance takes, minus the pickle.  Callers guarantee
-        the view is 1-D float64, already marked non-writeable, and
-        outlived by its backing mapping.
-        """
         self = object.__new__(cls)
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "offset", int(offset))

@@ -24,11 +24,6 @@ snapshot machinery rather than through locks:
   sidecar of its cache tallies; the parent folds them with
   :meth:`CacheStats.merge` into ``{base}.stats.json`` — the
   aggregate hit-rate the benchmark's ``service`` rows record.
-* **Operand sharing.**  A worker configured with ``jobs > 1`` pushes
-  its warm-started cache's operand vectors into the shared-memory
-  operand arena (``preload_operands``), the same read-only publish the
-  CLI warm path uses, so its executor pool references snapshot
-  operands as index tuples instead of re-pickling them per worker.
 
 The front changes *where* a request runs, never *what* it returns:
 every admitted request executes the same serial code path a lone local
@@ -174,7 +169,6 @@ def _worker_main(index: int, host: str, port: int, spec: WorkerSpec,
     # Late imports keep the module importable (and the spec picklable)
     # without dragging the whole service stack into the parent before
     # it is needed.
-    from ..exec import get_executor
     from .server import AnalysisServer, serve
     from .state import ServiceState
 
@@ -197,16 +191,6 @@ def _worker_main(index: int, host: str, port: int, spec: WorkerSpec,
         max_resident=spec.max_resident,
         cache_budget_bytes=spec.cache_budget_bytes,
     )
-    if spec.config.jobs > 1 and len(state.cache):
-        # Publish the warm-started snapshot's operand vectors into the
-        # shared-memory arena now (read-only), so this worker's
-        # executor pool references them as index tuples from the first
-        # request instead of re-pickling them per pool worker.  Purely
-        # transport: hit rates and results are unaffected.
-        executor = get_executor(spec.config.jobs, spec.config.transport)
-        preload = getattr(executor, "preload_operands", None)
-        if preload is not None:
-            preload(state.cache.content_arrays())
     server = AnalysisServer(
         (host, port),
         state,
@@ -327,7 +311,7 @@ class ServiceFrontend:
             target=_worker_main,
             args=(index, self.host, self.port, self.spec, event),
             name=f"svc-worker-{index}",
-            daemon=False,  # workers may own executor pools (children)
+            daemon=False,
         )
         proc.start()
         self._procs[index] = proc

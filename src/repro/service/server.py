@@ -70,7 +70,6 @@ from ..config import (
     DEFAULT_SERVICE_RETRY_AFTER_S,
 )
 from ..errors import ReproError, ServiceError
-from ..exec import shutdown_executors
 from .protocol import PROTOCOL_VERSION, overload_body
 from .state import ServiceState
 
@@ -650,11 +649,4 @@ def serve(
         server.drain(drain_timeout_s)
         server.server_close()
         state.flush()
-        # Arena lifecycle hook: analyses served with jobs > 1 hold
-        # worker pools and shared-memory operand arenas through the
-        # executor registry; the drain is the last moment the service
-        # can guarantee every named segment is unlinked (atexit would
-        # also sweep them, but a long-lived embedding process should
-        # not keep dead segments resident until interpreter exit).
-        shutdown_executors()
     return 0

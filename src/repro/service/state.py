@@ -65,7 +65,6 @@ from ..core.pruned_sizer import PrunedStatisticalSizer
 from ..dist.cache import DEFAULT_CACHE_CAPACITY, ConvolutionCache
 from ..dist.ops import OpCounter
 from ..errors import OptimizationError, ServiceError
-from ..exec.arena import live_arena_stats
 from ..netlist.benchmarks import PAPER_SUITE, load
 from ..timing.delay_model import DelayModel
 from ..timing.graph import TimingGraph
@@ -85,10 +84,8 @@ SIZERS = {
 }
 
 #: AnalysisConfig fields a session or request may override.  ``cache``
-#: is deliberately absent (the whole point of the service is the ONE
-#: shared cache) and so is ``jobs`` (request concurrency comes from
-#: server threads; nesting per-request worker pools would multiply
-#: processes without adding cores).
+#: is deliberately absent: the whole point of the service is the ONE
+#: shared cache.
 OVERRIDABLE_CONFIG_FIELDS = (
     "dt", "tail_eps", "percentile", "sigma_fraction",
     "truncation_sigma", "delta_w", "backend", "level_batch",
@@ -158,7 +155,7 @@ class _ResidentCircuit:
 
 def _config_signature(config: AnalysisConfig) -> tuple:
     """Everything a resident delay model's numerics depend on (the
-    cache and the execution plan are bitwise-transparent knobs)."""
+    cache is a bitwise-transparent knob)."""
     return tuple(
         getattr(config, f) for f in OVERRIDABLE_CONFIG_FIELDS
     )
@@ -191,7 +188,7 @@ class ServiceState:
             raise ServiceError(
                 f"cache budget must be >= 0, got {cache_budget_bytes}"
             )
-        self.base_config = config.with_updates(cache=None, jobs=1)
+        self.base_config = config.with_updates(cache=None)
         self.ttl_s = float(ttl_s)
         self.session_ttl_s = float(session_ttl_s)
         self.max_resident = int(max_resident)
@@ -564,11 +561,6 @@ class ServiceState:
             "sessions": sessions,
             "resident_circuits": resident,
             "requests": latency,
-            # Shared-memory operand arenas held by the executor
-            # registry (jobs > 1 analyses).  Surfaced so operators can
-            # watch segment/byte residency the same way they watch the
-            # cache budget; all zeros in a jobs=1 deployment.
-            "arena": live_arena_stats(),
         }
 
     def flush(self) -> int:

@@ -33,9 +33,7 @@ from ..dist.backends import BackendLike, get_backend
 from ..dist.cache import ConvolutionCache
 from ..dist.ops import OpCounter, convolve, convolve_many, stat_max_many
 from ..dist.pdf import DiscretePDF
-from ..dist.sparse import as_dense, sparsify
 from ..errors import TimingError
-from ..exec import get_executor
 from .delay_model import DelayModel
 from .graph import TimingGraph
 from .ssta import SSTAResult, compute_level_arrivals
@@ -68,9 +66,8 @@ class BackwardSSTAResult:
     cache: Optional[ConvolutionCache] = None
 
     def to_sink_of_net(self, net: str) -> DiscretePDF:
-        """Delay-to-sink PDF at a named net (densified on read when the
-        pass ran with sparse storage)."""
-        return as_dense(self.to_sink[self.graph.node_of_net(net)])
+        """Delay-to-sink PDF at a named net."""
+        return self.to_sink[self.graph.node_of_net(net)]
 
 
 def _node_fanout_parts(graph, model, to_sink, node):
@@ -84,7 +81,6 @@ def _node_fanout_parts(graph, model, to_sink, node):
     for edge in fanout:
         dst_pdf = to_sink[edge.dst]
         assert dst_pdf is not None
-        dst_pdf = as_dense(dst_pdf)
         if edge.gate is None:
             parts.append((dst_pdf, None))
         else:
@@ -114,15 +110,9 @@ def run_backward_ssta(
     own = counter if counter is not None else OpCounter()
     kernel = get_backend(cfg.backend)
     cache = cfg.cache
-    # Mirrors run_ssta's sparse arrival storage for the backward store.
-    if cfg.sparse_eps > 0.0:
-        store = lambda pdf: sparsify(pdf, cfg.sparse_eps)  # noqa: E731
-    else:
-        store = lambda pdf: pdf  # noqa: E731
     to_sink: List[Optional[DiscretePDF]] = [None] * graph.n_nodes
     to_sink[graph.sink] = DiscretePDF.delta(cfg.dt, 0.0)
     if cfg.level_batch:
-        executor = get_executor(cfg.jobs, cfg.transport)
         # Sink alone occupies the top level; walk the rest downward,
         # visiting nodes within a level in the sequential (reversed
         # topological) order so the cache request stream matches.
@@ -143,10 +133,9 @@ def run_backward_ssta(
                     backend=kernel,
                     cache=cache,
                     node_memo=False,
-                    executor=executor,
                 ),
             ):
-                to_sink[node] = store(pdf)
+                to_sink[node] = pdf
     else:
         for node in reversed(graph.topo_nodes()):
             if node == graph.sink:
@@ -171,10 +160,10 @@ def run_backward_ssta(
                                   backend=kernel, cache=cache),
                 ):
                     contribs[i] = res
-            to_sink[node] = store(stat_max_many(
+            to_sink[node] = stat_max_many(
                 contribs, trim_eps=cfg.tail_eps, counter=own, backend=kernel,
                 cache=cache,
-            ))
+            )
     return BackwardSSTAResult(
         graph=graph, to_sink=to_sink, counter=own, backend=kernel,  # type: ignore[arg-type]
         cache=cache,

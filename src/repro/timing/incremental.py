@@ -27,8 +27,6 @@ import numpy as np
 from ..dist.backends import get_backend
 from ..dist.ops import OpCounter
 from ..dist.pdf import DiscretePDF
-from ..dist.sparse import as_dense, sparsify
-from ..exec import get_executor
 from ..netlist.circuit import Gate
 from .delay_model import DelayModel
 from .graph import TimingGraph
@@ -42,11 +40,7 @@ from .ssta import (
 __all__ = ["update_ssta_after_resize"]
 
 
-def _identical(a: DiscretePDF, b) -> bool:
-    # ``b`` comes from the arrival store, which may hold sparse forms
-    # (``sparse_eps > 0``); the wave cutoff compares dense values, the
-    # representation the kernels computed in.
-    b = as_dense(b)
+def _identical(a: DiscretePDF, b: DiscretePDF) -> bool:
     return (
         a.offset == b.offset
         and a.n_bins == b.n_bins
@@ -81,15 +75,7 @@ def update_ssta_after_resize(
     # cache can only make the cutoff cheaper, never wrong).
     kernel = get_backend(cfg.backend)
     cache = cfg.cache
-    executor = (
-        get_executor(cfg.jobs, cfg.transport) if cfg.level_batch else None
-    )
     arrivals = result.arrivals
-    # Keep the store representation the full pass chose.
-    if cfg.sparse_eps > 0.0:
-        store = lambda pdf: sparsify(pdf, cfg.sparse_eps)  # noqa: E731
-    else:
-        store = lambda pdf: pdf  # noqa: E731
 
     seeds: Set[int] = set()
     for gate in resized_gates:
@@ -126,7 +112,6 @@ def update_ssta_after_resize(
                 counter=counter,
                 backend=kernel,
                 cache=cache,
-                executor=executor,
             )
         else:
             news = [
@@ -146,7 +131,7 @@ def update_ssta_after_resize(
             recomputed += 1
             if _identical(new_pdf, arrivals[n]):
                 continue  # wave dies here
-            arrivals[n] = store(new_pdf)
+            arrivals[n] = new_pdf
             for edge in graph.fanout_edges(n):
                 if edge.dst not in queued:
                     queued.add(edge.dst)

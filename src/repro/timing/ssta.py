@@ -49,9 +49,7 @@ from ..dist.backends import BackendLike, get_backend
 from ..dist.cache import ConvolutionCache
 from ..dist.ops import OpCounter, convolve_many, stat_max_groups, stat_max_many
 from ..dist.pdf import DiscretePDF
-from ..dist.sparse import as_dense, sparsify
 from ..errors import TimingError
-from ..exec import get_executor
 from ..netlist.circuit import Gate
 from .delay_model import DelayModel
 from .graph import TimingGraph
@@ -81,17 +79,13 @@ def node_fanin_parts(
     The contribution order must match the edge order exactly: the MAX
     CDF product multiplies rows in sequence, so reordering would change
     round-off (and break bitwise reproducibility claims).
-
-    Arrivals held in sparse form (``AnalysisConfig.sparse_eps > 0``
-    storage) are densified here, so node memo keys and kernels always
-    operate on dense vectors.
     """
     fanin = graph.fanin_edges(node)
     if not fanin:
         raise TimingError(f"node {node} has no fan-in")
     parts: NodeParts = []
     for edge in fanin:
-        src_pdf = as_dense(get_arrival(edge.src))
+        src_pdf = get_arrival(edge.src)
         if edge.gate is None:
             parts.append((src_pdf, None))
         else:
@@ -201,7 +195,6 @@ def compute_level_arrivals(
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
     node_memo: bool = True,
-    executor=None,
 ) -> List[DiscretePDF]:
     """The level scheduler: merged arrivals for a whole topological
     level of mutually independent nodes, one per parts list.
@@ -231,14 +224,6 @@ def compute_level_arrivals(
     ``node_memo=False`` reproduces a caller that skips the whole-node
     memo (the backward pass does; its sequential reference never
     consulted it).
-
-    ``executor`` (an :class:`~repro.exec.Executor`, resolved by the
-    engines from ``AnalysisConfig.jobs``) decides *where* the two raw
-    kernel dispatches run — in-process, or sharded by node range
-    across a worker pool.  All planning (memo probes, dedupe, cache
-    resolution and stores) stays in the calling process either way, so
-    the executor choice changes wall-clock cost, never values,
-    tallies, or the cache request stream.
     """
     n = len(parts_list)
     results: List[Optional[DiscretePDF]] = [None] * n
@@ -287,7 +272,7 @@ def compute_level_arrivals(
         for (i, slot), res in zip(
             pair_slots,
             convolve_many(pairs, trim_eps=trim_eps, counter=counter,
-                          backend=kernel, cache=cache, executor=executor),
+                          backend=kernel, cache=cache),
         ):
             contribs_by_node[i][slot] = res
 
@@ -298,7 +283,7 @@ def compute_level_arrivals(
             stat_max_groups(
                 [contribs_by_node[i] for i in todo],
                 trim_eps=trim_eps, counter=counter, backend=kernel,
-                cache=cache, executor=executor,
+                cache=cache,
             ),
         ):
             results[i] = res
@@ -336,17 +321,16 @@ class SSTAResult:
 
     @property
     def sink_pdf(self) -> DiscretePDF:
-        """Circuit-delay distribution (bound CDF of [3]).  Densified on
-        read when the analysis ran with sparse arrival storage."""
-        return as_dense(self.arrivals[self.graph.sink])
+        """Circuit-delay distribution (bound CDF of [3])."""
+        return self.arrivals[self.graph.sink]
 
     def percentile(self, p: float) -> float:
         """``T(A_nf, p)`` — the paper's objective at level ``p``."""
         return self.sink_pdf.percentile(p)
 
     def arrival_of_net(self, net: str) -> DiscretePDF:
-        """Arrival PDF at a named circuit net (densified on read)."""
-        return as_dense(self.arrivals[self.graph.node_of_net(net)])
+        """Arrival PDF at a named circuit net."""
+        return self.arrivals[self.graph.node_of_net(net)]
 
     def mean_delay(self) -> float:
         """Mean circuit delay (ps)."""
@@ -371,27 +355,16 @@ def run_ssta(
     the brute-force sensitivity loop O(N*E) per sizing iteration and
     motivates the paper's pruning algorithm.  With
     ``config.level_batch`` (the default) each topological level runs
-    through the batched scheduler, under the execution plan resolved
-    from ``config.jobs`` (in-process for 1, a sharded worker pool for
-    more — bitwise identical either way); the sequential per-node walk
-    is bitwise identical and retained for differential testing.
+    through the batched scheduler; the sequential per-node walk is
+    bitwise identical and retained for differential testing.
     """
     cfg = config if config is not None else model.config
     own_counter = counter if counter is not None else OpCounter()
     kernel = get_backend(cfg.backend)
-    # With sparse_eps > 0 each propagated arrival is stored in
-    # threshold-masked sparse form — the per-node memory wall at the
-    # million-gate scale — and densified on read by node_fanin_parts /
-    # the result accessors.  0.0 stores the kernel outputs untouched.
-    if cfg.sparse_eps > 0.0:
-        store = lambda pdf: sparsify(pdf, cfg.sparse_eps)  # noqa: E731
-    else:
-        store = lambda pdf: pdf  # noqa: E731
     arrivals: List[Optional[DiscretePDF]] = [None] * graph.n_nodes
     arrivals[graph.source] = DiscretePDF.delta(cfg.dt, 0.0)
     get_arrival = arrivals.__getitem__
     if cfg.level_batch:
-        executor = get_executor(cfg.jobs, cfg.transport)
         # Level 0 holds exactly the source; every other level's nodes
         # are mutually independent (arcs always cross levels).
         for level in range(1, graph.max_level + 1):
@@ -410,15 +383,14 @@ def run_ssta(
                     counter=own_counter,
                     backend=kernel,
                     cache=cfg.cache,
-                    executor=executor,
                 ),
             ):
-                arrivals[node] = store(pdf)
+                arrivals[node] = pdf
     else:
         for node in graph.topo_nodes():
             if node == graph.source:
                 continue
-            arrivals[node] = store(compute_node_arrival(
+            arrivals[node] = compute_node_arrival(
                 graph,
                 node,
                 get_arrival,  # type: ignore[arg-type]
@@ -427,5 +399,5 @@ def run_ssta(
                 counter=own_counter,
                 backend=kernel,
                 cache=cfg.cache,
-            ))
+            )
     return SSTAResult(graph=graph, arrivals=arrivals, counter=own_counter)  # type: ignore[arg-type]

@@ -13,8 +13,9 @@ check:
   with no C compiler — under which the compiled backends must *be*
   the pure-NumPy direct kernels, bit for bit, with exactly one
   warning;
-* the process-boundary paths: compiled kernels resolved by name inside
-  spawned workers on both transports, matching ``direct``.
+* the fused miss path: the engines hand each level's cache misses to
+  one ``convolve_many_trimmed`` call and never rebuild results from
+  separately computed raws.
 
 Every test here passes whether or not a provider resolves on this
 host: provider-specific classes skip when the tier is degraded, and
@@ -32,6 +33,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.config import AnalysisConfig
+from repro.core.objectives import PercentileObjective
+from repro.core.perturbation import PerturbationFront
 from repro.dist import _compiled
 from repro.dist.backends import (
     CompiledAutoBackend,
@@ -50,6 +53,10 @@ from repro.dist.ops import (
 )
 from repro.dist.pdf import DiscretePDF
 from repro.errors import DistributionError
+from repro.netlist.benchmarks import load
+from repro.timing.delay_model import DelayModel
+from repro.timing.graph import TimingGraph
+from repro.timing.ssta import run_ssta
 
 from tests.dist.test_backends import TV_TOL, pdfs
 
@@ -168,7 +175,7 @@ class TestCompiledDifferentials:
 
 @needs_provider
 class TestFusedConstruction:
-    """Cache and executor interplay of the compiled construction."""
+    """Cache interplay of the compiled construction."""
 
     def test_cache_hit_is_stored_object(self):
         cache = ConvolutionCache(64)
@@ -205,25 +212,26 @@ class TestFusedConstruction:
         assert np.array_equal(hit.masses, fresh.masses)
         assert cache.stats.hits >= 1
 
-    def test_executor_raws_build_bitwise_with_inline(self):
-        """trim_raws over executor-shipped raws == the inline fused
-        batch (the trim is a pure function of the raw bits)."""
-        from repro.exec.executor import SERIAL_EXECUTOR
-
+    def test_trim_raws_bitwise_with_fused_batch(self):
+        """trim_raws over separately computed raws (compiled-auto's
+        FFT side builds this way) == the fused batch, since the trim
+        is a pure function of the raw bits."""
+        kernel = get_backend("compiled")
         rng = np.random.default_rng(23)
         pairs = [
             (_rand_pdf(rng, rng.integers(2, 50)),
              _rand_pdf(rng, rng.integers(2, 50), offset=1))
             for _ in range(9)
         ]
-        inline = convolve_many(pairs, trim_eps=1e-9, backend="compiled")
-        via_exec = convolve_many(
-            pairs, trim_eps=1e-9, backend="compiled",
-            executor=SERIAL_EXECUTOR,
+        fused = convolve_many(pairs, trim_eps=1e-9, backend="compiled")
+        raws = kernel.convolve_many([(a.masses, b.masses) for a, b in pairs])
+        built = kernel.trim_raws(
+            raws, [a.dt for a, _ in pairs],
+            [a.offset + b.offset for a, b in pairs], 1e-9,
         )
-        for r_i, r_e in zip(inline, via_exec):
-            assert r_i.offset == r_e.offset
-            assert np.array_equal(r_i.masses, r_e.masses)
+        for r_f, r_b in zip(fused, built):
+            assert r_f.offset == r_b.offset
+            assert np.array_equal(r_f.masses, r_b.masses)
 
     def test_counter_tallies_match_direct(self):
         rng = np.random.default_rng(29)
@@ -298,7 +306,6 @@ class TestFallbackMatrix:
 
     def _assert_degraded_is_direct(self):
         kernel = get_backend("compiled")
-        assert kernel.warm_up() is None
         rng = np.random.default_rng(47)
         a = _rand_pdf(rng, 33)
         b = _rand_pdf(rng, 17, offset=-2)
@@ -479,57 +486,85 @@ class TestRegistryCompat:
         assert _tv(via_ca, via_fft) < TV_TOL
 
 
+@pytest.fixture
+def fused_spy(monkeypatch):
+    """Record the batch size of every fused ``convolve_many_trimmed``
+    call on the ``compiled`` singleton, and every call of the two
+    unfused miss-path hooks (raw batch, trim of separate raws)."""
+    kernel = get_backend("compiled")
+    calls = {"fused": [], "raws": 0, "trim_raws": 0}
+    fused = kernel.convolve_many_trimmed
+    raws = kernel.convolve_many
+    trim = kernel.trim_raws
+
+    def spy_fused(pairs, *args, **kwargs):
+        calls["fused"].append(len(pairs))
+        return fused(pairs, *args, **kwargs)
+
+    def spy_raws(pairs):
+        calls["raws"] += 1
+        return raws(pairs)
+
+    def spy_trim(*args, **kwargs):
+        calls["trim_raws"] += 1
+        return trim(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "convolve_many_trimmed", spy_fused)
+    monkeypatch.setattr(kernel, "convolve_many", spy_raws)
+    monkeypatch.setattr(kernel, "trim_raws", spy_trim)
+    return calls
+
+
 @needs_provider
-class TestCompiledInWorkers:
-    """Compiled kernels resolved by name inside spawned workers, both
-    transports, matching direct (satellite 3's process-boundary leg).
+class TestFusedMissPath:
+    """With the cache off every ADD is a miss, so each level that
+    convolves anything makes exactly one fused call covering all of
+    its gate arcs, and nothing rebuilds results from separate raws."""
 
-    One module-scoped executor per transport would leak pools across
-    unrelated modules; these build and close their own tiny pools.
-    """
+    CONFIG = AnalysisConfig(dt=4.0, backend="compiled")
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_parallel_compiled_matches_direct(self, transport):
-        from repro.exec.pool import ProcessExecutor
+    def _setup(self, name):
+        circuit = load(name)
+        graph = TimingGraph(circuit)
+        return circuit, graph, DelayModel(circuit, config=self.CONFIG)
 
-        ex = ProcessExecutor(
-            2, min_items_per_shard=1, transport=transport,
-            min_dispatch_cost_us=0.0,
-        )
-        try:
-            rng = np.random.default_rng(71)
-            pairs = [
-                (_rand_pdf(rng, int(rng.integers(2, 40))),
-                 _rand_pdf(rng, int(rng.integers(2, 40)), offset=2))
-                for _ in range(8)
-            ]
-            groups = [
-                (_rand_pdf(rng, 9, offset=-1), _rand_pdf(rng, 14)),
-                (_rand_pdf(rng, 21), _rand_pdf(rng, 6, offset=4)),
-            ]
-            par = convolve_many(
-                pairs, trim_eps=1e-9, backend="compiled", executor=ex
+    @pytest.mark.parametrize("name", ["c17", "c432"])
+    def test_run_ssta_one_fused_call_per_level(self, name, fused_spy):
+        _circuit, graph, model = self._setup(name)
+        result = run_ssta(graph, model)
+        arcs_per_level = [
+            sum(
+                1
+                for node in graph.nodes_at_level(level)
+                for edge in graph.fanin_edges(node)
+                if edge.gate is not None
             )
-            inline = convolve_many(
-                pairs, trim_eps=1e-9, backend="compiled"
+            for level in range(1, graph.max_level + 1)
+        ]
+        assert fused_spy["fused"] == [n for n in arcs_per_level if n]
+        assert sum(fused_spy["fused"]) == result.counter.convolutions
+        assert fused_spy["raws"] == 0
+        assert fused_spy["trim_raws"] == 0
+
+    def test_front_advances_one_fused_call_per_level(self, fused_spy):
+        circuit, graph, model = self._setup("c17")
+        base = run_ssta(graph, model)
+        objective = PercentileObjective(0.99)
+        for gate in circuit.gates():
+            counter = OpCounter()
+            start = len(fused_spy["fused"])
+            front = PerturbationFront(
+                graph, model, base, gate, 1.0, objective, counter=counter
             )
-            direct = convolve_many(
-                pairs, trim_eps=1e-9, backend="direct"
-            )
-            for p, i, d in zip(par, inline, direct):
-                # Worker raws + coordinator trim == inline fused path,
-                # bitwise; both sit within the class budget of direct.
-                assert p.offset == i.offset
-                assert np.array_equal(p.masses, i.masses)
-                assert _tv(p, d) < 1e-9 + TV_TOL
-            par_max = stat_max_groups(
-                groups, trim_eps=1e-9, backend="compiled", executor=ex
-            )
-            direct_max = stat_max_groups(
-                groups, trim_eps=1e-9, backend="direct"
-            )
-            for p, d in zip(par_max, direct_max):
-                assert p.offset == d.offset
-                assert np.array_equal(p.masses, d.masses)
-        finally:
-            ex.close()
+            init_calls = fused_spy["fused"][start:]
+            assert len(init_calls) <= front.levels_propagated
+            assert sum(init_calls) == counter.convolutions
+            while not front.is_done:
+                before = len(fused_spy["fused"])
+                made = counter.convolutions
+                front.propagate_one_level()
+                made = counter.convolutions - made
+                new = fused_spy["fused"][before:]
+                assert new == ([made] if made else [])
+        assert fused_spy["raws"] == 0
+        assert fused_spy["trim_raws"] == 0

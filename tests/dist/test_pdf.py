@@ -57,6 +57,27 @@ class TestConstruction:
         arr[0] = 0.25  # caller's array must stay writable
         assert arr[0] == 0.25
 
+    def test_pdf_pickle_is_memo_stripped_and_bitwise(self):
+        """Cache snapshots pickle every resident result: only the
+        defining triple travels, and the round trip is bitwise."""
+        import pickle
+
+        from repro.dist.families import truncated_gaussian_pdf
+
+        p = truncated_gaussian_pdf(4.0, 1234.0, 40.0)
+        p.percentile(0.9)
+        p.trimmed(1e-9)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.dt == p.dt and q.offset == p.offset
+        assert np.array_equal(q.masses, p.masses)
+        assert not q.masses.flags.writeable
+        leaked = {"_cdf", "_unit_cdf", "_knots", "_ramp_floor",
+                  "_trim_level", "_fp"} & set(q.__dict__)
+        assert not leaked
+        # Rebuilt memos are bitwise the originals (pure functions of
+        # the defining triple).
+        assert q.percentile(0.9) == p.percentile(0.9)
+
 
 class TestConstructors:
     def test_delta(self):

@@ -39,7 +39,7 @@ FAST = AnalysisConfig(dt=8.0, delta_w=1.0)
 
 
 def _local_sink(name, scale=1.0):
-    cfg = FAST.with_updates(cache=None, jobs=1)
+    cfg = FAST.with_updates(cache=None)
     circuit = load(name, scale=scale)
     return run_ssta(
         TimingGraph(circuit), DelayModel(circuit, config=cfg), config=cfg
@@ -49,7 +49,7 @@ def _local_sink(name, scale=1.0):
 def _local_sizing(name, iterations):
     return PrunedStatisticalSizer(
         load(name),
-        config=FAST.with_updates(cache=None, jobs=1),
+        config=FAST.with_updates(cache=None),
         max_iterations=iterations,
     ).run()
 

@@ -52,7 +52,7 @@ def client(server):
 
 
 def _local_sink(name, scale=1.0):
-    cfg = FAST.with_updates(cache=None, jobs=1)
+    cfg = FAST.with_updates(cache=None)
     circuit = load(name, scale=scale)
     return run_ssta(
         TimingGraph(circuit), DelayModel(circuit, config=cfg), config=cfg
@@ -60,7 +60,7 @@ def _local_sink(name, scale=1.0):
 
 
 def _local_sizing(name, scale=1.0, iterations=3):
-    cfg = FAST.with_updates(cache=None, jobs=1)
+    cfg = FAST.with_updates(cache=None)
     return PrunedStatisticalSizer(
         load(name, scale=scale), config=cfg, max_iterations=iterations
     ).run()
@@ -107,6 +107,27 @@ class TestEndpoints:
             urllib.request.urlopen(req, timeout=10)
         assert exc.value.code == 400
         assert "JSON" in json.loads(exc.value.read())["error"]
+
+    @pytest.mark.parametrize("path,body", [
+        ("/analyze", '{"circuit": "c17", "config": {"dt": NaN}}'),
+        ("/analyze", '{"circuit": "c17", "config": {"sigma_fraction": NaN}}'),
+        ("/analyze",
+         '{"circuit": "c17", "config": {"truncation_sigma": Infinity}}'),
+        ("/session", '{"config": {"delta_w": NaN}}'),
+    ])
+    def test_non_finite_config_400(self, server, path, body):
+        """Python's json parses NaN/Infinity; the config must reject
+        them as a client error, never fail mid-analysis with a 500."""
+        req = urllib.request.Request(
+            server.url + path,
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        assert exc.value.code == 400
+        assert "must be finite" in json.loads(exc.value.read())["error"]
 
     def test_unknown_circuit_400(self, client):
         with pytest.raises(ServiceError, match="unknown circuit"):

@@ -5,6 +5,7 @@ behaviour live in ``test_server.py``; this file pins the domain layer
 in isolation (no HTTP).
 """
 
+import math
 import threading
 
 import numpy as np
@@ -30,7 +31,7 @@ def state():
 
 def _local_sink(name, scale=1.0, config=FAST):
     """Reference sink distribution: a plain local run, no cache."""
-    cfg = config.with_updates(cache=None, jobs=1)
+    cfg = config.with_updates(cache=None)
     circuit = load(name, scale=scale)
     graph = TimingGraph(circuit)
     model = DelayModel(circuit, config=cfg)
@@ -46,9 +47,8 @@ class TestConstruction:
         with pytest.raises(ServiceError, match="budget"):
             ServiceState(config=FAST, cache_budget_bytes=-1)
 
-    def test_base_config_never_carries_jobs_or_foreign_cache(self, state):
+    def test_base_config_never_carries_foreign_cache(self, state):
         assert state.base_config.cache is None
-        assert state.base_config.jobs == 1
 
 
 class TestSessions:
@@ -74,6 +74,15 @@ class TestSessions:
             state.open_session({"jobs": 4})
         with pytest.raises(ServiceError, match="bad config override"):
             state.open_session({"dt": -1.0})
+
+    @pytest.mark.parametrize("field", ["dt", "sigma_fraction",
+                                       "truncation_sigma", "delta_w"])
+    def test_non_finite_overrides_rejected(self, state, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ServiceError, match="must be finite"):
+                state.open_session({field: value})
+            with pytest.raises(ServiceError, match="must be finite"):
+                state.analyze("c17", config_overrides={field: value})
 
     def test_session_overrides_change_numbers(self, state):
         coarse = state.open_session()
@@ -128,7 +137,7 @@ class TestOptimize:
         remote = sizing_result_from_wire(out["result"])
         local = PrunedStatisticalSizer(
             load("c17"),
-            config=FAST.with_updates(cache=None, jobs=1),
+            config=FAST.with_updates(cache=None),
             max_iterations=3,
         ).run()
         assert remote.final_objective == local.final_objective
@@ -272,9 +281,3 @@ class TestStats:
         assert lat["count"] == 2
         assert lat["p50_ms"] in (20.0, 40.0)
         assert lat["p99_ms"] == 40.0
-        # Shared-memory operand accounting is surfaced for operators:
-        # a serial-only state holds no live arenas.
-        arena = stats["arena"]
-        assert set(arena) == {"arenas", "segments", "bytes", "detail"}
-        assert arena["arenas"] >= 0
-        assert arena["detail"] == []  # serial state: no live arenas

@@ -1,5 +1,8 @@
 """Unit tests for the analysis configuration and error hierarchy."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.config import (
@@ -53,19 +56,23 @@ class TestAnalysisConfig:
             ("sigma_fraction", -0.1),
             ("truncation_sigma", 0.0),
             ("delta_w", 0.0),
-            ("jobs", 0),
-            ("jobs", -2),
-            ("jobs", 1.5),
-            ("jobs", True),
+        ]
+        + [
+            (field, value)
+            for field in ("dt", "tail_eps", "percentile", "sigma_fraction",
+                          "truncation_sigma", "delta_w")
+            for value in (math.nan, math.inf, -math.inf)
         ],
     )
     def test_invalid_values(self, field, value):
         with pytest.raises(ValueError):
             AnalysisConfig(**{field: value})
 
-    def test_jobs_default_and_updates(self):
-        assert DEFAULT_CONFIG.jobs == 1
-        assert DEFAULT_CONFIG.with_updates(jobs=4).jobs == 4
+    def test_nine_fields(self):
+        assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
+            "dt", "tail_eps", "percentile", "sigma_fraction",
+            "truncation_sigma", "delta_w", "backend", "cache", "level_batch",
+        ]
 
     def test_zero_tail_eps_allowed(self):
         assert AnalysisConfig(tail_eps=0.0).tail_eps == 0.0

@@ -11,9 +11,12 @@ Two protections layered together:
   any divergence of the level-batched scheduler, since batched and
   sequential propagation must reproduce the goldens (and each other)
   bitwise under every backend, cache on and off, and any divergence of
-  the sharded-parallel execution plan, since ``jobs=2``/``jobs=4``
-  must reproduce the serial arrivals bitwise with jobs-invariant
-  tallies (``TestParallelGolden``).
+  a cache path, since cold, warm, snapshot-reloaded, merged, capped and
+  evicting caches must reproduce the uncached arrivals bitwise with
+  golden-locked work tallies (``TestCachePathGolden``).
+* **Golden-scale engine differentials** run backward SSTA (batched vs
+  sequential) and incremental updates (vs a full rerun) on the same
+  circuits under every backend.
 * **Cross-backend reruns** drive the existing engine contracts (SSTA
   vs Monte Carlo, incremental-vs-full bitwise equality, pruned-vs-
   brute-force exactness) under every convolution backend via the
@@ -148,91 +151,221 @@ class TestGoldenSinkStatistics:
         assert sink.percentile(0.99) == pytest.approx(gold["p99"], abs=tol)
 
 
-#: Serial (jobs=1) reference runs for the parallel golden gate, built
-#: once per (circuit, backend, cache on/off) — the parallel variants
-#: only need something bitwise to diff against.
-_SERIAL_REFS: dict = {}
+#: Uncached reference runs for the cache-path gate, built once per
+#: (circuit, backend) — every cache path only needs something bitwise
+#: to diff against.
+_UNCACHED_REFS: dict = {}
+
+#: Holds every entry of one golden run (c1908 needs ~1.3k).
+AMPLE_CAPACITY = 1 << 14
 
 
-def _serial_reference(circuit, backend, cached):
-    key = (circuit, backend, cached)
-    ref = _SERIAL_REFS.get(key)
+def _uncached_reference(circuit, backend):
+    key = (circuit, backend)
+    ref = _UNCACHED_REFS.get(key)
     if ref is None:
-        cfg = AnalysisConfig(
-            backend=backend,
-            cache=ConvolutionCache(4096) if cached else None,
-        )
-        result, _, _ = ssta_for(circuit, cfg)
-        ref = _SERIAL_REFS[key] = result
+        ref = _UNCACHED_REFS[key] = ssta_for(
+            circuit, AnalysisConfig(backend=backend)
+        )[0]
     return ref
 
 
-@pytest.fixture(scope="module")
-def forced_shm_dispatch():
-    """Zero the shm cost gate on the registry executors the parallel
-    goldens resolve, so the ``shm`` leg genuinely ships arena refs
-    (default-grid ISCAS levels are otherwise folded inline as not
-    worth a round trip).  Restored on module teardown."""
-    from repro.exec import get_executor
-
-    saved = {}
-    for jobs in (2, 4):
-        ex = get_executor(jobs, "shm")
-        saved[jobs] = ex.min_dispatch_cost_us
-        ex.min_dispatch_cost_us = 0.0
-    yield
-    for jobs, gate in saved.items():
-        get_executor(jobs, "shm").min_dispatch_cost_us = gate
+def _filled_cache(circuit, cfg, *, level_batch=True):
+    """A fresh cache holding one cold run of ``circuit`` under ``cfg``."""
+    cache = ConvolutionCache(AMPLE_CAPACITY)
+    ssta_for(circuit, cfg.with_updates(cache=cache, level_batch=level_batch))
+    return cache
 
 
-class TestParallelGolden:
-    """The PR-5/PR-7 acceptance gate: ``jobs=2`` and ``jobs=4``
-    reproduce the ``jobs=1`` arrivals bitwise on every golden circuit,
-    under every backend, cache on and off, over **both** operand
-    transports (the shared-memory arena with its cost gate forced
-    open, and the pickle wire format) — and the computed OpCounter
-    tallies are jobs- and transport-invariant (the golden-locked
-    counts, exactly)."""
+def _snapshot(cache, path):
+    cache.save(path)
+    return path
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    @pytest.mark.parametrize("jobs", [2, 4])
-    @pytest.mark.parametrize("cached", [False, True])
+
+def _cold(circuit, cfg, tmp_path):
+    return ConvolutionCache(AMPLE_CAPACITY), True, False
+
+
+def _warm(circuit, cfg, tmp_path):
+    return _filled_cache(circuit, cfg), True, True
+
+
+def _warm_sequential(circuit, cfg, tmp_path):
+    return _filled_cache(circuit, cfg), False, True
+
+
+def _warm_from_sequential(circuit, cfg, tmp_path):
+    return _filled_cache(circuit, cfg, level_batch=False), True, True
+
+
+def _snapshot_reload(circuit, cfg, tmp_path):
+    path = _snapshot(_filled_cache(circuit, cfg), tmp_path / "warm.pkl")
+    return ConvolutionCache.load(path), True, True
+
+
+def _merged_snapshots(circuit, cfg, tmp_path):
+    own = _snapshot(_filled_cache(circuit, cfg), tmp_path / "own.pkl")
+    other = _snapshot(_filled_cache("c17", cfg), tmp_path / "c17.pkl")
+    merged = tmp_path / "merged.pkl"
+    ConvolutionCache.merge_snapshots([own, other], merged)
+    return ConvolutionCache.load(merged), True, True
+
+
+def _snapshot_capped(circuit, cfg, tmp_path):
+    path = _snapshot(_filled_cache(circuit, cfg), tmp_path / "warm.pkl")
+    return ConvolutionCache.load(path, capacity=64), True, False
+
+
+def _tiny(circuit, cfg, tmp_path):
+    return ConvolutionCache(32), True, False
+
+
+def _byte_evicted(circuit, cfg, tmp_path):
+    cache = _filled_cache(circuit, cfg)
+    cache.evict_to_bytes(cache.approx_bytes // 2)
+    return cache, True, False
+
+
+#: Every way a run can meet the convolution-result cache.  Each builds
+#: ``(cache, level_batch, all_hits)``: the cache the measured run uses,
+#: its scheduling mode, and whether every request must be served from
+#: entries written before the run.
+CACHE_PATHS = {
+    "cold": _cold,
+    "warm": _warm,
+    "warm-sequential": _warm_sequential,
+    "warm-from-sequential": _warm_from_sequential,
+    "snapshot-reload": _snapshot_reload,
+    "merged-snapshots": _merged_snapshots,
+    "snapshot-capped": _snapshot_capped,
+    "tiny": _tiny,
+    "byte-evicted": _byte_evicted,
+}
+
+
+class TestCachePathGolden:
+    """Every cache path reproduces the uncached arrivals bitwise on
+    every golden circuit under every backend: cold and warm caches,
+    batched runs served from sequential entries and back, snapshots
+    reloaded whole, merged with another circuit's, or capped on load,
+    and caches churning at a tiny capacity or trimmed by byte budget.
+    Each kernel request is either computed or served as a hit, so
+    computed plus hit tallies equal the golden-locked computed counts,
+    and a fully warm cache computes nothing."""
+
+    @pytest.mark.parametrize("path", sorted(CACHE_PATHS))
     @pytest.mark.parametrize("circuit", GOLDEN_CIRCUITS)
-    def test_parallel_reproduces_serial_bitwise(
-        self, circuit, backend_config, backend, cached, jobs, transport,
-        forced_shm_dispatch,
+    def test_cache_path_reproduces_uncached_bitwise(
+        self, circuit, backend_config, backend, path, tmp_path
     ):
         gold = golden(circuit)
-        cfg = backend_config.with_updates(
-            jobs=jobs,
-            transport=transport,
-            cache=ConvolutionCache(4096) if cached else None,
+        cache, level_batch, all_hits = CACHE_PATHS[path](
+            circuit, backend_config, tmp_path
         )
+        cfg = backend_config.with_updates(cache=cache, level_batch=level_batch)
         result, _, _ = ssta_for(circuit, cfg)
-        ref = _serial_reference(circuit, backend, cached)
-        for pp, ps in zip(result.arrivals, ref.arrivals):
-            assert pp.offset == ps.offset
-            assert np.array_equal(pp.masses, ps.masses)
-        # Tallies are jobs-invariant (computed *and* hits); cache-off
-        # computed counts additionally match the golden-locked values.
-        assert (
-            result.counter.convolutions,
-            result.counter.max_ops,
-            result.counter.convolve_cache_hits,
-            result.counter.max_cache_hits,
-        ) == (
-            ref.counter.convolutions,
-            ref.counter.max_ops,
-            ref.counter.convolve_cache_hits,
-            ref.counter.max_cache_hits,
-        )
-        if not cached:
-            assert result.counter.convolutions == gold["convolutions"]
-            assert result.counter.max_ops == gold["max_ops"]
+        ref = _uncached_reference(circuit, backend)
+        for pc, pu in zip(result.arrivals, ref.arrivals):
+            assert pc.offset == pu.offset
+            assert np.array_equal(pc.masses, pu.masses)
+        counter = result.counter
+        assert counter.convolutions + counter.convolve_cache_hits == gold[
+            "convolutions"
+        ]
+        assert counter.max_ops + counter.max_cache_hits == gold["max_ops"]
+        if all_hits:
+            assert (counter.convolutions, counter.max_ops) == (0, 0)
         sink = result.sink_pdf
         tol = PERCENTILE_TOL[backend]
         assert sink.percentile(0.50) == pytest.approx(gold["p50"], abs=tol)
         assert sink.percentile(0.99) == pytest.approx(gold["p99"], abs=tol)
+
+
+def _tallies(counter):
+    return (
+        counter.convolutions,
+        counter.max_ops,
+        counter.convolve_cache_hits,
+        counter.max_cache_hits,
+    )
+
+
+#: Cache variants of the backward differential: off, ample (no
+#: eviction, so both modes make the same requests), and tiny (churn
+#: mid-level; only the values are promised to match there).
+ENGINE_CACHES = {"off": None, "ample": AMPLE_CAPACITY, "tiny": 32}
+
+
+class TestBackwardGolden:
+    """Backward SSTA on the golden circuits: level-batched ==
+    sequential at every node, bitwise, under every backend with the
+    cache off, ample and tiny — and without eviction both modes make
+    the same kernel requests."""
+
+    @pytest.mark.parametrize("cache", sorted(ENGINE_CACHES))
+    @pytest.mark.parametrize("circuit", GOLDEN_CIRCUITS)
+    def test_batched_equals_sequential_bitwise(
+        self, circuit, backend_config, cache
+    ):
+        from repro.timing.criticality import run_backward_ssta
+
+        spec = ENGINE_CACHES[cache]
+        out = {}
+        for level_batch in (True, False):
+            cfg = backend_config.with_updates(
+                level_batch=level_batch,
+                cache=None if spec is None else ConvolutionCache(spec),
+            )
+            netlist = load(circuit)
+            graph = TimingGraph(netlist)
+            model = DelayModel(netlist, config=cfg)
+            counter = OpCounter()
+            out[level_batch] = (
+                run_backward_ssta(graph, model, config=cfg, counter=counter),
+                counter,
+            )
+        (batched, cb), (sequential, cs) = out[True], out[False]
+        assert len(batched.to_sink) == len(sequential.to_sink)
+        for pb, ps in zip(batched.to_sink, sequential.to_sink):
+            assert pb.offset == ps.offset
+            assert np.array_equal(pb.masses, ps.masses)
+        if cache != "tiny":
+            assert _tallies(cb) == _tallies(cs)
+
+
+#: Which gate the incremental differential resizes, by topological
+#: position: next to the inputs (the widest wave), mid-circuit, and
+#: next to the outputs.
+RESIZE_SITES = {"first": 0.0, "middle": 0.5, "last": 1.0}
+
+
+class TestIncrementalGolden:
+    """Incremental updates on the golden circuits: a resize near the
+    inputs, mid-circuit or near the outputs, updated in place, equals a
+    from-scratch rerun bitwise under every backend, and the batched and
+    sequential update waves recompute the same number of nodes."""
+
+    @pytest.mark.parametrize("site", sorted(RESIZE_SITES))
+    @pytest.mark.parametrize("circuit", GOLDEN_CIRCUITS)
+    def test_update_matches_full_rerun_bitwise(
+        self, circuit, backend_config, site
+    ):
+        recomputed = {}
+        for level_batch in (True, False):
+            cfg = backend_config.with_updates(level_batch=level_batch)
+            base, graph, model = ssta_for(circuit, cfg)
+            gates = graph.circuit.topo_gates()
+            gate = gates[round(RESIZE_SITES[site] * (len(gates) - 1))]
+            gate.width += 1.0
+            recomputed[level_batch] = update_ssta_after_resize(
+                base, model, [gate]
+            )
+            fresh = run_ssta(graph, model, config=cfg)
+            for upd, ref in zip(base.arrivals, fresh.arrivals):
+                assert upd.offset == ref.offset
+                assert np.array_equal(upd.masses, ref.masses)
+        assert recomputed[True] == recomputed[False]
+        assert recomputed[True] > 0
 
 
 SIZER_CLASSES = {

@@ -33,7 +33,13 @@ from repro.core.perturbation import PerturbationFront
 from repro.dist.backends import DirectBackend
 from repro.dist.cache import ConvolutionCache
 from repro.dist.families import truncated_gaussian_pdf
-from repro.dist.ops import OpCounter, stat_max_groups, stat_max_many
+from repro.dist.ops import (
+    OpCounter,
+    convolve,
+    convolve_many,
+    stat_max_groups,
+    stat_max_many,
+)
 from repro.dist.pdf import DiscretePDF
 from repro.netlist.generate import CircuitSpec, generate_circuit
 from repro.timing.criticality import run_backward_ssta
@@ -315,6 +321,49 @@ class TestAllHitsLevelSkipsBackend:
         assert spy.invocations == invocations_cold  # zero new touches
         _assert_bitwise(cold[1:], warm[1:])
         assert counter.cache_hits > 0
+
+
+class TestConvolveManyDifferential:
+    """Scheduler-level ADD batching against the per-call reference,
+    over synthetic pairs including translated replays, deltas, and an
+    intra-batch duplicate."""
+
+    def _pairs(self):
+        def g(sigma, center):
+            return truncated_gaussian_pdf(8.0, center, sigma)
+
+        pairs = [
+            (g(30.0 + i, 500.0 + 24 * i), g(20.0, 700.0 + 40 * (i % 3)))
+            for i in range(6)
+        ]
+        pairs.append((g(30.0, 508.0), g(20.0, 708.0)))  # translated #0
+        pairs.append((DiscretePDF.delta(8.0, 4000.0), g(25.0, 90.0)))
+        pairs.append(pairs[2])                            # duplicate of #2
+        return pairs
+
+    @pytest.mark.parametrize("cache_spec", CACHE_SPECS)
+    def test_bitwise_vs_sequential(self, backend, cache_spec):
+        pairs = self._pairs()
+        cache_b = None if cache_spec is None else ConvolutionCache(cache_spec)
+        cache_s = None if cache_spec is None else ConvolutionCache(cache_spec)
+        cb, cs = OpCounter(), OpCounter()
+        batched = convolve_many(
+            pairs, trim_eps=1e-9, counter=cb, backend=backend, cache=cache_b
+        )
+        looped = [
+            convolve(
+                a, b, trim_eps=1e-9, counter=cs, backend=backend,
+                cache=cache_s,
+            )
+            for a, b in pairs
+        ]
+        assert len(batched) == len(pairs)
+        _assert_bitwise(batched, looped)
+        assert _tallies(cb) == _tallies(cs)
+        if cache_spec is not None:
+            assert (cache_b.stats.hits, cache_b.stats.misses) == (
+                cache_s.stats.hits, cache_s.stats.misses
+            )
 
 
 class TestStatMaxGroupsDifferential:
