@@ -99,7 +99,7 @@ BATCH_SIZE = 8
 #: interesting regime is the small-operand miss path where per-result
 #: dispatch used to dominate).
 COMPILED_BIN_COUNTS = [17, 33, 65, 129, 513, 2049]
-#: Pairs per compiled-tier batch — a wide level, the shape the fused
+#: Pairs per compiled-tier batch — a wide level, the shape the batched
 #: miss path exists for (BATCH_SIZE=8 stays the generic section's
 #: fan-in shape).
 COMPILED_BATCH = 64
@@ -249,17 +249,23 @@ def _bench_compiled(quick: bool) -> dict:
     * ``scalar`` — one ``convolve`` call per pair (one FFI round trip
       each; the per-call floor);
     * ``batched`` — the ``convolve_many`` miss path end to end,
-      including the batch bookkeeping both backends share;
-    * ``kernel`` — the per-result work the tier actually replaced: the
-      NumPy dispatch sequence (``np.convolve`` + the ``_trusted`` trim
-      construction) per pair, against one fused provider call for the
-      whole batch.  This isolates the dispatch elimination from the
+      including the batch bookkeeping both backends share (both build
+      their results through the same compiled build kernel);
+    * ``kernel`` — the per-result work the tier replaces: the NumPy
+      dispatch sequence (``np.convolve`` + the ``_trusted`` trim
+      construction) per pair, against the provider's two batch calls
+      for the whole level — ``conv_many`` for the raws, ``build`` for
+      the results.  This isolates the dispatch elimination from the
       shared ``convolve_many`` overhead and is what the drift gate
       measures.
 
+    The ``gap`` rows time the Theorem-4 gap (``max_percentile_gap``)
+    per call, the compiled kernel against its NumPy body, at 40 and 300
+    bins — the cold sizer's and the warm service's arrival widths.
+
     Also re-measures the compiled-vs-FFT equal-size crossover the
     ``compiled-auto`` cost model guards, recorded like
-    ``measured_crossover_bins``.  On a degraded host (no numba, no C
+    ``measured_crossover_bins``.  On a degraded host (no C
     compiler) the section records the degradation, kernel rows are
     absent, and the scalar/batched ratios honestly sit near 1.0x —
     the fallback *is* the direct arithmetic.
@@ -311,12 +317,13 @@ def _bench_compiled(quick: bool) -> dict:
                     raw = np.convolve(am, bm)
                     trusted(dt, off, raw).trimmed(TRIM_EPS)
 
-            t_nk = _time_op(numpy_kernel)
-            t_ck = _time_op(
-                lambda: provider.conv_trim_many(
-                    masses, dts, offs, TRIM_EPS, False
+            def compiled_kernel():
+                provider.build(
+                    provider.conv_many(masses), dts, offs, TRIM_EPS
                 )
-            )
+
+            t_nk = _time_op(numpy_kernel)
+            t_ck = _time_op(compiled_kernel)
             row["kernel_direct_us"] = round(t_nk * 1e6, 3)
             row["kernel_compiled_us"] = round(t_ck * 1e6, 3)
             row["kernel_speedup"] = round(t_nk / t_ck, 3)
@@ -335,6 +342,8 @@ def _bench_compiled(quick: bool) -> dict:
             f"({row['batched_speedup']:.2f}x){kern}"
         )
     out["rows"] = rows
+    if provider is not None:
+        out["gap"] = _bench_gap(provider)
 
     # compiled-vs-FFT equal-size crossover: smallest swept size where
     # FFT beats the compiled direct loop (None when FFT never wins in
@@ -363,6 +372,32 @@ def _bench_compiled(quick: bool) -> dict:
         + f" (compiled-auto anchor {COMPILED_EQUAL_SIZE_CROSSOVER_BINS})"
     )
     return out
+
+
+def _bench_gap(provider) -> list:
+    """Per-call Theorem-4 gap: the compiled kernel vs its NumPy body,
+    between a bell-shaped arrival and its one-bin shift."""
+    from repro.dist.metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
+    from repro.dist.pdf import DiscretePDF
+
+    rows = []
+    for n in (40, 300):
+        x = np.arange(n) - n / 2.0
+        a = DiscretePDF(2.0, 0, np.exp(-(x / (n / 6.0)) ** 2))
+        b = a.shifted_bins(1)
+        t_np = _time_op(lambda: _numpy_gap(a, b))
+        t_c = _time_op(lambda: provider.gap(a, b, _VERTICAL_NOISE_FLOOR))
+        row = {
+            "bins": n,
+            "numpy_us": round(t_np * 1e6, 3),
+            "compiled_us": round(t_c * 1e6, 3),
+            "speedup": round(t_np / t_c, 3),
+        }
+        rows.append(row)
+        print(f"gap bins={n:4d}  numpy={row['numpy_us']:8.2f} us  "
+              f"compiled={row['compiled_us']:8.2f} us "
+              f"({row['speedup']:.2f}x)")
+    return rows
 
 
 def _sizer_case(sizer_cls, circuit_name: str, iterations: int, cache, **kw):

@@ -468,10 +468,10 @@ def _add_level_batch_flag(parser: argparse.ArgumentParser) -> None:
                         help="convolution backend: 'auto' (default) "
                              "dispatches direct/fft by operand size; "
                              "'compiled' / 'compiled-auto' run the "
-                             "compiled kernel tier (numba or a C "
-                             "library built on first use; degrades to "
-                             "the pure-NumPy direct numerics with a "
-                             "warning when neither is available)")
+                             "compiled convolution (a C library built "
+                             "on first use; degrades to the pure-NumPy "
+                             "direct numerics with a warning without a "
+                             "C compiler)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,8 +44,8 @@ DEFAULT_DELTA_W: float = 0.25
 #: historical behavior), ``fft`` the real-FFT product kernel, ``auto``
 #: a size-based crossover between the two (see
 #: :mod:`repro.dist.backends` for the calibrated cost model),
-#: ``compiled`` the compiled direct-kernel tier (numba or a C library;
-#: degrades to ``direct`` numerics when neither is available), and
+#: ``compiled`` the compiled direct-kernel tier (a C library built on
+#: first use; degrades to ``direct`` numerics without a compiler), and
 #: ``compiled-auto`` the crossover with the compiled kernel on the
 #: direct side.
 KNOWN_BACKENDS: tuple = (

@@ -1,48 +1,51 @@
-"""Compiled providers for the ``compiled`` backend tier.
+"""The compiled kernel tier: a small C library built on first use.
 
-The :class:`~repro.dist.backends.CompiledBackend` family delegates its
-inner loops to a *provider* resolved here: numba ``@njit`` kernels when
-numba is importable (the ``[compiled]`` install extra), otherwise a
-tiny C library compiled on first use with the system C compiler and
-loaded through cffi (or ctypes when cffi is absent).  When neither
-provider can be stood up — no numba, no compiler — ``get_provider()``
-returns ``None`` and the compiled backends degrade to the pure-NumPy
-``direct`` numerics with a single warning, so selecting ``compiled``
-is always safe.
+A ~350-line C source is compiled once with the system C compiler
+(content-addressed under ``~/.cache/repro/compiled``) and loaded
+through cffi, or ctypes when cffi is absent.  When no compiler is
+available, or the library fails its self-check, ``get_provider()``
+returns ``None`` and every caller runs the pure-NumPy code instead.
 
-Three kernel families are provided, all operating on packed flat
-buffers (operands concatenated, ``int64`` offset/length arrays) so a
-whole level batch costs one foreign call:
+Four kernel families, all operating on packed flat buffers (operands
+concatenated, ``int64`` offset/length arrays) so a whole level batch
+costs one foreign call:
 
-* **convolve** — scatter-form direct convolution, scalar and batched;
-* **trim** — the fused normalize-and-trim construction step: a mirror
-  of ``DiscretePDF._trusted(...).trimmed(trim_eps)`` whose reductions
-  run sequentially in compiled code.  This is where the cache-miss
-  speedup lives: the stock path pays ~10 µs of per-result NumPy
-  dispatch (sum, divide, cumsum, searchsorted) per pair, the fused
-  path pays one compiled call per batch.
-* **max sweep** — the padded-CDF product + adjacent difference of the
-  grouped statistical MAX.  Unlike the convolve/trim family this one
-  must be **bitwise identical** to the NumPy sweep (MAX cache keys
-  carry no backend component), which it is by construction: the same
-  multiplications and subtractions in the same order, with
-  ``-ffp-contract=off`` pinning the C build.  A self-check verifies it
-  and disables the sweep (never the provider) on any mismatch.
+* **build** — ``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``
+  for a batch of raw kernel outputs: normalize, cut the tails, lump the
+  dropped mass onto the boundary bins, renormalize.  **Bitwise** the
+  NumPy expression: sums reproduce ``np.sum``'s pairwise reduction,
+  cumulative sums are sequential like ``np.cumsum``, and the 64-bin
+  probe and ``argmax`` fallback of ``trimmed`` are mirrored branch for
+  branch.  Every backend builds its results here.
+* **gap** — ``max_percentile_gap(a, b)`` (the Theorem-4 δ) from the
+  operands' ``(dt, offset, masses)``, bitwise the NumPy body: the knots,
+  the inf-semantics inverse and ``np.interp`` (branch order, NaN retry)
+  are mirrored exactly.
+* **max sweep** — the padded-CDF product and adjacent difference of
+  the grouped statistical MAX, bitwise the NumPy sweep (the same
+  multiplications and subtractions in the same order).
+* **convolve** — scatter-form direct convolution for the opt-in
+  ``compiled``/``compiled-auto`` backends.  This one is a *tolerance*
+  class (sequential instead of pairwise accumulation: within 1e-12
+  total variation of ``direct``), which is why those backends are not
+  the default.
 
-Equivalence classes: the convolve/trim family is a *tolerance* class
-like the FFT backend — within 1e-12 total variation of ``direct`` but
-not bitwise (sequential instead of pairwise reductions) — while the
-max sweep is bitwise.  Within the compiled class itself everything is
-deterministic and batch-invariant: scalar and batched paths run the
-exact same compiled code per item.
+``-ffp-contract=off`` pins the build's arithmetic (no FMA
+contraction).  A self-check proves each bitwise kernel on fixed
+vectors before first use; a mismatch clears only that kernel's flag
+(``build_ok``, ``gap_ok``, ``max_ok``) and its callers fall back to
+NumPy, which gives the same bits.  A convolution that fails its
+tolerance check rejects the provider outright.  The kernels keep no
+module-level state, so concurrent threads may call them at once.
 
 ``REPRO_DISABLE_COMPILED=1`` disables provider resolution entirely
 (the kill switch); ``REPRO_COMPILED_CACHE`` overrides where the C
-library is built (default ``~/.cache/repro/compiled``).
+library is built.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import shutil
@@ -51,7 +54,8 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,28 +72,15 @@ __all__ = [
 ]
 
 #: Kill switch: set to a non-empty value (other than ``0``) to disable
-#: the compiled tier entirely; the compiled backends then run the
-#: pure-NumPy direct numerics.
+#: the compiled tier entirely; every kernel then runs its NumPy code.
 DISABLE_ENV = "REPRO_DISABLE_COMPILED"
 
 #: Where the C provider caches its compiled shared library.
 CACHE_DIR_ENV = "REPRO_COMPILED_CACHE"
 
-# ----------------------------------------------------------------------
-# C source.  The trim kernel mirrors DiscretePDF._trusted(...).trimmed:
-# normalize by the total, cut the largest prefix/suffix whose
-# cumulative normalized mass stays <= trim_eps/2, lump the dropped mass
-# onto the boundary bins, renormalize the kept vector (skipped when
-# nothing was cut, exactly like the stock path returning self).  The
-# reductions are sequential — this module's own arithmetic class — so
-# results agree with the stock path to ~n ulp (well inside 1e-12 TV)
-# but are not bitwise.  The max sweep, by contrast, performs the exact
-# operation sequence of np.prod(grid, axis=0) + the spelled-out diff,
-# so it *is* bitwise (and is verified before use).
-# ----------------------------------------------------------------------
-
 _C_SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define EXPORT __attribute__((visibility("default")))
@@ -113,169 +104,332 @@ static void conv_axpy(const double *a, long long na,
     }
 }
 
-/* Mirror of DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps).
-   Writes the kept (normalized) vector into `kept`, the cut index into
-   *plo, and returns the kept length (< 0 on a non-positive total). */
-static long long trim_one(const double *raw, long long n, double half,
-                          double *kept, long long *plo)
+/* NumPy's pairwise summation of a contiguous double vector. */
+static double pw(const double *a, long long n)
 {
-    double total = 0.0, acc, tacc, lead, tlump;
-    long long j, lo, hidrop, hi, klen;
-
-    for (j = 0; j < n; ++j) total += raw[j];
-    if (!(total > 0.0) || isinf(total)) return -1;
-
-    /* Largest prefix of the normalized cdf with cumulative <= half
-       (the cdf is non-decreasing, so the first excess ends the scan). */
-    acc = 0.0; lead = 0.0; lo = 0;
-    for (j = 0; j < n; ++j) {
-        acc += raw[j] / total;
-        if (acc <= half) { lo = j + 1; lead = acc; } else break;
+    long long i;
+    if (n < 8) {
+        double res = 0.0;
+        for (i = 0; i < n; ++i) res += a[i];
+        return res;
     }
-    /* Symmetric largest suffix, accumulated right-to-left. */
-    tacc = 0.0; tlump = 0.0; hidrop = 0;
-    for (j = n - 1; j >= 0; --j) {
-        tacc += raw[j] / total;
-        if (tacc <= half) { hidrop = n - j; tlump = tacc; } else break;
-    }
-    hi = n - hidrop;
-
-    if (lo >= hi) {
-        /* Degenerate request: keep the first-argmax bin and lump the
-           full prefix/suffix sums onto it. */
-        long long am = 0;
-        double best = raw[0] / total, v;
-        for (j = 1; j < n; ++j) {
-            v = raw[j] / total;
-            if (v > best) { best = v; am = j; }
+    if (n <= 128) {
+        double r[8], res;
+        for (i = 0; i < 8; ++i) r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r[0] += a[i + 0]; r[1] += a[i + 1];
+            r[2] += a[i + 2]; r[3] += a[i + 3];
+            r[4] += a[i + 4]; r[5] += a[i + 5];
+            r[6] += a[i + 6]; r[7] += a[i + 7];
         }
-        lo = am; hi = am + 1;
-        lead = 0.0;
-        for (j = 0; j < lo; ++j) lead += raw[j] / total;
-        tlump = 0.0;
-        for (j = n - 1; j >= hi; --j) tlump += raw[j] / total;
+        res = ((r[0] + r[1]) + (r[2] + r[3])) +
+              ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += a[i];
+        return res;
     }
+    {
+        long long n2 = n / 2;
+        n2 -= n2 % 8;
+        return pw(a, n2) + pw(a + n2, n - n2);
+    }
+}
 
+/* np.sum: the identity-initialised reduction. */
+static double np_sum(const double *a, long long n)
+{
+    return 0.0 + pw(a, n);
+}
+
+/* Sequential (np.cumsum) sum of a[lo..hi), ascending or descending. */
+static double cum_up(const double *a, long long lo, long long hi)
+{
+    double acc = a[lo];
+    long long j;
+    for (j = lo + 1; j < hi; ++j) acc += a[j];
+    return acc;
+}
+
+static double cum_down(const double *a, long long hi, long long lo)
+{
+    double acc = a[hi];
+    long long j;
+    for (j = hi - 1; j >= lo; --j) acc += a[j];
+    return acc;
+}
+
+/* Mirror of DiscretePDF._trusted(dt, off, raw).trimmed(2 * half).
+   Writes the kept, normalized vector to m[0..klen) (m has room for n
+   values), the cut index to *plo, and returns klen (-1 on a total that
+   is not positive and finite). */
+static long long build_one(const double *raw, long long n, double half,
+                           double *m, long long *plo)
+{
+    double total = np_sum(raw, n), lead = 0.0, tlump = 0.0, acc;
+    long long j, lo = 0, hi = n, hidrop = 0, klen;
+    int probed = 0;
+
+    if (!(total > 0.0) || isinf(total)) return -1;
+    if (total != 1.0)
+        for (j = 0; j < n; ++j) m[j] = raw[j] / total;
+    else
+        memcpy(m, raw, (size_t)n * sizeof(double));
+
+    if (n >= 128) {
+        /* trimmed()'s 64-bin probe of each tail. */
+        double pre[64], tail[64];
+        pre[0] = m[0];
+        tail[0] = m[n - 1];
+        for (j = 1; j < 64; ++j) {
+            pre[j] = pre[j - 1] + m[j];
+            tail[j] = tail[j - 1] + m[n - 1 - j];
+        }
+        if (pre[63] > half && tail[63] > half) {
+            probed = 1;
+            for (lo = 0; lo < 64 && pre[lo] <= half; ++lo) ;
+            for (hidrop = 0; hidrop < 64 && tail[hidrop] <= half; ++hidrop) ;
+            hi = n - hidrop;
+            if (lo > 0) lead = pre[lo - 1];
+            if (hidrop > 0) tlump = tail[hidrop - 1];
+        }
+    }
+    if (!probed) {
+        acc = m[0];
+        lo = 0;
+        if (acc <= half) {
+            for (lo = 1; lo < n; ++lo) {
+                lead = acc;
+                acc += m[lo];
+                if (!(acc <= half)) break;
+            }
+            if (lo == n) lead = acc;
+        }
+        acc = m[n - 1];
+        hidrop = 0;
+        if (acc <= half) {
+            for (hidrop = 1; hidrop < n; ++hidrop) {
+                tlump = acc;
+                acc += m[n - 1 - hidrop];
+                if (!(acc <= half)) break;
+            }
+            if (hidrop == n) tlump = acc;
+        }
+        hi = n - hidrop;
+        if (lo >= hi) {
+            /* Degenerate request: keep the first heaviest bin. */
+            long long keep = 0;
+            for (j = 1; j < n; ++j)
+                if (m[j] > m[keep]) keep = j;
+            lo = keep;
+            hi = keep + 1;
+            hidrop = n - hi;
+            if (lo > 0) lead = cum_up(m, 0, lo);
+            if (hi < n) tlump = cum_down(m, n - 1, hi);
+        }
+    }
     if (lo == 0 && hi == n) {
-        /* Nothing dropped: the trusted normalization is the result
-           (no second renormalization, mirroring trimmed() returning
-           self). */
-        for (j = 0; j < n; ++j) kept[j] = raw[j] / total;
         *plo = 0;
         return n;
     }
-
     klen = hi - lo;
-    for (j = 0; j < klen; ++j) kept[j] = raw[lo + j] / total;
-    if (lo > 0) kept[0] += lead;
-    if (hi < n) kept[klen - 1] += tlump;
-
-    /* The _trusted renormalization of the kept vector. */
-    acc = 0.0;
-    for (j = 0; j < klen; ++j) acc += kept[j];
-    if (!(acc > 0.0)) return -1;
-    if (acc != 1.0)
-        for (j = 0; j < klen; ++j) kept[j] /= acc;
+    memmove(m, m + lo, (size_t)klen * sizeof(double));
+    if (lo > 0) m[0] += lead;
+    if (hi < n) m[klen - 1] += tlump;
+    total = np_sum(m, klen);
+    if (!(total > 0.0)) return -1;
+    if (total != 1.0)
+        for (j = 0; j < klen; ++j) m[j] /= total;
     *plo = lo;
     return klen;
 }
 
-EXPORT long long repro_conv_batch(
-    const double *A, const long long *aoff, const long long *alen,
-    const double *B, const long long *boff, const long long *blen,
-    double *OUT, const long long *ooff, long long k)
+/* Operand i of a packed buffer starts where operand i - 1 ended. */
+
+EXPORT void repro_conv(const double *a, long long na,
+                       const double *b, long long nb, double *out)
+{
+    memset(out, 0, (size_t)(na + nb - 1) * sizeof(double));
+    conv_axpy(a, na, b, nb, out);
+}
+
+EXPORT void repro_conv_batch(
+    const double *A, const long long *alen,
+    const double *B, const long long *blen, double *OUT, long long k)
 {
     long long i;
     for (i = 0; i < k; ++i) {
-        long long na = alen[i], nb = blen[i];
-        double *out = OUT + ooff[i];
-        memset(out, 0, (size_t)(na + nb - 1) * sizeof(double));
-        conv_axpy(A + aoff[i], na, B + boff[i], nb, out);
+        repro_conv(A, alen[i], B, blen[i], OUT);
+        A += alen[i];
+        B += blen[i];
+        OUT += alen[i] + blen[i] - 1;
     }
-    return 0;
 }
 
-EXPORT long long repro_conv_trim_batch(
-    const double *A, const long long *aoff, const long long *alen,
-    const double *B, const long long *boff, const long long *blen,
-    double *OUT, const long long *ooff, double half,
-    double *KEPT, long long *klo, long long *klen, long long k)
+/* Results are written back to back into KEPT (which has room for the
+   packed raws); META[2i], META[2i+1] receive result i's cut index and
+   length.  Returns 0, i + 1 when raw i is longer than max_bins, or
+   -(i + 1) when raw i has no positive total. */
+EXPORT long long repro_build_batch(
+    const double *RAW, const long long *rlen, double half,
+    long long max_bins, double *KEPT, long long *META, long long k)
 {
     long long i, r;
     for (i = 0; i < k; ++i) {
-        long long na = alen[i], nb = blen[i];
-        long long n = na + nb - 1;
-        double *out = OUT + ooff[i];
-        memset(out, 0, (size_t)n * sizeof(double));
-        conv_axpy(A + aoff[i], na, B + boff[i], nb, out);
-        r = trim_one(out, n, half, KEPT + ooff[i], klo + i);
+        if (rlen[i] > max_bins) return i + 1;
+        r = build_one(RAW, rlen[i], half, KEPT, META + 2 * i);
         if (r < 0) return -(i + 1);
-        klen[i] = r;
+        META[2 * i + 1] = r;
+        RAW += rlen[i];
+        KEPT += r;
     }
     return 0;
 }
 
-EXPORT long long repro_trim_batch(
-    const double *RAW, const long long *roff, const long long *rlen,
-    double half, double *KEPT, long long *klo, long long *klen,
-    long long k)
+/* Row r of a group is operand r's unit CDF (DiscretePDF._unit_cdf:
+   the sequential cumulative sum of its cdflen[r] masses, divided by
+   its final value unless that is exactly 1) placed at bin rstart[r]
+   of the group's union range of gwidth[g] bins; below it the row is 0,
+   above it 1.  The rows are multiplied in order, then differenced. */
+EXPORT void repro_max_sweep(
+    const double *M, const long long *mlen, const long long *rstart,
+    const long long *gk, const long long *gwidth, double *OUT,
+    long long ngroups)
 {
-    long long i, r;
-    for (i = 0; i < k; ++i) {
-        r = trim_one(RAW + roff[i], rlen[i], half, KEPT + roff[i],
-                     klo + i);
-        if (r < 0) return -(i + 1);
-        klen[i] = r;
-    }
-    return 0;
-}
-
-EXPORT long long repro_conv_trim_one(
-    const double *a, long long na, const double *b, long long nb,
-    double *out, double half, double *kept, long long *klo)
-{
-    long long n = na + nb - 1;
-    memset(out, 0, (size_t)n * sizeof(double));
-    conv_axpy(a, na, b, nb, out);
-    return trim_one(out, n, half, kept, klo);
-}
-
-EXPORT long long repro_max_sweep(
-    const double *CDF, const long long *cdfoff, const long long *cdflen,
-    const long long *rstart,
-    const long long *grow0, const long long *gk,
-    const long long *gwidth, const long long *gooff,
-    double *OUT, long long ngroups)
-{
-    long long g, r, w;
+    long long g, r, w, j;
     for (g = 0; g < ngroups; ++g) {
-        long long W = gwidth[g], r0 = grow0[g], k = gk[g];
-        double *out = OUT + gooff[g];
-        {
-            const double *cdf = CDF + cdfoff[r0];
-            long long s = rstart[r0], n = cdflen[r0];
-            for (w = 0; w < W; ++w)
-                out[w] = (w < s) ? 0.0 : (w < s + n ? cdf[w - s] : 1.0);
+        long long W = gwidth[g], k = gk[g];
+        for (r = 0; r < k; ++r) {
+            long long s = rstart[r], n = mlen[r];
+            double last = M[0], acc = 0.0, v;
+            for (j = 1; j < n; ++j) last += M[j];
+            for (w = 0; w < W; ++w) {
+                if (w < s) {
+                    v = 0.0;
+                } else if (w < s + n) {
+                    acc = (w == s) ? M[0] : acc + M[w - s];
+                    v = (last != 1.0) ? acc / last : acc;
+                } else {
+                    v = 1.0;
+                }
+                if (r == 0) OUT[w] = v;
+                else OUT[w] *= v;
+            }
+            M += n;
         }
-        for (r = 1; r < k; ++r) {
-            const double *cdf = CDF + cdfoff[r0 + r];
-            long long s = rstart[r0 + r], n = cdflen[r0 + r];
-            for (w = 0; w < W; ++w)
-                out[w] *= (w < s) ? 0.0 : (w < s + n ? cdf[w - s] : 1.0);
-        }
-        for (w = W - 1; w >= 1; --w) out[w] = out[w] - out[w - 1];
+        for (w = W - 1; w >= 1; --w) OUT[w] = OUT[w] - OUT[w - 1];
+        rstart += k;
+        mlen += k;
+        OUT += W;
     }
-    return 0;
+}
+
+/* DiscretePDF._knots: fp[0] = 0, fp[i+1] = min(cumsum[i], 1),
+   fp[n] = 1.  The time knots are (off - 1 + i) * dt, computed on use. */
+static void knots(const double *m, long long n, double *fp)
+{
+    double acc = m[0];
+    long long i;
+    fp[0] = 0.0;
+    fp[1] = (acc < 1.0 || isnan(acc)) ? acc : 1.0;
+    for (i = 1; i < n; ++i) {
+        acc += m[i];
+        fp[i + 1] = (acc < 1.0 || isnan(acc)) ? acc : 1.0;
+    }
+    fp[n] = 1.0;
+}
+
+#define XP(off, i, dt) ((double)((off) - 1 + (i)) * (dt))
+
+/* np.searchsorted(fp, p, side="left") on a sorted fp of length len:
+   the count of knots below p.  Walking from the previous answer gives
+   the same count as a bisection; the gap's levels arrive as two sorted
+   runs, so the walk is linear overall. */
+static long long search(const double *fp, long long len, double p,
+                        long long idx)
+{
+    while (idx > 0 && !(fp[idx - 1] < p)) --idx;
+    while (idx < len && fp[idx] < p) ++idx;
+    return idx;
+}
+
+/* DiscretePDF._inverse for one level; *hint carries the search. */
+static double inverse(const double *fp, long long len, long long floor_,
+                      long long off, double dt, double p, long long *hint)
+{
+    long long idx = *hint = search(fp, len, p, *hint), lo;
+    double frac, xl;
+    if (idx < floor_) idx = floor_;
+    if (idx > len - 1) idx = len - 1;
+    lo = idx - 1;
+    frac = (p - fp[lo]) / (fp[idx] - fp[lo]);
+    xl = XP(off, lo, dt);
+    return xl + frac * (XP(off, idx, dt) - xl);
+}
+
+/* np.interp(x, xp, fp, left=0.0, right=1.0), branch for branch; the
+   segment index j (the last knot at or below x) is walked from *hint. */
+static double interp(const double *fp, long long len, long long off,
+                     double dt, double x, long long *hint)
+{
+    long long j = *hint;
+    double xj, xj1, slope, res;
+    if (isnan(x)) return x;
+    if (x > XP(off, len - 1, dt)) return 1.0;
+    if (x < XP(off, 0, dt)) return 0.0;
+    while (j + 1 < len && XP(off, j + 1, dt) <= x) ++j;
+    while (j > 0 && XP(off, j, dt) > x) --j;
+    *hint = j;
+    if (j == len - 1) return fp[j];
+    xj = XP(off, j, dt);
+    if (xj == x) return fp[j];
+    xj1 = XP(off, j + 1, dt);
+    slope = (fp[j + 1] - fp[j]) / (xj1 - xj);
+    res = slope * (x - xj) + fp[j];
+    if (isnan(res)) {
+        res = slope * (x - xj1) + fp[j + 1];
+        if (isnan(res) && fp[j] == fp[j + 1]) res = fp[j];
+    }
+    return res;
+}
+
+/* max_percentile_gap(a, b).  Returns NaN when scratch cannot be
+   allocated (the caller then runs the NumPy code). */
+EXPORT double repro_gap(
+    const double *ma, long long na, long long offa,
+    const double *mb, long long nb, long long offb,
+    double dt, double noise_floor)
+{
+    long long la = na + 1, lb = nb + 1, fla, flb, i;
+    long long ha = 0, hb = 0, hx = 0;
+    double *fa, *fb, best = -INFINITY, p, qa, qb, g, margin;
+    fa = (double *)malloc((size_t)(la + lb) * sizeof(double));
+    if (fa == NULL) return NAN;
+    fb = fa + la;
+    knots(ma, na, fa);
+    knots(mb, nb, fb);
+    /* _ramp_floor: searchsorted(fp, 0.0, side="right"). */
+    for (fla = 0; fla < la && fa[fla] <= 0.0; ++fla) ;
+    for (flb = 0; flb < lb && fb[flb] <= 0.0; ++flb) ;
+    for (i = 0; i < la + lb; ++i) {
+        p = i < la ? fa[i] : fb[i - la];
+        qa = inverse(fa, la, fla, offa, dt, p, &ha);
+        qb = inverse(fb, lb, flb, offb, dt, p, &hb);
+        g = qa - qb;
+        margin = p - interp(fa, la, offa, dt, qb, &hx);
+        if (!(margin > noise_floor) && !(g < 0.0 || isnan(g))) g = 0.0;
+        if (isnan(g)) { best = g; break; }
+        if (g > best) best = g;
+    }
+    free(fa);
+    return best;
 }
 """
 
 #: Flags pin the arithmetic: no FMA contraction, no reassociation
-#: (C forbids it below -ffast-math), so the max sweep's operation
-#: sequence matches NumPy's on every conforming build.  SIMD width is
-#: free to vary — each output element still accumulates its own terms
-#: in the same order — so ``-march=native`` (tried first, with a
-#: portable fallback) only changes speed, never bits, within one host's
-#: cached build.
+#: (C forbids it below -ffast-math), so every bitwise kernel's
+#: operation sequence matches NumPy's on every conforming build.  SIMD
+#: width is free to vary — each output element still accumulates its
+#: own terms in the same order — so ``-march=native`` (tried first,
+#: with a portable fallback) only changes speed, never bits.
 _C_FLAGS_BASE = (
     "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"
 )
@@ -284,29 +438,17 @@ _C_FLAG_SETS = (
     _C_FLAGS_BASE,
 )
 
-_ENTRY_POINTS = {
-    "repro_conv_batch": 9,
-    "repro_conv_trim_batch": 13,
-    "repro_trim_batch": 8,
-    "repro_conv_trim_one": 8,
-    "repro_max_sweep": 10,
-}
-
 _CDEF = """
-long long repro_conv_batch(const double *, const long long *, const long long *,
-    const double *, const long long *, const long long *,
-    double *, const long long *, long long);
-long long repro_conv_trim_batch(const double *, const long long *, const long long *,
-    const double *, const long long *, const long long *,
-    double *, const long long *, double,
-    double *, long long *, long long *, long long);
-long long repro_trim_batch(const double *, const long long *, const long long *,
-    double, double *, long long *, long long *, long long);
-long long repro_conv_trim_one(const double *, long long, const double *, long long,
-    double *, double, double *, long long *);
-long long repro_max_sweep(const double *, const long long *, const long long *,
-    const long long *, const long long *, const long long *,
+void repro_conv(const double *, long long, const double *, long long,
+    double *);
+void repro_conv_batch(const double *, const long long *,
+    const double *, const long long *, double *, long long);
+long long repro_build_batch(const double *, const long long *, double,
+    long long, double *, long long *, long long);
+void repro_max_sweep(const double *, const long long *, const long long *,
     const long long *, const long long *, double *, long long);
+double repro_gap(const double *, long long, long long,
+    const double *, long long, long long, double, double);
 """
 
 
@@ -319,12 +461,17 @@ def _cache_dir() -> Path:
     return root / "repro" / "compiled"
 
 
-def _compile_library() -> Path:
+def _compile_library(rebuild: bool = False) -> Path:
     """Compile the C source into a content-addressed shared library,
     reusing a previous build when the source and flags are unchanged
-    (later sessions skip straight to dlopen).
-    ``-march=native`` is attempted first and dropped for compilers
-    that reject it."""
+    (later sessions skip straight to dlopen).  ``rebuild`` discards a
+    cached library first.  ``-march=native`` is attempted first and
+    dropped for compilers that reject it.
+
+    Every build writes its source and its library to temp files of its
+    own and publishes the library with one atomic rename, so processes
+    resolving the provider at once never compile or load a half-written
+    file."""
     cc = (
         os.environ.get("CC")
         or shutil.which("cc")
@@ -340,15 +487,18 @@ def _compile_library() -> Path:
             ("\x00".join((_C_SOURCE,) + flags)).encode()
         ).hexdigest()[:16]
         so_path = cache / f"repro_kernels-{digest}.so"
-        if so_path.exists():
+        if rebuild:
+            so_path.unlink(missing_ok=True)
+        elif so_path.exists():
             return so_path
         cache.mkdir(parents=True, exist_ok=True)
-        c_path = cache / f"repro_kernels-{digest}.c"
-        c_path.write_text(_C_SOURCE)
+        stem = f"repro_kernels-{digest}-"
         with tempfile.NamedTemporaryFile(
-            dir=cache, suffix=".so", delete=False
-        ) as tmp:
-            tmp_path = Path(tmp.name)
+            "w", dir=cache, prefix=stem, suffix=".c", delete=False
+        ) as src:
+            src.write(_C_SOURCE)
+        c_path = Path(src.name)
+        tmp_path = c_path.with_suffix(".so")
         try:
             subprocess.run(
                 [cc, *flags, "-o", str(tmp_path), str(c_path)],
@@ -356,68 +506,83 @@ def _compile_library() -> Path:
                 capture_output=True,
                 timeout=120,
             )
-            # Atomic publish: concurrent builders race benignly.
             os.replace(tmp_path, so_path)
             return so_path
         except BaseException as exc:
             tmp_path.unlink(missing_ok=True)
             last_exc = exc
+        finally:
+            c_path.unlink(missing_ok=True)
     raise RuntimeError(f"C compilation failed: {last_exc}")
 
 
-def _pack(arrs: Sequence[np.ndarray]):
-    """Concatenate 1-D float64 vectors; returns (flat, offsets, lengths)."""
-    lens = np.fromiter(
-        (a.size for a in arrs), dtype=np.int64, count=len(arrs)
-    )
-    offs = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=offs[1:])
-    return np.concatenate(arrs) if arrs else np.empty(0), offs, lens
+def _lengths(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    return np.array([a.size for a in arrs], dtype=np.int64)
 
 
-def _build_result(
-    dt: float, offset: int, kept: np.ndarray, trim_eps: float
-) -> DiscretePDF:
-    """Wrap a provider-normalized kept vector without re-reducing it.
-
-    The compiled trim already normalized ``kept`` (its own sequential
-    arithmetic — the compiled class's analog of ``_trusted``'s
-    division), so construction only stamps the fields and the trim
-    idempotence memo, exactly as ``trimmed()`` does on its output.
-    Callers pass an already read-only buffer (or view of one) and a
-    plain-int offset; fields go straight into the instance dict — the
-    frozen-dataclass ``__setattr__`` guard is for users, and this
-    constructor is the compiled twin of ``_trusted``'s
-    ``object.__setattr__`` sequence.
-    """
-    out = object.__new__(DiscretePDF)
-    out.__dict__.update(
-        dt=dt, offset=offset, masses=kept, _trim_level=trim_eps
-    )
-    return out
+def _packed(arrs: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors back to back, as one contiguous float64 buffer (the
+    layout every kernel reads through its ``double *``)."""
+    if len(arrs) == 1:
+        return np.ascontiguousarray(arrs[0], dtype=np.float64)
+    return np.concatenate(arrs, dtype=np.float64)
 
 
-def _check_bins(n: int) -> None:
-    if n > MAX_BINS:
-        raise DistributionError(
-            f"distribution spans {n} bins, exceeding MAX_BINS="
-            f"{MAX_BINS}; dt is too small for this analysis"
-        )
+class _Rows(Sequence):
+    """The raw vectors of one batched convolution: row ``i`` is a view
+    of ``lengths[i]`` values of the packed ``buffer``, made on access.
+    :meth:`_CProvider.build` consumes the packed form directly, so a
+    batch that is only built never materializes its rows."""
+
+    __slots__ = ("buffer", "lengths", "_ends")
+
+    def __init__(self, buffer: np.ndarray, lengths: np.ndarray) -> None:
+        self.buffer = buffer
+        self.lengths = lengths
+        self._ends = None
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if self._ends is None:
+            self._ends = np.cumsum(self.lengths).tolist()
+        end = self._ends[i]
+        return self.buffer[end - int(self.lengths[i]):end]
 
 
 class _CProvider:
-    """C shared-library provider (cffi preferred, ctypes fallback)."""
+    """C shared-library provider (cffi preferred, ctypes fallback).
+
+    Batched entry points return views into one per-call buffer: the
+    raw vectors are transient, and whoever keeps one (the result
+    cache) copies it.  Built results own exact-length arrays.
+    """
 
     kind = "cext"
 
-    def __init__(self) -> None:
-        so_path = _compile_library()
-        self._impl = self._load_cffi(so_path) or self._load_ctypes(so_path)
-        if self._impl is None:
-            raise RuntimeError("could not load compiled library")
+    def __init__(self, rebuild: bool = False) -> None:
+        so_path = _compile_library(rebuild)
+        try:
+            self._lib, self._dbl, self._i64 = self._load(so_path)
+        except OSError:
+            # A cached library that no longer loads (truncated by a
+            # crash, built for another host): rebuild it once.
+            so_path = _compile_library(rebuild=True)
+            self._lib, self._dbl, self._i64 = self._load(so_path)
+        self.build_ok = True
+        self.gap_ok = True
         self.max_ok = True
 
     # -- loading -------------------------------------------------------
+    @classmethod
+    def _load(cls, so_path: Path):
+        """``(lib, dbl, i64)``: the library and the two array-to-pointer
+        adapters (float64 and int64 buffers)."""
+        return cls._load_cffi(so_path) or cls._load_ctypes(so_path)
+
     @staticmethod
     def _load_cffi(so_path: Path):
         try:
@@ -427,354 +592,165 @@ class _CProvider:
         ffi = cffi.FFI()
         ffi.cdef(_CDEF)
         lib = ffi.dlopen(str(so_path))
-
-        def dbl(arr):
-            return ffi.from_buffer("double[]", arr, require_writable=False)
-
-        def wdbl(arr):
-            return ffi.from_buffer("double[]", arr)
-
-        def i64(arr):
-            return ffi.from_buffer(
-                "long long[]", arr, require_writable=False
-            )
-
-        def wi64(arr):
-            return ffi.from_buffer("long long[]", arr)
-
-        return {
-            "lib": lib, "dbl": dbl, "wdbl": wdbl, "i64": i64, "wi64": wi64
-        }
+        # The backend's from_buffer with the pointer types resolved
+        # once: this runs several times per kernel call.
+        from_buffer = ffi._backend.from_buffer  # noqa: SLF001
+        return (
+            lib,
+            functools.partial(from_buffer, ffi.typeof("double[]")),
+            functools.partial(from_buffer, ffi.typeof("long long[]")),
+        )
 
     @staticmethod
-    def _load_ctypes(so_path: Path):  # pragma: no cover - cffi fallback
+    def _load_ctypes(so_path: Path):
         import ctypes
 
         lib = ctypes.CDLL(str(so_path))
-        for name, argc in _ENTRY_POINTS.items():
+        d = ctypes.POINTER(ctypes.c_double)
+        i = ctypes.POINTER(ctypes.c_longlong)
+        n, f = ctypes.c_longlong, ctypes.c_double
+        for name, restype, argtypes in (
+            ("repro_conv", None, (d, n, d, n, d)),
+            ("repro_conv_batch", None, (d, i, d, i, d, n)),
+            ("repro_build_batch", n, (d, i, f, n, d, i, n)),
+            ("repro_max_sweep", None, (d, i, i, i, i, d, n)),
+            ("repro_gap", f, (d, n, n, d, n, n, f, f)),
+        ):
             fn = getattr(lib, name)
-            fn.restype = ctypes.c_longlong
-        dptr = ctypes.POINTER(ctypes.c_double)
-        iptr = ctypes.POINTER(ctypes.c_longlong)
-
-        def dbl(arr):
-            return arr.ctypes.data_as(dptr)
-
-        def i64(arr):
-            return arr.ctypes.data_as(iptr)
-
-        return {"lib": lib, "dbl": dbl, "wdbl": dbl, "i64": i64,
-                "wi64": i64, "ctypes": True}
-
-    def _call(self, name, *args):
-        impl = self._impl
-        fn = getattr(impl["lib"], name)
-        if impl.get("ctypes"):  # pragma: no cover - cffi fallback
-            import ctypes
-
-            coerced = [
-                ctypes.c_longlong(a) if isinstance(a, int)
-                else ctypes.c_double(a) if isinstance(a, float)
-                else a
-                for a in args
-            ]
-            return int(fn(*coerced))
-        return int(fn(*args))
+            fn.restype = restype
+            fn.argtypes = argtypes
+        return (
+            lib,
+            lambda arr: arr.ctypes.data_as(d),
+            lambda arr: arr.ctypes.data_as(i),
+        )
 
     # -- convolve ------------------------------------------------------
     def conv_one(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        impl = self._impl
-        n = a.size + b.size - 1
-        out = np.empty(n)
-        # Routed through the fused entry (one code path); the trim
-        # writes into scratch and is discarded, the conv output is the
-        # contract.
-        rc = self._call(
-            "repro_conv_trim_one",
-            impl["dbl"](a), a.size, impl["dbl"](b), b.size,
-            impl["wdbl"](out), 0.0, impl["wdbl"](np.empty(n)),
-            impl["wi64"](np.empty(1, dtype=np.int64)),
-        )
-        if rc < 0:
-            raise DistributionError("total probability mass must be positive")
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        b = np.ascontiguousarray(b, dtype=np.float64)
+        out = np.empty(a.size + b.size - 1)
+        dbl = self._dbl
+        self._lib.repro_conv(dbl(a), a.size, dbl(b), b.size, dbl(out))
         return out
 
-    def conv_many(self, pairs: Sequence) -> list:
+    def conv_many(self, pairs: Sequence) -> Sequence:
         if not pairs:
             return []
-        impl = self._impl
-        A, aoff, alen = _pack([p[0] for p in pairs])
-        B, boff, blen = _pack([p[1] for p in pairs])
+        dbl, i64 = self._dbl, self._i64
+        firsts, seconds = zip(*pairs)
+        alen, blen = _lengths(firsts), _lengths(seconds)
         olen = alen + blen - 1
-        ooff = np.zeros(olen.size + 1, dtype=np.int64)
-        np.cumsum(olen, out=ooff[1:])
-        OUT = np.empty(int(ooff[-1]))
-        rc = self._call(
-            "repro_conv_batch",
-            impl["dbl"](A), impl["i64"](aoff), impl["i64"](alen),
-            impl["dbl"](B), impl["i64"](boff), impl["i64"](blen),
-            impl["wdbl"](OUT), impl["i64"](ooff), len(pairs),
+        OUT = np.empty(int(olen.sum()))
+        self._lib.repro_conv_batch(
+            dbl(_packed(firsts)), i64(alen), dbl(_packed(seconds)),
+            i64(blen), dbl(OUT), len(pairs),
         )
-        if rc != 0:  # pragma: no cover - conv_batch cannot fail
-            raise DistributionError("compiled convolution failed")
-        # Owned copies: callers (cache stores) must not pin the whole
-        # batch buffer through one row.
-        return [
-            OUT[ooff[i]:ooff[i + 1]].copy() for i in range(len(pairs))
-        ]
+        return _Rows(OUT, olen)
 
-    # -- fused convolve + trim ----------------------------------------
-    def conv_trim_one(
-        self, a: np.ndarray, b: np.ndarray, dt: float, offset: int,
-        trim_eps: float,
-    ):
-        impl = self._impl
-        n = a.size + b.size - 1
-        _check_bins(n)
-        raw = np.empty(n)
-        kept_buf = np.empty(n)
-        klo = np.empty(1, dtype=np.int64)
-        klen = self._call(
-            "repro_conv_trim_one",
-            impl["dbl"](a), a.size, impl["dbl"](b), b.size,
-            impl["wdbl"](raw), trim_eps / 2.0,
-            impl["wdbl"](kept_buf), impl["wi64"](klo),
-        )
-        if klen < 0:
-            raise DistributionError("total probability mass must be positive")
-        kept_buf.flags.writeable = False
-        result = _build_result(
-            dt, int(offset) + int(klo[0]), kept_buf[:klen], trim_eps
-        )
-        return raw, result
-
-    def conv_trim_many(
-        self, pairs: Sequence, dts, offsets, trim_eps: float,
-        want_raws: bool,
-    ):
-        if not pairs:
-            return [], []
-        impl = self._impl
-        A, aoff, alen = _pack([p[0] for p in pairs])
-        B, boff, blen = _pack([p[1] for p in pairs])
-        olen = alen + blen - 1
-        _check_bins(int(olen.max()))
-        ooff = np.zeros(olen.size + 1, dtype=np.int64)
-        np.cumsum(olen, out=ooff[1:])
-        OUT = np.empty(int(ooff[-1]))
-        KEPT = np.empty(int(ooff[-1]))
-        klo = np.empty(len(pairs), dtype=np.int64)
-        klen = np.empty(len(pairs), dtype=np.int64)
-        rc = self._call(
-            "repro_conv_trim_batch",
-            impl["dbl"](A), impl["i64"](aoff), impl["i64"](alen),
-            impl["dbl"](B), impl["i64"](boff), impl["i64"](blen),
-            impl["wdbl"](OUT), impl["i64"](ooff), trim_eps / 2.0,
-            impl["wdbl"](KEPT), impl["wi64"](klo), impl["wi64"](klen),
-            len(pairs),
-        )
-        if rc != 0:
-            raise DistributionError("total probability mass must be positive")
-        # Results are read-only views into the batch's kept buffer:
-        # nothing else ever writes it, and the pinned overhead is
-        # bounded by one raw-sized buffer per batch.  Raws (cache
-        # stores) are copied out — long-lived entries must not pin the
-        # batch.
-        KEPT.flags.writeable = False
-        results = []
-        raws = [] if want_raws else None
-        # Hot loop: this is the per-result cost the tier exists to
-        # shrink, so the _build_result body is inlined (no call, one
-        # dict rebind) — same fields, same semantics.
-        new = object.__new__
-        cls = DiscretePDF
-        append = results.append
-        for o, kl, lo, dt, off in zip(
-            ooff.tolist(), klen.tolist(), klo.tolist(), dts, offsets
-        ):
-            out = new(cls)
-            out.__dict__.update(
-                dt=dt, offset=off + lo,
-                masses=KEPT[o:o + kl], _trim_level=trim_eps,
-            )
-            append(out)
-        if want_raws:
-            for o, ol in zip(ooff.tolist(), olen.tolist()):
-                raws.append(OUT[o:o + ol].copy())
-        return raws, results
-
-    # -- trim of precomputed raws -------------------------------------
-    def trim_one(
-        self, dt: float, offset: int, raw: np.ndarray, trim_eps: float
-    ) -> DiscretePDF:
-        raws, results = self.trim_many(
-            [raw], [dt], [offset], trim_eps
-        )
-        return results[0]
-
-    def trim_many(self, raws: Sequence, dts, offsets, trim_eps: float):
+    # -- result construction -------------------------------------------
+    def build(self, raws: Sequence, dts, offsets, trim_eps: float) -> list:
+        """``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)`` per
+        raw, bitwise, through one foreign call."""
         if not raws:
-            return None, []
-        impl = self._impl
-        RAW, roff, rlen = _pack(list(raws))
-        _check_bins(int(rlen.max()))
+            return []
+        if type(raws) is _Rows:
+            RAW, rlen = raws.buffer, raws.lengths
+        else:
+            RAW, rlen = _packed(raws), _lengths(raws)
         KEPT = np.empty(RAW.size)
-        klo = np.empty(len(raws), dtype=np.int64)
-        klen = np.empty(len(raws), dtype=np.int64)
-        rc = self._call(
-            "repro_trim_batch",
-            impl["dbl"](RAW), impl["i64"](roff), impl["i64"](rlen),
-            trim_eps / 2.0, impl["wdbl"](KEPT), impl["wi64"](klo),
-            impl["wi64"](klen), len(raws),
+        META = np.empty(2 * len(raws), dtype=np.int64)
+        dbl, i64 = self._dbl, self._i64
+        rc = self._lib.repro_build_batch(
+            dbl(RAW), i64(rlen), trim_eps / 2.0, MAX_BINS, dbl(KEPT),
+            i64(META), len(raws),
         )
-        if rc != 0:
-            raise DistributionError("total probability mass must be positive")
-        KEPT.flags.writeable = False
-        results = []
-        # Same inlined construction as conv_trim_many's hot loop.
-        new = object.__new__
-        cls = DiscretePDF
-        append = results.append
-        for o, kl, lo, dt, off in zip(
-            roff.tolist(), klen.tolist(), klo.tolist(), dts, offsets
-        ):
-            out = new(cls)
-            out.__dict__.update(
-                dt=dt, offset=off + lo,
-                masses=KEPT[o:o + kl], _trim_level=trim_eps,
+        if rc > 0:
+            raise DistributionError(
+                f"distribution spans {int(rlen[rc - 1])} bins, exceeding "
+                f"MAX_BINS={MAX_BINS}; dt is too small for this analysis"
             )
+        if rc < 0:
+            raise DistributionError("total probability mass must be positive")
+        # Hot loop: one exact-length array per result, owning its
+        # memory (a view would pin the whole batch buffer for the
+        # result's lifetime).  frombuffer over the row's own bytes is
+        # born read-only, which is cheaper than copy + flags; fields go
+        # straight into the instance dict the way _trusted/trimmed set
+        # them, trim-idempotence memo included.
+        meta = META.tolist()
+        data = KEPT.tobytes()
+        frombuffer = np.frombuffer
+        new = object.__new__
+        setattr_ = object.__setattr__
+        cls = DiscretePDF
+        results = []
+        append = results.append
+        start = 0
+        for lo, kl, dt, off in zip(meta[::2], meta[1::2], dts, offsets):
+            end = start + 8 * kl
+            out = new(cls)
+            setattr_(out, "__dict__", {
+                "dt": dt, "offset": off + lo,
+                "masses": frombuffer(data[start:end]),
+                "_trim_level": trim_eps,
+            })
+            start = end
             append(out)
-        return None, results
+        return results
+
+    # -- the Theorem-4 gap ---------------------------------------------
+    def gap(self, a: DiscretePDF, b: DiscretePDF, floor: float) -> float:
+        """``max_percentile_gap(a, b)`` under the vertical noise
+        ``floor``, bitwise; NaN when the kernel could not allocate its
+        scratch (callers fall back)."""
+        dbl = self._dbl
+        am, bm = a.masses, b.masses
+        return self._lib.repro_gap(
+            dbl(am), am.size, a.offset, dbl(bm), bm.size, b.offset,
+            float(a.dt), floor,
+        )
 
     # -- grouped MAX sweep --------------------------------------------
     def max_sweep(self, groups: Sequence) -> list:
         """``(lo, masses)`` per operand group — bitwise the NumPy
-        ``_max_masses`` sweep (same multiplies, same order)."""
-        impl = self._impl
-        cdfs = []
+        ``_max_masses`` sweep (same unit CDFs, multiplies and
+        differences, in the same order)."""
+        operands = []
         rstart = []
-        grow0 = np.empty(len(groups), dtype=np.int64)
-        gk = np.empty(len(groups), dtype=np.int64)
-        gwidth = np.empty(len(groups), dtype=np.int64)
-        gooff = np.zeros(len(groups) + 1, dtype=np.int64)
-        los = []
-        for g, pdfs in enumerate(groups):
-            lo = min(p.offset for p in pdfs)
-            width = max(p.offset + p.masses.size for p in pdfs) - lo
-            los.append(lo)
-            grow0[g] = len(cdfs)
-            gk[g] = len(pdfs)
-            gwidth[g] = width
-            gooff[g + 1] = gooff[g] + width
-            for p in pdfs:
-                cdfs.append(p._unit_cdf)  # noqa: SLF001
-                rstart.append(p.offset - lo)
-        CDF, cdfoff, cdflen = _pack(cdfs)
-        rstart_arr = np.asarray(rstart, dtype=np.int64)
-        OUT = np.empty(int(gooff[-1]))
-        rc = self._call(
-            "repro_max_sweep",
-            impl["dbl"](CDF), impl["i64"](cdfoff), impl["i64"](cdflen),
-            impl["i64"](rstart_arr), impl["i64"](grow0), impl["i64"](gk),
-            impl["i64"](gwidth), impl["i64"](gooff), impl["wdbl"](OUT),
-            len(groups),
-        )
-        if rc != 0:  # pragma: no cover - sweep cannot fail
-            raise DistributionError("compiled max sweep failed")
-        return [
-            (los[g], OUT[gooff[g]:gooff[g + 1]].copy())
-            for g in range(len(groups))
-        ]
-
-
-class _NumbaProvider:
-    """numba ``@njit(cache=True)`` provider — same packed layout and
-    loop structure as the C provider, so the self-check exercises the
-    identical contract."""
-
-    kind = "numba"
-
-    def __init__(self) -> None:
-        from . import _compiled_numba as nb
-
-        self._nb = nb
-        self.max_ok = True
-        # Trigger JIT compilation now; numba's on-disk cache makes
-        # repeats cheap.
-        a = np.asarray([0.25, 0.5, 0.25])
-        self.conv_trim_one(a, a, 1.0, 0, 1e-9)
-        self.max_sweep([(
-            DiscretePDF(1.0, 0, a),
-            DiscretePDF(1.0, 1, a),
-        )])
-
-    def conv_one(self, a, b):
-        out = np.zeros(a.size + b.size - 1)
-        self._nb.conv_into(a, b, out)
-        return out
-
-    def conv_many(self, pairs):
-        return [self.conv_one(a, b) for a, b in pairs]
-
-    def conv_trim_one(self, a, b, dt, offset, trim_eps):
-        n = a.size + b.size - 1
-        _check_bins(n)
-        raw = np.zeros(n)
-        self._nb.conv_into(a, b, raw)
-        return raw, self.trim_one(dt, offset, raw, trim_eps)
-
-    def conv_trim_many(self, pairs, dts, offsets, trim_eps, want_raws):
-        raws, results = [], []
-        for i, (a, b) in enumerate(pairs):
-            raw, res = self.conv_trim_one(
-                a, b, dts[i], offsets[i], trim_eps
-            )
-            raws.append(raw)
-            results.append(res)
-        return (raws if want_raws else None), results
-
-    def trim_one(self, dt, offset, raw, trim_eps):
-        _check_bins(raw.size)
-        kept_buf = np.empty(raw.size)
-        lo, klen = self._nb.trim_into(raw, trim_eps / 2.0, kept_buf)
-        if klen < 0:
-            raise DistributionError("total probability mass must be positive")
-        kept_buf.flags.writeable = False
-        return _build_result(
-            dt, int(offset) + int(lo), kept_buf[:klen], trim_eps
-        )
-
-    def trim_many(self, raws, dts, offsets, trim_eps):
-        return None, [
-            self.trim_one(dts[i], offsets[i], raw, trim_eps)
-            for i, raw in enumerate(raws)
-        ]
-
-    def max_sweep(self, groups):
-        out = []
+        gk = []
+        spans = []
         for pdfs in groups:
             lo = min(p.offset for p in pdfs)
             width = max(p.offset + p.masses.size for p in pdfs) - lo
-            CDF, cdfoff, cdflen = _pack(
-                [p._unit_cdf for p in pdfs]  # noqa: SLF001
-            )
-            rstart = np.asarray(
-                [p.offset - lo for p in pdfs], dtype=np.int64
-            )
-            masses = np.empty(width)
-            self._nb.max_sweep_into(
-                CDF, cdfoff, cdflen, rstart, width, masses
-            )
-            out.append((lo, masses))
+            spans.append((lo, width))
+            gk.append(len(pdfs))
+            for p in pdfs:
+                operands.append(p.masses)
+                rstart.append(p.offset - lo)
+        widths = [w for _lo, w in spans]
+        OUT = np.empty(sum(widths))
+        i64 = self._i64
+        self._lib.repro_max_sweep(
+            self._dbl(_packed(operands)), i64(_lengths(operands)),
+            i64(np.array(rstart, dtype=np.int64)),
+            i64(np.array(gk, dtype=np.int64)),
+            i64(np.array(widths, dtype=np.int64)), self._dbl(OUT),
+            len(groups),
+        )
+        out = []
+        o = 0
+        for lo, width in spans:
+            out.append((lo, OUT[o:o + width]))
+            o += width
         return out
 
 
 # ----------------------------------------------------------------------
-# Self-check: every provider proves its contract before first use.
-# Convolve/trim differentials run against the stock NumPy path at the
-# 1e-12-TV class boundary; the max sweep must be bitwise.  Conv/trim
-# failure rejects the provider outright; a max-sweep mismatch only
-# disables the sweep (the provider stays useful for ADD).
+# Self-check: the provider proves its contract before first use.  Raw
+# convolutions must sit within the 1e-12-TV class of np.convolve (a
+# failure rejects the provider); each bitwise kernel must reproduce its
+# NumPy expression exactly on fixed vectors, or only its flag clears.
 # ----------------------------------------------------------------------
 
 
@@ -787,6 +763,23 @@ def _tv(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
+def _same(p: DiscretePDF, q: DiscretePDF) -> bool:
+    return p.offset == q.offset and np.array_equal(p.masses, q.masses)
+
+
+def _check_vectors(rng) -> list:
+    """Raw vectors that take every branch of the build kernel: short
+    and long, probe taken and not, exact zeros, a total of exactly 1."""
+    raws = [rng.random(n) + 1e-4 for n in (1, 7, 8, 9, 127, 128, 129, 300)]
+    spiky = np.zeros(200)
+    spiky[[3, 100, 196]] = (0.25, 0.5, 0.25)
+    raws.append(spiky)
+    tails = rng.random(150) * 1e-13
+    tails[40:110] += 1.0
+    raws.append(tails)
+    return raws
+
+
 def _self_check(provider) -> None:
     rng = np.random.default_rng(20260808)
     cases = []
@@ -794,63 +787,55 @@ def _self_check(provider) -> None:
         a = rng.random(n_a) + 1e-4
         b = rng.random(n_b) + 1e-4
         cases.append((a / a.sum(), b / b.sum()))
-    for trim_eps in (0.0, 1e-9, 1e-3, 0.9):
-        dts, offs = [1.0] * len(cases), [3] * len(cases)
-        raws, results = provider.conv_trim_many(
-            cases, dts, offs, trim_eps, True
-        )
-        raws2, results2 = provider.conv_trim_many(
-            cases, dts, offs, trim_eps, True
-        )
-        for (a, b), raw, raw2, res, res2 in zip(
-            cases, raws, raws2, results, results2
+    raws = provider.conv_many(cases)
+    for (a, b), raw, raw2 in zip(cases, raws, provider.conv_many(cases)):
+        if _tv(raw, np.convolve(a, b)) > 1e-13 or not np.array_equal(
+            raw, raw2
         ):
-            ref_raw = np.convolve(a, b)
-            if _tv(raw, ref_raw) > 1e-13 or not np.array_equal(raw, raw2):
-                raise RuntimeError("compiled convolve failed self-check")
-            ref = DiscretePDF._trusted(  # noqa: SLF001
-                1.0, 3, ref_raw.copy()
-            ).trimmed(trim_eps)
-            # Generic masses sit nowhere near the eps/2 threshold, so
-            # the compiled cut lands on the stock bin and the kept
-            # vectors differ only in reduction round-off.
-            if (
-                res.offset != ref.offset
-                or res.masses.size != ref.masses.size
-                or _tv(res.masses, ref.masses) > 1e-12
-            ):
-                raise RuntimeError("compiled trim failed self-check")
-            if (
-                res2.offset != res.offset
-                or not np.array_equal(res.masses, res2.masses)
-            ):
-                raise RuntimeError("compiled trim is not deterministic")
-            # Scalar path must agree bitwise with the batched path.
-            raw_s, res_s = provider.conv_trim_one(a, b, 1.0, 3, trim_eps)
-            if not np.array_equal(raw_s, raw) or not np.array_equal(
-                res_s.masses, res.masses
-            ):
-                raise RuntimeError("compiled scalar/batch paths disagree")
-            # trim-of-raw must agree bitwise with fused conv+trim.
-            re_res = provider.trim_one(1.0, 3, raw, trim_eps)
-            if re_res.offset != res.offset or not np.array_equal(
-                re_res.masses, res.masses
-            ):
-                raise RuntimeError("compiled trim replay disagrees")
-    # Max sweep: bitwise or disabled.
+            raise RuntimeError("compiled convolve failed self-check")
+        if not np.array_equal(provider.conv_one(a, b), raw):
+            raise RuntimeError("compiled scalar/batch paths disagree")
+
+    raws = _check_vectors(rng)
+    try:
+        for trim_eps in (0.0, 1e-9, 1e-3, 0.9):
+            built = provider.build(
+                raws, [2.0] * len(raws), [3] * len(raws), trim_eps
+            )
+            for raw, res in zip(raws, built):
+                ref = DiscretePDF._trusted(  # noqa: SLF001
+                    2.0, 3, raw.copy()
+                ).trimmed(trim_eps)
+                if not _same(res, ref):
+                    raise RuntimeError("not bitwise")
+    except Exception:
+        provider.build_ok = False
+
+    from .metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
+
+    pdfs = [DiscretePDF(2.0, 3, raw) for raw in raws]
+    try:
+        for a in pdfs:
+            for b in (pdfs[0], pdfs[4], a.shifted_bins(1), a):
+                gap = provider.gap(a, b, _VERTICAL_NOISE_FLOOR)
+                if gap != _numpy_gap(a, b):
+                    raise RuntimeError("not bitwise")
+    except Exception:
+        provider.gap_ok = False
+
     from .ops import _max_masses
 
     groups = []
     for k in (2, 3, 5):
-        pdfs = []
-        for i in range(k):
+        group = []
+        for _ in range(k):
             m = rng.random(int(rng.integers(3, 40))) + 1e-4
-            pdfs.append(DiscretePDF(2.0, int(rng.integers(-5, 6)), m))
-        groups.append(tuple(pdfs))
+            group.append(DiscretePDF(2.0, int(rng.integers(-5, 6)), m))
+        groups.append(tuple(group))
     try:
         swept = provider.max_sweep(groups)
-        for pdfs, (lo, masses) in zip(groups, swept):
-            ref_lo, ref = _max_masses(pdfs)
+        for group, (lo, masses) in zip(groups, swept):
+            ref_lo, ref = _max_masses(group)
             if lo != ref_lo or not np.array_equal(masses, ref):
                 raise RuntimeError("not bitwise")
     except Exception:
@@ -863,48 +848,41 @@ _provider = None
 _fail_reason: Optional[str] = None
 
 
+def _resolve():
+    """Build, load and self-check the C provider; a library that fails
+    to load or fails its self-check is rebuilt once before giving up."""
+    if os.environ.get(DISABLE_ENV, "0") not in ("", "0"):
+        return None, f"{DISABLE_ENV} is set"
+    reason = None
+    for rebuild in (False, True):
+        try:
+            provider = _CProvider(rebuild)
+        except Exception as exc:
+            return None, f"C build failed ({exc.__class__.__name__}: {exc})"
+        try:
+            _self_check(provider)
+            return provider, None
+        except Exception as exc:
+            reason = f"self-check failed ({exc})"
+    return None, reason
+
+
 def get_provider():
     """The process-wide compiled provider, or ``None`` when the tier
-    is unavailable (kill switch set, numba absent *and* no compiler,
-    or a provider failed its self-check)."""
+    is unavailable (kill switch set, no compiler, or the provider
+    failed its self-check)."""
     global _resolved, _provider, _fail_reason
     if _resolved:
         return _provider
     with _lock:
-        if _resolved:
-            return _provider
-        provider = None
-        reason = None
-        if os.environ.get(DISABLE_ENV, "0") not in ("", "0"):
-            reason = f"{DISABLE_ENV} is set"
-        else:
-            try:
-                import numba  # noqa: F401
-
-                provider = _NumbaProvider()
-            except Exception as exc:
-                numba_reason = f"numba unavailable ({exc.__class__.__name__})"
-                try:
-                    provider = _CProvider()
-                except Exception as c_exc:
-                    reason = (
-                        f"{numba_reason}; C build failed "
-                        f"({c_exc.__class__.__name__}: {c_exc})"
-                    )
-            if provider is not None:
-                try:
-                    _self_check(provider)
-                except Exception as exc:
-                    provider = None
-                    reason = f"self-check failed ({exc})"
-        _provider = provider
-        _fail_reason = reason
-        _resolved = True
+        if not _resolved:
+            _provider, _fail_reason = _resolve()
+            _resolved = True
     return _provider
 
 
 def provider_kind() -> Optional[str]:
-    """``"numba"``, ``"cext"``, or ``None`` (resolving if needed)."""
+    """``"cext"`` or ``None`` (resolving if needed)."""
     p = get_provider()
     return None if p is None else p.kind
 
@@ -915,8 +893,8 @@ def fail_reason() -> Optional[str]:
 
 
 def reset_provider_cache() -> None:
-    """Forget the resolved provider (tests toggle the kill switch and
-    patch the numba import; the next use re-resolves)."""
+    """Forget the resolved provider (tests toggle the kill switch; the
+    next use re-resolves)."""
     global _resolved, _provider, _fail_reason
     with _lock:
         _resolved = False
@@ -937,8 +915,7 @@ def warn_degraded_once() -> None:
     warnings.warn(
         "compiled kernel tier unavailable "
         f"({fail_reason() or 'unknown reason'}); the 'compiled' backends "
-        "fall back to the pure-NumPy direct kernels "
-        "(install the [compiled] extra for the numba tier)",
+        "fall back to the pure-NumPy direct kernels",
         RuntimeWarning,
         stacklevel=3,
     )

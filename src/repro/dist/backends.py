@@ -32,20 +32,23 @@ Three backends ship:
   reproducibility guarantee on ordinary grids.
 
 Two more ship when the compiled tier (:mod:`repro.dist._compiled`) can
-stand up a provider — numba ``@njit`` kernels or a C library built
-with the system compiler — and degrade to the pure-NumPy numerics
-above (with one warning) when it cannot:
+stand up its C library, and degrade to the pure-NumPy numerics above
+(with one warning) when it cannot:
 
-* :class:`CompiledBackend` — the direct convolution, the fused
-  normalize-and-trim construction step, and the grouped-MAX CDF sweep
-  as compiled inner loops.  Raw convolutions sit in the same 1e-12-TV
-  equivalence class as ``fft`` (sequential instead of pairwise
-  reductions); the MAX sweep is **bitwise** the NumPy sweep and is
-  verified before use.  Degraded, it *is* ``direct``, bit for bit.
+* :class:`CompiledBackend` — the direct convolution as a compiled
+  inner loop.  Raw convolutions sit in the same 1e-12-TV equivalence
+  class as ``fft`` (sequential instead of pairwise accumulation).
+  Degraded, it *is* ``direct``, bit for bit.
 * :class:`CompiledAutoBackend` — the ``auto`` cost model with the
   compiled kernel on the direct side, re-calibrated against the same
   FFT backend (``scripts/bench_dist.py`` records the measured
   compiled↔fft crossover next to the direct↔fft one).
+
+A backend only convolves.  Result construction (normalize and trim),
+the grouped MAX sweep and the Theorem-4 gap run in the compiled tier
+for *every* backend, bitwise the NumPy code they replace (see
+:mod:`repro.dist.ops`), so the compiled backends differ from
+``direct`` only in how they convolve.
 
 Backends are deterministic and carry no *semantic* state: the same
 operand pair always takes the same path and produces the same bits
@@ -426,30 +429,17 @@ class AutoBackend:
 
 
 class CompiledBackend:
-    """Compiled direct kernels behind the backend protocol.
+    """Compiled direct convolution behind the backend protocol.
 
-    Delegates to the provider resolved by
-    :mod:`repro.dist._compiled` — numba ``@njit`` kernels when the
-    ``[compiled]`` extra is installed, else a C library built with the
-    system compiler — and degrades to the pure-NumPy ``direct``
-    numerics (bitwise: the same ``np.convolve``) with one warning when
-    no provider can be stood up or ``REPRO_DISABLE_COMPILED`` is set.
+    Delegates to the C provider resolved by :mod:`repro.dist._compiled`
+    and degrades to the pure-NumPy ``direct`` numerics (bitwise: the
+    same ``np.convolve``) with one warning when no provider can be
+    stood up or ``REPRO_DISABLE_COMPILED`` is set.  Provider resolution
+    is lazy — importing this module never compiles anything.
 
-    Beyond the protocol it exposes the *fused* hooks the kernel layer
-    probes with ``getattr``: ``convolve_trimmed`` /
-    ``convolve_many_trimmed`` collapse the convolve → normalize → trim
-    construction into one compiled call (the cache-miss fast path),
-    ``trim_raws`` / ``rebuild_trimmed`` apply the same compiled
-    construction to raws computed elsewhere (FFT-side raws of
-    ``compiled-auto``, cache replays — keeping every path inside one
-    arithmetic class), and
-    ``grouped_max_raws`` runs the bitwise-verified grouped-MAX sweep.
-    All hooks are gated by the ``fused_trim_active`` /
-    ``max_sweep_active`` properties so callers never need to know
-    whether the tier resolved.
-
-    Provider resolution is lazy — importing this module never compiles
-    anything.
+    ``convolve_many`` returns the provider's rows: views into one
+    buffer per batch, which the build step reads packed and the result
+    cache copies before keeping one.
     """
 
     name = "compiled"
@@ -463,7 +453,6 @@ class CompiledBackend:
             _compiled.warn_degraded_once()
         return p
 
-    # -- the ConvolutionBackend protocol ------------------------------
     def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p = self._provider()
         if p is None:
@@ -478,84 +467,6 @@ class CompiledBackend:
         if p is None:
             return [np.convolve(a, b) for a, b in pairs]
         return p.conv_many(pairs)
-
-    # -- fused construction hooks -------------------------------------
-    @property
-    def fused_trim_active(self) -> bool:
-        """True when results can be *built* in compiled code.  False
-        degrades every caller to the stock NumPy construction, which
-        keeps the degraded backend bitwise ``direct``."""
-        return self._provider() is not None
-
-    def convolve_trimmed(self, a, b, dt, offset, trim_eps):
-        """Fused miss path: ``(raw, DiscretePDF)`` in one call."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            raw = np.convolve(a, b)
-            return raw, DiscretePDF._trusted(  # noqa: SLF001
-                dt, offset, raw.copy()
-            ).trimmed(trim_eps)
-        return p.conv_trim_one(a, b, dt, offset, trim_eps)
-
-    def convolve_many_trimmed(self, pairs, dts, offsets, trim_eps,
-                              want_raws: bool):
-        """Batched fused miss path; raws come back only when the caller
-        needs them (cache stores), results always."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            out = [
-                self.convolve_trimmed(a, b, dt, off, trim_eps)
-                for (a, b), dt, off in zip(pairs, dts, offsets)
-            ]
-            raws = [raw for raw, _ in out] if want_raws else None
-            return raws, [res for _, res in out]
-        return p.conv_trim_many(pairs, dts, offsets, trim_eps, want_raws)
-
-    def trim_raws(self, raws, dts, offsets, trim_eps) -> list:
-        """Compiled construction of results from precomputed raws —
-        bitwise the fused path's results for the same raw bits."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            return [
-                DiscretePDF._trusted(  # noqa: SLF001
-                    dt, off, np.array(raw)
-                ).trimmed(trim_eps)
-                for raw, dt, off in zip(raws, dts, offsets)
-            ]
-        return p.trim_many(raws, dts, offsets, trim_eps)[1]
-
-    def rebuild_trimmed(self, dt, offset, raw, trim_eps):
-        """Cache-replay construction (translated anchors): same
-        compiled trim as a fresh compute, so replayed and computed
-        entries carry identical bits."""
-        p = self._provider()
-        if p is None:  # pragma: no cover - callers gate on the property
-            from .pdf import DiscretePDF
-
-            return DiscretePDF(dt, offset, raw).trimmed(trim_eps)
-        return p.trim_one(dt, offset, raw, trim_eps)
-
-    # -- grouped MAX --------------------------------------------------
-    @property
-    def max_sweep_active(self) -> bool:
-        """True when the compiled sweep passed its bitwise self-check;
-        False falls back to the NumPy sweep (identical bits either
-        way — that is the precondition, not a tolerance)."""
-        p = self._provider()
-        return p is not None and p.max_ok
-
-    def grouped_max_raws(self, groups) -> list:
-        """``(lo, masses)`` per group, bitwise ``_max_masses``."""
-        p = self._provider()
-        if p is None or not p.max_ok:  # pragma: no cover - gated
-            from .ops import _max_masses
-
-            return [_max_masses(g) for g in groups]
-        return p.max_sweep(groups)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from ._compiled import provider_kind
@@ -582,11 +493,9 @@ class CompiledAutoBackend:
 
     Convolutions dispatch between :class:`CompiledBackend` and the
     shared :class:`FFTBackend` singleton (same transform memo as
-    explicit ``fft``) under a re-calibrated cost ratio; *construction*
-    (trim, cache replay, grouped MAX) always goes through the compiled
-    provider regardless of which engine produced the raw, so the whole
-    backend stays in one arithmetic class.  Degraded it is the stock
-    auto dispatch: NumPy direct below the crossover, FFT above.
+    explicit ``fft``) under a re-calibrated cost ratio.  Degraded it is
+    the stock auto dispatch: NumPy direct below the crossover, FFT
+    above.
     """
 
     name = "compiled-auto"
@@ -635,76 +544,12 @@ class CompiledAutoBackend:
                 out[i] = res
         return out
 
-    # -- fused construction: always the compiled trim -----------------
-    @property
-    def fused_trim_active(self) -> bool:
-        return self._compiled.fused_trim_active
-
-    def convolve_trimmed(self, a, b, dt, offset, trim_eps):
-        if self.chooses(a.size, b.size) == "compiled":
-            return self._compiled.convolve_trimmed(
-                a, b, dt, offset, trim_eps
-            )
-        raw = self._fft.convolve_masses(a, b)
-        return raw, self._compiled.rebuild_trimmed(dt, offset, raw, trim_eps)
-
-    def convolve_many_trimmed(self, pairs, dts, offsets, trim_eps,
-                              want_raws: bool):
-        pairs = list(pairs)
-        if not pairs:
-            return ([] if want_raws else None), []
-        comp_idx: list = []
-        fft_idx: list = []
-        for i, (a, b) in enumerate(pairs):
-            if self.chooses(a.size, b.size) == "compiled":
-                comp_idx.append(i)
-            else:
-                fft_idx.append(i)
-        raws: list = [None] * len(pairs)
-        results: list = [None] * len(pairs)
-        if comp_idx:
-            c_raws, c_res = self._compiled.convolve_many_trimmed(
-                [pairs[i] for i in comp_idx],
-                [dts[i] for i in comp_idx],
-                [offsets[i] for i in comp_idx],
-                trim_eps,
-                want_raws,
-            )
-            for j, i in enumerate(comp_idx):
-                results[i] = c_res[j]
-                if want_raws:
-                    raws[i] = c_raws[j]
-        if fft_idx:
-            f_raws = self._fft.convolve_many([pairs[i] for i in fft_idx])
-            f_res = self._compiled.trim_raws(
-                f_raws,
-                [dts[i] for i in fft_idx],
-                [offsets[i] for i in fft_idx],
-                trim_eps,
-            )
-            for j, i in enumerate(fft_idx):
-                results[i] = f_res[j]
-                if want_raws:
-                    raws[i] = f_raws[j]
-        return (raws if want_raws else None), results
-
-    def rebuild_trimmed(self, dt, offset, raw, trim_eps):
-        return self._compiled.rebuild_trimmed(dt, offset, raw, trim_eps)
-
-    # -- grouped MAX: the compiled backend's --------------------------
-    @property
-    def max_sweep_active(self) -> bool:
-        return self._compiled.max_sweep_active
-
-    def grouped_max_raws(self, groups) -> list:
-        return self._compiled.grouped_max_raws(groups)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledAutoBackend(cost_ratio={self.cost_ratio:g})"
 
 
 #: Shared compiled singleton — compiled-auto routes its direct-side
-#: calls (and all construction) through the same instance.
+#: calls through the same instance.
 _COMPILED = CompiledBackend()
 
 #: Shared singletons — resolution never allocates, and "auto" routes

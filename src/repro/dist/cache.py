@@ -230,6 +230,17 @@ class _Entry:
         self.backend = backend
 
 
+def _own(raw) -> np.ndarray:
+    """A read-only raw vector for a long-lived entry.  Batched kernels
+    may hand out views into one per-batch buffer; an entry keeps an
+    exact copy instead of pinning the whole batch."""
+    raw = np.asarray(raw)
+    if raw.base is not None:
+        raw = raw.copy()
+    raw.flags.writeable = False
+    return raw
+
+
 #: Coarse per-entry bookkeeping overhead (key tuple, OrderedDict slot,
 #: object headers) used by the byte accounting.  The dominant term is
 #: the mass vectors, which are measured exactly; this constant only
@@ -380,22 +391,14 @@ class ConvolutionCache:
     ) -> DiscretePDF:
         """Return the stored result, re-anchored if the operands arrive
         at different offsets.  Normalization and trimming are pure
-        functions of the raw vector, so the replay is bit-identical to
-        a fresh computation at the new anchor — *within the arithmetic
-        class of the entry's backend*: a backend that builds results in
-        compiled code (``fused_trim_active``) rebuilds the translated
-        hit through its own ``rebuild_trimmed``, so replayed and
-        freshly computed entries carry identical bits there too.  MAX
-        entries store ``backend=None`` and always take the stock path
-        (their construction is backend-invariant by contract)."""
+        functions of the raw vector, so rebuilding it at the new anchor
+        through the kernels' own construction step is bit-identical to
+        a fresh computation there."""
         if anchor == entry.anchor:
             return entry.result
-        rebuild = getattr(entry.backend, "rebuild_trimmed", None)
-        if rebuild is not None and getattr(
-            entry.backend, "fused_trim_active", False
-        ):
-            return rebuild(dt, anchor, entry.raw, trim_eps)
-        return DiscretePDF(dt, anchor, entry.raw).trimmed(trim_eps)
+        from .ops import _build_results
+
+        return _build_results([entry.raw], [dt], [anchor], trim_eps)[0]
 
     # ------------------------------------------------------------------
     # ADD (convolution)
@@ -441,8 +444,7 @@ class ConvolutionCache:
     ) -> None:
         """Insert a freshly computed convolution (``raw`` is the kernel
         output before normalization/trimming)."""
-        raw = np.asarray(raw)
-        raw.flags.writeable = False
+        raw = _own(raw)
         if key is None:
             key = self.convolve_key(a, b, trim_eps, backend)
         with self._lock:
@@ -478,8 +480,7 @@ class ConvolutionCache:
         *,
         key: Optional[tuple] = None,
     ) -> None:
-        raw = np.asarray(raw)
-        raw.flags.writeable = False
+        raw = _own(raw)
         if key is None:
             key = self.max_key(pdfs, trim_eps)
         anchor = min(p.offset for p in pdfs)

@@ -4,7 +4,10 @@
   ``delta = max_p [T(A, p) - T(A', p)]``, the largest horizontal gap
   between two CDFs.  Theorems 1-4 bound how this quantity propagates
   through convolution and statistical max, making it the sound pruning
-  bound of the accelerated sizer.
+  bound of the accelerated sizer.  It runs in the compiled tier's gap
+  kernel (:mod:`~repro.dist._compiled`) when that kernel passed its
+  self-check, which is bitwise the NumPy body kept here as the
+  fallback.
 * :func:`stochastically_le` — first-order stochastic dominance
   (``A <= B`` when ``F_A(t) >= F_B(t)`` everywhere), the invariant the
   MAX operation must satisfy against each of its operands.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GridMismatchError
+from . import _compiled
 from .pdf import DiscretePDF
 
 __all__ = ["max_percentile_gap", "stochastically_le"]
@@ -59,6 +63,17 @@ def max_percentile_gap(a: DiscretePDF, b: DiscretePDF) -> float:
     be suppressed.
     """
     _check_grids(a, b)
+    p = _compiled.get_provider()
+    if p is not None and p.gap_ok:
+        gap = p.gap(a, b, _VERTICAL_NOISE_FLOOR)
+        if gap == gap:  # NaN: the kernel could not allocate scratch
+            return gap
+    return _numpy_gap(a, b)
+
+
+def _numpy_gap(a: DiscretePDF, b: DiscretePDF) -> float:
+    """The NumPy body of :func:`max_percentile_gap` (grids checked by
+    the caller) — the reference the compiled gap kernel reproduces."""
     xa, fa = a._knots  # noqa: SLF001 - intra-package fast path
     xb, fb = b._knots  # noqa: SLF001
     levels = np.concatenate([fa, fb])

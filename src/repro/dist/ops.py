@@ -4,10 +4,18 @@ These two operations are the paper's entire numeric inner loop: a gate
 arc adds its delay to the fan-in arrival by discrete **convolution**,
 and converging arrivals merge through the **independence statistical
 maximum** ``F_max(t) = F_a(t) * F_b(t)`` — the upper-bound max of
-Agarwal et al. DAC'03 [3].  Both are pure NumPy (no per-bin Python
-loops) and both are pure functions of their operands, which is what
-lets the perturbation fronts and the incremental updater reproduce a
-full SSTA **bitwise**.
+Agarwal et al. DAC'03 [3].  Both are pure functions of their operands,
+which is what lets the perturbation fronts and the incremental updater
+reproduce a full SSTA **bitwise**.
+
+Every kernel turns raw ADD/MAX vectors into finished results through
+one construction step, :func:`_build_results` (normalize, trim the
+tails).  That step and the grouped MAX sweep run in the compiled tier
+(:mod:`~repro.dist._compiled`) under every backend, bitwise the NumPy
+expressions they replace; without the tier (no compiler, or
+``REPRO_DISABLE_COMPILED`` set) the NumPy code runs and gives the same
+bits.  The per-result NumPy dispatch, not arithmetic, is what this
+saves.
 
 :class:`OpCounter` instruments the kernels transparently: every kernel
 takes an optional ``counter`` and tallies one unit per pairwise
@@ -38,9 +46,9 @@ Two orthogonal accelerations ride on top of that contract:
   pairs into one 2-D transform (FFT path) or an equivalent loop
   (direct path, bitwise identical to sequential calls);
 * :func:`stat_max_groups` batches many independent MAX reductions —
-  a whole topological level's worth — into stacked CDF products over
-  same-shape groups, each group bitwise identical to its own
-  :func:`stat_max_many` call.
+  a whole topological level's worth — into one compiled sweep (or,
+  without the tier, stacked CDF products over same-shape groups), each
+  group bitwise identical to its own :func:`stat_max_many` call.
 
 Batched entry points replicate the *sequential request stream* when a
 cache is attached: requests are resolved against the cache in order,
@@ -62,6 +70,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DistributionError, GridMismatchError
+from . import _compiled
 from .backends import BackendLike, get_backend
 from .cache import ConvolutionCache
 from .pdf import DiscretePDF
@@ -161,6 +170,29 @@ def _require_same_grid(pdfs: Sequence[DiscretePDF]) -> float:
     return dt
 
 
+def _build_results(raws: Sequence, dts, offsets, trim_eps: float) -> list:
+    """``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)`` for
+    every raw kernel output — the one construction step behind every
+    ADD and MAX result, cache replays included.
+
+    Runs the compiled build kernel when it passed its bitwise
+    self-check, the NumPy expression otherwise: the same bits either
+    way, so no answer, cache key or pruning decision depends on which.
+    Raws are fresh, finite, non-negative vectors (the backend and MAX
+    contracts); they may become the masses of a result.
+    """
+    p = _compiled.get_provider()
+    if p is not None and p.build_ok and raws:
+        if trim_eps < 0.0:
+            raise DistributionError(f"trim_eps must be >= 0, got {trim_eps}")
+        return p.build(raws, dts, offsets, trim_eps)
+    trusted = DiscretePDF._trusted  # noqa: SLF001
+    return [
+        trusted(dt, off, raw).trimmed(trim_eps)
+        for raw, dt, off in zip(raws, dts, offsets)
+    ]
+
+
 def convolve(
     a: DiscretePDF,
     b: DiscretePDF,
@@ -188,26 +220,10 @@ def convolve(
             if counter is not None:
                 counter.convolve_cache_hits += 1
             return hit
-    if getattr(kernel, "fused_trim_active", False):
-        # Compiled-tier miss path: convolution, normalization, and
-        # trimming collapse into one fused kernel call that returns
-        # both the raw vector (for the cache) and the built result.
-        raw, result = kernel.convolve_trimmed(
-            a.masses, b.masses, dt, a.offset + b.offset, trim_eps
-        )
-        if counter is not None:
-            counter.convolutions += 1
-        if cache is not None:
-            cache.store_convolve(a, b, trim_eps, kernel, raw, result)
-        return result
     masses = kernel.convolve_masses(a.masses, b.masses)
     if counter is not None:
         counter.convolutions += 1
-    # Trusted construction: backend outputs are fresh, finite,
-    # non-negative vectors (the ConvolutionBackend contract).
-    result = DiscretePDF._trusted(dt, a.offset + b.offset, masses).trimmed(
-        trim_eps
-    )
+    result = _build_results([masses], [dt], [a.offset + b.offset], trim_eps)[0]
     if cache is not None:
         cache.store_convolve(a, b, trim_eps, kernel, masses, result)
     return result
@@ -278,60 +294,38 @@ def convolve_many(
         todo.append(i)
     if todo:
         batch = [(pairs[i][0].masses, pairs[i][1].masses) for i in todo]
-        # Compiled-tier backends build results in the same fused kernel
-        # call that computes them; stock backends keep the historical
-        # _trusted construction.  Backends without the batched entry
-        # point fall back to a convolve_masses loop.
-        built = None
-        if getattr(kernel, "fused_trim_active", False):
-            # Raws are materialized only when the cache needs them.
-            raws, built = kernel.convolve_many_trimmed(
-                batch,
-                [pairs[i][0].dt for i in todo],
-                [pairs[i][0].offset + pairs[i][1].offset for i in todo],
-                trim_eps,
-                cache is not None,
-            )
-        elif callable(getattr(kernel, "convolve_many", None)):
+        # Backends without the batched entry point fall back to a
+        # convolve_masses loop.
+        if callable(getattr(kernel, "convolve_many", None)):
             raws = kernel.convolve_many(batch)
         else:
             raws = [kernel.convolve_masses(a, b) for a, b in batch]
         if counter is not None:
             counter.convolutions += len(todo)
+        built = _build_results(
+            raws,
+            [pairs[i][0].dt for i in todo],
+            [pairs[i][0].offset + pairs[i][1].offset for i in todo],
+            trim_eps,
+        )
         for j, i in enumerate(todo):
-            a, b = pairs[i]
-            if built is not None:
-                res = built[j]
-            else:
-                res = DiscretePDF._trusted(
-                    a.dt, a.offset + b.offset, raws[j]
-                ).trimmed(trim_eps)
             if cache is not None:
-                cache.store_convolve(a, b, trim_eps, kernel, raws[j], res,
-                                     key=keys[i])
-            results[i] = res
+                a, b = pairs[i]
+                cache.store_convolve(a, b, trim_eps, kernel, raws[j],
+                                     built[j], key=keys[i])
+            results[i] = built[j]
     for i in dups:
         a, b = pairs[i]
         hit = cache.lookup_convolve(a, b, trim_eps, kernel, key=keys[i])
         if hit is None:
             # The representative's entry was already evicted (tiny
-            # capacity churn) — recompute, as the sequential loop would
-            # (through the fused path for compiled-tier backends, so
-            # the rebuilt entry carries the same bits the batch did).
-            if getattr(kernel, "fused_trim_active", False):
-                raw, hit = kernel.convolve_trimmed(
-                    a.masses, b.masses, a.dt, a.offset + b.offset,
-                    trim_eps,
-                )
-                if counter is not None:
-                    counter.convolutions += 1
-            else:
-                raw = kernel.convolve_masses(a.masses, b.masses)
-                if counter is not None:
-                    counter.convolutions += 1
-                hit = DiscretePDF._trusted(
-                    a.dt, a.offset + b.offset, raw
-                ).trimmed(trim_eps)
+            # capacity churn) — recompute, as the sequential loop would.
+            raw = kernel.convolve_masses(a.masses, b.masses)
+            if counter is not None:
+                counter.convolutions += 1
+            hit = _build_results(
+                [raw], [a.dt], [a.offset + b.offset], trim_eps
+            )[0]
             cache.store_convolve(a, b, trim_eps, kernel, raw, hit,
                                  key=keys[i])
         elif counter is not None:
@@ -392,9 +386,8 @@ def _independence_max(
     backend: BackendLike,
     cache: Optional[ConvolutionCache] = None,
 ) -> DiscretePDF:
-    # Validate eagerly; the max numerics are backend-invariant, but a
-    # backend with a verified-bitwise compiled sweep may run them.
-    kernel = get_backend(backend)
+    # Validate eagerly; the max numerics are backend-invariant.
+    get_backend(backend)
     dt = _require_same_grid(pdfs)
     if cache is not None:
         hit = cache.lookup_max(pdfs, trim_eps)
@@ -402,13 +395,10 @@ def _independence_max(
             if counter is not None:
                 counter.max_cache_hits += len(pdfs) - 1
             return hit
-    if getattr(kernel, "max_sweep_active", False):
-        lo, masses = kernel.grouped_max_raws([pdfs])[0]
-    else:
-        lo, masses = _max_masses(pdfs)
+    lo, masses = max_batch_raws([pdfs])[0]
     if counter is not None:
         counter.max_ops += len(pdfs) - 1
-    result = DiscretePDF(dt, lo, masses).trimmed(trim_eps)
+    result = _build_results([masses], [dt], [lo], trim_eps)[0]
     if cache is not None:
         cache.store_max(pdfs, trim_eps, masses, result)
     return result
@@ -465,7 +455,7 @@ def _grouped_max_masses(groups: list) -> list:
     return [(lo, masses[gi].copy()) for gi, (lo, _p, _w) in enumerate(groups)]
 
 
-def max_batch_raws(groups: Sequence, kernel=None) -> list:
+def max_batch_raws(groups: Sequence) -> list:
     """``(lo_offset, raw mass vector)`` of the independence MAX for
     every operand group.
 
@@ -477,15 +467,14 @@ def max_batch_raws(groups: Sequence, kernel=None) -> list:
     :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
     Results come back in input order.
 
-    ``kernel`` (a resolved backend, optional) may take over the sweep:
-    a backend whose ``max_sweep_active`` property is true runs the
-    whole batch through its compiled grouped sweep — **bitwise** the
-    NumPy path (the property only goes true after the provider's
-    self-check proves it on this host), so the two implementations are
-    interchangeable per group and need no shape partition.
+    The compiled tier's grouped sweep takes over whenever it passed its
+    bitwise self-check (``max_ok``), under every backend: it is bitwise
+    the NumPy path, so the two are interchangeable per group and the
+    sweep needs no shape partition.
     """
-    if kernel is not None and getattr(kernel, "max_sweep_active", False):
-        return kernel.grouped_max_raws(groups)
+    p = _compiled.get_provider()
+    if p is not None and p.max_ok:
+        return p.max_sweep(groups)
     n = len(groups)
     out: list = [None] * n
     shapes: dict = {}
@@ -581,10 +570,8 @@ def stat_max_groups(
     """
     if not groups:
         return []
-    # Validate once; the max numerics are backend-invariant, but the
-    # kernel is threaded into the compute step so a verified-bitwise
-    # compiled sweep can run it.
-    kernel = get_backend(backend)
+    # Validate once; the max numerics are backend-invariant.
+    get_backend(backend)
     results: list = [None] * len(groups)
     todo: list = []
     keys: list = [None] * len(groups)
@@ -620,15 +607,20 @@ def stat_max_groups(
         # lives in max_batch_raws; every group's output is bitwise its
         # own _max_masses call, so commit order below stays sequential.
         todo_groups = [groups[i] for i in todo]
-        computed = max_batch_raws(todo_groups, kernel=kernel)
+        computed = max_batch_raws(todo_groups)
         if counter is not None:
             counter.max_ops += sum(len(g) - 1 for g in todo_groups)
-        for i, (lo, masses) in zip(todo, computed):
+        built = _build_results(
+            [masses for _lo, masses in computed],
+            [g[0].dt for g in todo_groups],
+            [lo for lo, _masses in computed],
+            trim_eps,
+        )
+        for i, (_lo, masses), result in zip(todo, computed, built):
             # original order: store order matches sequential
-            pdfs = groups[i]
-            result = DiscretePDF(pdfs[0].dt, lo, masses).trimmed(trim_eps)
             if cache is not None:
-                cache.store_max(pdfs, trim_eps, masses, result, key=keys[i])
+                cache.store_max(groups[i], trim_eps, masses, result,
+                                key=keys[i])
             results[i] = result
     for i in dups:
         pdfs = groups[i]
@@ -639,7 +631,7 @@ def stat_max_groups(
             lo, masses = _max_masses(pdfs)
             if counter is not None:
                 counter.max_ops += len(pdfs) - 1
-            hit = DiscretePDF(pdfs[0].dt, lo, masses).trimmed(trim_eps)
+            hit = _build_results([masses], [pdfs[0].dt], [lo], trim_eps)[0]
             cache.store_max(pdfs, trim_eps, masses, hit, key=keys[i])
         elif counter is not None:
             counter.max_cache_hits += len(pdfs) - 1

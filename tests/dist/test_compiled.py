@@ -1,33 +1,34 @@
-"""Compiled-tier harness: provider differentials, fused construction,
+"""Compiled-tier harness: provider differentials, cache interplay,
 the bitwise MAX sweep, the fallback matrix, and registry compatibility.
 
-Layered on the PR-2 cross-backend harness (the ``compiled`` and
+Layered on the cross-backend harness (the ``compiled`` and
 ``compiled-auto`` names join every ``ALL_BACKENDS`` loop automatically
 via the registry), this module adds what the generic loops cannot
 check:
 
-* the compiled tier's *own* equivalence classes — raw convolutions
-  within 1e-12 TV of ``direct``, MAX sweeps bitwise, scalar == batched
+* the compiled convolution's *own* equivalence class — raw
+  convolutions within 1e-12 TV of ``direct``, scalar == batched
   bitwise, cache replays bitwise with fresh computes;
-* the degradation matrix — ``REPRO_DISABLE_COMPILED``, numba-absent
-  with no C compiler — under which the compiled backends must *be*
+* the bitwise kernels every backend uses (MAX sweep, result build):
+  compiled == NumPy, and a self-check failure clears only that
+  kernel's flag;
+* the degradation matrix — ``REPRO_DISABLE_COMPILED`` and a host
+  without a C compiler — under which the compiled backends must *be*
   the pure-NumPy direct kernels, bit for bit, with exactly one
   warning;
-* the fused miss path: the engines hand each level's cache misses to
-  one ``convolve_many_trimmed`` call and never rebuild results from
-  separately computed raws.
+* the miss path: each level's cache misses are convolved in one
+  backend call and built in one build call.
 
 Every test here passes whether or not a provider resolves on this
 host: provider-specific classes skip when the tier is degraded, and
-the degradation tests force it.
+the degradation tests force it.  The bitwise kernels' own
+differentials live in ``test_compiled_kernels.py``.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 
-import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,7 @@ from repro.dist.backends import (
 from repro.dist.cache import ConvolutionCache
 from repro.dist.ops import (
     OpCounter,
+    _build_results,
     _max_masses,
     convolve,
     convolve_many,
@@ -60,8 +62,8 @@ from repro.timing.ssta import run_ssta
 
 from tests.dist.test_backends import TV_TOL, pdfs
 
-#: Resolved once at collection: the host's provider (C in the test
-#: container, numba on the CI compiled leg), or None when degraded.
+#: Resolved once at collection: the host's C provider, or None when
+#: degraded.
 PROVIDER = _compiled.get_provider()
 
 needs_provider = pytest.mark.skipif(
@@ -69,7 +71,7 @@ needs_provider = pytest.mark.skipif(
     reason=f"compiled tier degraded ({_compiled.fail_reason()})",
 )
 needs_max_sweep = pytest.mark.skipif(
-    PROVIDER is None or not PROVIDER.max_ok,
+    PROVIDER is None or not PROVIDER.max_ok or not PROVIDER.build_ok,
     reason="compiled MAX sweep unavailable",
 )
 
@@ -168,14 +170,14 @@ class TestCompiledDifferentials:
         assert np.all(c.masses >= 0.0)
         assert c.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert not c.masses.flags.writeable
-        # The fused construction must produce a fully usable PDF.
+        # The compiled construction must produce a fully usable PDF.
         assert c.percentile(0.5) <= c.percentile(0.99)
         assert c.trimmed(1e-9) is c  # trim-idempotence memo stamped
 
 
 @needs_provider
-class TestFusedConstruction:
-    """Cache interplay of the compiled construction."""
+class TestCacheInterplay:
+    """Cache interplay of the compiled convolution."""
 
     def test_cache_hit_is_stored_object(self):
         cache = ConvolutionCache(64)
@@ -191,9 +193,9 @@ class TestFusedConstruction:
         assert again is first
 
     def test_translated_replay_bitwise_with_fresh_compute(self):
-        """The rebuild_trimmed hook: a hit at a shifted anchor rebuilds
-        through the compiled trim, matching a fresh fused compute at
-        that anchor bit for bit."""
+        """A hit at a shifted anchor rebuilds the stored raw through the
+        same build step, matching a fresh compute at that anchor bit
+        for bit."""
         cache = ConvolutionCache(64)
         rng = np.random.default_rng(19)
         raw_a, raw_b = rng.random(27) + 1e-4, rng.random(18) + 1e-4
@@ -212,10 +214,9 @@ class TestFusedConstruction:
         assert np.array_equal(hit.masses, fresh.masses)
         assert cache.stats.hits >= 1
 
-    def test_trim_raws_bitwise_with_fused_batch(self):
-        """trim_raws over separately computed raws (compiled-auto's
-        FFT side builds this way) == the fused batch, since the trim
-        is a pure function of the raw bits."""
+    def test_build_of_separate_raws_bitwise_with_batch(self):
+        """Building separately computed raws == the batched miss path,
+        since construction is a pure function of the raw bits."""
         kernel = get_backend("compiled")
         rng = np.random.default_rng(23)
         pairs = [
@@ -223,13 +224,13 @@ class TestFusedConstruction:
              _rand_pdf(rng, rng.integers(2, 50), offset=1))
             for _ in range(9)
         ]
-        fused = convolve_many(pairs, trim_eps=1e-9, backend="compiled")
+        batched = convolve_many(pairs, trim_eps=1e-9, backend="compiled")
         raws = kernel.convolve_many([(a.masses, b.masses) for a, b in pairs])
-        built = kernel.trim_raws(
+        built = _build_results(
             raws, [a.dt for a, _ in pairs],
             [a.offset + b.offset for a, b in pairs], 1e-9,
         )
-        for r_f, r_b in zip(fused, built):
+        for r_f, r_b in zip(batched, built):
             assert r_f.offset == r_b.offset
             assert np.array_equal(r_f.masses, r_b.masses)
 
@@ -243,6 +244,17 @@ class TestFusedConstruction:
         convolve_many(pairs, trim_eps=1e-9, backend="direct", counter=cd)
         convolve_many(pairs, trim_eps=1e-9, backend="compiled", counter=cc)
         assert cc.convolutions == cd.convolutions == len(pairs)
+
+
+@pytest.fixture
+def flag_off(monkeypatch):
+    """Clear one bitwise-kernel flag on the live provider for the
+    test's duration, so its callers take the NumPy code."""
+
+    def clear(name):
+        monkeypatch.setattr(_compiled.get_provider(), name, False)
+
+    return clear
 
 
 @needs_max_sweep
@@ -262,10 +274,10 @@ class TestCompiledMaxSweep:
             for _ in range(n_groups)
         ]
 
-    def test_sweep_bitwise_with_numpy_sweep(self):
+    def test_sweep_bitwise_with_numpy_sweep(self, flag_off):
         groups = self._groups(31)
-        kernel = get_backend("compiled")
-        swept = max_batch_raws(groups, kernel=kernel)
+        swept = max_batch_raws(groups)
+        flag_off("max_ok")
         stock = max_batch_raws(groups)
         for (lo_s, m_s), (lo_n, m_n) in zip(swept, stock):
             assert lo_s == lo_n
@@ -279,21 +291,22 @@ class TestCompiledMaxSweep:
             assert c.offset == d.offset
             assert np.array_equal(c.masses, d.masses)
 
-    def test_stat_max_groups_bitwise_with_cache(self):
+    def test_stat_max_groups_bitwise_with_cache(self, flag_off):
         groups = self._groups(41)
-        ref = stat_max_groups(groups, trim_eps=1e-9, backend="direct")
+        swept = stat_max_groups(groups, trim_eps=1e-9, backend="direct")
+        flag_off("max_ok")
+        flag_off("build_ok")
         for cache in (None, ConvolutionCache(64)):
             got = stat_max_groups(
                 groups, trim_eps=1e-9, backend="compiled", cache=cache
             )
-            for r, g in zip(ref, got):
+            for r, g in zip(swept, got):
                 assert r.offset == g.offset
                 assert np.array_equal(r.masses, g.masses)
 
     def test_single_group_sweep_matches_max_masses(self):
-        kernel = get_backend("compiled")
         for pdfs_ in self._groups(43, n_groups=4):
-            lo_c, m_c = kernel.grouped_max_raws([pdfs_])[0]
+            lo_c, m_c = PROVIDER.max_sweep([pdfs_])[0]
             lo_n, m_n = _max_masses(pdfs_)
             assert lo_c == lo_n
             assert np.array_equal(m_c, m_n)
@@ -301,8 +314,8 @@ class TestCompiledMaxSweep:
 
 class TestFallbackMatrix:
     """Degraded compiled == pure-NumPy direct, bit for bit, warned
-    once — under the kill switch and under a host with neither numba
-    nor a C compiler."""
+    once — under the kill switch and under a host without a C
+    compiler."""
 
     def _assert_degraded_is_direct(self):
         kernel = get_backend("compiled")
@@ -311,8 +324,7 @@ class TestFallbackMatrix:
         b = _rand_pdf(rng, 17, offset=-2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert not kernel.fused_trim_active
-            assert not kernel.max_sweep_active
+            assert _compiled.get_provider() is None
             c = convolve(a, b, trim_eps=1e-9, backend="compiled")
             ca = convolve(a, b, trim_eps=1e-9, backend="compiled-auto")
         d = convolve(a, b, trim_eps=1e-9, backend="direct")
@@ -336,24 +348,22 @@ class TestFallbackMatrix:
         assert _compiled.DISABLE_ENV in _compiled.fail_reason()
         self._assert_degraded_is_direct()
 
-    def test_numba_and_compiler_absent_degrades_to_direct(
+    def test_compiler_absent_degrades_to_direct(
         self, monkeypatch, fresh_provider_state
     ):
-        """Module patching simulates the barest host: ``import numba``
-        raises and the C provider cannot build."""
+        """Module patching simulates the barest host: the C provider
+        cannot build."""
         # The ambient kill switch (e.g. CI's degraded leg) would mask
         # the provider-resolution path this test is about.
         monkeypatch.delenv(_compiled.DISABLE_ENV, raising=False)
-        monkeypatch.setitem(sys.modules, "numba", None)
 
-        class _NoCompiler:
-            def __init__(self):
-                raise RuntimeError("no C compiler found")
+        def no_compiler(rebuild=False):
+            raise RuntimeError("no C compiler found")
 
-        monkeypatch.setattr(_compiled, "_CProvider", _NoCompiler)
+        monkeypatch.setattr(_compiled, "_compile_library", no_compiler)
         _compiled.reset_provider_cache()
         assert _compiled.get_provider() is None
-        assert "numba unavailable" in _compiled.fail_reason()
+        assert "no C compiler found" in _compiled.fail_reason()
         self._assert_degraded_is_direct()
 
     def test_degraded_warns_exactly_once(
@@ -375,50 +385,30 @@ class TestFallbackMatrix:
             and "compiled kernel tier unavailable" in str(w.message)
         ]
         assert len(degraded) == 1
-        assert "[compiled]" in str(degraded[0].message)
+        assert _compiled.DISABLE_ENV in str(degraded[0].message)
 
     def test_self_check_failure_rejects_provider(
         self, monkeypatch, fresh_provider_state
     ):
-        """A provider that cannot prove its contract never serves."""
+        """A provider whose convolution cannot prove its contract never
+        serves — after one rebuild of its library."""
         monkeypatch.delenv(_compiled.DISABLE_ENV, raising=False)
-        monkeypatch.setitem(sys.modules, "numba", None)
+        built = []
 
         class _LyingProvider:
             kind = "cext"
-            max_ok = True
 
-            def conv_trim_many(self, pairs, dts, offsets, eps, want):
+            def __init__(self, rebuild=False):
+                built.append(rebuild)
+
+            def conv_many(self, pairs):
                 raise AssertionError("wrong bits")
 
-        monkeypatch.setattr(
-            _compiled, "_CProvider", lambda: _LyingProvider()
-        )
+        monkeypatch.setattr(_compiled, "_CProvider", _LyingProvider)
         _compiled.reset_provider_cache()
         assert _compiled.get_provider() is None
         assert "self-check failed" in _compiled.fail_reason()
-
-    @needs_provider
-    def test_max_sweep_mismatch_disables_only_the_sweep(self):
-        """A max_ok=False provider still serves ADD; the MAX side runs
-        the stock NumPy sweep (bitwise anyway, by the guard)."""
-        kernel = get_backend("compiled")
-        p = _compiled.get_provider()
-        original = p.max_ok
-        try:
-            p.max_ok = False
-            assert kernel.fused_trim_active
-            assert not kernel.max_sweep_active
-            rng = np.random.default_rng(59)
-            groups = [
-                (_rand_pdf(rng, 9), _rand_pdf(rng, 11, offset=1))
-            ]
-            stock = max_batch_raws(groups)
-            gated = max_batch_raws(groups, kernel=kernel)
-            assert stock[0][0] == gated[0][0]
-            assert np.array_equal(stock[0][1], gated[0][1])
-        finally:
-            p.max_ok = original
+        assert built == [False, True]
 
 
 class TestRegistryCompat:
@@ -487,50 +477,57 @@ class TestRegistryCompat:
 
 
 @pytest.fixture
-def fused_spy(monkeypatch):
-    """Record the batch size of every fused ``convolve_many_trimmed``
-    call on the ``compiled`` singleton, and every call of the two
-    unfused miss-path hooks (raw batch, trim of separate raws)."""
-    kernel = get_backend("compiled")
-    calls = {"fused": [], "raws": 0, "trim_raws": 0}
-    fused = kernel.convolve_many_trimmed
-    raws = kernel.convolve_many
-    trim = kernel.trim_raws
+def miss_spy(monkeypatch):
+    """Record, in call order, every batched convolution of the
+    backends under test and every build call of the provider."""
+    events = []
+    for name in ("auto", "compiled"):
+        kernel = get_backend(name)
+        conv = kernel.convolve_many
 
-    def spy_fused(pairs, *args, **kwargs):
-        calls["fused"].append(len(pairs))
-        return fused(pairs, *args, **kwargs)
+        def spy_conv(pairs, conv=conv):
+            events.append(("conv", len(pairs)))
+            return conv(pairs)
 
-    def spy_raws(pairs):
-        calls["raws"] += 1
-        return raws(pairs)
+        monkeypatch.setattr(kernel, "convolve_many", spy_conv)
+    provider = _compiled.get_provider()
+    build = provider.build
 
-    def spy_trim(*args, **kwargs):
-        calls["trim_raws"] += 1
-        return trim(*args, **kwargs)
+    def spy_build(raws, *args):
+        events.append(("build", len(raws)))
+        return build(raws, *args)
 
-    monkeypatch.setattr(kernel, "convolve_many_trimmed", spy_fused)
-    monkeypatch.setattr(kernel, "convolve_many", spy_raws)
-    monkeypatch.setattr(kernel, "trim_raws", spy_trim)
-    return calls
+    monkeypatch.setattr(provider, "build", spy_build)
+    return events
+
+
+def _conv_builds(events) -> list:
+    """Batch sizes of the convolutions, each checked to be built by the
+    build call right after it."""
+    sizes = []
+    for i, (kind, n) in enumerate(events):
+        if kind == "conv":
+            assert events[i + 1] == ("build", n)
+            sizes.append(n)
+    return sizes
 
 
 @needs_provider
-class TestFusedMissPath:
+class TestMissPath:
     """With the cache off every ADD is a miss, so each level that
-    convolves anything makes exactly one fused call covering all of
-    its gate arcs, and nothing rebuilds results from separate raws."""
+    convolves anything makes exactly one backend call covering all of
+    its gate arcs, and one build call for the raws it returns."""
 
-    CONFIG = AnalysisConfig(dt=4.0, backend="compiled")
-
-    def _setup(self, name):
+    def _setup(self, name, backend):
         circuit = load(name)
         graph = TimingGraph(circuit)
-        return circuit, graph, DelayModel(circuit, config=self.CONFIG)
+        config = AnalysisConfig(dt=4.0, backend=backend)
+        return circuit, graph, DelayModel(circuit, config=config)
 
+    @pytest.mark.parametrize("backend", ["auto", "compiled"])
     @pytest.mark.parametrize("name", ["c17", "c432"])
-    def test_run_ssta_one_fused_call_per_level(self, name, fused_spy):
-        _circuit, graph, model = self._setup(name)
+    def test_run_ssta_one_call_per_level(self, name, backend, miss_spy):
+        _circuit, graph, model = self._setup(name, backend)
         result = run_ssta(graph, model)
         arcs_per_level = [
             sum(
@@ -541,30 +538,27 @@ class TestFusedMissPath:
             )
             for level in range(1, graph.max_level + 1)
         ]
-        assert fused_spy["fused"] == [n for n in arcs_per_level if n]
-        assert sum(fused_spy["fused"]) == result.counter.convolutions
-        assert fused_spy["raws"] == 0
-        assert fused_spy["trim_raws"] == 0
+        sizes = _conv_builds(miss_spy)
+        assert sizes == [n for n in arcs_per_level if n]
+        assert sum(sizes) == result.counter.convolutions
 
-    def test_front_advances_one_fused_call_per_level(self, fused_spy):
-        circuit, graph, model = self._setup("c17")
+    def test_front_advances_one_call_per_level(self, miss_spy):
+        circuit, graph, model = self._setup("c17", "compiled")
         base = run_ssta(graph, model)
         objective = PercentileObjective(0.99)
         for gate in circuit.gates():
             counter = OpCounter()
-            start = len(fused_spy["fused"])
+            start = len(miss_spy)
             front = PerturbationFront(
                 graph, model, base, gate, 1.0, objective, counter=counter
             )
-            init_calls = fused_spy["fused"][start:]
+            init_calls = _conv_builds(miss_spy[start:])
             assert len(init_calls) <= front.levels_propagated
             assert sum(init_calls) == counter.convolutions
             while not front.is_done:
-                before = len(fused_spy["fused"])
+                before = len(miss_spy)
                 made = counter.convolutions
                 front.propagate_one_level()
                 made = counter.convolutions - made
-                new = fused_spy["fused"][before:]
+                new = _conv_builds(miss_spy[before:])
                 assert new == ([made] if made else [])
-        assert fused_spy["raws"] == 0
-        assert fused_spy["trim_raws"] == 0
