@@ -9,7 +9,7 @@ re-measured compiled-vs-FFT crossover (the ``kernels.compiled``
 section), stat_max and stat_max_many throughput against bin count,
 locates the measured direct-vs-FFT equal-size crossover, times a full
 ``run_ssta`` pass on c432 per backend, runs the c432 sizers end-to-end cache-on vs
-cache-off, compares level-batched against sequential propagation
+cache-off (alternating pairs, medians and quartiles), compares level-batched against sequential propagation
 (full SSTA per backend and the pruned-sizer cache-off miss path — the
 ``levels`` section), drives the analysis service under four concurrent
 sessions sharing the process-wide cache (the ``service`` section:
@@ -400,14 +400,51 @@ def _bench_gap(provider) -> list:
     return rows
 
 
-def _sizer_case(sizer_cls, circuit_name: str, iterations: int, cache, **kw):
-    from repro.netlist.benchmarks import load
+#: Alternating cache-off/cache-on pairs per sizer row.  Host speed
+#: drifts by tens of percent between runs, so a row is a median over
+#: pairs whose order alternates, never one run against one.
+SIZER_PAIRS = 5
 
+
+def _host_stamp() -> dict:
+    """Where a timing row was measured: CPUs, compiled provider, and
+    the source revision (``dirty`` when ``src/`` differs from it)."""
+    import os
+    import subprocess
+
+    from repro.dist import _compiled
+
+    def git(*args):
+        try:
+            proc = subprocess.run(
+                ["git", *args], cwd=REPO_ROOT, capture_output=True,
+                text=True, timeout=10,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no", "--",
+                 "src")
+    return {
+        "cpu_count": os.cpu_count(),
+        "compiled_provider": _compiled.provider_kind(),
+        "git_rev": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+    }
+
+
+def _quartiles(values) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(med), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4)}
+
+
+def _sizer_case(sizer_cls, circuit, iterations: int, cache, **kw):
     cfg = AnalysisConfig(cache=cache)
-    circuit = load(circuit_name)
     t0 = time.perf_counter()
     result = sizer_cls(
-        circuit, config=cfg, max_iterations=iterations, **kw
+        circuit.copy(), config=cfg, max_iterations=iterations, **kw
     ).run()
     wall = time.perf_counter() - t0
     return {
@@ -421,41 +458,62 @@ def _sizer_case(sizer_cls, circuit_name: str, iterations: int, cache, **kw):
 def _bench_sizers(quick: bool) -> dict:
     """End-to-end optimizer wall time, cache-off vs cache-on.
 
-    The cached run must select bitwise-identical gates and reach the
-    identical final objective (also locked by the sizer-golden tests);
-    the recorded speedups are the honest end-to-end numbers, with the
-    per-warm-iteration gain visible in the brute-force row where the
-    unpruned loop recomputes whole SSTAs the cache can serve.
+    Each row runs :data:`SIZER_PAIRS` cache-off/cache-on pairs in
+    alternating order, every cache-on run with a fresh cache at
+    ``DEFAULT_CACHE_CAPACITY`` (what the CLI and perfbench's
+    ``size-c432`` use), and reports medians and quartiles of both, the
+    median per-pair on/off ratio, and the host stamp.  Every cached
+    run must select bitwise-identical gates and reach the identical
+    final objective (also locked by the sizer-golden tests).
     """
     from repro.core.brute_force_sizer import BruteForceStatisticalSizer
     from repro.core.pruned_sizer import PrunedStatisticalSizer
+    from repro.dist.cache import DEFAULT_CACHE_CAPACITY
+    from repro.netlist.benchmarks import load
 
     cases = [("pruned_c17", PrunedStatisticalSizer, "c17", 6, {})]
     if not quick:
         cases = [
-            ("pruned_c432", PrunedStatisticalSizer, "c432", 20, {}),
+            ("pruned_c432", PrunedStatisticalSizer, "c432", 10, {}),
             ("brute_force_c432", BruteForceStatisticalSizer, "c432", 3, {}),
         ]
     out = {}
-    for name, cls, circuit, iters, kw in cases:
-        off = _sizer_case(cls, circuit, iters, None, **kw)
-        on = _sizer_case(cls, circuit, iters, ConvolutionCache(1 << 17), **kw)
-        identical = (
-            off["selected"] == on["selected"]
-            and off["final_objective"] == on["final_objective"]
-        )
+    for name, cls, circuit_name, iters, kw in cases:
+        circuit = load(circuit_name)
+        off_s, on_s, ratios = [], [], []
+        identical = True
+        for pair in range(SIZER_PAIRS):
+            runs = {}
+            for cache_on in ((False, True) if pair % 2 == 0
+                             else (True, False)):
+                cache = (ConvolutionCache(DEFAULT_CACHE_CAPACITY)
+                         if cache_on else None)
+                runs[cache_on] = _sizer_case(cls, circuit, iters, cache, **kw)
+            off, on = runs[False], runs[True]
+            identical = identical and (
+                off["selected"] == on["selected"]
+                and off["final_objective"] == on["final_objective"]
+            )
+            off_s.append(off["wall_s"])
+            on_s.append(on["wall_s"])
+            ratios.append(on["wall_s"] / off["wall_s"])
         out[name] = {
             "iterations": iters,
-            "cache_off_s": round(off["wall_s"], 3),
-            "cache_on_s": round(on["wall_s"], 3),
-            "speedup": round(off["wall_s"] / on["wall_s"], 3),
+            "pairs": SIZER_PAIRS,
+            "cache_capacity": DEFAULT_CACHE_CAPACITY,
+            "cache_off_s": _quartiles(off_s),
+            "cache_on_s": _quartiles(on_s),
+            "on_off_ratio": _quartiles(ratios),
+            "on_faster_pairs": sum(r < 1.0 for r in ratios),
             "cache_hit_rate": round(on["hit_rate"], 4),
             "identical_results": identical,
+            "host": _host_stamp(),
         }
         print(
-            f"sizer {name:18s} off={off['wall_s']:7.2f}s  "
-            f"on={on['wall_s']:7.2f}s  "
-            f"({out[name]['speedup']:.2f}x, hit rate "
+            f"sizer {name:18s} off={out[name]['cache_off_s']['median']:7.2f}s"
+            f"  on={out[name]['cache_on_s']['median']:7.2f}s  (on/off "
+            f"{out[name]['on_off_ratio']['median']:.2f}, on faster in "
+            f"{out[name]['on_faster_pairs']}/{SIZER_PAIRS} pairs, hit rate "
             f"{on['hit_rate']:.2f}, identical={identical})"
         )
         if not identical:

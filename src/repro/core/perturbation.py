@@ -211,8 +211,9 @@ class PerturbationFront:
     # Initialize (Figure 7)
     # ------------------------------------------------------------------
     def _initialize(self) -> None:
-        affected = self.model.gates_affected_by_resize(self.gate)
-        self._affected = list(affected)
+        affected = self._affected = self.model.gates_affected_by_resize(
+            self.gate
+        )
         original = self.gate.width
         self.gate.width = original + self.dw
         try:

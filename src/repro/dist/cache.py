@@ -28,11 +28,22 @@ Design constraints, in order:
    trim epsilon, and the backend), so re-created but equal operands
    hit, and a resized gate's new delay PDF — new masses, new
    fingerprint — can never alias a stale entry.  Fingerprints are
-   SHA-1 digests of the immutable mass bytes, memoized per array
-   object so repeated lookups of long-lived operands cost O(1).
+   SHA-1 digests of the immutable mass bytes, memoized per
+   :class:`~repro.dist.pdf.DiscretePDF` instance (its ``_fp``
+   attribute), so repeated lookups of long-lived operands cost O(1).
 3. **Bounded memory.**  The cache is an LRU over a fixed number of
    entries (:data:`DEFAULT_CACHE_CAPACITY` by default); eviction churn
    at tiny capacities is exercised by the property suite.
+
+One LRU holds four memo kinds, and each engine consults only the ones
+that pay for it.  On node-memo paths (full and incremental SSTA, the
+perturbation fronts) these are the whole-node arrival, the ADD
+(convolution) results and the Theorem-4 gap.  The per-op MAX memo is
+skipped there: a node-memo miss means the fan-in changed, so its MAX
+request almost never recurs, and storing it would only evict useful
+entries.  The backward pass, which skips the node memo, consults the
+ADD and MAX memos; direct :mod:`~repro.dist.ops` callers choose per
+call.
 
 The cache is *enabled per analysis* through
 ``AnalysisConfig(cache=...)`` (see :mod:`repro.config`) and threaded
@@ -44,8 +55,10 @@ a :class:`~socketserver.ThreadingMixIn` server).  Every public
 operation — lookup, store, save, clear, byte-budget eviction — runs
 under one internal mutex, so the LRU order, the entry map, the byte
 accounting, and the :class:`CacheStats` tallies are updated
-atomically per operation; a lookup and the store that follows its
-miss are deliberately *not* one atomic unit (two threads may race to
+atomically per operation.  The stats share that mutex, so a probe
+or store takes one lock, and the batched kernels probe or store a
+whole batch under one acquisition.  A lookup and the store that follows
+its miss are deliberately *not* one atomic unit (two threads may race to
 compute the same entry — the second store replaces the first with a
 bitwise-identical result, so values never depend on the interleaving,
 only the hit/miss split does).  The lock is never held while kernel
@@ -54,12 +67,10 @@ work runs: the cache does no computation of its own.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import pickle
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -79,54 +90,11 @@ __all__ = ["ConvolutionCache", "CacheStats", "DEFAULT_CACHE_CAPACITY"]
 #: bounding memory at tens of MiB of ~100-bin float64 vectors.
 DEFAULT_CACHE_CAPACITY: int = 32768
 
-#: Process-wide fingerprint memo: ``id(masses) -> (weakref, digest)``.
-#: Mass vectors are immutable read-only arrays, so a digest computed
-#: once is valid for the array's lifetime; the weak reference both
-#: self-evicts when the array dies and guards against ``id`` reuse.
-#: Unlocked by design: individual dict probes/inserts are atomic under
-#: the GIL, and a race between two threads fingerprinting the same
-#: array merely computes the same digest twice — ``pop`` (never
-#: ``del``) removes stale ids so a concurrent weakref callback cannot
-#: raise.
-_FP_MEMO: dict = {}
-
 #: Monotonic sequence for snapshot temp-file names: combined with pid
 #: and thread id it makes every :meth:`ConvolutionCache.save` writer's
 #: temp path unique, so concurrent flushes can never interleave bytes
 #: in one temp file (each rename is then atomic per writer).
 _SAVE_SEQ = itertools.count()
-
-
-def _fingerprint(arr: np.ndarray) -> bytes:
-    """Content digest of an immutable mass vector, memoized by identity."""
-    key = id(arr)
-    entry = _FP_MEMO.get(key)
-    if entry is not None:
-        ref, digest = entry
-        if ref() is arr:
-            return digest
-        _FP_MEMO.pop(key, None)  # id recycled by a dead array
-    digest = hashlib.sha1(arr.tobytes()).digest()
-    try:
-        ref = weakref.ref(arr, lambda _r, key=key: _FP_MEMO.pop(key, None))
-    except TypeError:  # pragma: no cover - plain ndarrays are weakref-able
-        return digest
-    _FP_MEMO[key] = (ref, digest)
-    return digest
-
-
-def _pdf_fingerprint(pdf: DiscretePDF) -> bytes:
-    """Fingerprint of a distribution's mass vector, cached on the
-    (immutable) instance.  Key construction runs several times per
-    kernel request, so the per-instance slot skips even the memo-dict
-    probe; the array-level memo still deduplicates shifted twins that
-    share one mass vector."""
-    d = pdf.__dict__
-    fp = d.get("_fp")
-    if fp is None:
-        fp = _fingerprint(pdf.masses)
-        d["_fp"] = fp
-    return fp
 
 
 @dataclass
@@ -137,10 +105,11 @@ class CacheStats:
     :meth:`merge`) runs under an internal lock, and multi-field reads
     go through :meth:`snapshot` for a consistent view.  Bare ``+=`` on
     the fields is not atomic in CPython — concurrent writers must use
-    :meth:`record` (the owning :class:`ConvolutionCache` does, under
-    its own operation lock as well), which is what makes the final
-    tallies equal the merged per-thread deltas in the threaded stress
-    suite.
+    :meth:`record`, which is what makes the final tallies equal the
+    merged per-thread deltas in the threaded stress suite.  The owning
+    :class:`ConvolutionCache` shares this lock as its operation mutex
+    and mutates the fields directly while holding it, so a probe or
+    store takes one lock, not two.
     """
 
     hits: int = 0
@@ -210,6 +179,13 @@ class CacheStats:
         self.record(hits=hits, misses=misses, evictions=evictions)
 
 
+#: Coarse per-entry bookkeeping overhead (key tuple, OrderedDict slot,
+#: object headers) used by the byte accounting.  The dominant term is
+#: the mass vectors, which are measured exactly; this constant only
+#: keeps many-small-entry caches from reading as free.
+_ENTRY_OVERHEAD_BYTES = 256
+
+
 class _Entry:
     """One memoized kernel result.
 
@@ -218,16 +194,25 @@ class _Entry:
     ``anchor`` (the operand-offset sum for ADD, the minimum operand
     offset for MAX); ``backend`` the resolved backend object the entry
     was computed under, verified identically on hit so two distinct
-    backend instances sharing a name can never serve each other's bits.
+    backend instances sharing a name can never serve each other's bits;
+    ``nbytes`` its approximate resident size, fixed at construction:
+    the byte accounting adds it on store and subtracts it on evict or
+    replace.
     """
 
-    __slots__ = ("raw", "result", "anchor", "backend")
+    __slots__ = ("raw", "result", "anchor", "backend", "nbytes")
 
     def __init__(self, raw, result, anchor, backend) -> None:
         self.raw = raw
         self.result = result
         self.anchor = anchor
         self.backend = backend
+        n = _ENTRY_OVERHEAD_BYTES
+        if raw is not None:
+            n += raw.nbytes
+        if isinstance(result, DiscretePDF):
+            n += result.masses.nbytes
+        self.nbytes = n
 
 
 def _own(raw) -> np.ndarray:
@@ -239,23 +224,6 @@ def _own(raw) -> np.ndarray:
         raw = raw.copy()
     raw.flags.writeable = False
     return raw
-
-
-#: Coarse per-entry bookkeeping overhead (key tuple, OrderedDict slot,
-#: object headers) used by the byte accounting.  The dominant term is
-#: the mass vectors, which are measured exactly; this constant only
-#: keeps many-small-entry caches from reading as free.
-_ENTRY_OVERHEAD_BYTES = 256
-
-
-def _entry_nbytes(entry: _Entry) -> int:
-    """Approximate resident size of one entry in bytes."""
-    n = _ENTRY_OVERHEAD_BYTES
-    if entry.raw is not None:
-        n += entry.raw.nbytes
-    if isinstance(entry.result, DiscretePDF):
-        n += entry.result.masses.nbytes
-    return n
 
 
 class ConvolutionCache:
@@ -282,9 +250,11 @@ class ConvolutionCache:
         self._entries: "OrderedDict" = OrderedDict()
         # Operation mutex: every public lookup/store/save/evict runs
         # under it (see the module docstring's thread-safety contract).
-        # A plain (non-reentrant) Lock — internal helpers never call
-        # back into public methods while holding it.
-        self._lock = threading.Lock()
+        # It is the stats' own lock, so tallies are mutated in place
+        # under it and ``stats.snapshot()`` stays consistent.  A plain
+        # (non-reentrant) Lock — internal helpers never call back into
+        # public methods (or ``stats.record``) while holding it.
+        self._lock = self.stats._lock  # noqa: SLF001
         self._bytes = 0
 
     # The lock cannot ride a pickle; everything else can.
@@ -295,7 +265,7 @@ class ConvolutionCache:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self._lock = self.stats._lock  # noqa: SLF001
 
     # ------------------------------------------------------------------
     # Coercion (the AnalysisConfig.cache knob)
@@ -338,8 +308,8 @@ class ConvolutionCache:
             a.dt,
             trim_eps,
             getattr(backend, "name", type(backend).__name__),
-            _pdf_fingerprint(a),
-            _pdf_fingerprint(b),
+            a._fp,  # noqa: SLF001 - the per-instance digest memo
+            b._fp,  # noqa: SLF001
         )
 
     @staticmethod
@@ -355,50 +325,122 @@ class ConvolutionCache:
             "max",
             pdfs[0].dt,
             trim_eps,
-            tuple((p.offset - lo, _pdf_fingerprint(p)) for p in pdfs),
+            tuple([(p.offset - lo, p._fp) for p in pdfs]),  # noqa: SLF001
         )
 
     # ------------------------------------------------------------------
-    # LRU plumbing
+    # LRU plumbing (callers hold self._lock)
     # ------------------------------------------------------------------
-    def _get(self, key: tuple) -> Optional[_Entry]:
-        # Caller holds self._lock.
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.record(misses=1)
-            return None
-        self._entries.move_to_end(key)
-        self.stats.record(hits=1)
-        return entry
+    def _get(self, key: tuple, backend) -> Optional[_Entry]:
+        """Probe one key: the entry on a hit, None on a miss.  An entry
+        stored under a different backend object (a distinct instance
+        sharing the stored one's name) is the miss it is: the caller
+        recomputes.  ADD and node entries carry their resolved backend;
+        MAX and gap entries carry None and are probed with None."""
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is not None:
+            entries.move_to_end(key)
+            if entry.backend is backend:
+                self.stats.hits += 1
+                return entry
+        self.stats.misses += 1
+        return None
 
     def _put(self, key: tuple, entry: _Entry) -> None:
-        # Caller holds self._lock.
-        old = self._entries.get(key)
-        if old is not None:
-            self._entries.move_to_end(key)
-            self._entries[key] = entry
-            self._bytes += _entry_nbytes(entry) - _entry_nbytes(old)
+        entries = self._entries
+        old = entries.setdefault(key, entry)
+        if old is not entry:
+            # Replacing a racing thread's (bitwise-identical) store or
+            # a backend-mismatched entry: refresh value and recency.
+            entries[key] = entry
+            entries.move_to_end(key)
+            self._bytes += entry.nbytes - old.nbytes
             return
-        while len(self._entries) >= self.capacity:
-            _k, evicted = self._entries.popitem(last=False)
-            self._bytes -= _entry_nbytes(evicted)
-            self.stats.record(evictions=1)
-        self._entries[key] = entry
-        self._bytes += _entry_nbytes(entry)
+        self._bytes += entry.nbytes
+        # The new entry is the most recent, so it is never the victim.
+        while len(entries) > self.capacity:
+            _k, evicted = entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            self.stats.evictions += 1
 
-    def _replay(
-        self, entry: _Entry, anchor: int, dt: float, trim_eps: float
-    ) -> DiscretePDF:
-        """Return the stored result, re-anchored if the operands arrive
-        at different offsets.  Normalization and trimming are pure
-        functions of the raw vector, so rebuilding it at the new anchor
-        through the kernels' own construction step is bit-identical to
-        a fresh computation there."""
-        if anchor == entry.anchor:
-            return entry.result
-        from .ops import _build_results
+    # ------------------------------------------------------------------
+    # Batched requests (convolve_many, stat_max_groups)
+    # ------------------------------------------------------------------
+    def lookup_many(
+        self,
+        keys: Sequence[tuple],
+        backend,
+        anchors: Sequence[int],
+        dts: Sequence[float],
+        trim_eps: float,
+    ) -> tuple:
+        """Resolve a batch of ADD (``backend`` = the resolved kernel)
+        or MAX (``backend`` = None) requests in one locked pass, as a
+        sequential loop sees them before the batch's first store.
 
-        return _build_results([entry.raw], [dt], [anchor], trim_eps)[0]
+        Returns ``(results, dups)``: ``results[i]`` is the hit or None.
+        A repeat of a key that missed earlier in the batch is not
+        probed — a sequential loop would hit the entry its first
+        occurrence stores, and probing now would register a miss that
+        stream never sees — and its index goes to ``dups`` for the
+        caller to resolve after its stores.
+
+        A hit whose operands arrive at another offset than the stored
+        computation's (``anchors[i]`` differs) is rebuilt there from
+        the stored raw vector.  Normalization and trimming are pure
+        functions of that vector, so rebuilding it through the kernels'
+        own construction step is bit-identical to a fresh computation.
+        """
+        found: list = [None] * len(keys)
+        dups: list = []
+        missed: set = set()
+        with self._lock:
+            for i, key in enumerate(keys):
+                if key in missed:
+                    dups.append(i)
+                    continue
+                entry = self._get(key, backend)
+                if entry is None:
+                    missed.add(key)
+                else:
+                    found[i] = entry
+        # Outside the lock: entries are immutable.
+        results = [None if e is None else e.result for e in found]
+        moved = [
+            i for i, e in enumerate(found)
+            if e is not None and e.anchor != anchors[i]
+        ]
+        if moved:
+            from .ops import _build_results
+
+            built = _build_results(
+                [found[i].raw for i in moved],
+                [dts[i] for i in moved],
+                [anchors[i] for i in moved],
+                trim_eps,
+            )
+            for i, res in zip(moved, built):
+                results[i] = res
+        return results, dups
+
+    def store_many(
+        self,
+        keys: Sequence[tuple],
+        raws: Sequence,
+        results: Sequence[DiscretePDF],
+        anchors: Sequence[int],
+        backend,
+    ) -> None:
+        """Insert a batch of freshly computed ADD or MAX results under
+        one lock, in order (``backend`` as in :meth:`lookup_many`)."""
+        new = [
+            _Entry(_own(raw), result, anchor, backend)
+            for raw, result, anchor in zip(raws, results, anchors)
+        ]
+        with self._lock:
+            for key, entry in zip(keys, new):
+                self._put(key, entry)
 
     # ------------------------------------------------------------------
     # ADD (convolution)
@@ -417,19 +459,9 @@ class ConvolutionCache:
         callers build it once per request)."""
         if key is None:
             key = self.convolve_key(a, b, trim_eps, backend)
-        with self._lock:
-            entry = self._get(key)
-            if entry is None:
-                return None
-            if entry.backend is not backend:
-                # A distinct backend instance sharing the stored one's
-                # name: count it as the miss it is and let the caller
-                # recompute.
-                self.stats.record(hits=-1, misses=1)
-                return None
-        # Replay outside the lock: entries are immutable, and the
-        # re-anchor path constructs a fresh DiscretePDF.
-        return self._replay(entry, a.offset + b.offset, a.dt, trim_eps)
+        return self.lookup_many(
+            [key], backend, [a.offset + b.offset], [a.dt], trim_eps
+        )[0][0]
 
     def store_convolve(
         self,
@@ -444,11 +476,11 @@ class ConvolutionCache:
     ) -> None:
         """Insert a freshly computed convolution (``raw`` is the kernel
         output before normalization/trimming)."""
-        raw = _own(raw)
         if key is None:
             key = self.convolve_key(a, b, trim_eps, backend)
-        with self._lock:
-            self._put(key, _Entry(raw, result, a.offset + b.offset, backend))
+        self.store_many(
+            [key], [raw], [result], [a.offset + b.offset], backend
+        )
 
     # ------------------------------------------------------------------
     # MAX (independence statistical maximum)
@@ -464,12 +496,10 @@ class ConvolutionCache:
         ``key`` accepts a precomputed :meth:`max_key`."""
         if key is None:
             key = self.max_key(pdfs, trim_eps)
-        with self._lock:
-            entry = self._get(key)
-        if entry is None:
-            return None
         anchor = min(p.offset for p in pdfs)
-        return self._replay(entry, anchor, pdfs[0].dt, trim_eps)
+        return self.lookup_many(
+            [key], None, [anchor], [pdfs[0].dt], trim_eps
+        )[0][0]
 
     def store_max(
         self,
@@ -480,12 +510,10 @@ class ConvolutionCache:
         *,
         key: Optional[tuple] = None,
     ) -> None:
-        raw = _own(raw)
         if key is None:
             key = self.max_key(pdfs, trim_eps)
         anchor = min(p.offset for p in pdfs)
-        with self._lock:
-            self._put(key, _Entry(raw, result, anchor, None))
+        self.store_many([key], [raw], [result], [anchor], None)
 
     # ------------------------------------------------------------------
     # Whole-node arrival memo (the engines' coarse-grained fast path)
@@ -506,17 +534,13 @@ class ConvolutionCache:
         instances sharing a name (e.g. ``AutoBackend``s with different
         cost ratios) must never serve each other's bits."""
         with self._lock:
-            entry = self._get(("node",) + key)
-            if entry is None:
-                return None
-            if entry.backend is not backend:
-                self.stats.record(hits=-1, misses=1)
-                return None
-            return entry.result
+            entry = self._get(("node",) + key, backend)
+        return None if entry is None else entry.result
 
     def store_node(self, key: tuple, result: DiscretePDF, backend) -> None:
+        entry = _Entry(None, result, 0, backend)
         with self._lock:
-            self._put(("node",) + key, _Entry(None, result, 0, backend))
+            self._put(("node",) + key, entry)
 
     @staticmethod
     def node_key(parts, trim_eps: float, backend) -> tuple:
@@ -525,16 +549,16 @@ class ConvolutionCache:
         return (
             trim_eps,
             getattr(backend, "name", type(backend).__name__),
-            tuple(
+            tuple([
                 (
                     arr.dt,
                     arr.offset,
-                    _pdf_fingerprint(arr),
+                    arr._fp,  # noqa: SLF001
                     None if d is None else d.offset,
-                    None if d is None else _pdf_fingerprint(d),
+                    None if d is None else d._fp,  # noqa: SLF001
                 )
                 for arr, d in parts
-            ),
+            ]),
         )
 
     # ------------------------------------------------------------------
@@ -554,23 +578,22 @@ class ConvolutionCache:
             "gap",
             a.dt,
             a.offset,
-            _pdf_fingerprint(a),
+            a._fp,  # noqa: SLF001
             b.offset,
-            _pdf_fingerprint(b),
+            b._fp,  # noqa: SLF001
         )
 
     def lookup_gap(self, a: DiscretePDF, b: DiscretePDF) -> Optional[float]:
         key = self._gap_key(a, b)
         with self._lock:
-            entry = self._get(key)
-            if entry is None:
-                return None
-            return entry.result
+            entry = self._get(key, None)
+        return None if entry is None else entry.result
 
     def store_gap(self, a: DiscretePDF, b: DiscretePDF, gap: float) -> None:
         key = self._gap_key(a, b)
+        entry = _Entry(None, gap, 0, None)
         with self._lock:
-            self._put(key, _Entry(None, gap, 0, None))
+            self._put(key, entry)
 
     # ------------------------------------------------------------------
     # Persistence (cross-run warm starts)
@@ -677,9 +700,7 @@ class ConvolutionCache:
             merged._entries.popitem(last=False)
         if not contributed:
             return 0
-        merged._bytes = sum(
-            _entry_nbytes(e) for e in merged._entries.values()
-        )
+        merged._bytes = sum(e.nbytes for e in merged._entries.values())
         return merged.save(out_path)
 
     @classmethod
@@ -736,9 +757,7 @@ class ConvolutionCache:
             ) from exc
         while len(cache._entries) > cache.capacity:
             cache._entries.popitem(last=False)
-        cache._bytes = sum(
-            _entry_nbytes(e) for e in cache._entries.values()
-        )
+        cache._bytes = sum(e.nbytes for e in cache._entries.values())
         return cache
 
     # ------------------------------------------------------------------
@@ -769,10 +788,9 @@ class ConvolutionCache:
         with self._lock:
             while self._entries and self._bytes > budget_bytes:
                 _k, entry = self._entries.popitem(last=False)
-                self._bytes -= _entry_nbytes(entry)
+                self._bytes -= entry.nbytes
                 evicted += 1
-            if evicted:
-                self.stats.record(evictions=evicted)
+            self.stats.evictions += evicted
         return evicted
 
     def clear(self) -> None:

@@ -52,7 +52,8 @@ Two orthogonal accelerations ride on top of that contract:
 
 Batched entry points replicate the *sequential request stream* when a
 cache is attached: requests are resolved against the cache in order,
-duplicate requests within one batch are served from the entry their
+in one locked pass per batch (its stores take one more), duplicate
+requests within one batch are served from the entry their
 first occurrence stores (computed once, tallied as hits — exactly what
 a sequential loop would do), and an empty or fully cached batch never
 invokes the backend at all.  This is what keeps kernel tallies and
@@ -266,32 +267,26 @@ def convolve_many(
     if not pairs:
         return []
     kernel = get_backend(backend)
-    results: list = [None] * len(pairs)
-    todo: list = []
-    keys: list = [None] * len(pairs)
-    dups: list = []
-    seen: set = set()
-    for i, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         _require_same_grid((a, b))
-        if cache is not None:
-            key = cache.convolve_key(a, b, trim_eps, kernel)
-            keys[i] = key
-            if key in seen:
-                # Same request again within this batch: a sequential
-                # loop would hit the first occurrence's stored entry —
-                # resolve it after the stores below (probing now would
-                # register a spurious miss the sequential stream never
-                # sees).
-                dups.append(i)
-                continue
-            hit = cache.lookup_convolve(a, b, trim_eps, kernel, key=key)
-            if hit is not None:
-                if counter is not None:
-                    counter.convolve_cache_hits += 1
-                results[i] = hit
-                continue
-            seen.add(key)
-        todo.append(i)
+    anchors = [a.offset + b.offset for a, b in pairs]
+    if cache is None:
+        results: list = [None] * len(pairs)
+        todo = list(range(len(pairs)))
+        dups: list = []
+    else:
+        # One locked pass resolves the batch as a sequential loop's
+        # probes would; repeats of a missed pair come back in ``dups``.
+        keys = [cache.convolve_key(a, b, trim_eps, kernel) for a, b in pairs]
+        results, dups = cache.lookup_many(
+            keys, kernel, anchors, [a.dt for a, _b in pairs], trim_eps
+        )
+        dupset = set(dups)
+        todo = [
+            i for i, r in enumerate(results) if r is None and i not in dupset
+        ]
+        if counter is not None:
+            counter.convolve_cache_hits += len(pairs) - len(todo) - len(dups)
     if todo:
         batch = [(pairs[i][0].masses, pairs[i][1].masses) for i in todo]
         # Backends without the batched entry point fall back to a
@@ -305,15 +300,16 @@ def convolve_many(
         built = _build_results(
             raws,
             [pairs[i][0].dt for i in todo],
-            [pairs[i][0].offset + pairs[i][1].offset for i in todo],
+            [anchors[i] for i in todo],
             trim_eps,
         )
-        for j, i in enumerate(todo):
-            if cache is not None:
-                a, b = pairs[i]
-                cache.store_convolve(a, b, trim_eps, kernel, raws[j],
-                                     built[j], key=keys[i])
-            results[i] = built[j]
+        for i, res in zip(todo, built):
+            results[i] = res
+        if cache is not None:
+            cache.store_many(
+                [keys[i] for i in todo], raws, built,
+                [anchors[i] for i in todo], kernel,
+            )
     for i in dups:
         a, b = pairs[i]
         hit = cache.lookup_convolve(a, b, trim_eps, kernel, key=keys[i])
@@ -323,9 +319,7 @@ def convolve_many(
             raw = kernel.convolve_masses(a.masses, b.masses)
             if counter is not None:
                 counter.convolutions += 1
-            hit = _build_results(
-                [raw], [a.dt], [a.offset + b.offset], trim_eps
-            )[0]
+            hit = _build_results([raw], [a.dt], [anchors[i]], trim_eps)[0]
             cache.store_convolve(a, b, trim_eps, kernel, raw, hit,
                                  key=keys[i])
         elif counter is not None:
@@ -573,10 +567,7 @@ def stat_max_groups(
     # Validate once; the max numerics are backend-invariant.
     get_backend(backend)
     results: list = [None] * len(groups)
-    todo: list = []
-    keys: list = [None] * len(groups)
-    dups: list = []
-    seen: set = set()
+    multi: list = []
     for i, pdfs in enumerate(groups):
         if len(pdfs) == 0:
             raise DistributionError(
@@ -585,23 +576,34 @@ def stat_max_groups(
         _require_same_grid(pdfs)
         if len(pdfs) == 1:
             results[i] = pdfs[0].trimmed(trim_eps)
-            continue
-        if cache is not None:
-            key = cache.max_key(pdfs, trim_eps)
-            keys[i] = key
-            if key in seen:
-                # Resolved after the stores below, mirroring the hit a
-                # sequential loop's later call would see.
-                dups.append(i)
-                continue
-            hit = cache.lookup_max(pdfs, trim_eps, key=key)
+        else:
+            multi.append(i)
+    dups: list = []
+    if cache is None:
+        todo = multi
+    else:
+        # One locked pass, as for convolve_many; single-operand groups
+        # never reach the cache.
+        keys = [cache.max_key(groups[i], trim_eps) for i in multi]
+        hits, dup_pos = cache.lookup_many(
+            keys, None,
+            [min(p.offset for p in groups[i]) for i in multi],
+            [groups[i][0].dt for i in multi],
+            trim_eps,
+        )
+        dupset = set(dup_pos)
+        todo = []
+        todo_keys = []
+        for pos, (i, hit) in enumerate(zip(multi, hits)):
             if hit is not None:
                 if counter is not None:
-                    counter.max_cache_hits += len(pdfs) - 1
+                    counter.max_cache_hits += len(groups[i]) - 1
                 results[i] = hit
-                continue
-            seen.add(key)
-        todo.append(i)
+            elif pos in dupset:
+                dups.append((i, keys[pos]))
+            else:
+                todo.append(i)
+                todo_keys.append(keys[pos])
     if todo:
         # The raw compute (shape partition + stacked CDF products)
         # lives in max_batch_raws; every group's output is bitwise its
@@ -610,21 +612,18 @@ def stat_max_groups(
         computed = max_batch_raws(todo_groups)
         if counter is not None:
             counter.max_ops += sum(len(g) - 1 for g in todo_groups)
+        los = [lo for lo, _masses in computed]
+        raws = [masses for _lo, masses in computed]
         built = _build_results(
-            [masses for _lo, masses in computed],
-            [g[0].dt for g in todo_groups],
-            [lo for lo, _masses in computed],
-            trim_eps,
+            raws, [g[0].dt for g in todo_groups], los, trim_eps
         )
-        for i, (_lo, masses), result in zip(todo, computed, built):
-            # original order: store order matches sequential
-            if cache is not None:
-                cache.store_max(groups[i], trim_eps, masses, result,
-                                key=keys[i])
+        for i, result in zip(todo, built):
             results[i] = result
-    for i in dups:
+        if cache is not None:
+            cache.store_many(todo_keys, raws, built, los, None)
+    for i, key in dups:
         pdfs = groups[i]
-        hit = cache.lookup_max(pdfs, trim_eps, key=keys[i])
+        hit = cache.lookup_max(pdfs, trim_eps, key=key)
         if hit is None:
             # Representative entry already evicted (tiny capacity):
             # recompute, as a sequential loop would at this point.
@@ -632,7 +631,7 @@ def stat_max_groups(
             if counter is not None:
                 counter.max_ops += len(pdfs) - 1
             hit = _build_results([masses], [pdfs[0].dt], [lo], trim_eps)[0]
-            cache.store_max(pdfs, trim_eps, masses, hit, key=keys[i])
+            cache.store_max(pdfs, trim_eps, masses, hit, key=key)
         elif counter is not None:
             counter.max_cache_hits += len(pdfs) - 1
         results[i] = hit

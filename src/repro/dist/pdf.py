@@ -16,6 +16,7 @@ docstring for the full grid contract.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -268,6 +269,14 @@ class DiscretePDF:
         floor of :meth:`_inverse`); cached because the pruning bound
         evaluates inverses twice per perturbed node."""
         return int(self._knots[1].searchsorted(0.0, side="right"))
+
+    @cached_property
+    def _fp(self) -> bytes:
+        """SHA-1 of the mass bytes: the content fingerprint the kernel
+        result cache keys on (see :mod:`repro.dist.cache`).  Cached per
+        instance, so a long-lived operand is hashed once however many
+        keys name it, and later reads are plain attribute lookups."""
+        return hashlib.sha1(np.ascontiguousarray(self.masses)).digest()
 
     def cdf(self) -> np.ndarray:
         """Cumulative mass through each bin (aligned with :attr:`times`)."""

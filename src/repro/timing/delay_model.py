@@ -19,7 +19,7 @@ cache removes most discretization work.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import AnalysisConfig, DEFAULT_CONFIG
 from ..dist.families import truncated_gaussian_pdf
@@ -90,16 +90,22 @@ class DelayModel:
     # ------------------------------------------------------------------
     # Sizing support
     # ------------------------------------------------------------------
-    def gates_affected_by_resize(self, gate: Gate) -> Set[Gate]:
+    def gates_affected_by_resize(self, gate: Gate) -> List[Gate]:
         """Gates whose delay changes when ``gate`` is resized: the gate
-        itself (its drive changes) and the drivers of its input nets
-        (their loads change).  This is exactly the set the paper's
-        ``Initialize`` perturbs (Figure 7, step 1)."""
-        affected: Set[Gate] = {gate}
-        for net in gate.inputs:
-            if self.circuit.has_gate(net):
-                affected.add(self.circuit.gate(net))
-        return affected
+        itself (its drive changes), then the drivers of its input nets
+        in pin order (their loads change).  Input nets are distinct and
+        never the gate's own output, so each gate appears once.  This
+        is exactly the set the paper's ``Initialize`` perturbs (Figure
+        7, step 1).  The order is deterministic — ``Gate`` hashes by
+        identity, so a set would iterate in memory-address order — and
+        callers that stop at the first mismatch
+        (``PerturbationFront.try_rebase``) then do the same work on
+        every run."""
+        return [gate] + [
+            self.circuit.gate(net)
+            for net in gate.inputs
+            if self.circuit.has_gate(net)
+        ]
 
     def nominal_delays(self) -> Dict[str, float]:
         """Snapshot of every gate's nominal delay keyed by gate name."""

@@ -130,13 +130,12 @@ def _merge_parts(
                           backend=kernel, cache=cache),
         ):
             contribs[i] = res
-    # The per-op MAX cache still gets a look after a node-memo miss:
-    # usually the changed fan-in means it misses too, but an evicted
-    # node entry (the kinds share one LRU) or a translated recurrence
-    # can still be served here, and hits are bitwise either way.
+    # Behind a node-memo miss the per-op MAX memo almost never hits
+    # (the fan-in changed), so node-memo callers skip it: its stores
+    # would only evict entries that do pay.
     result = stat_max_many(
         contribs, trim_eps=trim_eps, counter=counter, backend=kernel,
-        cache=cache,
+        cache=None if node_key is not None else cache,
     )
     if node_key is not None:
         cache.store_node(node_key, result, kernel)
@@ -209,7 +208,9 @@ def compute_level_arrivals(
        :func:`~repro.dist.ops.convolve_many` dispatch (cache hits are
        filtered out of the batch inside, misses inserted after);
     3. merges every node's contributions through **one**
-       :func:`~repro.dist.ops.stat_max_groups` sweep.
+       :func:`~repro.dist.ops.stat_max_groups` sweep.  With the node
+       memo on, the sweep skips the per-op MAX memo: behind a node-memo
+       miss it almost never hits.
 
     The result is bitwise identical to looping
     :func:`compute_node_arrival` over the same parts lists in order —
@@ -223,7 +224,7 @@ def compute_level_arrivals(
 
     ``node_memo=False`` reproduces a caller that skips the whole-node
     memo (the backward pass does; its sequential reference never
-    consulted it).
+    consulted it) and consults the per-op MAX memo instead.
     """
     n = len(parts_list)
     results: List[Optional[DiscretePDF]] = [None] * n
@@ -276,14 +277,15 @@ def compute_level_arrivals(
         ):
             contribs_by_node[i][slot] = res
 
-    # One batched MAX sweep for the whole level.
+    # One batched MAX sweep for the whole level (the per-op MAX memo
+    # only without the node memo; see _merge_parts).
     if todo:
         for i, res in zip(
             todo,
             stat_max_groups(
                 [contribs_by_node[i] for i in todo],
                 trim_eps=trim_eps, counter=counter, backend=kernel,
-                cache=cache,
+                cache=None if node_memo else cache,
             ),
         ):
             results[i] = res

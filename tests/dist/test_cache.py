@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.config import AnalysisConfig
 from repro.dist.backends import FFTBackend, available_backends, get_backend
 from repro.dist.cache import (
+    _ENTRY_OVERHEAD_BYTES,
     DEFAULT_CACHE_CAPACITY,
     CacheStats,
     ConvolutionCache,
@@ -56,6 +57,19 @@ def pdfs(draw, max_bins: int = 48, max_offset: int = 120):
     pdf = DiscretePDF(2.0, offset, np.asarray(raw))
     trim = draw(st.sampled_from([0.0, 0.0, 1e-12, 1e-6]))
     return pdf.trimmed(trim)
+
+
+def recount_bytes(cache: ConvolutionCache) -> int:
+    """The byte accounting recomputed from scratch over the resident
+    entries: a fixed overhead plus every stored mass vector."""
+    total = 0
+    for entry in cache._entries.values():
+        total += _ENTRY_OVERHEAD_BYTES
+        if entry.raw is not None:
+            total += entry.raw.nbytes
+        if isinstance(entry.result, DiscretePDF):
+            total += entry.result.masses.nbytes
+    return total
 
 
 def assert_bitwise(a: DiscretePDF, b: DiscretePDF) -> None:
@@ -902,11 +916,7 @@ class TestThreadSafety:
         assert len(cache) <= capacity
         entries = list(cache._entries.items())
         assert len(entries) == len(cache)
-        from repro.dist.cache import _entry_nbytes
-
-        assert cache.approx_bytes == sum(
-            _entry_nbytes(e) for _k, e in entries
-        )
+        assert cache.approx_bytes == recount_bytes(cache)
         # Every resident entry still replays bitwise.
         backend = get_backend("direct")
         for a, b in self._operands(24):
@@ -915,6 +925,66 @@ class TestThreadSafety:
                 fresh = convolve(a, b, trim_eps=1e-9, backend=backend)
                 assert hit.offset == fresh.offset
                 assert np.array_equal(hit.masses, fresh.masses)
+
+    def test_batched_requests_keep_exact_tallies_under_churn(self):
+        """Batched probes and stores mutate the tallies in place under
+        the shared lock: with batches of distinct pairs, every probe
+        is a counted hit or a computed miss, so the final stats equal
+        the merged per-thread counters, while a byte-budget evictor
+        races them."""
+        import sys
+        import threading
+
+        cache = ConvolutionCache(16)
+        pairs = self._operands(24)
+        barrier = threading.Barrier(self.N_THREADS + 1)
+        counters = [OpCounter() for _ in range(self.N_THREADS)]
+        stop = threading.Event()
+        errors = []
+
+        def worker(tid: int):
+            try:
+                barrier.wait()
+                for r in range(20):
+                    start = (tid * 5 + r * 3) % len(pairs)
+                    batch = (pairs + pairs)[start : start + 8]
+                    convolve_many(batch, trim_eps=1e-9, backend="direct",
+                                  counter=counters[tid], cache=cache)
+            except BaseException as exc:  # pragma: no cover - fail loud
+                errors.append(exc)
+
+        def evictor():
+            try:
+                barrier.wait()
+                while not stop.is_set():
+                    cache.evict_to_bytes(cache.approx_bytes // 2)
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(self.N_THREADS)
+            ]
+            churn = threading.Thread(target=evictor)
+            for t in threads + [churn]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stop.set()
+            churn.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads + [churn])
+        assert not errors, errors
+        hits, misses, _evictions = cache.stats.snapshot()
+        assert hits == sum(c.convolve_cache_hits for c in counters)
+        assert misses == sum(c.convolutions for c in counters)
+        assert hits + misses == self.N_THREADS * 20 * 8
+        assert len(cache) <= cache.capacity
+        assert cache.approx_bytes == recount_bytes(cache)
 
     def test_concurrent_mixed_kind_requests(self):
         """ADD, MAX, node, and gap entries share one locked LRU."""
@@ -1043,6 +1113,143 @@ class TestByteBudget:
         cache.save(path)
         loaded = ConvolutionCache.load(path)
         assert loaded.approx_bytes == cache.approx_bytes
+
+
+#: Operations the byte-accounting property mixes: stores of every kind
+#: (a repeated node key replaces its entry with a different-sized one),
+#: LRU-refreshing lookups, byte-budget eviction, snapshot reloads (with
+#: and without a capacity cut) and snapshot merges.
+_BYTE_OPS = st.one_of(
+    st.tuples(st.just("conv"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("max"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("gap"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
+    st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
+    st.tuples(st.just("lookup"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("evict"), st.floats(0.0, 1.0), st.just(0)),
+    st.tuples(st.just("load"), st.sampled_from([None, 1, 3]), st.just(0)),
+    st.tuples(st.just("merge"), st.sampled_from([2, 64]), st.just(0)),
+)
+
+
+class TestByteAccountingProperty:
+    """``approx_bytes`` is a running tally kept at store, replace and
+    evict time; it must always equal a from-scratch recount."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        ops=st.lists(_BYTE_OPS, min_size=1, max_size=30),
+    )
+    def test_running_tally_equals_recount(self, capacity, ops):
+        import tempfile
+        from pathlib import Path
+
+        backend = get_backend("direct")
+        rng = np.random.default_rng(11)
+        pool = [
+            DiscretePDF(2.0, i, rng.random(3 + 2 * i) + 1e-3)
+            for i in range(6)
+        ]
+        cache = ConvolutionCache(capacity)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            other = ConvolutionCache(8)
+            convolve(pool[0], pool[5], trim_eps=1e-9, backend=backend,
+                     cache=other)
+            other.store_gap(pool[1], pool[2], 0.5)
+            other_path = tmp / "other.snap"
+            other.save(other_path)
+            for step, (kind, x, y) in enumerate(ops):
+                if kind == "conv":
+                    convolve(pool[x], pool[y], trim_eps=1e-9,
+                             backend=backend, cache=cache)
+                elif kind == "max":
+                    stat_max_many([pool[x], pool[y], pool[0]],
+                                  trim_eps=1e-9, cache=cache)
+                elif kind == "gap":
+                    cache.store_gap(pool[x], pool[y], float(x - y))
+                elif kind == "node":
+                    result = DiscretePDF(2.0, 0, np.ones(y))
+                    cache.store_node(("k", x), result, backend)
+                elif kind == "lookup":
+                    cache.lookup_convolve(pool[x], pool[y], 1e-9, backend)
+                elif kind == "evict":
+                    cache.evict_to_bytes(int(cache.approx_bytes * x))
+                elif kind == "load":
+                    path = tmp / f"s{step}.snap"
+                    cache.save(path)
+                    cache = ConvolutionCache.load(path, capacity=x)
+                else:
+                    path = tmp / f"s{step}.snap"
+                    merged = tmp / f"m{step}.snap"
+                    cache.save(path)
+                    ConvolutionCache.merge_snapshots(
+                        [path, other_path], merged, capacity=x
+                    )
+                    cache = ConvolutionCache.load(merged, capacity=capacity)
+                assert len(cache) <= cache.capacity
+                assert cache.approx_bytes == recount_bytes(cache)
+
+
+class TestOneLockPerBatch:
+    """The cache's operation mutex is its stats' lock, and the batched
+    kernels resolve a batch's probes in one acquisition and its stores
+    in one more."""
+
+    class _CountingLock:
+        def __init__(self, lock):
+            self._lock = lock
+            self.acquired = 0
+
+        def __enter__(self):
+            self.acquired += 1
+            return self._lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self._lock.__exit__(*exc)
+
+    def test_stats_share_the_cache_lock(self):
+        import pickle
+
+        cache = ConvolutionCache(8)
+        assert cache._lock is cache.stats._lock
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone._lock is clone.stats._lock
+        assert clone._lock is not cache._lock
+
+    def _pairs(self):
+        rng = np.random.default_rng(5)
+        return [
+            (DiscretePDF(2.0, i, rng.random(5) + 1e-3),
+             DiscretePDF(2.0, 3, rng.random(4) + 1e-3))
+            for i in range(8)
+        ]
+
+    def test_convolve_many_locks_once_to_probe_and_once_to_store(self):
+        cache = ConvolutionCache(64)
+        spy = cache._lock = self._CountingLock(cache._lock)
+        pairs = self._pairs()
+        convolve_many(pairs, trim_eps=1e-9, backend="direct", cache=cache)
+        assert spy.acquired == 2
+        assert cache.stats.snapshot() == (0, 8, 0)
+        spy.acquired = 0
+        convolve_many(pairs, trim_eps=1e-9, backend="direct", cache=cache)
+        assert spy.acquired == 1
+        assert cache.stats.snapshot() == (8, 8, 0)
+
+    def test_stat_max_groups_locks_once_to_probe_and_once_to_store(self):
+        from repro.dist.ops import stat_max_groups
+
+        cache = ConvolutionCache(64)
+        spy = cache._lock = self._CountingLock(cache._lock)
+        groups = [list(pair) for pair in self._pairs()]
+        stat_max_groups(groups, trim_eps=1e-9, cache=cache)
+        assert spy.acquired == 2
+        spy.acquired = 0
+        stat_max_groups(groups, trim_eps=1e-9, cache=cache)
+        assert spy.acquired == 1
+        assert cache.stats.snapshot() == (8, 8, 0)
 
 
 class TestMergeSnapshots:

@@ -1,0 +1,107 @@
+"""Which memo kinds each engine consults, and run-to-run determinism
+of the cached sizing loop.
+
+The kernel cache holds four kinds of entries in one LRU: whole-node
+arrivals (``"node"``), ADD results (``"conv"``), MAX results
+(``"max"``) and Theorem-4 gaps (``"gap"``).  Node-memo paths — full and
+incremental SSTA and the perturbation fronts — skip the per-op MAX
+memo, because behind a node-memo miss it almost never hits; the
+backward pass, which has no node memo, still uses it.
+"""
+
+import pytest
+
+from repro.config import AnalysisConfig
+from repro.core.objectives import PercentileObjective
+from repro.core.perturbation import PerturbationFront
+from repro.core.pruned_sizer import PrunedStatisticalSizer
+from repro.dist.cache import DEFAULT_CACHE_CAPACITY, ConvolutionCache
+from repro.netlist.benchmarks import load
+from repro.timing.criticality import run_backward_ssta
+from repro.timing.delay_model import DelayModel
+from repro.timing.graph import TimingGraph
+from repro.timing.incremental import update_ssta_after_resize
+from repro.timing.ssta import run_ssta
+
+
+def _kinds(cache: ConvolutionCache) -> set:
+    return {key[0] for key in cache._entries}
+
+
+def _setup(circuit_name: str, level_batch: bool):
+    cache = ConvolutionCache(DEFAULT_CACHE_CAPACITY)
+    cfg = AnalysisConfig(dt=2.0, cache=cache, level_batch=level_batch)
+    circuit = load(circuit_name)
+    graph = TimingGraph(circuit)
+    model = DelayModel(circuit, config=cfg)
+    return cache, cfg, circuit, graph, model
+
+
+@pytest.mark.parametrize("level_batch", [True, False])
+class TestMemoKinds:
+    def test_ssta_stores_no_max_entries(self, level_batch):
+        cache, cfg, _c, graph, model = _setup("c432", level_batch)
+        run_ssta(graph, model, config=cfg)
+        assert _kinds(cache) == {"node", "conv"}
+
+    def test_incremental_update_stores_no_max_entries(self, level_batch):
+        cache, cfg, circuit, graph, model = _setup("c432", level_batch)
+        base = run_ssta(graph, model, config=cfg)
+        cache.clear()
+        gate = circuit.topo_gates()[len(circuit.topo_gates()) // 2]
+        gate.width += 1.0
+        assert update_ssta_after_resize(base, model, [gate]) > 0
+        assert len(cache) > 0
+        assert "max" not in _kinds(cache)
+
+    def test_perturbation_front_stores_no_max_entries(self, level_batch):
+        cache, cfg, circuit, graph, model = _setup("c432", level_batch)
+        base = run_ssta(graph, model, config=cfg)
+        cache.clear()
+        objective = PercentileObjective(0.99)
+        for gate in circuit.topo_gates()[:12]:
+            PerturbationFront(
+                graph, model, base, gate, 1.0, objective
+            ).run_to_sink()
+        assert {"node", "conv", "gap"} <= _kinds(cache)
+        assert "max" not in _kinds(cache)
+
+    def test_backward_pass_still_uses_max_memo(self, level_batch):
+        cache, cfg, _c, graph, model = _setup("c432", level_batch)
+        run_backward_ssta(graph, model, config=cfg)
+        assert _kinds(cache) == {"conv", "max"}
+        # A second backward pass is served from those entries.
+        hits_before = cache.stats.hits
+        run_backward_ssta(graph, model, config=cfg)
+        assert cache.stats.hits > hits_before
+
+
+class TestSizingDeterminism:
+    def test_repeat_runs_make_identical_requests(self):
+        """Repeated cold-cache pruned sizing runs in one process make the
+        same ``delay_pdf`` calls and the same cache traffic.  The order
+        of a resized gate's affected gates decides where front reuse
+        stops checking, so it must not follow object addresses."""
+        base = load("c432")
+        calls = []
+        stats = []
+        for _ in range(3):
+            cache = ConvolutionCache(DEFAULT_CACHE_CAPACITY)
+            sizer = PrunedStatisticalSizer(
+                base.copy(), config=AnalysisConfig(cache=cache),
+                max_iterations=5,
+            )
+            n = [0]
+            model = sizer.model
+            original = model.delay_pdf
+
+            def counted(gate, _orig=original, _n=n):
+                _n[0] += 1
+                return _orig(gate)
+
+            model.delay_pdf = counted
+            sizer.run()
+            calls.append(n[0])
+            stats.append(cache.stats.snapshot())
+        assert calls == [calls[0]] * len(calls)
+        assert stats == [stats[0]] * len(stats)

@@ -133,3 +133,15 @@ class TestAffectedGates:
         gate = diamond.gate("out")
         affected = {g.name for g in model.gates_affected_by_resize(gate)}
         assert affected == {"out", "left", "right"}
+
+    def test_order_is_gate_then_drivers_in_pin_order(self, c17):
+        """A fixed order, independent of object addresses: the gate,
+        then its input-net drivers in pin order."""
+        model = DelayModel(c17)
+        for gate in c17.gates():
+            expected = [gate.name] + [
+                net for net in gate.inputs if c17.has_gate(net)
+            ]
+            for _ in range(2):
+                got = [g.name for g in model.gates_affected_by_resize(gate)]
+                assert got == expected
