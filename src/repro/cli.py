@@ -38,6 +38,7 @@ from .config import (
 from .core.deterministic_sizer import DeterministicSizer
 from .core.pruned_sizer import PrunedStatisticalSizer
 from .dist.cache import ConvolutionCache, DEFAULT_CACHE_CAPACITY
+from .errors import ReproError
 from .experiments import (
     fast_config,
     paper_config,
@@ -648,7 +649,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A typed library error is a user-facing failure (bad snapshot,
+        # bad .bench file, unreachable service), not a crash: one line
+        # on stderr and exit status 1, like the CLI's own SystemExits.
+        raise SystemExit(f"repro-ssta: {type(exc).__name__}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -557,8 +557,7 @@ class _CProvider:
     """C shared-library provider (cffi preferred, ctypes fallback).
 
     Batched entry points return views into one per-call buffer: the
-    raw vectors are transient, and whoever keeps one (the result
-    cache) copies it.  Built results own exact-length arrays.
+    raw vectors are transient.  Built results own exact-length arrays.
     """
 
     kind = "cext"

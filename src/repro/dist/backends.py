@@ -129,9 +129,9 @@ class ConvolutionBackend(Protocol):
         the :meth:`convolve_masses` contract — **bitwise**: a batched
         row must equal the vector :meth:`convolve_masses` would return
         for the same pair, whatever the batch composition.  The result
-        cache keys entries by operand content alone, so this is what
-        keeps cached batched and singleton computations
-        interchangeable.  Backends are free to amortize work across
+        cache keys entries by operand content and offsets, never by the
+        call that computed them, so this is what keeps cached batched
+        and singleton computations interchangeable.  Backends are free to amortize work across
         same-shape pairs under that constraint (the FFT backend stacks
         them into one 2-D transform, verifying per transform size that
         the platform batches row-bitwise); third-party backends may
@@ -312,7 +312,7 @@ class FFTBackend:
         equivalence is what lets the result cache share entries between
         batched and singleton computations without breaking its
         bitwise-transparency contract.  Rows are copied out of the
-        padded batch matrix so cached results never pin the full
+        padded batch matrix so long-lived results never pin the full
         ``(k, nfft)`` storage.
         """
         pairs = list(pairs)
@@ -352,7 +352,7 @@ class FFTBackend:
                 # An explicit copy, not ascontiguousarray: the sliced
                 # row is already contiguous, and a view here would pin
                 # the whole (k, nfft) batch matrix inside every
-                # long-lived cache entry built from it.
+                # long-lived result built from it.
                 out[i] = res[row].copy()
         return out
 
@@ -438,8 +438,7 @@ class CompiledBackend:
     is lazy — importing this module never compiles anything.
 
     ``convolve_many`` returns the provider's rows: views into one
-    buffer per batch, which the build step reads packed and the result
-    cache copies before keeping one.
+    buffer per batch, which the build step reads packed.
     """
 
     name = "compiled"

@@ -13,22 +13,22 @@ memo.
 
 Design constraints, in order:
 
-1. **Bitwise transparency.**  A cache hit must return exactly the bits
-   a fresh computation would produce.  Entries therefore store the
-   *raw* kernel output (the un-normalized convolved mass vector):
-   every downstream step — :class:`~repro.dist.pdf.DiscretePDF`
-   normalization and tail trimming — is a pure function of that vector
-   alone, so replaying it from the cache is bit-identical no matter
-   which operand *offsets* the hit arrives with.  When the offsets
-   match the original computation the stored (immutable) result object
-   is returned outright, which is the O(1) fast path the sizer loop
-   actually takes.
+1. **Finished results under absolute keys.**  A cache hit must return
+   exactly the bits a fresh computation would produce.  Every key names
+   its operands' absolute offsets (the operand-offset sum for ADD, each
+   operand's offset for MAX), so a hit is a recurrence of the very
+   request that computed the entry, and the stored (immutable) result
+   object is returned outright.  An entry is that finished result and
+   nothing else.  A translated recurrence (same masses, other offsets)
+   is a miss and recomputes.  Over pruned, brute-force and heuristic
+   sizing, SSTA and service traffic, no hit was ever translated
+   (0 of ~47k), so nothing is kept to rebuild one.
 2. **Content keys, not identity keys.**  Keys are fingerprints of the
-   operand mass vectors (plus ``dt``, relative offsets for MAX, the
-   trim epsilon, and the backend), so re-created but equal operands
-   hit, and a resized gate's new delay PDF — new masses, new
-   fingerprint — can never alias a stale entry.  Fingerprints are
-   SHA-1 digests of the immutable mass bytes, memoized per
+   operand mass vectors (plus ``dt``, offsets, the trim epsilon, and
+   the backend), so re-created but equal operands hit, and a resized
+   gate's new delay PDF — new masses, new fingerprint — can never
+   alias a stale entry.  Fingerprints are SHA-1 digests of the
+   immutable mass bytes, memoized per
    :class:`~repro.dist.pdf.DiscretePDF` instance (its ``_fp``
    attribute), so repeated lookups of long-lived operands cost O(1).
 3. **Bounded memory.**  The cache is an LRU over a fixed number of
@@ -74,8 +74,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..errors import DistributionError
 from .pdf import DiscretePDF
@@ -187,43 +185,24 @@ _ENTRY_OVERHEAD_BYTES = 256
 
 
 class _Entry:
-    """One memoized kernel result.
-
-    ``raw`` is the kernel's un-normalized output vector; ``result`` the
-    finished (normalized, trimmed) :class:`DiscretePDF` as computed at
-    ``anchor`` (the operand-offset sum for ADD, the minimum operand
-    offset for MAX); ``backend`` the resolved backend object the entry
-    was computed under, verified identically on hit so two distinct
-    backend instances sharing a name can never serve each other's bits;
-    ``nbytes`` its approximate resident size, fixed at construction:
-    the byte accounting adds it on store and subtracts it on evict or
-    replace.
+    """One memoized result: ``result`` is the finished value (a
+    :class:`DiscretePDF`, or a float for the gap memo); ``backend`` the
+    resolved backend object the entry was computed under, verified
+    identically on hit so two distinct backend instances sharing a name
+    can never serve each other's bits; ``nbytes`` its approximate
+    resident size, fixed at construction: the byte accounting adds it
+    on store and subtracts it on evict or replace.
     """
 
-    __slots__ = ("raw", "result", "anchor", "backend", "nbytes")
+    __slots__ = ("result", "backend", "nbytes")
 
-    def __init__(self, raw, result, anchor, backend) -> None:
-        self.raw = raw
+    def __init__(self, result, backend) -> None:
         self.result = result
-        self.anchor = anchor
         self.backend = backend
         n = _ENTRY_OVERHEAD_BYTES
-        if raw is not None:
-            n += raw.nbytes
         if isinstance(result, DiscretePDF):
             n += result.masses.nbytes
         self.nbytes = n
-
-
-def _own(raw) -> np.ndarray:
-    """A read-only raw vector for a long-lived entry.  Batched kernels
-    may hand out views into one per-batch buffer; an entry keeps an
-    exact copy instead of pinning the whole batch."""
-    raw = np.asarray(raw)
-    if raw.base is not None:
-        raw = raw.copy()
-    raw.flags.writeable = False
-    return raw
 
 
 class ConvolutionCache:
@@ -300,9 +279,9 @@ class ConvolutionCache:
     ) -> tuple:
         """Cache key of ``convolve(a, b)`` under the given trim epsilon
         and (resolved) backend."""
-        # Offsets are deliberately absent: the raw convolved masses
-        # depend only on the operand mass vectors, so one entry serves
-        # every translated occurrence of the same operand pair.
+        # The finished result depends on the operand offsets only
+        # through their sum (its own offset), so every split of one sum
+        # over the two operands shares the entry.
         return (
             "conv",
             a.dt,
@@ -310,22 +289,20 @@ class ConvolutionCache:
             getattr(backend, "name", type(backend).__name__),
             a._fp,  # noqa: SLF001 - the per-instance digest memo
             b._fp,  # noqa: SLF001
+            a.offset + b.offset,
         )
 
     @staticmethod
     def max_key(pdfs: Sequence[DiscretePDF], trim_eps: float) -> tuple:
         """Cache key of ``stat_max_many(pdfs)`` at the given trim
         epsilon."""
-        # The MAX product depends on the *relative* operand alignment,
-        # so offsets enter the key relative to the leftmost operand;
-        # the absolute anchor is replayed from the hit context.  The
-        # MAX numerics are backend-invariant, so no backend component.
-        lo = min(p.offset for p in pdfs)
+        # Absolute operand offsets; the MAX numerics are
+        # backend-invariant, so no backend component.
         return (
             "max",
             pdfs[0].dt,
             trim_eps,
-            tuple([(p.offset - lo, p._fp) for p in pdfs]),  # noqa: SLF001
+            tuple([(p.offset, p._fp) for p in pdfs]),  # noqa: SLF001
         )
 
     # ------------------------------------------------------------------
@@ -367,32 +344,19 @@ class ConvolutionCache:
     # ------------------------------------------------------------------
     # Batched requests (convolve_many, stat_max_groups)
     # ------------------------------------------------------------------
-    def lookup_many(
-        self,
-        keys: Sequence[tuple],
-        backend,
-        anchors: Sequence[int],
-        dts: Sequence[float],
-        trim_eps: float,
-    ) -> tuple:
+    def lookup_many(self, keys: Sequence[tuple], backend) -> tuple:
         """Resolve a batch of ADD (``backend`` = the resolved kernel)
         or MAX (``backend`` = None) requests in one locked pass, as a
         sequential loop sees them before the batch's first store.
 
-        Returns ``(results, dups)``: ``results[i]`` is the hit or None.
-        A repeat of a key that missed earlier in the batch is not
-        probed — a sequential loop would hit the entry its first
-        occurrence stores, and probing now would register a miss that
-        stream never sees — and its index goes to ``dups`` for the
+        Returns ``(results, dups)``: ``results[i]`` is the stored
+        result or None.  A repeat of a key that missed earlier in the
+        batch is not probed — a sequential loop would hit the entry its
+        first occurrence stores, and probing now would register a miss
+        that stream never sees — and its index goes to ``dups`` for the
         caller to resolve after its stores.
-
-        A hit whose operands arrive at another offset than the stored
-        computation's (``anchors[i]`` differs) is rebuilt there from
-        the stored raw vector.  Normalization and trimming are pure
-        functions of that vector, so rebuilding it through the kernels'
-        own construction step is bit-identical to a fresh computation.
         """
-        found: list = [None] * len(keys)
+        results: list = [None] * len(keys)
         dups: list = []
         missed: set = set()
         with self._lock:
@@ -404,40 +368,18 @@ class ConvolutionCache:
                 if entry is None:
                     missed.add(key)
                 else:
-                    found[i] = entry
-        # Outside the lock: entries are immutable.
-        results = [None if e is None else e.result for e in found]
-        moved = [
-            i for i, e in enumerate(found)
-            if e is not None and e.anchor != anchors[i]
-        ]
-        if moved:
-            from .ops import _build_results
-
-            built = _build_results(
-                [found[i].raw for i in moved],
-                [dts[i] for i in moved],
-                [anchors[i] for i in moved],
-                trim_eps,
-            )
-            for i, res in zip(moved, built):
-                results[i] = res
+                    results[i] = entry.result
         return results, dups
 
     def store_many(
         self,
         keys: Sequence[tuple],
-        raws: Sequence,
         results: Sequence[DiscretePDF],
-        anchors: Sequence[int],
         backend,
     ) -> None:
         """Insert a batch of freshly computed ADD or MAX results under
         one lock, in order (``backend`` as in :meth:`lookup_many`)."""
-        new = [
-            _Entry(_own(raw), result, anchor, backend)
-            for raw, result, anchor in zip(raws, results, anchors)
-        ]
+        new = [_Entry(result, backend) for result in results]
         with self._lock:
             for key, entry in zip(keys, new):
                 self._put(key, entry)
@@ -459,9 +401,7 @@ class ConvolutionCache:
         callers build it once per request)."""
         if key is None:
             key = self.convolve_key(a, b, trim_eps, backend)
-        return self.lookup_many(
-            [key], backend, [a.offset + b.offset], [a.dt], trim_eps
-        )[0][0]
+        return self.lookup_many([key], backend)[0][0]
 
     def store_convolve(
         self,
@@ -469,18 +409,14 @@ class ConvolutionCache:
         b: DiscretePDF,
         trim_eps: float,
         backend,
-        raw: np.ndarray,
         result: DiscretePDF,
         *,
         key: Optional[tuple] = None,
     ) -> None:
-        """Insert a freshly computed convolution (``raw`` is the kernel
-        output before normalization/trimming)."""
+        """Insert a freshly computed convolution result."""
         if key is None:
             key = self.convolve_key(a, b, trim_eps, backend)
-        self.store_many(
-            [key], [raw], [result], [a.offset + b.offset], backend
-        )
+        self.store_many([key], [result], backend)
 
     # ------------------------------------------------------------------
     # MAX (independence statistical maximum)
@@ -496,24 +432,19 @@ class ConvolutionCache:
         ``key`` accepts a precomputed :meth:`max_key`."""
         if key is None:
             key = self.max_key(pdfs, trim_eps)
-        anchor = min(p.offset for p in pdfs)
-        return self.lookup_many(
-            [key], None, [anchor], [pdfs[0].dt], trim_eps
-        )[0][0]
+        return self.lookup_many([key], None)[0][0]
 
     def store_max(
         self,
         pdfs: Sequence[DiscretePDF],
         trim_eps: float,
-        raw: np.ndarray,
         result: DiscretePDF,
         *,
         key: Optional[tuple] = None,
     ) -> None:
         if key is None:
             key = self.max_key(pdfs, trim_eps)
-        anchor = min(p.offset for p in pdfs)
-        self.store_many([key], [raw], [result], [anchor], None)
+        self.store_many([key], [result], None)
 
     # ------------------------------------------------------------------
     # Whole-node arrival memo (the engines' coarse-grained fast path)
@@ -524,8 +455,7 @@ class ConvolutionCache:
     # inputs (the dominant case across candidate fronts and optimizer
     # iterations) skip the whole convolve-batch + MAX pipeline for one
     # dict probe.  Keys use absolute offsets, so a hit returns the
-    # exact stored object a fresh computation would reproduce bitwise;
-    # a translated recurrence simply misses into the per-op caches.
+    # exact stored object a fresh computation would reproduce bitwise.
 
     def lookup_node(self, key: tuple, backend) -> Optional[DiscretePDF]:
         """Memoized whole-node arrival for a key built by
@@ -538,7 +468,7 @@ class ConvolutionCache:
         return None if entry is None else entry.result
 
     def store_node(self, key: tuple, result: DiscretePDF, backend) -> None:
-        entry = _Entry(None, result, 0, backend)
+        entry = _Entry(result, backend)
         with self._lock:
             self._put(("node",) + key, entry)
 
@@ -591,7 +521,7 @@ class ConvolutionCache:
 
     def store_gap(self, a: DiscretePDF, b: DiscretePDF, gap: float) -> None:
         key = self._gap_key(a, b)
-        entry = _Entry(None, gap, 0, None)
+        entry = _Entry(gap, None)
         with self._lock:
             self._put(key, entry)
 
@@ -601,17 +531,16 @@ class ConvolutionCache:
     # Keys are content fingerprints (SHA-1 of mass bytes) plus grid,
     # epsilon, offset, and backend-*name* components — nothing
     # process-specific — so entries are valid in any process that
-    # resolves the same registry kernels.  Snapshots ride the same
-    # memo-stripped serialization the parallel IPC layer uses
-    # (``DiscretePDF.__getstate__``): an entry is its key, its raw
-    # kernel output, its finished result, its anchor, and its backend
-    # name.  Only registry-kernel entries are saved — a non-registry
+    # resolves the same registry kernels.  Snapshots ride the
+    # memo-stripped serialization of ``DiscretePDF.__getstate__``: an
+    # entry is its key, its finished result, and its backend name.  Only registry-kernel entries are saved — a non-registry
     # backend instance cannot be identified by name alone, and writing
     # it under its name could alias a different implementation's
     # entries on load.
 
-    #: Snapshot format version (bump on any layout change).
-    SNAPSHOT_FORMAT: int = 1
+    #: Snapshot format version (bump on any layout change).  Files of
+    #: another format are rejected, never translated: delete them.
+    SNAPSHOT_FORMAT: int = 2
 
     def save(self, path) -> int:
         """Write every (registry-kernel) entry to ``path`` in LRU
@@ -635,7 +564,7 @@ class ConvolutionCache:
                 name = backend.name
             else:
                 continue
-            entries.append((key, entry.raw, entry.result, entry.anchor, name))
+            entries.append((key, entry.result, name))
         payload = {
             "format": self.SNAPSHOT_FORMAT,
             "capacity": self.capacity,
@@ -735,18 +664,17 @@ class ConvolutionCache:
         fmt = payload.get("format")
         if fmt != cls.SNAPSHOT_FORMAT:
             raise DistributionError(
-                f"unsupported cache snapshot format {fmt!r} "
-                f"(expected {cls.SNAPSHOT_FORMAT})"
+                f"cache snapshot {os.fspath(path)!r} has unsupported "
+                f"format {fmt!r} (expected {cls.SNAPSHOT_FORMAT}); "
+                "delete it to start cold"
             )
         try:
             cache = cls(
                 capacity if capacity is not None else payload["capacity"]
             )
-            for key, raw, result, anchor, name in payload["entries"]:
-                if raw is not None:
-                    raw.flags.writeable = False
+            for key, result, name in payload["entries"]:
                 backend = None if name is None else get_backend(name)
-                cache._entries[key] = _Entry(raw, result, anchor, backend)
+                cache._entries[key] = _Entry(result, backend)
         except DistributionError:
             raise
         except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -37,10 +37,10 @@ convolution, so its numerics are backend-invariant by construction.
 Two orthogonal accelerations ride on top of that contract:
 
 * every kernel takes an optional ``cache`` — a
-  :class:`~repro.dist.cache.ConvolutionCache` memoizing results keyed
-  by operand content, backend, and trim epsilon.  Hits return bits
-  identical to a fresh computation and are tallied on the counter as
-  *hits*, never as computed operations;
+  :class:`~repro.dist.cache.ConvolutionCache` memoizing finished
+  results keyed by operand content and offsets, backend, and trim
+  epsilon.  Hits return bits identical to a fresh computation and are
+  tallied on the counter as *hits*, never as computed operations;
 * :func:`convolve_many` batches a node's fan-in ADDs through the
   backend's ``convolve_many`` entry point, stacking same-shape operand
   pairs into one 2-D transform (FFT path) or an equivalent loop
@@ -174,7 +174,7 @@ def _require_same_grid(pdfs: Sequence[DiscretePDF]) -> float:
 def _build_results(raws: Sequence, dts, offsets, trim_eps: float) -> list:
     """``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)`` for
     every raw kernel output — the one construction step behind every
-    ADD and MAX result, cache replays included.
+    ADD and MAX result.
 
     Runs the compiled build kernel when it passed its bitwise
     self-check, the NumPy expression otherwise: the same bits either
@@ -226,7 +226,7 @@ def convolve(
         counter.convolutions += 1
     result = _build_results([masses], [dt], [a.offset + b.offset], trim_eps)[0]
     if cache is not None:
-        cache.store_convolve(a, b, trim_eps, kernel, masses, result)
+        cache.store_convolve(a, b, trim_eps, kernel, result)
     return result
 
 
@@ -269,7 +269,7 @@ def convolve_many(
     kernel = get_backend(backend)
     for a, b in pairs:
         _require_same_grid((a, b))
-    anchors = [a.offset + b.offset for a, b in pairs]
+    offsets = [a.offset + b.offset for a, b in pairs]
     if cache is None:
         results: list = [None] * len(pairs)
         todo = list(range(len(pairs)))
@@ -278,9 +278,7 @@ def convolve_many(
         # One locked pass resolves the batch as a sequential loop's
         # probes would; repeats of a missed pair come back in ``dups``.
         keys = [cache.convolve_key(a, b, trim_eps, kernel) for a, b in pairs]
-        results, dups = cache.lookup_many(
-            keys, kernel, anchors, [a.dt for a, _b in pairs], trim_eps
-        )
+        results, dups = cache.lookup_many(keys, kernel)
         dupset = set(dups)
         todo = [
             i for i, r in enumerate(results) if r is None and i not in dupset
@@ -300,16 +298,13 @@ def convolve_many(
         built = _build_results(
             raws,
             [pairs[i][0].dt for i in todo],
-            [anchors[i] for i in todo],
+            [offsets[i] for i in todo],
             trim_eps,
         )
         for i, res in zip(todo, built):
             results[i] = res
         if cache is not None:
-            cache.store_many(
-                [keys[i] for i in todo], raws, built,
-                [anchors[i] for i in todo], kernel,
-            )
+            cache.store_many([keys[i] for i in todo], built, kernel)
     for i in dups:
         a, b = pairs[i]
         hit = cache.lookup_convolve(a, b, trim_eps, kernel, key=keys[i])
@@ -319,9 +314,8 @@ def convolve_many(
             raw = kernel.convolve_masses(a.masses, b.masses)
             if counter is not None:
                 counter.convolutions += 1
-            hit = _build_results([raw], [a.dt], [anchors[i]], trim_eps)[0]
-            cache.store_convolve(a, b, trim_eps, kernel, raw, hit,
-                                 key=keys[i])
+            hit = _build_results([raw], [a.dt], [offsets[i]], trim_eps)[0]
+            cache.store_convolve(a, b, trim_eps, kernel, hit, key=keys[i])
         elif counter is not None:
             counter.convolve_cache_hits += 1
         results[i] = hit
@@ -394,7 +388,7 @@ def _independence_max(
         counter.max_ops += len(pdfs) - 1
     result = _build_results([masses], [dt], [lo], trim_eps)[0]
     if cache is not None:
-        cache.store_max(pdfs, trim_eps, masses, result)
+        cache.store_max(pdfs, trim_eps, result)
     return result
 
 
@@ -507,7 +501,7 @@ def stat_max(
     true circuit-delay CDF in the presence of reconvergence [3].
     ``backend`` is validated for call-site uniformity; the max numerics
     are backend-invariant.  ``cache`` memoizes the product keyed by the
-    operands' contents and relative alignment.
+    operands' contents and offsets.
     """
     return _independence_max((a, b), trim_eps, counter, backend, cache)
 
@@ -585,12 +579,7 @@ def stat_max_groups(
         # One locked pass, as for convolve_many; single-operand groups
         # never reach the cache.
         keys = [cache.max_key(groups[i], trim_eps) for i in multi]
-        hits, dup_pos = cache.lookup_many(
-            keys, None,
-            [min(p.offset for p in groups[i]) for i in multi],
-            [groups[i][0].dt for i in multi],
-            trim_eps,
-        )
+        hits, dup_pos = cache.lookup_many(keys, None)
         dupset = set(dup_pos)
         todo = []
         todo_keys = []
@@ -620,7 +609,7 @@ def stat_max_groups(
         for i, result in zip(todo, built):
             results[i] = result
         if cache is not None:
-            cache.store_many(todo_keys, raws, built, los, None)
+            cache.store_many(todo_keys, built, None)
     for i, key in dups:
         pdfs = groups[i]
         hit = cache.lookup_max(pdfs, trim_eps, key=key)
@@ -631,7 +620,7 @@ def stat_max_groups(
             if counter is not None:
                 counter.max_ops += len(pdfs) - 1
             hit = _build_results([masses], [pdfs[0].dt], [lo], trim_eps)[0]
-            cache.store_max(pdfs, trim_eps, masses, hit, key=key)
+            cache.store_max(pdfs, trim_eps, hit, key=key)
         elif counter is not None:
             counter.max_cache_hits += len(pdfs) - 1
         results[i] = hit

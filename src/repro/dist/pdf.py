@@ -192,10 +192,20 @@ class DiscretePDF:
         )
 
     def shifted_bins(self, bins: int) -> "DiscretePDF":
-        """Same masses translated by an integer number of grid bins."""
+        """Same masses translated by an integer number of grid bins.
+
+        The read-only mass array is shared, not renormalized, so the
+        masses keep every bit and the trim-idempotence marker (a
+        property of the masses alone) carries over."""
         if bins == 0:
             return self
-        return DiscretePDF(self.dt, self.offset + int(bins), self.masses)
+        out = object.__new__(DiscretePDF)
+        object.__setattr__(out, "dt", self.dt)
+        object.__setattr__(out, "offset", self.offset + int(bins))
+        object.__setattr__(out, "masses", self.masses)
+        if "_trim_level" in self.__dict__:
+            out.__dict__["_trim_level"] = self.__dict__["_trim_level"]
+        return out
 
     def shifted(self, time: float) -> "DiscretePDF":
         """Translate by ``time`` ps, rounded to the nearest whole bin."""

@@ -61,12 +61,10 @@ def pdfs(draw, max_bins: int = 48, max_offset: int = 120):
 
 def recount_bytes(cache: ConvolutionCache) -> int:
     """The byte accounting recomputed from scratch over the resident
-    entries: a fixed overhead plus every stored mass vector."""
+    entries: a fixed overhead plus every stored result's masses."""
     total = 0
     for entry in cache._entries.values():
         total += _ENTRY_OVERHEAD_BYTES
-        if entry.raw is not None:
-            total += entry.raw.nbytes
         if isinstance(entry.result, DiscretePDF):
             total += entry.result.masses.nbytes
     return total
@@ -114,25 +112,39 @@ class TestCachedConvolveBitwise:
         second = convolve(a, b, trim_eps=1e-9, cache=cache)
         assert second is first
 
-    def test_translated_operands_hit_and_stay_bitwise(self):
-        """Offsets are absent from the ADD key: a translated recurrence
-        of the same mass vectors hits, and the replayed result matches
-        the uncached convolution at the new offsets bit for bit."""
+    def test_translated_operands_miss_and_recompute_bitwise(self):
+        """The ADD key carries the operand-offset sum: a translated
+        recurrence of the same mass vectors misses and recomputes bit
+        for bit, and computed + hits equal the cache-off tally."""
         rng = np.random.default_rng(8)
-        raw_a, raw_b = rng.random(30), rng.random(20)
-        a = DiscretePDF(2.0, 0, raw_a)
-        b = DiscretePDF(2.0, 0, raw_b)
+        a = DiscretePDF(2.0, 0, rng.random(30))
+        b = DiscretePDF(2.0, 0, rng.random(20))
+        a2, b2 = a.shifted_bins(17), b.shifted_bins(-4)
         cache = ConvolutionCache()
-        convolve(a, b, trim_eps=1e-9, cache=cache)
-        # Same raw vectors normalized identically, new offsets: content-
-        # equal translations (shifted_bins would renormalize by the
-        # stored sum and perturb the last ulp — a legitimate miss).
-        a2 = DiscretePDF(2.0, 17, raw_a)
-        b2 = DiscretePDF(2.0, -4, raw_b)
-        plain = convolve(a2, b2, trim_eps=1e-9)
-        cached = convolve(a2, b2, trim_eps=1e-9, cache=cache)
-        assert cache.stats.hits == 1
-        assert_bitwise(plain, cached)
+        counter, plain_counter = OpCounter(), OpCounter()
+        for x, y in [(a, b), (a2, b2), (a2, b2)]:
+            cached = convolve(x, y, trim_eps=1e-9, counter=counter,
+                              cache=cache)
+            plain = convolve(x, y, trim_eps=1e-9, counter=plain_counter)
+            assert_bitwise(plain, cached)
+        assert (cache.stats.misses, cache.stats.hits) == (2, 1)
+        assert (counter.convolutions, counter.convolve_cache_hits) == (2, 1)
+        assert counter.total_requests == plain_counter.convolutions == 3
+
+    def test_offset_split_over_the_same_sum_hits(self):
+        """Only the operand-offset sum enters the key, so moving one
+        bin from ``a`` to ``b`` is the same request: it hits and is
+        bitwise the fresh computation."""
+        rng = np.random.default_rng(18)
+        a = DiscretePDF(2.0, 6, rng.random(25))
+        b = DiscretePDF(2.0, -3, rng.random(14))
+        cache = ConvolutionCache()
+        first = convolve(a, b, trim_eps=1e-9, cache=cache)
+        a1, b1 = a.shifted_bins(1), b.shifted_bins(-1)
+        hit = convolve(a1, b1, trim_eps=1e-9, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert hit is first
+        assert_bitwise(hit, convolve(a1, b1, trim_eps=1e-9))
 
     def test_deltas_and_disjoint_supports(self):
         delta = DiscretePDF.delta(2.0, 40.0)
@@ -202,26 +214,23 @@ class TestCachedStatMaxBitwise:
         assert_bitwise(plain, hit)
         assert hit is miss  # same anchor: the stored object comes back
 
-    def test_relative_alignment_is_the_key(self):
-        """Translating *all* operands together hits (same relative
-        alignment) and replays bitwise at the new anchor; translating
-        one operand alone is a different MAX and must miss."""
+    def test_absolute_offsets_are_the_key(self):
+        """The MAX key carries every operand's absolute offset:
+        translating all operands together, or one alone, misses and
+        recomputes bitwise; computed + hits equal the cache-off tally."""
         rng = np.random.default_rng(13)
-        raws = [rng.random(18) for _ in range(3)]
-        ops = [DiscretePDF(2.0, 3 * i, raw) for i, raw in enumerate(raws)]
-        cache = ConvolutionCache()
-        stat_max_many(ops, cache=cache)
-        together = [
-            DiscretePDF(2.0, p.offset + 11, raw)
-            for p, raw in zip(ops, raws)
-        ]
-        plain = stat_max_many(together)
-        cached = stat_max_many(together, cache=cache)
-        assert cache.stats.hits == 1
-        assert_bitwise(plain, cached)
+        ops = [DiscretePDF(2.0, 3 * i, rng.random(18)) for i in range(3)]
+        together = [p.shifted_bins(11) for p in ops]
         skewed = [ops[0].shifted_bins(1), ops[1], ops[2]]
-        stat_max_many(skewed, cache=cache)
-        assert cache.stats.misses == 2  # the skewed call missed
+        cache = ConvolutionCache()
+        counter, plain_counter = OpCounter(), OpCounter()
+        for group in (ops, together, skewed, together):
+            cached = stat_max_many(group, counter=counter, cache=cache)
+            plain = stat_max_many(group, counter=plain_counter)
+            assert_bitwise(plain, cached)
+        assert (cache.stats.misses, cache.stats.hits) == (3, 1)
+        assert (counter.max_ops, counter.max_cache_hits) == (6, 2)
+        assert counter.total_requests == plain_counter.max_ops == 8
 
     def test_single_operand_bypasses_the_cache(self):
         p = DiscretePDF(2.0, 0, np.random.default_rng(14).random(10))
@@ -461,8 +470,9 @@ class TestNodeMemoGuards:
             assert_bitwise(out, convolve(a, b, backend="fft"))
 
     def test_batched_fft_rows_do_not_pin_the_batch_matrix(self):
-        """Cached raw vectors from a batch must own their storage —
-        a view would keep the whole (k, nfft) matrix alive per entry."""
+        """Raw vectors from a batch must own their storage — a view
+        would keep the whole (k, nfft) matrix alive inside every result
+        built from it."""
         rng = np.random.default_rng(22)
         pairs = [
             (
@@ -523,27 +533,29 @@ class TestBatchDedupAgainstSequential:
         assert batched[3] is batched[0]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_translated_duplicate_replays_bitwise(self, backend):
-        """A duplicate at shifted offsets shares the raw entry and is
-        re-anchored exactly as a sequential translated hit would be.
-        Exactly-normalized (dyadic) masses make the shifted twins share
-        the mass vector — and hence the content key — bitwise."""
-        a = DiscretePDF(2.0, 0, np.asarray([0.25, 0.5, 0.125, 0.125]))
-        b = DiscretePDF(2.0, 1, np.asarray([0.5, 0.25, 0.25]))
-        pairs = [(a, b), (a.shifted_bins(7), b.shifted_bins(-2))]
+    def test_translated_twin_computes_and_split_twin_hits(self, backend):
+        """Within one batch a translated twin (another offset sum) is a
+        request of its own and is computed; a twin splitting the same
+        offset sum differently is a duplicate, served from the entry
+        its first occurrence stores, exactly as a sequential loop."""
+        rng = np.random.default_rng(43)
+        a = DiscretePDF(2.0, 0, rng.random(20))
+        b = DiscretePDF(2.0, 1, rng.random(12))
+        translated = (a.shifted_bins(7), b.shifted_bins(-2))
+        split = (a.shifted_bins(1), b.shifted_bins(-1))
+        pairs = [(a, b), translated, split]
         cache = ConvolutionCache()
         counter = OpCounter()
         batched = convolve_many(
             pairs, trim_eps=1e-9, counter=counter, backend=backend,
             cache=cache,
         )
-        assert counter.convolutions == 1
+        assert counter.convolutions == 2
         assert counter.convolve_cache_hits == 1
-        seq = convolve(
-            a.shifted_bins(7), b.shifted_bins(-2), trim_eps=1e-9,
-            backend=backend, cache=ConvolutionCache(),
-        )
-        assert_bitwise(batched[1], seq)
+        assert batched[2] is batched[0]
+        for (x, y), res in zip(pairs, batched):
+            assert_bitwise(res, convolve(x, y, trim_eps=1e-9,
+                                         backend=backend))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_tallies_and_stats_match_a_sequential_loop(self, backend):
@@ -630,10 +642,11 @@ class TestBatchAwareKeyAPI:
         res = stat_max_many(pdfs_, trim_eps=1e-9, cache=cache)
         key = cache.max_key(pdfs_, 1e-9)
         assert cache.lookup_max(pdfs_, 1e-9, key=key) is res
-        # Relative alignment is the key: translating the whole group
-        # shares the entry (re-anchored), per the PR-3 contract.
+        # Absolute offsets are the key: the translated group is another
+        # request and finds no entry.
         shifted = [p.shifted_bins(3) for p in pdfs_]
-        assert cache.max_key(shifted, 1e-9) == key
+        assert cache.max_key(shifted, 1e-9) != key
+        assert cache.lookup_max(shifted, 1e-9) is None
 
 
 class TestCacheStatsMerge:
@@ -708,25 +721,53 @@ class TestSnapshotPersistence:
         assert_bitwise(hit_mx, mx)
         assert loaded.stats.misses == 0
 
-    def test_translated_replay_from_snapshot(self, tmp_path):
-        """Raw vectors survive the round trip: a loaded entry serves a
-        *translated* recurrence of the operand pair (different
-        offsets), re-anchored bitwise — same contract as a live one.
-        Exactly-normalized masses, so translation preserves the
-        fingerprint (a renormalizing shift would change the content,
-        and rightly miss)."""
+    def test_translated_recurrence_misses_after_snapshot(self, tmp_path):
+        """A loaded entry keeps its absolute key, as a live one does:
+        the same offset sum hits (split either way), a translated
+        recurrence of the operand pair misses."""
         kernel = get_backend("direct")
         cache = ConvolutionCache()
         a = DiscretePDF(2.0, 10, np.asarray([0.25, 0.25, 0.5]))
         b = DiscretePDF(2.0, -4, np.asarray([0.5, 0.5]))
-        convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+        live = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
-        live = convolve(a.shifted_bins(5), b, trim_eps=1e-9, backend=kernel)
-        hit = loaded.lookup_convolve(a.shifted_bins(5), b, 1e-9, kernel)
-        assert hit is not None
-        assert_bitwise(hit, live)
+        split = loaded.lookup_convolve(
+            a.shifted_bins(2), b.shifted_bins(-2), 1e-9, kernel
+        )
+        assert split is not None
+        assert_bitwise(split, live)
+        assert loaded.lookup_convolve(a.shifted_bins(5), b, 1e-9,
+                                      kernel) is None
+
+    def test_format2_payload_roundtrip(self, tmp_path):
+        """A format-2 snapshot holds ``(key, result, backend name)``
+        per entry — finished results only — and loads back into the
+        same keys, results (bitwise), backends and byte tally."""
+        import pickle
+
+        cache, (a, b, c), (conv, mx), kernel = self._warm_cache("direct")
+        cache.store_gap(a, b, 1.5)
+        path = tmp_path / "snap.cache"
+        cache.save(path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["format"] == ConvolutionCache.SNAPSHOT_FORMAT == 2
+        assert [len(e) for e in payload["entries"]] == [3, 3, 3]
+        names = [name for _key, _result, name in payload["entries"]]
+        assert names == ["direct", None, None]  # ADD, MAX, gap
+        loaded = ConvolutionCache.load(path)
+        assert list(loaded._entries) == list(cache._entries)
+        for key, entry in cache._entries.items():
+            twin = loaded._entries[key]
+            assert twin.backend is entry.backend
+            if isinstance(entry.result, DiscretePDF):
+                assert_bitwise(twin.result, entry.result)
+            else:
+                assert twin.result == entry.result
+        assert loaded.approx_bytes == cache.approx_bytes
+        assert_bitwise(loaded.lookup_convolve(a, b, 1e-9, kernel), conv)
+        assert_bitwise(loaded.lookup_max([conv, c], 1e-9), mx)
 
     def test_capacity_override_keeps_most_recent(self, tmp_path):
         cache = ConvolutionCache()
@@ -786,9 +827,10 @@ class TestSnapshotPersistence:
         corruption too — DistributionError, not KeyError/TypeError."""
         import pickle
 
+        fmt = ConvolutionCache.SNAPSHOT_FORMAT
         for payload in (
-            {"format": 1},                              # missing keys
-            {"format": 1, "capacity": 8, "entries": [("k",)]},  # bad arity
+            {"format": fmt},                            # missing keys
+            {"format": fmt, "capacity": 8, "entries": [("k",)]},  # arity
             [1, 2, 3],                                  # not a dict
         ):
             path = tmp_path / "bad.cache"
@@ -865,10 +907,7 @@ class TestThreadSafety:
                             local.record(misses=1)
                             res = convolve(a, b, trim_eps=1e-9,
                                            backend=backend)
-                            cache.store_convolve(
-                                a, b, 1e-9, backend,
-                                res.masses.copy(), res,
-                            )
+                            cache.store_convolve(a, b, 1e-9, backend, res)
             except BaseException as exc:  # pragma: no cover - fail loud
                 errors.append((tid, exc))
             deltas.append(local)
@@ -1003,8 +1042,7 @@ class TestThreadSafety:
                     for a, b in pairs:
                         if cache.lookup_convolve(a, b, 1e-9, backend) is None:
                             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-                            cache.store_convolve(a, b, 1e-9, backend,
-                                                 r.masses.copy(), r)
+                            cache.store_convolve(a, b, 1e-9, backend, r)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -1015,8 +1053,7 @@ class TestThreadSafety:
                     for a, b in pairs:
                         if cache.lookup_max([a, b], 1e-9) is None:
                             r = stat_max_many([a, b], trim_eps=1e-9)
-                            cache.store_max([a, b], 1e-9,
-                                            r.masses.copy(), r)
+                            cache.store_max([a, b], 1e-9, r)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -1058,8 +1095,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(8))
         b = DiscretePDF(2.0, 1, np.ones(4))
         r = convolve(a, b, trim_eps=1e-9, backend="direct")
-        cache.store_convolve(a, b, 1e-9, get_backend("direct"),
-                             r.masses.copy(), r)
+        cache.store_convolve(a, b, 1e-9, get_backend("direct"), r)
         one = cache.approx_bytes
         assert one > 0
         cache.clear()
@@ -1075,7 +1111,7 @@ class TestByteBudget:
             a = DiscretePDF(2.0, i, rng.random(8) + 1e-3)
             b = DiscretePDF(2.0, 2 * i, rng.random(8) + 1e-3)
             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-            cache.store_convolve(a, b, 1e-9, backend, r.masses.copy(), r)
+            cache.store_convolve(a, b, 1e-9, backend, r)
             pairs.append((a, b))
         full = cache.approx_bytes
         evicted = cache.evict_to_bytes(full // 2)
@@ -1096,7 +1132,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        cache.store_convolve(a, b, 1e-9, backend, r.masses.copy(), r)
+        cache.store_convolve(a, b, 1e-9, backend, r)
         assert cache.evict_to_bytes(0) == 1
         assert len(cache) == 0
         with pytest.raises(DistributionError, match="budget"):
@@ -1108,7 +1144,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        cache.store_convolve(a, b, 1e-9, backend, r.masses.copy(), r)
+        cache.store_convolve(a, b, 1e-9, backend, r)
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
@@ -1262,9 +1298,8 @@ class TestMergeSnapshots:
         cache = ConvolutionCache()
         pairs = []
         for mu in mus:
-            # Distinct sigmas per entry: content keys are translation-
-            # invariant, so same-shape operands at different means
-            # would all collapse into ONE cache entry.
+            # Every mean gives its own pair of operands, so each
+            # pair is an entry of its own.
             a = truncated_gaussian_pdf(2.0, mu, mu / 15.0)
             b = truncated_gaussian_pdf(2.0, mu / 2.0, mu / 25.0)
             convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)

@@ -192,27 +192,24 @@ class TestCacheInterplay:
         )
         assert again is first
 
-    def test_translated_replay_bitwise_with_fresh_compute(self):
-        """A hit at a shifted anchor rebuilds the stored raw through the
-        same build step, matching a fresh compute at that anchor bit
-        for bit."""
+    def test_translated_recurrence_misses_and_matches_fresh_compute(self):
+        """A translated recurrence (same masses, another offset sum)
+        misses and recomputes, bitwise a fresh compute at that offset;
+        computed + hits equal the cache-off tally."""
         cache = ConvolutionCache(64)
         rng = np.random.default_rng(19)
-        raw_a, raw_b = rng.random(27) + 1e-4, rng.random(18) + 1e-4
-        a = DiscretePDF(2.0, 3, raw_a)
-        b = DiscretePDF(2.0, -1, raw_b)
-        convolve(a, b, trim_eps=1e-9, backend="compiled", cache=cache)
-        # Content-equal translation: same raw vectors normalized
-        # identically, new offset (shifted_bins would renormalize and
-        # perturb the last ulp — a legitimate miss).
-        a2 = DiscretePDF(2.0, 10, raw_a)
-        hit = convolve(
-            a2, b, trim_eps=1e-9, backend="compiled", cache=cache
-        )
-        fresh = convolve(a2, b, trim_eps=1e-9, backend="compiled")
-        assert hit.offset == fresh.offset
-        assert np.array_equal(hit.masses, fresh.masses)
-        assert cache.stats.hits >= 1
+        a = _rand_pdf(rng, 27)
+        b = _rand_pdf(rng, 18, offset=-1)
+        a2 = a.shifted_bins(7)  # masses shared bitwise, new offset
+        counter = OpCounter()
+        for x in (a, a2, a2):
+            res = convolve(x, b, trim_eps=1e-9, backend="compiled",
+                           counter=counter, cache=cache)
+            fresh = convolve(x, b, trim_eps=1e-9, backend="compiled")
+            assert res.offset == fresh.offset
+            assert np.array_equal(res.masses, fresh.masses)
+        assert (cache.stats.misses, cache.stats.hits) == (2, 1)
+        assert (counter.convolutions, counter.convolve_cache_hits) == (2, 1)
 
     def test_build_of_separate_raws_bitwise_with_batch(self):
         """Building separately computed raws == the batched miss path,

@@ -117,6 +117,31 @@ class TestStructure:
         assert np.array_equal(moved.masses, pdf.masses)
         assert pdf.shifted_bins(0) is pdf
 
+    def test_shifted_bins_keeps_mass_bits(self):
+        """Translation shares the masses instead of renormalizing them:
+        trimmed convolution results, whose masses rarely sum to exactly
+        1.0, keep every bit, their fingerprint and their trim marker."""
+        from repro.dist.ops import convolve
+
+        rng = np.random.default_rng(31)
+        results = [
+            convolve(
+                DiscretePDF(2.0, 0, rng.random(rng.integers(2, 60))),
+                DiscretePDF(2.0, 5, rng.random(rng.integers(2, 60))),
+                trim_eps=1e-6,
+            )
+            for _ in range(40)
+        ]
+        moved = [c.shifted_bins(-9) for c in results]
+        assert [np.array_equal(m.masses, c.masses)
+                for m, c in zip(moved, results)] == [True] * 40
+        for m, c in zip(moved, results):
+            assert m.offset == c.offset - 9
+            assert m.masses is c.masses
+            assert m._fp == c._fp
+            assert m.trimmed(1e-6) is m
+            assert c.shifted(4.0).masses is c.masses
+
     def test_shifted_time(self):
         pdf = DiscretePDF(2.0, 0, [1.0])
         assert pdf.shifted(7.9).offset == 4  # rounds to nearest bin

@@ -301,9 +301,9 @@ class TestClientCommands:
         assert "request latency" in out
 
     def test_client_unreachable_server(self):
-        from repro.errors import ServiceError
-
-        with pytest.raises(ServiceError, match="cannot reach"):
+        # A typed library error leaves main() as a one-line SystemExit
+        # naming the error, never as a traceback.
+        with pytest.raises(SystemExit, match=r"Service\w*Error: cannot reach"):
             main(["client", "--url", "http://127.0.0.1:1",
                   "stats"])
 
@@ -312,3 +312,53 @@ class TestClientCommands:
         assert args.port == 8731
         assert args.cache_file is None
         assert args.func.__name__ == "cmd_serve"
+
+
+class TestStaleSnapshot:
+    """A snapshot written in an older format is a typed error: the CLI
+    reports it on one line naming the file and the format, and exits
+    non-zero without a traceback."""
+
+    @staticmethod
+    def _format1_snapshot(path):
+        import pickle
+
+        path.write_bytes(pickle.dumps(
+            {"format": 1, "capacity": 8, "entries": []}
+        ))
+        return path
+
+    def test_optimize_rejects_format1_snapshot(self, tmp_path):
+        snap = self._format1_snapshot(tmp_path / "old.cache")
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "c17", "-n", "1", "--cache-file", str(snap)])
+        message = str(exc.value.code)
+        assert "DistributionError" in message
+        assert str(snap) in message
+        assert "format 1" in message
+        assert "\n" not in message
+
+    def test_serve_process_rejects_format1_snapshot(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        snap = self._format1_snapshot(tmp_path / "old.cache")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--cache-file", str(snap)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert str(snap) in proc.stderr
+        assert "format 1" in proc.stderr
+        assert "listening" not in proc.stdout
