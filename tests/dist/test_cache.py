@@ -1298,8 +1298,6 @@ class TestMergeSnapshots:
         cache = ConvolutionCache()
         pairs = []
         for mu in mus:
-            # Every mean gives its own pair of operands, so each
-            # pair is an entry of its own.
             a = truncated_gaussian_pdf(2.0, mu, mu / 15.0)
             b = truncated_gaussian_pdf(2.0, mu / 2.0, mu / 25.0)
             convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
