@@ -19,7 +19,9 @@ Three backends ship:
   mass, which would violate the :class:`~repro.dist.pdf.DiscretePDF`
   contract (non-negative masses, total 1); the backend therefore clamps
   negatives to zero and rescales the result back to the operands' mass
-  product before handing it over.
+  product before handing it over.  Its batched entry point is a plain
+  loop: a stacked 2-D transform measured slower than the loop at the
+  sizes ``auto`` sends to FFT (0.61x at 2049 bins, 0.39x at 8193).
 * :class:`AutoBackend` — per-call size dispatch between the two using a
   calibrated cost model.  Direct costs ~``k_d * n_a * n_b`` multiplies;
   FFT costs ~``k_f * N log2 N`` with ``N = n_a + n_b - 1``.  The
@@ -130,14 +132,13 @@ class ConvolutionBackend(Protocol):
         row must equal the vector :meth:`convolve_masses` would return
         for the same pair, whatever the batch composition.  The result
         cache keys entries by operand content and offsets, never by the
-        call that computed them, so this is what keeps cached batched
-        and singleton computations interchangeable.  Backends are free to amortize work across
-        same-shape pairs under that constraint (the FFT backend stacks
-        them into one 2-D transform, verifying per transform size that
-        the platform batches row-bitwise); third-party backends may
-        omit this
-        method — the kernel layer falls back to a
-        :meth:`convolve_masses` loop.  An empty batch returns ``[]``
+        call that computed them, so this is what keeps cached batches
+        of any composition interchangeable.  Backends are free to
+        amortize work across pairs under that constraint (the compiled
+        backend convolves a whole batch in one foreign call);
+        third-party backends may omit this method — the kernel layer
+        falls back to a :meth:`convolve_masses` loop.  An empty batch
+        returns ``[]``
         without performing any work (the level-batched engines dispatch
         whatever a level needs, which can be nothing once the result
         cache has resolved every pair).
@@ -259,102 +260,11 @@ class FFTBackend:
         out *= (a.sum() * b.sum()) / total
         return out
 
-    #: Per-``nfft`` verification verdicts: is the platform's stacked
-    #: 2-D transform row-bitwise with the 1-D path at this size?
-    #: pocketfft processes rows independently, so on every NumPy build
-    #: tested the answer is yes — but it is a build property, not an
-    #: API guarantee, so it is *measured per transform size*, never
-    #: assumed: the first batch at each ``nfft`` checks its own first
-    #: row against :meth:`convolve_masses` (full path, including the
-    #: clamp-and-rescale repairs).  A size that fails falls back to the
-    #: (bitwise by construction) loop forever after, trading the
-    #: transform amortization for the contract.
-    _batch_nfft_bitwise: dict = {}
-
-    def _batch_compute(self, rows_a, rows_b, n_a: int, n_b: int) -> np.ndarray:
-        """The stacked transform: two ``(k, n)`` matrices through one
-        batched ``rfft``/``irfft`` round trip, then the row-wise
-        clamp-and-rescale contract repairs of :meth:`convolve_masses`."""
-        n = n_a + n_b - 1
-        nfft = _next_fast_len(n)
-        stack_a = np.zeros((len(rows_a), n_a))
-        stack_b = np.zeros((len(rows_b), n_b))
-        for row, a in enumerate(rows_a):
-            stack_a[row] = a
-        for row, b in enumerate(rows_b):
-            stack_b[row] = b
-        prod = np.fft.rfft(stack_a, nfft, axis=1) * np.fft.rfft(
-            stack_b, nfft, axis=1
-        )
-        res = np.fft.irfft(prod, nfft, axis=1)[:, :n]
-        np.maximum(res, 0.0, out=res)
-        totals = res.sum(axis=1)
-        target = stack_a.sum(axis=1) * stack_b.sum(axis=1)
-        ok = totals > 0.0  # all-zero rows are rejected upstream
-        res[ok] *= (target[ok] / totals[ok])[:, None]
-        return res
-
     def convolve_many(self, pairs: Sequence) -> list:
-        """Batched convolution: same-shape pairs share one 2-D real-FFT.
-
-        Pairs are grouped by operand shape ``(n_a, n_b)``; each group of
-        two or more is stacked into one batched transform, amortizing
-        the setup the SSTA inner loop pays per fan-in arc; singleton
-        groups delegate to :meth:`convolve_masses` (and its
-        forward-transform memo).
-
-        Every row is **bitwise identical** to the corresponding
-        :meth:`convolve_masses` call: the first batch at each transform
-        size verifies its own first row against the singleton path and
-        records the verdict per ``nfft`` (true on every NumPy tested —
-        pocketfft transforms rows independently), falling back to the
-        plain loop at any size where the platform disagrees.  That
-        equivalence is what lets the result cache share entries between
-        batched and singleton computations without breaking its
-        bitwise-transparency contract.  Rows are copied out of the
-        padded batch matrix so long-lived results never pin the full
-        ``(k, nfft)`` storage.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        out: list = [None] * len(pairs)
-        groups: dict = {}
-        for i, (a, b) in enumerate(pairs):
-            groups.setdefault((a.size, b.size), []).append(i)
-        for (n_a, n_b), idxs in groups.items():
-            if len(idxs) == 1:
-                i = idxs[0]
-                out[i] = self.convolve_masses(*pairs[i])
-                continue
-            nfft = _next_fast_len(n_a + n_b - 1)
-            verdict = FFTBackend._batch_nfft_bitwise.get(nfft)
-            if verdict is False:  # pragma: no cover - exotic FFT builds
-                for i in idxs:
-                    out[i] = self.convolve_masses(*pairs[i])
-                continue
-            res = self._batch_compute(
-                [pairs[i][0] for i in idxs],
-                [pairs[i][1] for i in idxs],
-                n_a,
-                n_b,
-            )
-            if verdict is None:
-                first = self.convolve_masses(*pairs[idxs[0]])
-                verdict = bool(np.array_equal(res[0], first))
-                FFTBackend._batch_nfft_bitwise[nfft] = verdict
-                if not verdict:  # pragma: no cover - exotic FFT builds
-                    out[idxs[0]] = first
-                    for i in idxs[1:]:
-                        out[i] = self.convolve_masses(*pairs[i])
-                    continue
-            for row, i in enumerate(idxs):
-                # An explicit copy, not ascontiguousarray: the sliced
-                # row is already contiguous, and a view here would pin
-                # the whole (k, nfft) batch matrix inside every
-                # long-lived result built from it.
-                out[i] = res[row].copy()
-        return out
+        """A :meth:`convolve_masses` loop (keeping its forward-transform
+        memo): bitwise the singleton path by construction (see the
+        module docstring for why the batch is not stacked)."""
+        return [self.convolve_masses(a, b) for a, b in pairs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FFTBackend(cached={len(self._rfft_cache)})"
@@ -404,25 +314,11 @@ class AutoBackend:
         return self._fft.convolve_masses(a, b)
 
     def convolve_many(self, pairs: Sequence) -> list:
-        """Partition the batch by the cost model: below-crossover pairs
-        run the direct loop (bitwise the sequential path — the property
-        the default config's reproducibility rests on), the rest go
-        through the FFT backend's batched transform."""
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        out: list = [None] * len(pairs)
-        fft_idx: list = []
-        for i, (a, b) in enumerate(pairs):
-            if self.chooses(a.size, b.size) == "direct":
-                out[i] = self._direct.convolve_masses(a, b)
-            else:
-                fft_idx.append(i)
-        if fft_idx:
-            batched = self._fft.convolve_many([pairs[i] for i in fft_idx])
-            for i, res in zip(fft_idx, batched):
-                out[i] = res
-        return out
+        """Per-pair dispatch by the cost model: below-crossover pairs
+        run the direct kernel (bitwise the sequential path — the
+        property the default config's reproducibility rests on), the
+        rest the FFT kernel."""
+        return [self.convolve_masses(a, b) for a, b in pairs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AutoBackend(cost_ratio={self.cost_ratio:g})"

@@ -1,4 +1,4 @@
-"""Keyed result cache for the ADD/MAX kernels (the optimizer memo).
+"""Keyed result cache for the timing kernels (the optimizer memo).
 
 The sizing loop re-evaluates sensitivity by re-running SSTA
 perturbation fronts, and across candidate gates and optimizer
@@ -7,16 +7,14 @@ thousands of times: every front re-convolves the unperturbed arcs of
 each node it touches with exactly the operands the base SSTA already
 used, and consecutive iterations re-time a circuit in which only one
 gate's cone changed.  :class:`ConvolutionCache` memoizes those results
-at the :func:`~repro.dist.ops.convolve` / ``stat_max_many`` level —
-the analogue, one layer up, of the FFT backend's forward-transform
+— the analogue, one layer up, of the FFT backend's forward-transform
 memo.
 
 Design constraints, in order:
 
 1. **Finished results under absolute keys.**  A cache hit must return
    exactly the bits a fresh computation would produce.  Every key names
-   its operands' absolute offsets (the operand-offset sum for ADD, each
-   operand's offset for MAX), so a hit is a recurrence of the very
+   its operands' absolute offsets, so a hit is a recurrence of the very
    request that computed the entry, and the stored (immutable) result
    object is returned outright.  An entry is that finished result and
    nothing else.  A translated recurrence (same masses, other offsets)
@@ -35,15 +33,21 @@ Design constraints, in order:
    entries (:data:`DEFAULT_CACHE_CAPACITY` by default); eviction churn
    at tiny capacities is exercised by the property suite.
 
-One LRU holds four memo kinds, and each engine consults only the ones
-that pay for it.  On node-memo paths (full and incremental SSTA, the
-perturbation fronts) these are the whole-node arrival, the ADD
-(convolution) results and the Theorem-4 gap.  The per-op MAX memo is
-skipped there: a node-memo miss means the fan-in changed, so its MAX
-request almost never recurs, and storing it would only evict useful
-entries.  The backward pass, which skips the node memo, consults the
-ADD and MAX memos; direct :mod:`~repro.dist.ops` callers choose per
-call.
+One LRU holds three memo kinds, each with one cache path:
+
+* **node** — a timing node's whole merged arrival, probed by every
+  engine (full, incremental and backward SSTA, the perturbation
+  fronts) before any kernel work (:meth:`lookup_node`);
+* **ADD** — one convolution result, probed batch-wise by
+  :func:`~repro.dist.ops.convolve_many` (:meth:`lookup_many`);
+* **gap** — one Theorem-4 percentile gap (:meth:`lookup_gap`).
+
+There is no per-operation MAX memo.  A MAX request only reaches the
+kernel behind a node-memo miss, which means the node's fan-in changed,
+so it almost never recurs: a cold 10-iteration pruned c432 sizing run
+never reaches one, and cold backward passes on c432, c880 and c1908
+hit it 1 of 116, 0 of 234 and 0 of 279 times.  A repeated pass is
+served by the node memo instead.
 
 The cache is *enabled per analysis* through
 ``AnalysisConfig(cache=...)`` (see :mod:`repro.config`) and threaded
@@ -206,7 +210,8 @@ class _Entry:
 
 
 class ConvolutionCache:
-    """Size-bounded LRU memo over convolve / independence-MAX results.
+    """Size-bounded LRU memo over node arrivals, convolutions and
+    percentile gaps.
 
     Parameters
     ----------
@@ -268,10 +273,9 @@ class ConvolutionCache:
     # Keys
     # ------------------------------------------------------------------
     # The key builders are public API: batched callers (``convolve_many``,
-    # ``stat_max_groups``, the level scheduler) build each request's key
-    # once, probe with it, deduplicate identical requests within one
-    # batch against it, and store under it — a key is never derived
-    # twice for one request.
+    # the level scheduler) build each request's key once, probe with
+    # it, deduplicate identical requests within one batch against it,
+    # and store under it — a key is never derived twice for one request.
 
     @staticmethod
     def convolve_key(
@@ -292,19 +296,6 @@ class ConvolutionCache:
             a.offset + b.offset,
         )
 
-    @staticmethod
-    def max_key(pdfs: Sequence[DiscretePDF], trim_eps: float) -> tuple:
-        """Cache key of ``stat_max_many(pdfs)`` at the given trim
-        epsilon."""
-        # Absolute operand offsets; the MAX numerics are
-        # backend-invariant, so no backend component.
-        return (
-            "max",
-            pdfs[0].dt,
-            trim_eps,
-            tuple([(p.offset, p._fp) for p in pdfs]),  # noqa: SLF001
-        )
-
     # ------------------------------------------------------------------
     # LRU plumbing (callers hold self._lock)
     # ------------------------------------------------------------------
@@ -313,7 +304,7 @@ class ConvolutionCache:
         stored under a different backend object (a distinct instance
         sharing the stored one's name) is the miss it is: the caller
         recomputes.  ADD and node entries carry their resolved backend;
-        MAX and gap entries carry None and are probed with None."""
+        gap entries carry None and are probed with None."""
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
@@ -342,11 +333,11 @@ class ConvolutionCache:
             self.stats.evictions += 1
 
     # ------------------------------------------------------------------
-    # Batched requests (convolve_many, stat_max_groups)
+    # ADD (convolution): batched requests from convolve_many
     # ------------------------------------------------------------------
     def lookup_many(self, keys: Sequence[tuple], backend) -> tuple:
-        """Resolve a batch of ADD (``backend`` = the resolved kernel)
-        or MAX (``backend`` = None) requests in one locked pass, as a
+        """Resolve a batch of ADD requests (:meth:`convolve_key` keys,
+        ``backend`` the resolved kernel) in one locked pass, as a
         sequential loop sees them before the batch's first store.
 
         Returns ``(results, dups)``: ``results[i]`` is the stored
@@ -377,74 +368,12 @@ class ConvolutionCache:
         results: Sequence[DiscretePDF],
         backend,
     ) -> None:
-        """Insert a batch of freshly computed ADD or MAX results under
-        one lock, in order (``backend`` as in :meth:`lookup_many`)."""
+        """Insert a batch of freshly computed ADD results under one
+        lock, in order (``backend`` as in :meth:`lookup_many`)."""
         new = [_Entry(result, backend) for result in results]
         with self._lock:
             for key, entry in zip(keys, new):
                 self._put(key, entry)
-
-    # ------------------------------------------------------------------
-    # ADD (convolution)
-    # ------------------------------------------------------------------
-    def lookup_convolve(
-        self,
-        a: DiscretePDF,
-        b: DiscretePDF,
-        trim_eps: float,
-        backend,
-        *,
-        key: Optional[tuple] = None,
-    ) -> Optional[DiscretePDF]:
-        """Memoized ``convolve(a, b)`` result, or None on a miss.
-        ``key`` accepts a precomputed :meth:`convolve_key` (the batched
-        callers build it once per request)."""
-        if key is None:
-            key = self.convolve_key(a, b, trim_eps, backend)
-        return self.lookup_many([key], backend)[0][0]
-
-    def store_convolve(
-        self,
-        a: DiscretePDF,
-        b: DiscretePDF,
-        trim_eps: float,
-        backend,
-        result: DiscretePDF,
-        *,
-        key: Optional[tuple] = None,
-    ) -> None:
-        """Insert a freshly computed convolution result."""
-        if key is None:
-            key = self.convolve_key(a, b, trim_eps, backend)
-        self.store_many([key], [result], backend)
-
-    # ------------------------------------------------------------------
-    # MAX (independence statistical maximum)
-    # ------------------------------------------------------------------
-    def lookup_max(
-        self,
-        pdfs: Sequence[DiscretePDF],
-        trim_eps: float,
-        *,
-        key: Optional[tuple] = None,
-    ) -> Optional[DiscretePDF]:
-        """Memoized ``stat_max_many(pdfs)`` result, or None on a miss.
-        ``key`` accepts a precomputed :meth:`max_key`."""
-        if key is None:
-            key = self.max_key(pdfs, trim_eps)
-        return self.lookup_many([key], None)[0][0]
-
-    def store_max(
-        self,
-        pdfs: Sequence[DiscretePDF],
-        trim_eps: float,
-        result: DiscretePDF,
-        *,
-        key: Optional[tuple] = None,
-    ) -> None:
-        if key is None:
-            key = self.max_key(pdfs, trim_eps)
-        self.store_many([key], [result], None)
 
     # ------------------------------------------------------------------
     # Whole-node arrival memo (the engines' coarse-grained fast path)
@@ -459,7 +388,7 @@ class ConvolutionCache:
 
     def lookup_node(self, key: tuple, backend) -> Optional[DiscretePDF]:
         """Memoized whole-node arrival for a key built by
-        :meth:`node_key`, or None.  Like the convolve lookup, the
+        :meth:`node_key`, or None.  Like :meth:`lookup_many`, the
         resolved backend object is verified identically — two distinct
         instances sharing a name (e.g. ``AutoBackend``s with different
         cost ratios) must never serve each other's bits."""
@@ -533,10 +462,13 @@ class ConvolutionCache:
     # process-specific — so entries are valid in any process that
     # resolves the same registry kernels.  Snapshots ride the
     # memo-stripped serialization of ``DiscretePDF.__getstate__``: an
-    # entry is its key, its finished result, and its backend name.  Only registry-kernel entries are saved — a non-registry
-    # backend instance cannot be identified by name alone, and writing
-    # it under its name could alias a different implementation's
-    # entries on load.
+    # entry is its key, its finished result, and its backend name.
+    # Only registry-kernel entries are saved — a non-registry backend
+    # instance cannot be identified by name alone, and writing it under
+    # its name could alias a different implementation's entries on
+    # load.  A format-2 file written while the cache still held a MAX
+    # kind may carry ``"max"`` entries: they load, are never probed,
+    # and age out of the LRU.
 
     #: Snapshot format version (bump on any layout change).  Files of
     #: another format are rejected, never translated: delete them.

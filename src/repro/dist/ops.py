@@ -34,28 +34,30 @@ argument for call-site uniformity (engines thread one backend choice
 through every operation); the independence max is a CDF product, not a
 convolution, so its numerics are backend-invariant by construction.
 
-Two orthogonal accelerations ride on top of that contract:
+Two accelerations ride on top of that contract:
 
-* every kernel takes an optional ``cache`` — a
-  :class:`~repro.dist.cache.ConvolutionCache` memoizing finished
-  results keyed by operand content and offsets, backend, and trim
-  epsilon.  Hits return bits identical to a fresh computation and are
-  tallied on the counter as *hits*, never as computed operations;
-* :func:`convolve_many` batches a node's fan-in ADDs through the
-  backend's ``convolve_many`` entry point, stacking same-shape operand
-  pairs into one 2-D transform (FFT path) or an equivalent loop
-  (direct path, bitwise identical to sequential calls);
-* :func:`stat_max_groups` batches many independent MAX reductions —
-  a whole topological level's worth — into one compiled sweep (or,
-  without the tier, stacked CDF products over same-shape groups), each
-  group bitwise identical to its own :func:`stat_max_many` call.
+* the ADD kernels (:func:`convolve`, :func:`convolve_many`) take an
+  optional ``cache`` — a :class:`~repro.dist.cache.ConvolutionCache`
+  memoizing finished results keyed by operand content and offsets,
+  backend, and trim epsilon.  Hits return bits identical to a fresh
+  computation and are tallied on the counter as *hits*, never as
+  computed operations.  The MAX kernels take no cache: a MAX request
+  reaches them only behind a node-memo miss, where it almost never
+  recurs (see :mod:`repro.dist.cache`);
+* :func:`convolve_many` batches a node's (or a level's) fan-in ADDs
+  through the backend's ``convolve_many`` entry point, bitwise
+  identical to sequential calls, and :func:`stat_max_groups` batches
+  many independent MAX reductions into one compiled sweep (or, without
+  the tier, stacked CDF products over same-shape groups).  The
+  singleton entry points are one-element batches of these, so each
+  kernel has one code path.
 
-Batched entry points replicate the *sequential request stream* when a
-cache is attached: requests are resolved against the cache in order,
+:func:`convolve_many` replicates the *sequential request stream* when
+a cache is attached: requests are resolved against the cache in order,
 in one locked pass per batch (its stores take one more), duplicate
-requests within one batch are served from the entry their
-first occurrence stores (computed once, tallied as hits — exactly what
-a sequential loop would do), and an empty or fully cached batch never
+requests within one batch are served from the entry their first
+occurrence stores (computed once, tallied as hits — exactly what a
+sequential loop would do), and an empty or fully cached batch never
 invokes the backend at all.  This is what keeps kernel tallies and
 cache statistics invariant between the level-batched and per-node
 execution modes of the timing engines whenever the cache holds its
@@ -98,8 +100,9 @@ class OpCounter:
 
     Cache hits are tallied **distinctly**: a request served from a
     :class:`~repro.dist.cache.ConvolutionCache` increments
-    :attr:`convolve_cache_hits` / :attr:`max_cache_hits` and leaves the
-    mult/add tallies untouched — :attr:`convolutions` and
+    :attr:`convolve_cache_hits` (an ADD entry, or a node entry's gate
+    arcs) / :attr:`max_cache_hits` (a node entry's MAX merge) and
+    leaves the mult/add tallies untouched — :attr:`convolutions` and
     :attr:`max_ops` count only the operations actually computed, so
     cached work is visible without inflating the Table-2 statistics.
     The invariant the tests pin: *computed + hits* equals the cache-off
@@ -211,23 +214,13 @@ def convolve(
     ``backend`` selects the convolution kernel (default ``auto``);
     ``cache`` memoizes results keyed by operand content — hits are
     bit-identical to fresh computations and tallied separately on the
-    counter (they are not computed work).
+    counter (they are not computed work).  A one-pair
+    :func:`convolve_many` batch.
     """
-    dt = _require_same_grid((a, b))
-    kernel = get_backend(backend)
-    if cache is not None:
-        hit = cache.lookup_convolve(a, b, trim_eps, kernel)
-        if hit is not None:
-            if counter is not None:
-                counter.convolve_cache_hits += 1
-            return hit
-    masses = kernel.convolve_masses(a.masses, b.masses)
-    if counter is not None:
-        counter.convolutions += 1
-    result = _build_results([masses], [dt], [a.offset + b.offset], trim_eps)[0]
-    if cache is not None:
-        cache.store_convolve(a, b, trim_eps, kernel, result)
-    return result
+    return convolve_many(
+        [(a, b)], trim_eps=trim_eps, counter=counter, backend=backend,
+        cache=cache,
+    )[0]
 
 
 def convolve_many(
@@ -242,19 +235,16 @@ def convolve_many(
 
     The SSTA inner loop convolves every fan-in arrival with its arc's
     delay PDF before one MAX reduction; this entry point hands all of a
-    node's pairs to the backend at once so same-shape operands share
-    one stacked transform (see ``ConvolutionBackend.convolve_many``).
-    Cached pairs are resolved first and never re-enter the batch.
+    node's (or level's) pairs to the backend at once, so a compiled
+    backend convolves them in one foreign call.  It is the ADD kernel's
+    one cache path: cached pairs are resolved first and never re-enter
+    the batch.
 
     Equivalence contract with the looped path: **bitwise identical per
-    pair regardless of batch composition**, for every shipped backend —
-    ``direct`` by construction, ``fft`` via per-transform-size
-    verification (the first batch at each ``nfft`` checks a row against
-    the singleton path and falls back to the loop at any size where the
-    platform's stacked transform is not row-bitwise; see
-    ``FFTBackend.convolve_many``).  This is load-bearing for the result
-    cache, which shares entries between batched and singleton
-    computations.  Backends without a ``convolve_many`` method fall
+    pair regardless of batch composition**, for every shipped backend
+    (see ``ConvolutionBackend.convolve_many``).  This is load-bearing
+    for the result cache, which shares entries between batches of any
+    composition.  Backends without a ``convolve_many`` method fall
     back to a ``convolve_masses`` loop.
 
     With a cache attached the *tallies* match the looped path too:
@@ -269,10 +259,9 @@ def convolve_many(
     kernel = get_backend(backend)
     for a, b in pairs:
         _require_same_grid((a, b))
-    offsets = [a.offset + b.offset for a, b in pairs]
     if cache is None:
         results: list = [None] * len(pairs)
-        todo = list(range(len(pairs)))
+        todo = range(len(pairs))
         dups: list = []
     else:
         # One locked pass resolves the batch as a sequential loop's
@@ -286,7 +275,8 @@ def convolve_many(
         if counter is not None:
             counter.convolve_cache_hits += len(pairs) - len(todo) - len(dups)
     if todo:
-        batch = [(pairs[i][0].masses, pairs[i][1].masses) for i in todo]
+        sub = [pairs[i] for i in todo]
+        batch = [(a.masses, b.masses) for a, b in sub]
         # Backends without the batched entry point fall back to a
         # convolve_masses loop.
         if callable(getattr(kernel, "convolve_many", None)):
@@ -297,8 +287,8 @@ def convolve_many(
             counter.convolutions += len(todo)
         built = _build_results(
             raws,
-            [pairs[i][0].dt for i in todo],
-            [offsets[i] for i in todo],
+            [a.dt for a, _b in sub],
+            [a.offset + b.offset for a, b in sub],
             trim_eps,
         )
         for i, res in zip(todo, built):
@@ -306,16 +296,18 @@ def convolve_many(
         if cache is not None:
             cache.store_many([keys[i] for i in todo], built, kernel)
     for i in dups:
-        a, b = pairs[i]
-        hit = cache.lookup_convolve(a, b, trim_eps, kernel, key=keys[i])
+        hit = cache.lookup_many([keys[i]], kernel)[0][0]
         if hit is None:
             # The representative's entry was already evicted (tiny
             # capacity churn) — recompute, as the sequential loop would.
+            a, b = pairs[i]
             raw = kernel.convolve_masses(a.masses, b.masses)
             if counter is not None:
                 counter.convolutions += 1
-            hit = _build_results([raw], [a.dt], [offsets[i]], trim_eps)[0]
-            cache.store_convolve(a, b, trim_eps, kernel, hit, key=keys[i])
+            hit = _build_results(
+                [raw], [a.dt], [a.offset + b.offset], trim_eps
+            )[0]
+            cache.store_many([keys[i]], [hit], kernel)
         elif counter is not None:
             counter.convolve_cache_hits += 1
         results[i] = hit
@@ -367,31 +359,6 @@ def _max_masses(pdfs: Sequence[DiscretePDF]) -> tuple:
     return lo, masses
 
 
-def _independence_max(
-    pdfs: Sequence[DiscretePDF],
-    trim_eps: float,
-    counter: Optional[OpCounter],
-    backend: BackendLike,
-    cache: Optional[ConvolutionCache] = None,
-) -> DiscretePDF:
-    # Validate eagerly; the max numerics are backend-invariant.
-    get_backend(backend)
-    dt = _require_same_grid(pdfs)
-    if cache is not None:
-        hit = cache.lookup_max(pdfs, trim_eps)
-        if hit is not None:
-            if counter is not None:
-                counter.max_cache_hits += len(pdfs) - 1
-            return hit
-    lo, masses = max_batch_raws([pdfs])[0]
-    if counter is not None:
-        counter.max_ops += len(pdfs) - 1
-    result = _build_results([masses], [dt], [lo], trim_eps)[0]
-    if cache is not None:
-        cache.store_max(pdfs, trim_eps, result)
-    return result
-
-
 #: Per-fan-in-count verdicts: is the platform's stacked ``(g, k, W)``
 #: CDF product bitwise identical, row for row, to the per-group
 #: ``(k, W)`` product?  The reduction order over the ``k`` operand rows
@@ -400,7 +367,7 @@ def _independence_max(
 #: API guarantee, so it is measured (first grouped batch at each ``k``
 #: verifies its first group against :func:`_max_masses`), never
 #: assumed; a ``k`` that fails falls back to the per-group loop
-#: forever after.  Mirrors ``FFTBackend._batch_nfft_bitwise``.
+#: forever after.
 _GROUPED_MAX_BITWISE: dict = {}
 
 
@@ -448,8 +415,8 @@ def max_batch_raws(groups: Sequence) -> list:
     every operand group.
 
     A pure function of the groups' operand contents and alignments: no
-    cache, no counter, no trimming — exactly the compute step
-    :func:`stat_max_groups` performs after cache resolution.  Groups
+    counter, no trimming — exactly the compute step
+    :func:`stat_max_groups` performs before result construction.  Groups
     are partitioned by exact (operand count, union width); same-shape
     runs stack into one CDF product, each group bitwise its own
     :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
@@ -492,7 +459,6 @@ def stat_max(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-    cache: Optional[ConvolutionCache] = None,
 ) -> DiscretePDF:
     """Independence statistical maximum (MAX) of two arrivals.
 
@@ -500,10 +466,11 @@ def stat_max(
     the engine's global independence assumption, an upper bound on the
     true circuit-delay CDF in the presence of reconvergence [3].
     ``backend`` is validated for call-site uniformity; the max numerics
-    are backend-invariant.  ``cache`` memoizes the product keyed by the
-    operands' contents and offsets.
+    are backend-invariant.
     """
-    return _independence_max((a, b), trim_eps, counter, backend, cache)
+    return stat_max_groups(
+        [(a, b)], trim_eps=trim_eps, counter=counter, backend=backend
+    )[0]
 
 
 def stat_max_many(
@@ -512,24 +479,21 @@ def stat_max_many(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-    cache: Optional[ConvolutionCache] = None,
 ) -> DiscretePDF:
     """Independence MAX of any number of arrivals in one vectorized
     reduction (one CDF product over the stacked union grid).
 
     A single operand passes through untouched apart from trimming —
     convolution results already trimmed at the same ``trim_eps`` come
-    back identically, preserving bitwise reproducibility (and skipping
-    the cache: trimming is cheaper than a lookup).  ``backend`` is
-    validated for call-site uniformity; the max numerics are
-    backend-invariant.
+    back identically, preserving bitwise reproducibility.  ``backend``
+    is validated for call-site uniformity; the max numerics are
+    backend-invariant.  A one-group :func:`stat_max_groups` batch.
     """
     if len(pdfs) == 0:
         raise DistributionError("stat_max_many needs at least one distribution")
-    if len(pdfs) == 1:
-        get_backend(backend)
-        return pdfs[0].trimmed(trim_eps)
-    return _independence_max(pdfs, trim_eps, counter, backend, cache)
+    return stat_max_groups(
+        [pdfs], trim_eps=trim_eps, counter=counter, backend=backend
+    )[0]
 
 
 def stat_max_groups(
@@ -538,23 +502,21 @@ def stat_max_groups(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-    cache: Optional[ConvolutionCache] = None,
 ) -> list:
     """Batched MAX: one :func:`stat_max_many` result per operand group.
 
     The level-batched engines merge every node of a topological level
-    in one call; groups sharing a shape (operand count, union width)
-    stack into a single CDF product (see :func:`_grouped_max_masses`),
-    amortizing the per-reduction dispatch the per-node path pays.
+    in one call, through the compiled grouped sweep or (without the
+    tier) stacked CDF products over same-shape groups (see
+    :func:`max_batch_raws`), amortizing the per-reduction dispatch the
+    per-node path pays.
 
-    Equivalence contract, mirroring :func:`convolve_many`: every group's
-    result is **bitwise identical** to its own ``stat_max_many`` call,
-    whatever the batch composition, and with a cache attached the
-    request stream matches a sequential loop — groups resolve against
-    the cache in order, duplicate groups within one batch compute once
-    and replay as hits, and single-operand groups pass through trimming
-    without touching cache or counter (exactly as ``stat_max_many``
-    does).  An empty batch is a no-op.
+    Every group's result is **bitwise identical** whatever the batch
+    composition, and single-operand groups pass through trimming
+    without touching the counter.  There is no MAX memo: a MAX request
+    reaches this kernel only behind a node-memo miss, where it almost
+    never recurs (see :mod:`repro.dist.cache`).  An empty batch is a
+    no-op.
     """
     if not groups:
         return []
@@ -572,56 +534,17 @@ def stat_max_groups(
             results[i] = pdfs[0].trimmed(trim_eps)
         else:
             multi.append(i)
-    dups: list = []
-    if cache is None:
-        todo = multi
-    else:
-        # One locked pass, as for convolve_many; single-operand groups
-        # never reach the cache.
-        keys = [cache.max_key(groups[i], trim_eps) for i in multi]
-        hits, dup_pos = cache.lookup_many(keys, None)
-        dupset = set(dup_pos)
-        todo = []
-        todo_keys = []
-        for pos, (i, hit) in enumerate(zip(multi, hits)):
-            if hit is not None:
-                if counter is not None:
-                    counter.max_cache_hits += len(groups[i]) - 1
-                results[i] = hit
-            elif pos in dupset:
-                dups.append((i, keys[pos]))
-            else:
-                todo.append(i)
-                todo_keys.append(keys[pos])
-    if todo:
-        # The raw compute (shape partition + stacked CDF products)
-        # lives in max_batch_raws; every group's output is bitwise its
-        # own _max_masses call, so commit order below stays sequential.
-        todo_groups = [groups[i] for i in todo]
+    if multi:
+        todo_groups = [groups[i] for i in multi]
         computed = max_batch_raws(todo_groups)
         if counter is not None:
             counter.max_ops += sum(len(g) - 1 for g in todo_groups)
-        los = [lo for lo, _masses in computed]
-        raws = [masses for _lo, masses in computed]
         built = _build_results(
-            raws, [g[0].dt for g in todo_groups], los, trim_eps
+            [masses for _lo, masses in computed],
+            [g[0].dt for g in todo_groups],
+            [lo for lo, _masses in computed],
+            trim_eps,
         )
-        for i, result in zip(todo, built):
+        for i, result in zip(multi, built):
             results[i] = result
-        if cache is not None:
-            cache.store_many(todo_keys, built, None)
-    for i, key in dups:
-        pdfs = groups[i]
-        hit = cache.lookup_max(pdfs, trim_eps, key=key)
-        if hit is None:
-            # Representative entry already evicted (tiny capacity):
-            # recompute, as a sequential loop would at this point.
-            lo, masses = _max_masses(pdfs)
-            if counter is not None:
-                counter.max_ops += len(pdfs) - 1
-            hit = _build_results([masses], [pdfs[0].dt], [lo], trim_eps)[0]
-            cache.store_max(pdfs, trim_eps, hit, key=key)
-        elif counter is not None:
-            counter.max_cache_hits += len(pdfs) - 1
-        results[i] = hit
     return results

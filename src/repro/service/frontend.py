@@ -271,6 +271,7 @@ class ServiceFrontend:
     def start(self) -> "ServiceFrontend":
         if self._started:
             raise ServiceError("frontend already started")
+        self._check_snapshots()
         if not reuseport_available(self.host):
             raise ServiceError(
                 "SO_REUSEPORT is unavailable on this host; "
@@ -302,6 +303,30 @@ class ServiceFrontend:
         # with no supervisor; best-effort sweep on interpreter exit.
         atexit.register(self.stop)
         return self
+
+    def _check_snapshots(self) -> None:
+        """Load every snapshot a worker will boot from, so a stale or
+        corrupt file fails here with its typed
+        :class:`~repro.errors.DistributionError` instead of crashing
+        every worker at boot and exhausting its respawns.
+
+        Worker ``i`` boots from ``{base}.w{i}`` when it exists and
+        from the shared base otherwise, so the base is checked only
+        when some worker file is missing.  A base no worker reads
+        needs no check: reconciliation skips an unreadable input and
+        overwrites the base with the workers' union.
+        """
+        base = self.spec.cache_file
+        if base is None:
+            return
+        boots = []
+        for i in range(self.workers):
+            own = worker_cache_file(base, i)
+            path = own if os.path.exists(own) else base
+            if path not in boots and os.path.exists(path):
+                boots.append(path)
+        for path in boots:
+            ConvolutionCache.load(path)
 
     def _spawn(self, index: int) -> None:
         if self._stopping.is_set():

@@ -31,12 +31,12 @@ from typing import Dict, List, Optional
 from ..config import AnalysisConfig
 from ..dist.backends import BackendLike, get_backend
 from ..dist.cache import ConvolutionCache
-from ..dist.ops import OpCounter, convolve, convolve_many, stat_max_many
+from ..dist.ops import OpCounter, convolve
 from ..dist.pdf import DiscretePDF
 from ..errors import TimingError
 from .delay_model import DelayModel
 from .graph import TimingGraph
-from .ssta import SSTAResult, compute_level_arrivals
+from .ssta import SSTAResult, _node_arrival, compute_level_arrivals
 
 __all__ = [
     "BackwardSSTAResult",
@@ -103,8 +103,9 @@ def run_backward_ssta(
     ``config.level_batch`` (the default) each topological level — whose
     nodes are mutually independent in the backward direction too —
     runs through the batched level scheduler, bitwise identical to the
-    sequential walk (which never consulted the whole-node memo, hence
-    ``node_memo=False``).
+    sequential walk.  Both modes use the forward engines' node merge,
+    so with a cache attached they consult the same whole-node and ADD
+    memos: a repeated pass resolves every node in one probe.
     """
     cfg = config if config is not None else model.config
     own = counter if counter is not None else OpCounter()
@@ -132,7 +133,6 @@ def run_backward_ssta(
                     counter=own,
                     backend=kernel,
                     cache=cache,
-                    node_memo=False,
                 ),
             ):
                 to_sink[node] = pdf
@@ -140,29 +140,9 @@ def run_backward_ssta(
         for node in reversed(graph.topo_nodes()):
             if node == graph.sink:
                 continue
-            # Mirror of compute_node_arrival: slot order follows the
-            # edge order, gate arcs batch through one convolve_many
-            # call.
-            parts = _node_fanout_parts(graph, model, to_sink, node)
-            contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
-            pairs = []
-            pair_slots = []
-            for i, (pdf, delay) in enumerate(parts):
-                if delay is None:
-                    contribs[i] = pdf
-                else:
-                    pairs.append((pdf, delay))
-                    pair_slots.append(i)
-            if pairs:
-                for i, res in zip(
-                    pair_slots,
-                    convolve_many(pairs, trim_eps=cfg.tail_eps, counter=own,
-                                  backend=kernel, cache=cache),
-                ):
-                    contribs[i] = res
-            to_sink[node] = stat_max_many(
-                contribs, trim_eps=cfg.tail_eps, counter=own, backend=kernel,
-                cache=cache,
+            to_sink[node] = _node_arrival(
+                _node_fanout_parts(graph, model, to_sink, node),
+                cfg.tail_eps, own, kernel, cache,
             )
     return BackwardSSTAResult(
         graph=graph, to_sink=to_sink, counter=own, backend=kernel,  # type: ignore[arg-type]

@@ -32,6 +32,13 @@ bitwise.  Nodes of one topological level never depend on each other
 independent work; the level-batching differential suite and the CI
 drift gate enforce the equivalence end to end.
 
+With a cache attached every node first probes the whole-node memo;
+only a miss reaches the kernels, whose ADDs probe the convolution memo
+and whose MAX merge is always computed (there is no per-op MAX memo:
+behind a node-memo miss the fan-in changed, so the MAX request almost
+never recurs).  The backward pass of :mod:`repro.timing.criticality`
+runs the same node merge.
+
 The kernels are shared with the perturbation-front machinery of the
 optimizer (`repro.core.perturbation`): a perturbed propagation is the
 same computation with some arrivals/delay-PDFs overridden, which
@@ -112,8 +119,8 @@ def _merge_parts(
     cache: Optional[ConvolutionCache],
     node_key: Optional[tuple],
 ) -> DiscretePDF:
-    """Sequential ADD-then-MAX merge of one node's parts (the kernel
-    body shared with :func:`compute_node_arrival`'s historical code)."""
+    """Sequential ADD-then-MAX merge of one node's parts, stored in the
+    node memo under ``node_key`` (when a cache is attached)."""
     contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
     pairs = []
     pair_slots = []
@@ -130,16 +137,37 @@ def _merge_parts(
                           backend=kernel, cache=cache),
         ):
             contribs[i] = res
-    # Behind a node-memo miss the per-op MAX memo almost never hits
-    # (the fan-in changed), so node-memo callers skip it: its stores
-    # would only evict entries that do pay.
     result = stat_max_many(
-        contribs, trim_eps=trim_eps, counter=counter, backend=kernel,
-        cache=None if node_key is not None else cache,
+        contribs, trim_eps=trim_eps, counter=counter, backend=kernel
     )
     if node_key is not None:
         cache.store_node(node_key, result, kernel)
     return result
+
+
+def _node_arrival(
+    parts: NodeParts,
+    trim_eps: float,
+    counter: Optional[OpCounter],
+    kernel,
+    cache: Optional[ConvolutionCache],
+) -> DiscretePDF:
+    """One node's merged arrival from its gathered parts — the body of
+    :func:`compute_node_arrival`, shared with the backward pass's
+    sequential walk."""
+    node_key = None
+    if cache is not None:
+        # Whole-node fast path: the arrival is a pure function of the
+        # fan-in operands, so an unchanged node (the dominant case for
+        # perturbation fronts re-visiting base territory and for the
+        # per-iteration SSTA refresh) resolves in one probe.  The hits
+        # stand in for every kernel request the node would have made.
+        node_key = cache.node_key(parts, trim_eps, kernel)
+        hit = cache.lookup_node(node_key, kernel)
+        if hit is not None:
+            _node_hit_tally(counter, parts)
+            return hit
+    return _merge_parts(parts, trim_eps, counter, kernel, cache, node_key)
 
 
 def compute_node_arrival(
@@ -159,11 +187,10 @@ def compute_node_arrival(
     fan-in arrival with the gate's pin-to-pin delay PDF; multiple arcs
     merge through the independence max.  All of a node's gate arcs go
     through one batched :func:`~repro.dist.ops.convolve_many` call, so
-    same-shape operand pairs share a stacked transform and cached pairs
-    skip computation entirely.  ``backend`` selects the convolution
-    kernel and ``cache`` the result memo for every arc — callers (full
-    SSTA, incremental updates, perturbation fronts) must pass the same
-    choices to stay bitwise interchangeable.
+    cached pairs skip computation entirely.  ``backend`` selects the
+    convolution kernel and ``cache`` the node and ADD memos — callers
+    (full SSTA, incremental updates, perturbation fronts) must pass
+    the same choices to stay bitwise interchangeable.
 
     This is the sequential reference kernel; the level-batched
     scheduler (:func:`compute_level_arrivals`) reproduces a loop of
@@ -171,19 +198,7 @@ def compute_node_arrival(
     """
     kernel = get_backend(backend)
     parts = node_fanin_parts(graph, node, get_arrival, get_delay_pdf)
-    node_key = None
-    if cache is not None:
-        # Whole-node fast path: the arrival is a pure function of the
-        # fan-in operands, so an unchanged node (the dominant case for
-        # perturbation fronts re-visiting base territory and for the
-        # per-iteration SSTA refresh) resolves in one probe.  The hits
-        # stand in for every kernel request the node would have made.
-        node_key = cache.node_key(parts, trim_eps, kernel)
-        hit = cache.lookup_node(node_key, kernel)
-        if hit is not None:
-            _node_hit_tally(counter, parts)
-            return hit
-    return _merge_parts(parts, trim_eps, counter, kernel, cache, node_key)
+    return _node_arrival(parts, trim_eps, counter, kernel, cache)
 
 
 def compute_level_arrivals(
@@ -193,24 +208,22 @@ def compute_level_arrivals(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
-    node_memo: bool = True,
 ) -> List[DiscretePDF]:
     """The level scheduler: merged arrivals for a whole topological
     level of mutually independent nodes, one per parts list.
 
     Instead of dispatching kernels node by node, the scheduler
 
-    1. probes the whole-node memo for every node (``node_memo=True``;
-       nodes whose fan-in is unchanged resolve in one probe each, and
-       a node repeating an earlier node's key within the level resolves
-       from the entry that node stores — as it would sequentially);
+    1. probes the whole-node memo for every node (nodes whose fan-in
+       is unchanged resolve in one probe each, and a node repeating an
+       earlier node's key within the level resolves from the entry that
+       node stores — as it would sequentially);
     2. gathers every remaining gate-arc ADD of the level into **one**
        :func:`~repro.dist.ops.convolve_many` dispatch (cache hits are
        filtered out of the batch inside, misses inserted after);
     3. merges every node's contributions through **one**
-       :func:`~repro.dist.ops.stat_max_groups` sweep.  With the node
-       memo on, the sweep skips the per-op MAX memo: behind a node-memo
-       miss it almost never hits.
+       :func:`~repro.dist.ops.stat_max_groups` sweep and stores each
+       result in the node memo.
 
     The result is bitwise identical to looping
     :func:`compute_node_arrival` over the same parts lists in order —
@@ -221,10 +234,6 @@ def compute_level_arrivals(
     regimes are pinned by the differential suite, per backend and cache
     configuration).  A level with nothing left to compute (empty, or
     every node/pair served from the cache) never touches the backend.
-
-    ``node_memo=False`` reproduces a caller that skips the whole-node
-    memo (the backward pass does; its sequential reference never
-    consulted it) and consults the per-op MAX memo instead.
     """
     n = len(parts_list)
     results: List[Optional[DiscretePDF]] = [None] * n
@@ -232,7 +241,7 @@ def compute_level_arrivals(
     node_keys: List[Optional[tuple]] = [None] * n
     todo: List[int] = []
     dups: List[int] = []
-    if cache is not None and node_memo:
+    if cache is not None:
         seen: set = set()
         for i, parts in enumerate(parts_list):
             key = cache.node_key(parts, trim_eps, kernel)
@@ -277,15 +286,13 @@ def compute_level_arrivals(
         ):
             contribs_by_node[i][slot] = res
 
-    # One batched MAX sweep for the whole level (the per-op MAX memo
-    # only without the node memo; see _merge_parts).
+    # One batched MAX sweep for the whole level.
     if todo:
         for i, res in zip(
             todo,
             stat_max_groups(
                 [contribs_by_node[i] for i in todo],
                 trim_eps=trim_eps, counter=counter, backend=kernel,
-                cache=None if node_memo else cache,
             ),
         ):
             results[i] = res

@@ -8,9 +8,8 @@ These tests pin that promise under every backend with adversarial
 operands (deltas, disjoint supports, repeated and translated operands,
 mass-deficient cumulative sums), plus the batched ``convolve_many``
 equivalence contract: bitwise against the looped path for every
-shipped backend — ``direct`` by construction, ``fft`` via its runtime
-row-bitwise probe (which falls back to the loop on builds whose
-stacked transform is not row-bitwise).
+shipped backend.  The cache holds three kinds (node, ADD, gap); the
+MAX kernels take no cache.
 """
 
 import numpy as np
@@ -68,6 +67,19 @@ def recount_bytes(cache: ConvolutionCache) -> int:
         if isinstance(entry.result, DiscretePDF):
             total += entry.result.masses.nbytes
     return total
+
+
+def lookup_add(cache, a, b, trim_eps, kernel):
+    """One ADD probe through the cache's batched API (its only ADD
+    path): the stored ``convolve(a, b)`` result, or None."""
+    key = cache.convolve_key(a, b, trim_eps, kernel)
+    return cache.lookup_many([key], kernel)[0][0]
+
+
+def store_add(cache, a, b, trim_eps, kernel, result):
+    """Store one ``convolve(a, b)`` result through the batched API."""
+    key = cache.convolve_key(a, b, trim_eps, kernel)
+    cache.store_many([key], [result], kernel)
 
 
 def assert_bitwise(a: DiscretePDF, b: DiscretePDF) -> None:
@@ -202,42 +214,47 @@ class TestCachedConvolveBitwise:
         assert_bitwise(out, convolve(a, b, backend="fft"))
 
 
-class TestCachedStatMaxBitwise:
+class TestStatMaxTakesNoCache:
+    """The MAX kernels have no memo: a MAX request reaches them only
+    behind a node-memo miss, where it almost never recurs."""
+
     @settings(max_examples=80, deadline=None)
     @given(ops=st.lists(pdfs(max_bins=24), min_size=2, max_size=5))
-    def test_hit_is_bitwise_identical(self, ops):
-        cache = ConvolutionCache(capacity=8)
-        plain = stat_max_many(ops, trim_eps=1e-9)
-        miss = stat_max_many(ops, trim_eps=1e-9, cache=cache)
-        hit = stat_max_many(ops, trim_eps=1e-9, cache=cache)
-        assert_bitwise(plain, miss)
-        assert_bitwise(plain, hit)
-        assert hit is miss  # same anchor: the stored object comes back
+    def test_repeat_is_bitwise_identical(self, ops):
+        first = stat_max_many(ops, trim_eps=1e-9)
+        again = stat_max_many(ops, trim_eps=1e-9)
+        assert_bitwise(first, again)
 
-    def test_absolute_offsets_are_the_key(self):
-        """The MAX key carries every operand's absolute offset:
-        translating all operands together, or one alone, misses and
-        recomputes bitwise; computed + hits equal the cache-off tally."""
+    def test_no_cache_argument(self):
+        from repro.dist.ops import stat_max, stat_max_groups
+
+        rng = np.random.default_rng(13)
+        ops = [DiscretePDF(2.0, 3 * i, rng.random(18)) for i in range(3)]
+        cache = ConvolutionCache()
+        with pytest.raises(TypeError):
+            stat_max_many(ops, cache=cache)
+        with pytest.raises(TypeError):
+            stat_max(ops[0], ops[1], cache=cache)
+        with pytest.raises(TypeError):
+            stat_max_groups([ops], cache=cache)
+
+    def test_every_request_is_computed(self):
+        """Repeated and translated groups all compute: the counter
+        tallies every pairwise MAX and never a MAX cache hit."""
         rng = np.random.default_rng(13)
         ops = [DiscretePDF(2.0, 3 * i, rng.random(18)) for i in range(3)]
         together = [p.shifted_bins(11) for p in ops]
-        skewed = [ops[0].shifted_bins(1), ops[1], ops[2]]
-        cache = ConvolutionCache()
-        counter, plain_counter = OpCounter(), OpCounter()
-        for group in (ops, together, skewed, together):
-            cached = stat_max_many(group, counter=counter, cache=cache)
-            plain = stat_max_many(group, counter=plain_counter)
-            assert_bitwise(plain, cached)
-        assert (cache.stats.misses, cache.stats.hits) == (3, 1)
-        assert (counter.max_ops, counter.max_cache_hits) == (6, 2)
-        assert counter.total_requests == plain_counter.max_ops == 8
+        counter = OpCounter()
+        for group in (ops, together, ops, together):
+            stat_max_many(group, counter=counter)
+        assert (counter.max_ops, counter.max_cache_hits) == (8, 0)
 
-    def test_single_operand_bypasses_the_cache(self):
+    def test_single_operand_passes_through(self):
         p = DiscretePDF(2.0, 0, np.random.default_rng(14).random(10))
-        cache = ConvolutionCache()
-        out = stat_max_many([p], trim_eps=0.0, cache=cache)
+        counter = OpCounter()
+        out = stat_max_many([p], trim_eps=0.0, counter=counter)
         assert out is p
-        assert cache.stats.requests == 0
+        assert counter.total_requests == 0
 
 
 class TestEvictionChurn:
@@ -316,11 +333,10 @@ class TestConvolveManyEquivalence:
         n=st.sampled_from([300, 700, 1100]),
     )
     def test_fft_batches_are_bitwise_the_loop(self, seeds, n):
-        """The batched-path contract is *bitwise* per pair: either the
-        platform's stacked transform is row-bitwise (probed once) or
-        the backend falls back to the loop — both make this exact.
-        Bitwise equality is what lets cached batched and singleton
-        computations share entries."""
+        """The batched-path contract is *bitwise* per pair, for raw
+        rows and finished results alike, whatever the batch
+        composition.  Bitwise equality is what lets cached batches of
+        any composition share entries."""
         pairs = [
             (
                 DiscretePDF(1.0, 0, np.random.default_rng(s).random(n)),
@@ -328,6 +344,10 @@ class TestConvolveManyEquivalence:
             )
             for s in seeds
         ]
+        fft = get_backend("fft")
+        raws = fft.convolve_many([(a.masses, b.masses) for a, b in pairs])
+        for (a, b), raw in zip(pairs, raws):
+            assert np.array_equal(raw, fft.convolve_masses(a.masses, b.masses))
         batched = convolve_many(pairs, backend="fft")
         for (a, b), out in zip(pairs, batched):
             assert_bitwise(out, convolve(a, b, backend="fft"))
@@ -449,44 +469,6 @@ class TestNodeMemoGuards:
         cache.store_node(key, result, kernel_a)
         assert cache.lookup_node(key, kernel_a) is result
         assert cache.lookup_node(key, kernel_b) is None
-
-    def test_batched_fft_loop_fallback_is_bitwise(self, monkeypatch):
-        """A transform size the platform flagged as non-row-bitwise
-        must route through the (bitwise) convolve_masses loop."""
-        from repro.dist.backends import FFTBackend, _next_fast_len
-
-        rng = np.random.default_rng(23)
-        pairs = [
-            (
-                DiscretePDF(1.0, 0, rng.random(700)),
-                DiscretePDF(1.0, 1, rng.random(700)),
-            )
-            for _ in range(3)
-        ]
-        nfft = _next_fast_len(700 + 700 - 1)
-        monkeypatch.setitem(FFTBackend._batch_nfft_bitwise, nfft, False)
-        batched = convolve_many(pairs, backend="fft")
-        for (a, b), out in zip(pairs, batched):
-            assert_bitwise(out, convolve(a, b, backend="fft"))
-
-    def test_batched_fft_rows_do_not_pin_the_batch_matrix(self):
-        """Raw vectors from a batch must own their storage — a view
-        would keep the whole (k, nfft) matrix alive inside every result
-        built from it."""
-        rng = np.random.default_rng(22)
-        pairs = [
-            (
-                DiscretePDF(1.0, 0, rng.random(600)),
-                DiscretePDF(1.0, 2, rng.random(600)),
-            )
-            for _ in range(4)
-        ]
-        raws = get_backend("fft").convolve_many(
-            [(a.masses, b.masses) for a, b in pairs]
-        )
-        for raw in raws:
-            assert raw.base is None  # owns its buffer, not a view
-            assert raw.size == 600 + 600 - 1
 
 
 class TestGapMemo:
@@ -628,25 +610,10 @@ class TestBatchAwareKeyAPI:
         cache = ConvolutionCache()
         res = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
         key = cache.convolve_key(a, b, 1e-9, kernel)
-        assert cache.lookup_convolve(a, b, 1e-9, kernel, key=key) is res
+        assert cache.lookup_many([key], kernel) == ([res], [])
         # The precomputed key is authoritative: a wrong key misses.
         wrong = cache.convolve_key(b, a, 1e-9, kernel)
-        assert cache.lookup_convolve(a, b, 1e-9, kernel, key=wrong) is None
-
-    def test_max_key_roundtrip(self):
-        pdfs_ = [
-            DiscretePDF(2.0, 0, np.asarray([0.25, 0.25, 0.5])),
-            DiscretePDF(2.0, 4, np.asarray([0.5, 0.125, 0.375])),
-        ]
-        cache = ConvolutionCache()
-        res = stat_max_many(pdfs_, trim_eps=1e-9, cache=cache)
-        key = cache.max_key(pdfs_, 1e-9)
-        assert cache.lookup_max(pdfs_, 1e-9, key=key) is res
-        # Absolute offsets are the key: the translated group is another
-        # request and finds no entry.
-        shifted = [p.shifted_bins(3) for p in pdfs_]
-        assert cache.max_key(shifted, 1e-9) != key
-        assert cache.lookup_max(shifted, 1e-9) is None
+        assert cache.lookup_many([wrong], kernel) == ([None], [])
 
 
 class TestCacheStatsMerge:
@@ -695,15 +662,21 @@ class TestSnapshotPersistence:
     non-registry-kernel entries are refused at save time."""
 
     def _warm_cache(self, backend="auto"):
+        """One ADD entry and one node entry (the node's parts are the
+        ADD pair and a virtual arc)."""
         kernel = get_backend(backend)
         cache = ConvolutionCache()
         a = truncated_gaussian_pdf(2.0, 500.0, 40.0)
         b = truncated_gaussian_pdf(2.0, 300.0, 25.0)
         c = truncated_gaussian_pdf(2.0, 900.0, 60.0)
         conv = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
-        mx = stat_max_many([conv, c], trim_eps=1e-9, backend=kernel,
-                           cache=cache)
+        mx = stat_max_many([conv, c], trim_eps=1e-9, backend=kernel)
+        cache.store_node(self._node_key(cache, a, b, c, kernel), mx, kernel)
         return cache, (a, b, c), (conv, mx), kernel
+
+    @staticmethod
+    def _node_key(cache, a, b, c, kernel):
+        return cache.node_key([(a, b), (c, None)], 1e-9, kernel)
 
     def test_roundtrip_replays_bitwise(self, tmp_path, backend):
         cache, (a, b, c), (conv, mx), kernel = self._warm_cache(backend)
@@ -713,10 +686,12 @@ class TestSnapshotPersistence:
 
         loaded = ConvolutionCache.load(path)
         assert len(loaded) == len(cache)
-        hit = loaded.lookup_convolve(a, b, 1e-9, kernel)
+        hit = lookup_add(loaded, a, b, 1e-9, kernel)
         assert hit is not None
         assert_bitwise(hit, conv)
-        hit_mx = loaded.lookup_max([conv, c], 1e-9)
+        hit_mx = loaded.lookup_node(
+            self._node_key(loaded, a, b, c, kernel), kernel
+        )
         assert hit_mx is not None
         assert_bitwise(hit_mx, mx)
         assert loaded.stats.misses == 0
@@ -733,12 +708,12 @@ class TestSnapshotPersistence:
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
-        split = loaded.lookup_convolve(
-            a.shifted_bins(2), b.shifted_bins(-2), 1e-9, kernel
+        split = lookup_add(
+            loaded, a.shifted_bins(2), b.shifted_bins(-2), 1e-9, kernel
         )
         assert split is not None
         assert_bitwise(split, live)
-        assert loaded.lookup_convolve(a.shifted_bins(5), b, 1e-9,
+        assert lookup_add(loaded, a.shifted_bins(5), b, 1e-9,
                                       kernel) is None
 
     def test_format2_payload_roundtrip(self, tmp_path):
@@ -755,7 +730,7 @@ class TestSnapshotPersistence:
         assert payload["format"] == ConvolutionCache.SNAPSHOT_FORMAT == 2
         assert [len(e) for e in payload["entries"]] == [3, 3, 3]
         names = [name for _key, _result, name in payload["entries"]]
-        assert names == ["direct", None, None]  # ADD, MAX, gap
+        assert names == ["direct", "direct", None]  # ADD, node, gap
         loaded = ConvolutionCache.load(path)
         assert list(loaded._entries) == list(cache._entries)
         for key, entry in cache._entries.items():
@@ -766,8 +741,12 @@ class TestSnapshotPersistence:
             else:
                 assert twin.result == entry.result
         assert loaded.approx_bytes == cache.approx_bytes
-        assert_bitwise(loaded.lookup_convolve(a, b, 1e-9, kernel), conv)
-        assert_bitwise(loaded.lookup_max([conv, c], 1e-9), mx)
+        assert_bitwise(lookup_add(loaded, a, b, 1e-9, kernel), conv)
+        assert_bitwise(
+            loaded.lookup_node(self._node_key(loaded, a, b, c, kernel),
+                               kernel),
+            mx,
+        )
 
     def test_capacity_override_keeps_most_recent(self, tmp_path):
         cache = ConvolutionCache()
@@ -782,7 +761,7 @@ class TestSnapshotPersistence:
         loaded = ConvolutionCache.load(path, capacity=2)
         assert len(loaded) == 2
         # The most recently used entries survive the trim.
-        assert loaded.lookup_convolve(pdfs_[4], pdfs_[5], 0.0, kernel) is not None
+        assert lookup_add(loaded, pdfs_[4], pdfs_[5], 0.0, kernel) is not None
 
     def test_non_registry_backend_entries_skipped(self, tmp_path):
         class Custom:
@@ -900,14 +879,14 @@ class TestThreadSafety:
                     # so lookups and stores interleave heavily.
                     for j in range(len(pairs)):
                         a, b = pairs[(j + tid * 3 + r) % len(pairs)]
-                        hit = cache.lookup_convolve(a, b, 1e-9, backend)
+                        hit = lookup_add(cache, a, b, 1e-9, backend)
                         if hit is not None:
                             local.record(hits=1)
                         else:
                             local.record(misses=1)
                             res = convolve(a, b, trim_eps=1e-9,
                                            backend=backend)
-                            cache.store_convolve(a, b, 1e-9, backend, res)
+                            store_add(cache, a, b, 1e-9, backend, res)
             except BaseException as exc:  # pragma: no cover - fail loud
                 errors.append((tid, exc))
             deltas.append(local)
@@ -959,7 +938,7 @@ class TestThreadSafety:
         # Every resident entry still replays bitwise.
         backend = get_backend("direct")
         for a, b in self._operands(24):
-            hit = cache.lookup_convolve(a, b, 1e-9, backend)
+            hit = lookup_add(cache, a, b, 1e-9, backend)
             if hit is not None:
                 fresh = convolve(a, b, trim_eps=1e-9, backend=backend)
                 assert hit.offset == fresh.offset
@@ -1026,7 +1005,7 @@ class TestThreadSafety:
         assert cache.approx_bytes == recount_bytes(cache)
 
     def test_concurrent_mixed_kind_requests(self):
-        """ADD, MAX, node, and gap entries share one locked LRU."""
+        """ADD, node, and gap entries share one locked LRU."""
         import threading
 
         cache = ConvolutionCache(1 << 10)
@@ -1040,20 +1019,22 @@ class TestThreadSafety:
                 barrier.wait()
                 for _ in range(40):
                     for a, b in pairs:
-                        if cache.lookup_convolve(a, b, 1e-9, backend) is None:
+                        if lookup_add(cache, a, b, 1e-9, backend) is None:
                             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-                            cache.store_convolve(a, b, 1e-9, backend, r)
+                            store_add(cache, a, b, 1e-9, backend, r)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        def maxes():
+        def nodes():
             try:
                 barrier.wait()
                 for _ in range(40):
                     for a, b in pairs:
-                        if cache.lookup_max([a, b], 1e-9) is None:
+                        key = cache.node_key([(a, b), (b, None)], 1e-9,
+                                             backend)
+                        if cache.lookup_node(key, backend) is None:
                             r = stat_max_many([a, b], trim_eps=1e-9)
-                            cache.store_max([a, b], 1e-9, r)
+                            cache.store_node(key, r, backend)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -1076,7 +1057,7 @@ class TestThreadSafety:
                 errors.append(exc)
 
         threads = [threading.Thread(target=f)
-                   for f in (adds, maxes, gaps, evictor)]
+                   for f in (adds, nodes, gaps, evictor)]
         for t in threads:
             t.start()
         for t in threads:
@@ -1095,7 +1076,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(8))
         b = DiscretePDF(2.0, 1, np.ones(4))
         r = convolve(a, b, trim_eps=1e-9, backend="direct")
-        cache.store_convolve(a, b, 1e-9, get_backend("direct"), r)
+        store_add(cache, a, b, 1e-9, get_backend("direct"), r)
         one = cache.approx_bytes
         assert one > 0
         cache.clear()
@@ -1111,7 +1092,7 @@ class TestByteBudget:
             a = DiscretePDF(2.0, i, rng.random(8) + 1e-3)
             b = DiscretePDF(2.0, 2 * i, rng.random(8) + 1e-3)
             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-            cache.store_convolve(a, b, 1e-9, backend, r)
+            store_add(cache, a, b, 1e-9, backend, r)
             pairs.append((a, b))
         full = cache.approx_bytes
         evicted = cache.evict_to_bytes(full // 2)
@@ -1120,7 +1101,7 @@ class TestByteBudget:
         assert cache.stats.evictions == evicted
         # The survivors are the most recently used (the last stores).
         hits = [
-            cache.lookup_convolve(a, b, 1e-9, backend) is not None
+            lookup_add(cache, a, b, 1e-9, backend) is not None
             for a, b in pairs
         ]
         assert hits == sorted(hits)  # False... then True...
@@ -1132,7 +1113,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        cache.store_convolve(a, b, 1e-9, backend, r)
+        store_add(cache, a, b, 1e-9, backend, r)
         assert cache.evict_to_bytes(0) == 1
         assert len(cache) == 0
         with pytest.raises(DistributionError, match="budget"):
@@ -1144,7 +1125,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        cache.store_convolve(a, b, 1e-9, backend, r)
+        store_add(cache, a, b, 1e-9, backend, r)
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
@@ -1157,7 +1138,6 @@ class TestByteBudget:
 #: and without a capacity cut) and snapshot merges.
 _BYTE_OPS = st.one_of(
     st.tuples(st.just("conv"), st.integers(0, 5), st.integers(0, 5)),
-    st.tuples(st.just("max"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("gap"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
@@ -1200,16 +1180,13 @@ class TestByteAccountingProperty:
                 if kind == "conv":
                     convolve(pool[x], pool[y], trim_eps=1e-9,
                              backend=backend, cache=cache)
-                elif kind == "max":
-                    stat_max_many([pool[x], pool[y], pool[0]],
-                                  trim_eps=1e-9, cache=cache)
                 elif kind == "gap":
                     cache.store_gap(pool[x], pool[y], float(x - y))
                 elif kind == "node":
                     result = DiscretePDF(2.0, 0, np.ones(y))
                     cache.store_node(("k", x), result, backend)
                 elif kind == "lookup":
-                    cache.lookup_convolve(pool[x], pool[y], 1e-9, backend)
+                    lookup_add(cache, pool[x], pool[y], 1e-9, backend)
                 elif kind == "evict":
                     cache.evict_to_bytes(int(cache.approx_bytes * x))
                 elif kind == "load":
@@ -1230,8 +1207,8 @@ class TestByteAccountingProperty:
 
 class TestOneLockPerBatch:
     """The cache's operation mutex is its stats' lock, and the batched
-    kernels resolve a batch's probes in one acquisition and its stores
-    in one more."""
+    ADD kernel resolves a batch's probes in one acquisition and its
+    stores in one more."""
 
     class _CountingLock:
         def __init__(self, lock):
@@ -1274,19 +1251,6 @@ class TestOneLockPerBatch:
         assert spy.acquired == 1
         assert cache.stats.snapshot() == (8, 8, 0)
 
-    def test_stat_max_groups_locks_once_to_probe_and_once_to_store(self):
-        from repro.dist.ops import stat_max_groups
-
-        cache = ConvolutionCache(64)
-        spy = cache._lock = self._CountingLock(cache._lock)
-        groups = [list(pair) for pair in self._pairs()]
-        stat_max_groups(groups, trim_eps=1e-9, cache=cache)
-        assert spy.acquired == 2
-        spy.acquired = 0
-        stat_max_groups(groups, trim_eps=1e-9, cache=cache)
-        assert spy.acquired == 1
-        assert cache.stats.snapshot() == (8, 8, 0)
-
 
 class TestMergeSnapshots:
     """The multi-worker front's reconciliation primitive: fold several
@@ -1314,7 +1278,7 @@ class TestMergeSnapshots:
         assert n == 4
         merged = ConvolutionCache.load(out)
         for a, b in pairs0 + pairs1:
-            assert merged.lookup_convolve(a, b, 1e-9, kernel) is not None
+            assert lookup_add(merged, a, b, 1e-9, kernel) is not None
 
     def test_overlap_dedupes_and_replays_bitwise(self, tmp_path):
         p0, pairs0, kernel = self._snap(tmp_path, "w0", [300.0, 400.0])
@@ -1324,7 +1288,7 @@ class TestMergeSnapshots:
         assert n == 3  # 400.0 pair is content-identical in both
         merged = ConvolutionCache.load(out)
         a, b = pairs0[1]
-        hit = merged.lookup_convolve(a, b, 1e-9, kernel)
+        hit = lookup_add(merged, a, b, 1e-9, kernel)
         plain = convolve(a, b, trim_eps=1e-9, backend=kernel)
         assert hit is not None
         assert_bitwise(hit, plain)
@@ -1358,7 +1322,7 @@ class TestMergeSnapshots:
         assert n == 2
         merged = ConvolutionCache.load(out)
         a, b = pairs0[-1]  # most recent survives
-        assert merged.lookup_convolve(a, b, 1e-9, kernel) is not None
+        assert lookup_add(merged, a, b, 1e-9, kernel) is not None
 
     def test_merge_into_a_contributor_path(self, tmp_path):
         """The front merges {base, workers...} back INTO base; the
@@ -1369,7 +1333,7 @@ class TestMergeSnapshots:
         assert n == 2
         merged = ConvolutionCache.load(p0)
         for a, b in pairs0 + pairs1:
-            assert merged.lookup_convolve(a, b, 1e-9, kernel) is not None
+            assert lookup_add(merged, a, b, 1e-9, kernel) is not None
 
 
 class TestConcurrentSaveRace:

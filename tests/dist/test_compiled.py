@@ -288,18 +288,15 @@ class TestCompiledMaxSweep:
             assert c.offset == d.offset
             assert np.array_equal(c.masses, d.masses)
 
-    def test_stat_max_groups_bitwise_with_cache(self, flag_off):
+    def test_stat_max_groups_bitwise_without_the_tier(self, flag_off):
         groups = self._groups(41)
         swept = stat_max_groups(groups, trim_eps=1e-9, backend="direct")
         flag_off("max_ok")
         flag_off("build_ok")
-        for cache in (None, ConvolutionCache(64)):
-            got = stat_max_groups(
-                groups, trim_eps=1e-9, backend="compiled", cache=cache
-            )
-            for r, g in zip(swept, got):
-                assert r.offset == g.offset
-                assert np.array_equal(r.masses, g.masses)
+        got = stat_max_groups(groups, trim_eps=1e-9, backend="compiled")
+        for r, g in zip(swept, got):
+            assert r.offset == g.offset
+            assert np.array_equal(r.masses, g.masses)
 
     def test_single_group_sweep_matches_max_masses(self):
         for pdfs_ in self._groups(43, n_groups=4):

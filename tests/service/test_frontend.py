@@ -19,6 +19,7 @@ import pytest
 from repro.config import AnalysisConfig
 from repro.core.pruned_sizer import PrunedStatisticalSizer
 from repro.dist.cache import ConvolutionCache
+from repro.errors import DistributionError
 from repro.netlist.benchmarks import load
 from repro.service import ServiceClient, ServiceFrontend, WorkerSpec
 from repro.service.frontend import (
@@ -204,3 +205,54 @@ class TestFrontLifecycle:
         finally:
             assert front.stop() is True
         assert os.path.exists(worker_cache_file(str(tmp_path / "front.cache"), 0))
+
+
+class TestStaleSnapshots:
+    """The front load-checks every snapshot a worker could boot from
+    before spawning any: a stale or corrupt file is the typed error
+    the single-process server raises, and no worker ever starts."""
+
+    @staticmethod
+    def _format1(path):
+        import pickle
+
+        with open(path, "wb") as fh:
+            pickle.dump({"format": 1, "capacity": 8, "entries": []}, fh)
+
+    def _assert_refused(self, front, match):
+        try:
+            with pytest.raises(DistributionError, match=match):
+                front.start()
+            assert front.live_workers() == 0
+            assert front.port is None
+        finally:
+            front.stop()
+
+    def test_format1_base_refused_before_spawn(self, tmp_path):
+        front = _front(tmp_path)
+        self._format1(front.spec.cache_file)
+        self._assert_refused(front, "format 1")
+
+    def test_stale_base_behind_worker_files_is_replaced(self, tmp_path):
+        # Every worker boots from its own file, so the stale base is
+        # never loaded: the front starts, and the reconcile at stop
+        # rewrites the base as the workers' union.
+        front = _front(tmp_path)
+        base = front.spec.cache_file
+        self._format1(base)
+        for i in range(front.workers):
+            ConvolutionCache(8).save(worker_cache_file(base, i))
+        try:
+            front.start()
+            assert front.wait_until_ready(timeout_s=60)
+            ServiceClient(front.url).analyze("c17")
+        finally:
+            assert front.stop() is True
+        assert len(ConvolutionCache.load(base)) > 0
+
+    def test_corrupt_worker_file_refused_before_spawn(self, tmp_path):
+        front = _front(tmp_path)
+        ConvolutionCache(8).save(front.spec.cache_file)
+        with open(worker_cache_file(front.spec.cache_file, 1), "wb") as fh:
+            fh.write(b"not a pickle")
+        self._assert_refused(front, "corrupt cache snapshot")

@@ -362,3 +362,32 @@ class TestStaleSnapshot:
         assert str(snap) in proc.stderr
         assert "format 1" in proc.stderr
         assert "listening" not in proc.stdout
+
+    def test_multi_worker_serve_rejects_format1_snapshot(self, tmp_path):
+        # The front checks the snapshots before spawning any worker, so
+        # a stale file stops it with the same one line instead of a
+        # crash-and-respawn loop in every worker.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        snap = self._format1_snapshot(tmp_path / "old.cache")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--workers", "2", "--cache-file", str(snap)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert str(snap) in proc.stderr
+        assert "format 1" in proc.stderr
+        assert "listening" not in proc.stdout
+        assert not (tmp_path / "old.cache.stats.json").exists()

@@ -1,14 +1,15 @@
 """Which memo kinds each engine consults, and run-to-run determinism
 of the cached sizing loop.
 
-The kernel cache holds four kinds of entries in one LRU: whole-node
-arrivals (``"node"``), ADD results (``"conv"``), MAX results
-(``"max"``) and Theorem-4 gaps (``"gap"``).  Node-memo paths — full and
-incremental SSTA and the perturbation fronts — skip the per-op MAX
-memo, because behind a node-memo miss it almost never hits; the
-backward pass, which has no node memo, still uses it.
+The kernel cache holds three kinds of entries in one LRU: whole-node
+arrivals (``"node"``), ADD results (``"conv"``) and Theorem-4 gaps
+(``"gap"``).  Every engine — full, incremental and backward SSTA and
+the perturbation fronts — probes the node memo first; there is no
+per-op MAX memo, because behind a node-memo miss a MAX request almost
+never recurs.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import AnalysisConfig
@@ -66,14 +67,18 @@ class TestMemoKinds:
         assert {"node", "conv", "gap"} <= _kinds(cache)
         assert "max" not in _kinds(cache)
 
-    def test_backward_pass_still_uses_max_memo(self, level_batch):
+    def test_backward_pass_uses_the_node_memo(self, level_batch):
         cache, cfg, _c, graph, model = _setup("c432", level_batch)
-        run_backward_ssta(graph, model, config=cfg)
-        assert _kinds(cache) == {"conv", "max"}
-        # A second backward pass is served from those entries.
-        hits_before = cache.stats.hits
-        run_backward_ssta(graph, model, config=cfg)
-        assert cache.stats.hits > hits_before
+        cold = run_backward_ssta(graph, model, config=cfg)
+        assert _kinds(cache) == {"node", "conv"}
+        # A warm rerun resolves every node in one node-memo probe: no
+        # kernel work, the same requests, the same bits.
+        warm = run_backward_ssta(graph, model, config=cfg)
+        assert warm.counter.total_ops == 0
+        assert warm.counter.total_requests == cold.counter.total_requests
+        for c, w in zip(cold.to_sink, warm.to_sink):
+            assert c.offset == w.offset
+            assert np.array_equal(c.masses, w.masses)
 
 
 class TestSizingDeterminism:
