@@ -33,6 +33,15 @@ positive value.  Pruning soundness is unaffected — the exact
 sensitivity satisfies ``Sx <= max(Smx, 0)``, and a candidate is only
 ever selected when its sensitivity strictly exceeds ``Max_S >= 0``.
 
+Construction and Initialize are separate steps.  Constructing a front
+seeds Initialize (the perturbed delays, the scheduled output nets and
+the level to reach); the propagation up to the candidate's level runs
+either in the constructor or, for many fronts at once, in
+:func:`initialize_fronts`, which advances every front's next level
+through one shared scheduler call per round.  Heap-driven advances
+(:meth:`PerturbationFront.propagate_one_level`) reuse the same
+gather/apply halves one front at a time.
+
 Exactness guarantee: the front computes perturbed arrivals with the
 *same* kernel (:func:`repro.timing.ssta.compute_node_arrival`), the
 same delay-PDF cache, and the same unperturbed inputs a full SSTA rerun
@@ -43,7 +52,7 @@ the optimizer's decisions, only its cost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -56,6 +65,7 @@ from ..netlist.circuit import Gate
 from ..timing.delay_model import DelayModel
 from ..timing.graph import TimingGraph
 from ..timing.ssta import (
+    NodeParts,
     SSTAResult,
     compute_level_arrivals,
     compute_node_arrival,
@@ -63,7 +73,7 @@ from ..timing.ssta import (
 )
 from .objectives import Objective
 
-__all__ = ["PerturbationFront"]
+__all__ = ["PerturbationFront", "initialize_fronts"]
 
 _NEG_INF = float("-inf")
 
@@ -87,17 +97,27 @@ def _identical(a: DiscretePDF, b: DiscretePDF) -> bool:
 class PerturbationFront:
     """Level-by-level propagation of one candidate gate's perturbation.
 
-    Construction runs the paper's ``Initialize`` (Figure 7): the
+    Construction seeds the paper's ``Initialize`` (Figure 7): the
     candidate is temporarily up-sized, the delay PDFs of the affected
-    gates are re-evaluated, the perturbation front is seeded with their
-    output nets, and the front is advanced to the candidate's own
-    level so that :attr:`smx` is available for the first sort.
+    gates are re-evaluated, and their output nets are scheduled.
+    Initialize then advances the front to the candidate's own level so
+    that :attr:`smx` is available for the first sort.  By default the
+    constructor runs that propagation itself, through
+    :func:`initialize_fronts` on ``[self]``; with ``initialize=False``
+    it is left to one :func:`initialize_fronts` call over many fronts
+    (the pruned sizer's steps 3-4), which batches every front's levels
+    together.  Either way the front ends Initialize in the same state,
+    bit for bit.
 
     Afterwards, :meth:`propagate_one_level` (Figure 9) advances the
     front one level at a time; :attr:`smx` is non-increasing along the
     way (the property tests assert this).  When the front reaches the
     sink — or dies out because every perturbed CDF collapsed back onto
     its unperturbed value — :attr:`sensitivity` holds the exact ``Sx``.
+
+    Unperturbed inputs come from the base analysis: arrivals from
+    ``base.arrivals`` and gate delays from the ``base.delays`` snapshot
+    (the very objects the base pass convolved with).
 
     Parameters
     ----------
@@ -106,6 +126,9 @@ class PerturbationFront:
         bitwise.  This is exact (their downstream influence is nil) and
         lets absorbed perturbations terminate early; disable to follow
         the paper's pseudocode to the letter.
+    initialize:
+        Run Initialize during construction (the default).  ``False``
+        leaves it to a later :func:`initialize_fronts` call.
     """
 
     def __init__(
@@ -119,6 +142,7 @@ class PerturbationFront:
         *,
         counter: Optional[OpCounter] = None,
         drop_identical: bool = True,
+        initialize: bool = True,
     ) -> None:
         if dw <= 0.0:
             raise OptimizationError(f"dw must be positive, got {dw}")
@@ -180,8 +204,12 @@ class PerturbationFront:
         self.sink_pdf: Optional[DiscretePDF] = None
         self.sensitivity: Optional[float] = None
         self._smx: float = _NEG_INF
+        #: Initialize propagates through this level (the candidate's own)
+        self._init_level: int = 0
 
-        self._initialize()
+        self._seed()
+        if initialize:
+            initialize_fronts([self])
 
     # ------------------------------------------------------------------
     # Public state
@@ -210,7 +238,10 @@ class PerturbationFront:
     # ------------------------------------------------------------------
     # Initialize (Figure 7)
     # ------------------------------------------------------------------
-    def _initialize(self) -> None:
+    def _seed(self) -> None:
+        """Initialize's construction half: perturbed delays of the
+        affected gates, their output nets scheduled, and the level
+        Initialize propagates through."""
         affected = self._affected = self.model.gates_affected_by_resize(
             self.gate
         )
@@ -225,10 +256,14 @@ class PerturbationFront:
         for g in affected:
             self._scheduled.add(self.graph.gate_output_node(g))
         self.curr_level = min(self.graph.level(n) for n in self._scheduled)
-        target = self.graph.level(self.graph.gate_output_node(self.gate))
-        while self._scheduled and self.curr_level <= target:
-            self.propagate_one_level()
-        self.initial_smx = self.smx
+        self._init_level = self.graph.level(
+            self.graph.gate_output_node(self.gate)
+        )
+
+    @property
+    def _initializing(self) -> bool:
+        """True while Initialize still has a level to propagate."""
+        return bool(self._scheduled) and self.curr_level <= self._init_level
 
     # ------------------------------------------------------------------
     # PropagateOneLevel (Figure 9)
@@ -246,7 +281,7 @@ class PerturbationFront:
         pdf = self._perturbed_delay.get(gate.output)
         if pdf is not None:
             return pdf
-        pdf = self.model.delay_pdf(gate)
+        pdf = self.base.delays[gate.output]
         if self._track_deps:
             self._dep_delays[gate.output] = (gate, pdf)
         return pdf
@@ -260,42 +295,44 @@ class PerturbationFront:
         shared scheduler: one ``convolve_many`` dispatch, one grouped
         MAX sweep.  Gathering every node's fan-in operands before any
         computation is equivalent to the sequential interleave because
-        the per-node bookkeeping below only ever retires a perturbed
-        fan-in once its *last* outstanding arc is consumed — a fan-in
-        feeding two nodes of this level survives the first node's
-        retirement exactly as it does sequentially.
+        the per-node bookkeeping only ever retires a perturbed fan-in
+        once its *last* outstanding arc is consumed — a fan-in feeding
+        two nodes of this level survives the first node's retirement
+        exactly as it does sequentially.
         """
         if not self._scheduled:
             self._finish()
             return
-        level = min(self.graph.level(n) for n in self._scheduled)
-        self.curr_level = level
-        prop_nodes = sorted(
-            n for n in self._scheduled if self.graph.level(n) == level
-        )
-        cfg = self.model.config
-        if cfg.level_batch:
-            parts_list = [
-                node_fanin_parts(
-                    self.graph, node, self._get_arrival, self._get_delay_pdf
-                )
-                for node in prop_nodes
-            ]
-            perturbed_list = compute_level_arrivals(
-                parts_list,
-                trim_eps=cfg.tail_eps,
-                counter=self.counter,
-                backend=self._backend,
-                cache=self._cache,
-            )
+        if self.model.config.level_batch:
+            _advance_together([self])
         else:
-            perturbed_list = None
-        for pos, node in enumerate(prop_nodes):
-            self._scheduled.discard(node)
-            if perturbed_list is not None:
-                perturbed = perturbed_list[pos]
-            else:
-                perturbed = compute_node_arrival(
+            self._advance_sequential()
+
+    def _next_level(self) -> List[int]:
+        """Gather half, first step: move to the lowest scheduled level
+        and return its nodes in ascending order."""
+        graph = self.graph
+        level = min(graph.level(n) for n in self._scheduled)
+        self.curr_level = level
+        return sorted(n for n in self._scheduled if graph.level(n) == level)
+
+    def _gather(self, nodes: List[int]) -> List[NodeParts]:
+        """Gather half: the fan-in operands of ``nodes``."""
+        return [
+            node_fanin_parts(
+                self.graph, node, self._get_arrival, self._get_delay_pdf
+            )
+            for node in nodes
+        ]
+
+    def _advance_sequential(self) -> None:
+        """One level through the per-node reference kernel, each node's
+        bookkeeping applied right after its arrival is computed."""
+        cfg = self.model.config
+        for node in self._next_level():
+            self._apply_node(
+                node,
+                compute_node_arrival(
                     self.graph,
                     node,
                     self._get_arrival,
@@ -304,33 +341,43 @@ class PerturbationFront:
                     counter=self.counter,
                     backend=self._backend,
                     cache=self._cache,
-                )
-            self.nodes_computed += 1
-            self._retire_fanins(node)
-            # The dependency ledger records the base object (its
-            # identity is what try_rebase checks).
-            base_pdf = self.base.arrivals[node]
-            if self._track_deps:
-                self._dep_arrivals[node] = base_pdf
-            if self.drop_identical and _identical(perturbed, base_pdf):
-                continue  # perturbation fully absorbed at this node
-            if node == self.graph.sink:
-                self.reached_sink = True
-                self.sink_pdf = perturbed
-                self.sensitivity = (
-                    self.objective.improvement(base_pdf, perturbed) / self.dw
-                )
-                continue
-            delta = self._percentile_gap(base_pdf, perturbed)
-            fanouts = self.graph.fanout_edges(node)
-            self._perturbed[node] = perturbed
-            self._pending[node] = len(fanouts)
-            self._delta[node] = delta
-            for edge in fanouts:
-                if edge.dst not in self._perturbed:
-                    self._scheduled.add(edge.dst)
+                ),
+            )
+        self._end_level()
+
+    def _apply_node(self, node: int, perturbed: DiscretePDF) -> None:
+        """Apply half, per node: retire fan-ins, then record the gap
+        and schedule the fan-out (or finish at the sink)."""
+        self._scheduled.discard(node)
+        self.nodes_computed += 1
+        self._retire_fanins(node)
+        # The dependency ledger records the base object (its identity
+        # is what try_rebase checks).
+        base_pdf = self.base.arrivals[node]
+        if self._track_deps:
+            self._dep_arrivals[node] = base_pdf
+        if self.drop_identical and _identical(perturbed, base_pdf):
+            return  # perturbation fully absorbed at this node
+        if node == self.graph.sink:
+            self.reached_sink = True
+            self.sink_pdf = perturbed
+            self.sensitivity = (
+                self.objective.improvement(base_pdf, perturbed) / self.dw
+            )
+            return
+        delta = self._percentile_gap(base_pdf, perturbed)
+        fanouts = self.graph.fanout_edges(node)
+        self._perturbed[node] = perturbed
+        self._pending[node] = len(fanouts)
+        self._delta[node] = delta
+        for edge in fanouts:
+            if edge.dst not in self._perturbed:
+                self._scheduled.add(edge.dst)
+
+    def _end_level(self) -> None:
+        """Apply half, per level: step past it and refresh ``Smx``."""
         self.levels_propagated += 1
-        self.curr_level = level + 1
+        self.curr_level += 1
         self._refresh_smx()
         if not self._scheduled:
             self._finish()
@@ -452,3 +499,87 @@ class PerturbationFront:
             f"PerturbationFront(gate={self.gate.name!r}, {state}, "
             f"smx={self.smx:.4g}, live={self.front_size})"
         )
+
+
+# ----------------------------------------------------------------------
+# Many fronts at once
+# ----------------------------------------------------------------------
+def _advance_together(fronts: Sequence[PerturbationFront]) -> None:
+    """Advance each front by its next level, all through **one**
+    :func:`~repro.timing.ssta.compute_level_arrivals` call.
+
+    Nodes of different fronts never depend on each other (each front
+    reads only its own perturbed arrivals, which earlier levels already
+    computed), and a front's own level is mutually independent, so the
+    union is a valid batch: every result is bitwise the one a per-front
+    call would return.  The gather half of every front runs before any
+    apply half, which touches only its own front's state."""
+    head = fronts[0]
+    cfg = head.model.config
+    steps = []
+    parts_list: List[NodeParts] = []
+    for front in fronts:
+        nodes = front._next_level()
+        steps.append((front, nodes, len(parts_list)))
+        parts_list.extend(front._gather(nodes))
+    results = compute_level_arrivals(
+        parts_list,
+        trim_eps=cfg.tail_eps,
+        counter=head.counter,
+        backend=head._backend,
+        cache=head._cache,
+    )
+    for front, nodes, start in steps:
+        for node, perturbed in zip(nodes, results[start:start + len(nodes)]):
+            front._apply_node(node, perturbed)
+        front._end_level()
+
+
+def initialize_fronts(fronts: Sequence[PerturbationFront]) -> None:
+    """Run Initialize (Figure 7) for freshly constructed fronts.
+
+    Under ``config.level_batch`` (the default) the fronts advance in
+    rounds: each round gathers every still-initializing front's next
+    level into one scheduler call, then applies each front's
+    bookkeeping.  Without it each front steps through the per-node
+    reference path alone.  Either way every front ends in exactly the
+    state it would reach initialized by itself — the same perturbed
+    arrivals, gaps, schedule, ``initial_smx`` and work counts — and the
+    summed :class:`~repro.dist.ops.OpCounter` tallies match, because
+    the scheduler's results and tallies do not depend on how its batch
+    is composed.
+
+    The fronts must share one model (hence backend and cache) and one
+    counter, and must not have been initialized yet.
+    """
+    if not fronts:
+        return
+    head = fronts[0]
+    for front in fronts:
+        if (
+            front.model is not head.model
+            or front._backend is not head._backend
+            or front._cache is not head._cache
+            or front.counter is not head.counter
+        ):
+            raise OptimizationError(
+                "fronts initialized together must share model, backend, "
+                "cache and counter"
+            )
+        if front.levels_propagated:
+            # Initialize always propagates at least the candidate's
+            # own level, so this front has been initialized already.
+            raise OptimizationError(
+                f"front for gate {front.gate.name!r} is already initialized"
+            )
+    live = [f for f in fronts if f._initializing]
+    if head.model.config.level_batch:
+        while live:
+            _advance_together(live)
+            live = [f for f in live if f._initializing]
+    else:
+        for front in live:
+            while front._initializing:
+                front._advance_sequential()
+    for front in fronts:
+        front.initial_smx = front.smx

@@ -4,7 +4,12 @@ Each iteration searches for the most sensitive gate *without* a full
 SSTA per candidate:
 
 1. run one SSTA to refresh unperturbed arrivals (step 2);
-2. ``Initialize`` a perturbation front per candidate gate (steps 3-4);
+2. ``Initialize`` a perturbation front per candidate gate (steps 3-4),
+   all candidates together: every Initialize runs unconditionally
+   before the first pop, so their levels advance in rounds, one
+   batched scheduler call per round
+   (:func:`~repro.core.perturbation.initialize_fronts`) — the same
+   fronts, bit for bit, as initializing them one at a time;
 3. keep candidates ordered by their sensitivity bound ``Smx``
    (step 5); repeatedly advance the *most promising* front one level
    (steps 7-10), so a highly sensitive gate reaches the sink early and
@@ -34,7 +39,7 @@ from ..netlist.circuit import Gate
 from ..timing.incremental import update_ssta_after_resize
 from ..timing.ssta import run_ssta
 from .objectives import Objective
-from .perturbation import PerturbationFront
+from .perturbation import PerturbationFront, initialize_fronts
 from .sizer_base import IterationStats, Selection, SizerBase
 
 __all__ = ["PrunedStatisticalSizer"]
@@ -119,11 +124,14 @@ class PrunedStatisticalSizer(SizerBase):
 
     def _build_fronts(self, base, candidates, dw, counter):
         """One front per candidate: resumed from the previous iteration
-        when its dependencies are unchanged, freshly initialized
-        otherwise.  ``nodes_computed`` baselines are snapshotted so the
-        iteration stats count only this iteration's work."""
+        when its dependencies are unchanged, freshly constructed
+        otherwise; the fresh fronts are then initialized together in
+        one :func:`~repro.core.perturbation.initialize_fronts` call.
+        ``nodes_computed`` baselines are snapshotted so the iteration
+        stats count only this iteration's work."""
         previous = self._fronts
         fronts = []
+        fresh = []
         self._nodes_baseline = baseline = {}
         for gate in candidates:
             front = previous.get(gate.name)
@@ -144,8 +152,11 @@ class PrunedStatisticalSizer(SizerBase):
                     self.objective,
                     counter=counter,
                     drop_identical=self.drop_identical,
+                    initialize=False,
                 )
+                fresh.append(front)
             fronts.append(front)
+        initialize_fronts(fresh)
         self._fronts = {f.gate.name: f for f in fronts}
         return fronts
 

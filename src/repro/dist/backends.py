@@ -31,7 +31,10 @@ Three backends ship:
   asymmetric operands (where direct degenerates to O(N)) on the direct
   path.  Below the crossover ``auto`` *is* ``direct``, bit for bit —
   which is what lets it be the default without perturbing any
-  reproducibility guarantee on ordinary grids.
+  reproducibility guarantee on ordinary grids.  The formula depends on
+  the pair only through ``n_out`` and the product, so the output length
+  below which every split goes direct (994 bins at ratio 25) is worked
+  out once per instance; shorter pairs skip the formula.
 
 Two more ship when the compiled tier (:mod:`repro.dist._compiled`) can
 stand up its C library, and degrade to the pure-NumPy numerics above
@@ -275,6 +278,27 @@ class FFTBackend:
 _DIRECT = DirectBackend()
 _FFT = FFTBackend()
 
+#: How far :func:`_direct_bound` scans; a cost ratio whose bound lies
+#: beyond it just evaluates the cost formula for longer pairs.
+_DIRECT_BOUND_SCAN = 1 << 14
+
+
+def _direct_bound(cost_ratio: float) -> int:
+    """Output length below which the cost model picks the direct side
+    for *every* operand split.
+
+    For a fixed ``n_out = n_a + n_b - 1`` the FFT cost is fixed and the
+    direct cost ``n_a * n_b`` peaks at the even split, so scanning that
+    split upward from 1 — with the dispatch's own expression, hence its
+    bits — finds the first length where some pair could go to FFT.
+    Shorter pairs can then skip the formula with no change of kernel.
+    """
+    for n_out in range(1, _DIRECT_BOUND_SCAN):
+        half = (n_out + 1) // 2
+        if half * (n_out + 1 - half) > cost_ratio * n_out * np.log2(n_out + 1):
+            return n_out
+    return _DIRECT_BOUND_SCAN
+
 
 class AutoBackend:
     """Size-based dispatch between :class:`DirectBackend` and
@@ -296,6 +320,9 @@ class AutoBackend:
                 f"cost_ratio must be positive, got {cost_ratio}"
             )
         self.cost_ratio = cost_ratio
+        #: pairs with ``n_a + n_b - 1`` below this always go direct
+        #: (994 bins at the default ratio), without the cost formula
+        self.direct_below = _direct_bound(cost_ratio)
         # Shared singletons: auto's large-operand path must hit the
         # same transform memo as explicit "fft" calls, not a second
         # cache holding duplicate transforms.
@@ -305,6 +332,8 @@ class AutoBackend:
     def chooses(self, n_a: int, n_b: int) -> str:
         """Name of the kernel this operand pair dispatches to."""
         n_out = n_a + n_b - 1
+        if n_out < self.direct_below:
+            return "direct"
         fft_cost = self.cost_ratio * n_out * np.log2(n_out + 1)
         return "direct" if n_a * n_b <= fft_cost else "fft"
 
@@ -317,8 +346,14 @@ class AutoBackend:
         """Per-pair dispatch by the cost model: below-crossover pairs
         run the direct kernel (bitwise the sequential path — the
         property the default config's reproducibility rests on), the
-        rest the FFT kernel."""
-        return [self.convolve_masses(a, b) for a, b in pairs]
+        rest the FFT kernel.  Pairs shorter than :attr:`direct_below`
+        go straight to ``np.convolve``."""
+        bound = self.direct_below
+        return [
+            np.convolve(a, b) if a.size + b.size <= bound
+            else self.convolve_masses(a, b)
+            for a, b in pairs
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AutoBackend(cost_ratio={self.cost_ratio:g})"

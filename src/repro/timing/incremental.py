@@ -11,7 +11,10 @@ sweep a perturbation front performs, but committing the results.
 The update is **exact**: it uses the same kernel and delay-PDF cache as
 :func:`~repro.timing.ssta.run_ssta`, and it recomputes a node only
 while its result can still change; downstream nodes whose recomputed
-arrival is bitwise identical to the stored one cut the wave off.
+arrival is bitwise identical to the stored one cut the wave off.  The
+result's gate-delay snapshot (``SSTAResult.delays``) is refreshed for
+every gate whose delay the resize changed, so later consumers of the
+result — the wave itself and perturbation fronts — read current delays.
 ``tests/timing/test_incremental.py`` asserts bitwise equality against
 full reruns; the optimizers expose it behind an ``incremental_ssta``
 flag (off by default to follow the paper's pseudocode literally).
@@ -65,7 +68,12 @@ def update_ssta_after_resize(
     The update wave starts at the output nets of all delay-affected
     gates (each resized gate plus its fan-in drivers, mirroring
     ``gates_affected_by_resize``) and follows fan-out edges, stopping
-    wherever the recomputed arrival is bitwise unchanged.
+    wherever the recomputed arrival is bitwise unchanged.  Before the
+    wave, the ``result.delays`` entry of every affected gate is
+    refreshed from the model — no other gate's delay can have changed —
+    so the wave, and any perturbation front later built on ``result``,
+    reads exactly the delay objects a fresh
+    :func:`~repro.timing.ssta.run_ssta` would hold.
     """
     graph: TimingGraph = result.graph
     cfg = model.config
@@ -76,11 +84,16 @@ def update_ssta_after_resize(
     kernel = get_backend(cfg.backend)
     cache = cfg.cache
     arrivals = result.arrivals
+    delays = result.delays
 
     seeds: Set[int] = set()
     for gate in resized_gates:
         for g in model.gates_affected_by_resize(gate):
+            delays[g.output] = model.delay_pdf(g)
             seeds.add(graph.gate_output_node(g))
+
+    def get_delay_pdf(gate: Gate) -> DiscretePDF:
+        return delays[gate.output]
 
     # Level-ordered worklist (a node may be enqueued once).  Under
     # ``config.level_batch`` every queued node of the current level is
@@ -103,7 +116,7 @@ def update_ssta_after_resize(
                 queued.discard(nxt)
                 batch.append(nxt)
             parts_list = [
-                node_fanin_parts(graph, n, get_arrival, model.delay_pdf)
+                node_fanin_parts(graph, n, get_arrival, get_delay_pdf)
                 for n in batch
             ]
             news = compute_level_arrivals(
@@ -119,7 +132,7 @@ def update_ssta_after_resize(
                     graph,
                     n,
                     get_arrival,
-                    model.delay_pdf,
+                    get_delay_pdf,
                     trim_eps=cfg.tail_eps,
                     counter=counter,
                     backend=kernel,

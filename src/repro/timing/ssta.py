@@ -209,8 +209,15 @@ def compute_level_arrivals(
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
 ) -> List[DiscretePDF]:
-    """The level scheduler: merged arrivals for a whole topological
-    level of mutually independent nodes, one per parts list.
+    """The level scheduler: merged arrivals for a batch of mutually
+    independent nodes, one per parts list.
+
+    A batch is any set of nodes none of which feeds another: a whole
+    topological level of one analysis (full SSTA, the incremental
+    wave), or the next levels of several perturbation fronts at once
+    (:func:`repro.core.perturbation.initialize_fronts`), whose nodes
+    read only inputs computed before the call.  Each node's result
+    depends only on its own parts list, never on the batch's make-up.
 
     Instead of dispatching kernels node by node, the scheduler
 
@@ -322,10 +329,19 @@ class SSTAResult:
     ``arrivals[node]`` is the (upper-bound) arrival CDF at each timing
     graph node; ``arrivals[graph.sink]`` is the circuit-delay
     distribution the optimization objective is defined on.
+
+    ``delays`` maps each gate's output net to the delay PDF the pass
+    convolved that gate's arcs with — the very object
+    :meth:`~repro.timing.delay_model.DelayModel.delay_pdf` returned at
+    the widths of the pass.  Perturbation fronts read unperturbed
+    delays from it instead of re-deriving them, and
+    :func:`~repro.timing.incremental.update_ssta_after_resize` refreshes
+    the entries of the gates a resize affects.
     """
 
     graph: TimingGraph
     arrivals: List[DiscretePDF]
+    delays: Dict[str, DiscretePDF]
     counter: OpCounter = field(default_factory=OpCounter)
 
     @property
@@ -365,7 +381,9 @@ def run_ssta(
     motivates the paper's pruning algorithm.  With
     ``config.level_batch`` (the default) each topological level runs
     through the batched scheduler; the sequential per-node walk is
-    bitwise identical and retained for differential testing.
+    bitwise identical and retained for differential testing.  Each
+    gate's delay PDF is derived once, up front, and shared by all of
+    its arcs (:attr:`SSTAResult.delays`).
     """
     cfg = config if config is not None else model.config
     own_counter = counter if counter is not None else OpCounter()
@@ -373,6 +391,11 @@ def run_ssta(
     arrivals: List[Optional[DiscretePDF]] = [None] * graph.n_nodes
     arrivals[graph.source] = DiscretePDF.delta(cfg.dt, 0.0)
     get_arrival = arrivals.__getitem__
+    delays = {g.output: model.delay_pdf(g) for g in graph.circuit.topo_gates()}
+
+    def get_delay_pdf(gate: Gate) -> DiscretePDF:
+        return delays[gate.output]
+
     if cfg.level_batch:
         # Level 0 holds exactly the source; every other level's nodes
         # are mutually independent (arcs always cross levels).
@@ -381,7 +404,7 @@ def run_ssta(
             if not nodes:
                 continue
             parts_list = [
-                node_fanin_parts(graph, node, get_arrival, model.delay_pdf)
+                node_fanin_parts(graph, node, get_arrival, get_delay_pdf)
                 for node in nodes
             ]
             for node, pdf in zip(
@@ -403,10 +426,15 @@ def run_ssta(
                 graph,
                 node,
                 get_arrival,  # type: ignore[arg-type]
-                model.delay_pdf,
+                get_delay_pdf,
                 trim_eps=cfg.tail_eps,
                 counter=own_counter,
                 backend=kernel,
                 cache=cfg.cache,
             )
-    return SSTAResult(graph=graph, arrivals=arrivals, counter=own_counter)  # type: ignore[arg-type]
+    return SSTAResult(
+        graph=graph,
+        arrivals=arrivals,  # type: ignore[arg-type]
+        delays=delays,
+        counter=own_counter,
+    )

@@ -199,6 +199,48 @@ class TestAutoBackend:
         with pytest.raises(DistributionError):
             AutoBackend(cost_ratio=0.0)
 
+    def test_direct_bound_at_default_ratio(self):
+        assert AutoBackend().direct_below == 994
+
+    @pytest.mark.parametrize("cost_ratio", [25.0, 7.5])
+    def test_chooses_equals_cost_formula_across_bound(self, cost_ratio):
+        # The short-pair fast path must pick exactly what the formula
+        # picks, on every split whose output length crosses the bound.
+        auto = AutoBackend(cost_ratio=cost_ratio)
+        bound = auto.direct_below
+        sizes = sorted(
+            {1, 2, 3, 5}
+            | set(range(1, bound + 40, 9))
+            | set(range(max(1, bound // 2 - 25), bound // 2 + 25))
+            | set(range(max(1, bound - 20), bound + 20))
+        )
+        flips = 0
+        for n_a in sizes:
+            for n_b in sizes:
+                n_out = n_a + n_b - 1
+                cost = cost_ratio * n_out * np.log2(n_out + 1)
+                expected = "direct" if n_a * n_b <= cost else "fft"
+                assert auto.chooses(n_a, n_b) == expected, (n_a, n_b)
+                flips += expected == "fft"
+        assert flips  # the grid reaches the FFT side
+
+    def test_convolve_many_kernel_per_pair(self):
+        # Pairs on both sides of the bound: every row is bitwise the
+        # kernel chooses() names for it.
+        rng = np.random.default_rng(3)
+        auto = AutoBackend()
+        pairs = [
+            (rng.random(n_a), rng.random(n_b))
+            for n_a, n_b in [(1, 8), (496, 497), (497, 497), (498, 498),
+                             (600, 600), (3, 2000)]
+        ]
+        for (a, b), row in zip(pairs, auto.convolve_many(pairs)):
+            if auto.chooses(a.size, b.size) == "direct":
+                expected = np.convolve(a, b)
+            else:
+                expected = FFTBackend().convolve_masses(a, b)
+            assert np.array_equal(row, expected)
+
 
 class TestBackendRegistry:
     def test_available_backends(self):
