@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the repro.dist kernels — the SSTA hot path.
 
-Measures convolve (under every registered backend, cold and through a
-warm :class:`ConvolutionCache` hit), batched ``convolve_many`` against
+Measures convolve (under every registered backend), batched
+``convolve_many`` against
 the looped kernels, the compiled kernel tier against NumPy ``direct``
 at sub-crossover sizes — scalar and batched miss path, plus the
 re-measured compiled-vs-FFT crossover (the ``kernels.compiled``
@@ -43,7 +43,8 @@ violation):
   promise — any inequality at all fails the gate);
 * the quick c17 sizer run serves at least ``--min-hit-rate`` of its
   kernel requests from the cache — a silently broken cache key fails
-  the build instead of quietly recomputing everything;
+  the build instead of quietly recomputing everything (the failure
+  reports the hits, convolutions and MAX ops behind the rate);
 * the scale ladder stays linear: doubling the gate count may cost at
   most ~2.8x wall-clock (generation and SSTA separately — a quadratic
   regression in either shows up here first).
@@ -168,13 +169,6 @@ def _bench_kernels(bin_counts) -> list:
             )
             row[f"convolve_{backend}_us"] = round(t * 1e6, 3)
             row[f"convolve_{backend}_ops_per_s"] = round(1.0 / t, 1)
-        # Warm-hit path of the keyed result cache (cache-on row; the
-        # cold cache-off numbers are the per-backend rows above).
-        cache = ConvolutionCache()
-        t_hit = _time_op(
-            lambda: convolve(a, b, trim_eps=TRIM_EPS, cache=cache)
-        )
-        row["convolve_cached_hit_us"] = round(t_hit * 1e6, 3)
         t_max = _time_op(lambda: stat_max(a, b, trim_eps=TRIM_EPS))
         t_many = _time_op(lambda: stat_max_many(fanin, trim_eps=TRIM_EPS))
         row["stat_max_us"] = round(t_max * 1e6, 3)
@@ -186,7 +180,6 @@ def _bench_kernels(bin_counts) -> list:
             f"convolve direct={row['convolve_direct_us']:9.1f} us  "
             f"fft={row['convolve_fft_us']:9.1f} us  "
             f"auto={row['convolve_auto_us']:9.1f} us  "
-            f"cached-hit={row['convolve_cached_hit_us']:7.2f} us  "
             f"stat_max={row['stat_max_us']:8.1f} us"
         )
     return rows
@@ -444,17 +437,37 @@ def _quartiles(values) -> dict:
 
 
 def _sizer_case(sizer_cls, circuit, iterations: int, cache, **kw):
+    """One timed sizing run, with its work counts: fronts the pruned
+    sizer built (fresh ones; resumed fronts are not built again) and
+    the ``IterationStats`` totals."""
+    from repro.core import pruned_sizer
+
+    built = [0]
+    real = pruned_sizer.initialize_fronts
+
+    def counting(fronts):
+        built[0] += len(fronts)
+        real(fronts)
+
     cfg = AnalysisConfig(cache=cache)
-    t0 = time.perf_counter()
-    result = sizer_cls(
-        circuit.copy(), config=cfg, max_iterations=iterations, **kw
-    ).run()
-    wall = time.perf_counter() - t0
+    pruned_sizer.initialize_fronts = counting
+    try:
+        t0 = time.perf_counter()
+        result = sizer_cls(
+            circuit.copy(), config=cfg, max_iterations=iterations, **kw
+        ).run()
+        wall = time.perf_counter() - t0
+    finally:
+        pruned_sizer.initialize_fronts = real
+    counts = {"fronts_built": built[0]}
+    for key in ("convolutions", "max_ops", "cache_hits"):
+        counts[key] = sum(getattr(s.stats, key) for s in result.steps)
     return {
         "wall_s": wall,
         "selected": [s.gate for s in result.steps],
         "final_objective": result.final_objective,
         "hit_rate": result.cache_hit_rate,
+        "counts": counts,
     }
 
 
@@ -467,7 +480,9 @@ def _bench_sizers(quick: bool) -> dict:
     ``size-c432`` use), and reports medians and quartiles of both, the
     median per-pair on/off ratio, and the host stamp.  Every cached
     run must select bitwise-identical gates and reach the identical
-    final objective (also locked by the sizer-golden tests).
+    final objective (also locked by the sizer-golden tests).  Each side
+    also records its work counts (fronts built, convolutions, MAX ops,
+    cache hits), which repeat exactly from run to run.
     """
     from repro.core.brute_force_sizer import BruteForceStatisticalSizer
     from repro.core.pruned_sizer import PrunedStatisticalSizer
@@ -509,6 +524,7 @@ def _bench_sizers(quick: bool) -> dict:
             "on_off_ratio": _quartiles(ratios),
             "on_faster_pairs": sum(r < 1.0 for r in ratios),
             "cache_hit_rate": round(on["hit_rate"], 4),
+            "counts": {"cache_off": off["counts"], "cache_on": on["counts"]},
             "identical_results": identical,
             "host": _host_stamp(),
         }
@@ -1382,7 +1398,13 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
                    "cache_hit_rate": sizer["cache_hit_rate"],
                    "min_hit_rate": min_hit_rate})
     if sizer["cache_hit_rate"] < min_hit_rate:
-        failures.append(("pruned-c17-hit-rate", sizer["cache_hit_rate"]))
+        # The rate alone cannot say what moved: report its terms.
+        on = sizer["counts"]["cache_on"]
+        failures.append((
+            "pruned-c17-hit-rate", sizer["cache_hit_rate"],
+            f"hits={on['cache_hits']} convolutions={on['convolutions']} "
+            f"max_ops={on['max_ops']}",
+        ))
     if not sizer["identical_results"]:
         failures.append(("pruned-c17-cache-divergence", 0.0))
 

@@ -29,7 +29,6 @@ from typing import List, Tuple
 
 from ..dist.ops import OpCounter
 from ..errors import OptimizationError
-from ..timing.ssta import run_ssta
 from .pruned_sizer import PrunedStatisticalSizer
 from .sizer_base import IterationStats, Selection
 
@@ -59,16 +58,16 @@ class HeuristicStatisticalSizer(PrunedStatisticalSizer):
     def _select_gate(self) -> Selection:
         dw = self.config.delta_w
         counter = OpCounter()
-        base = run_ssta(self.graph, self.model, counter=counter)
+        base = self._refresh_base(counter)
         base_obj = self.objective.evaluate(base.sink_pdf)
         candidates = self._candidates()
         stats = IterationStats(candidates=len(candidates))
 
         fronts = self._build_fronts(base, candidates, dw, counter)
         # Rank by the post-Initialize bound — recorded at construction,
-        # so a front resumed from a previous iteration (cache enabled)
-        # ranks exactly as the freshly built front would, keeping the
-        # beam membership (and hence the selection) cache-invariant.
+        # so a front resumed from a previous iteration ranks exactly as
+        # the freshly built front would, keeping the beam membership
+        # (and hence the selection) independent of reuse.
         ranked = sorted(fronts, key=lambda f: -f.initial_smx)
         beam = ranked[: self.beam_width]
         stats.pruned = len(ranked) - len(beam)

@@ -81,9 +81,9 @@ _NEG_INF = float("-inf")
 def _identical(a: DiscretePDF, b: DiscretePDF) -> bool:
     """Bitwise equality of two distributions on the same grid.
 
-    The identity shortcut matters with the convolution-result cache
-    enabled: an absorbed perturbation resolves to the *same object* the
-    base SSTA stored, so most checks never touch the mass vectors.
+    The identity shortcut matters with the node memo enabled: an
+    absorbed perturbation resolves to the *same object* the base SSTA
+    stored, so most checks never touch the mass vectors.
     """
     if a is b:
         return True
@@ -117,7 +117,10 @@ class PerturbationFront:
 
     Unperturbed inputs come from the base analysis: arrivals from
     ``base.arrivals`` and gate delays from the ``base.delays`` snapshot
-    (the very objects the base pass convolved with).
+    (the very objects the base pass convolved with).  When the base
+    kept an arc memo (``base.arcs``), an arc whose arrival and delay
+    are both unperturbed reuses the base pass's finished ADD result
+    instead of convolving again.
 
     Parameters
     ----------
@@ -157,11 +160,9 @@ class PerturbationFront:
         # Resolve once from the analysis config: the front's bitwise
         # exactness claim is against a full SSTA rerun *under the same
         # backend*, so both must take the kernel from the same knob.
-        # The result cache rides along identically — and it is where
-        # the cache earns its keep: every front re-convolves the
-        # unperturbed arcs of each node it touches with exactly the
-        # operands the base SSTA (and every sibling front) already
-        # used.
+        # The result cache rides along identically: sibling fronts and
+        # later iterations re-visit nodes whose fan-in the node memo
+        # has already seen.
         self._backend = get_backend(model.config.backend)
         self._cache = model.config.cache
 
@@ -180,13 +181,10 @@ class PerturbationFront:
 
         # Dependency ledger for cross-iteration reuse (:meth:`try_rebase`):
         # every unperturbed input the front has consumed so far, recorded
-        # *by object*.  With the convolution-result cache enabled,
-        # unchanged inputs stay object-identical across sizing
-        # iterations, so identity checks decide reusability exactly.
-        # Tracking costs two dict stores per consumed input; it is only
-        # enabled when a cache is configured (without one, base arrivals
-        # are rebuilt every iteration and reuse could never trigger).
-        self._track_deps = model.config.cache is not None
+        # *by object*.  The incremental update keeps unchanged arrivals
+        # object-identical across sizing iterations, and the delay
+        # model returns one object per operating point, so identity
+        # checks decide reusability exactly.
         #: node -> unperturbed arrival object consumed there
         self._dep_arrivals: Dict[int, DiscretePDF] = {}
         #: gate output net -> (gate, unperturbed delay PDF object)
@@ -272,9 +270,7 @@ class PerturbationFront:
         pdf = self._perturbed.get(node)
         if pdf is not None:
             return pdf
-        pdf = self.base.arrivals[node]
-        if self._track_deps:
-            self._dep_arrivals[node] = pdf
+        pdf = self._dep_arrivals[node] = self.base.arrivals[node]
         return pdf
 
     def _get_delay_pdf(self, gate: Gate) -> DiscretePDF:
@@ -282,8 +278,7 @@ class PerturbationFront:
         if pdf is not None:
             return pdf
         pdf = self.base.delays[gate.output]
-        if self._track_deps:
-            self._dep_delays[gate.output] = (gate, pdf)
+        self._dep_delays[gate.output] = (gate, pdf)
         return pdf
 
     def propagate_one_level(self) -> None:
@@ -341,6 +336,7 @@ class PerturbationFront:
                     counter=self.counter,
                     backend=self._backend,
                     cache=self._cache,
+                    arcs=self.base.arcs,
                 ),
             )
         self._end_level()
@@ -353,9 +349,7 @@ class PerturbationFront:
         self._retire_fanins(node)
         # The dependency ledger records the base object (its identity
         # is what try_rebase checks).
-        base_pdf = self.base.arrivals[node]
-        if self._track_deps:
-            self._dep_arrivals[node] = base_pdf
+        base_pdf = self._dep_arrivals[node] = self.base.arrivals[node]
         if self.drop_identical and _identical(perturbed, base_pdf):
             return  # perturbation fully absorbed at this node
         if node == self.graph.sink:
@@ -447,10 +441,14 @@ class PerturbationFront:
         by object identity against the ones the front was built from,
         and every recorded unperturbed dependency (base arrivals read,
         delay PDFs of unaffected gates) must be the identical object in
-        the new analysis state.  Object identity is a sound proxy for
-        content here because the convolution-result cache returns the
-        stored object for unchanged recomputations — which is also why
-        reuse is only attempted when a cache is configured.  On success
+        the new analysis state.  Identity implies equal content, and no
+        cache is needed for unchanged inputs to stay identical: the
+        delay model returns one object per operating point, and
+        :func:`~repro.timing.incremental.update_ssta_after_resize`
+        replaces only arrivals whose bits changed.  A base recomputed
+        from scratch holds new objects everywhere (unless a node memo
+        returns the stored ones), so a front rebases onto it only
+        through the cache.  On success
         the front's state (including a finished front's exact
         sensitivity) is bitwise the state a freshly built front would
         reach at the same level under ``new_base``, by induction over
@@ -458,8 +456,6 @@ class PerturbationFront:
         new base.  On failure the caller rebuilds the front from
         scratch — reuse can only ever skip work, never change answers.
         """
-        if not self._track_deps:
-            return False
         # The candidate's perturbation must re-derive identically at
         # today's widths and loads (a resized neighbor, or the gate
         # itself having won, shows up right here).
@@ -528,6 +524,7 @@ def _advance_together(fronts: Sequence[PerturbationFront]) -> None:
         counter=head.counter,
         backend=head._backend,
         cache=head._cache,
+        arcs=head.base.arcs,
     )
     for front, nodes, start in steps:
         for node, perturbed in zip(nodes, results[start:start + len(nodes)]):

@@ -3,7 +3,13 @@
 Each iteration searches for the most sensitive gate *without* a full
 SSTA per candidate:
 
-1. run one SSTA to refresh unperturbed arrivals (step 2);
+1. refresh the unperturbed arrivals (step 2): the first iteration runs
+   a full SSTA pass that keeps its arc memo, and every later one
+   brings that same result up to date with the exact incremental wave
+   over the previous iteration's resized gates
+   (:func:`~repro.timing.incremental.update_ssta_after_resize`),
+   bitwise what a full pass would give, with unchanged arrivals kept
+   as the same objects;
 2. ``Initialize`` a perturbation front per candidate gate (steps 3-4),
    all candidates together: every Initialize runs unconditionally
    before the first pop, so their levels advance in rounds, one
@@ -37,7 +43,7 @@ from ..dist.ops import OpCounter
 from ..errors import OptimizationError
 from ..netlist.circuit import Gate
 from ..timing.incremental import update_ssta_after_resize
-from ..timing.ssta import run_ssta
+from ..timing.ssta import SSTAResult, run_ssta
 from .objectives import Objective
 from .perturbation import PerturbationFront, initialize_fronts
 from .sizer_base import IterationStats, Selection, SizerBase
@@ -61,16 +67,10 @@ class PrunedStatisticalSizer(SizerBase):
         finished sensitivity, which is still exact with respect to the
         top-``N`` set; per-iteration objective values become
         first-order estimates (re-anchored by the next SSTA).
-    incremental_ssta:
-        Refresh the unperturbed arrivals (Figure 6 step 2) with an
-        exact incremental cone update instead of a from-scratch SSTA.
-        Bitwise identical results (see
-        :mod:`repro.timing.incremental`); off by default to follow the
-        paper's pseudocode literally.
 
-    When the analysis config carries a convolution-result cache, the
-    sizer additionally *reuses perturbation fronts across iterations*:
-    a candidate whose recorded dependencies are unchanged (see
+    Because the base is refreshed incrementally, the sizer *reuses
+    perturbation fronts across iterations*, cache or no cache: a
+    candidate whose recorded dependencies are unchanged (see
     :meth:`~repro.core.perturbation.PerturbationFront.try_rebase`)
     resumes from its previous state — a finished front contributes its
     exact sensitivity for free — instead of re-running ``Initialize``
@@ -79,8 +79,13 @@ class PrunedStatisticalSizer(SizerBase):
     every level, the eventual winner's bound can never fall below the
     selection threshold, and exact ties are resolved by candidate order
     independent of completion order — so the selected gates, their
-    sensitivities, and the resulting sizes are bitwise identical with
-    the cache on or off (the sizer-golden tests pin this).
+    sensitivities, and the resulting sizes are bitwise identical to the
+    brute-force sizer's, with the cache on or off (the sizer-golden and
+    exactness tests pin this).
+
+    The incremental wave runs at the top of the iteration that needs
+    it, so its kernel tallies land in that iteration's
+    :class:`~repro.core.sizer_base.IterationStats`.
     """
 
     name = "pruned-statistical"
@@ -91,7 +96,6 @@ class PrunedStatisticalSizer(SizerBase):
         *,
         drop_identical: bool = True,
         gates_per_iteration: int = 1,
-        incremental_ssta: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(circuit, **kwargs)
@@ -107,19 +111,33 @@ class PrunedStatisticalSizer(SizerBase):
             )
         self.drop_identical = drop_identical
         self.gates_per_iteration = gates_per_iteration
-        self.incremental_ssta = incremental_ssta
-        self._base: Optional[object] = None
+        self._base: Optional[SSTAResult] = None
+        #: gates resized since ``_base`` was last brought up to date
+        self._resized: List[Gate] = []
         #: previous iteration's fronts by gate name (cross-iteration
-        #: reuse; only consulted when the config carries a cache).
+        #: reuse)
         self._fronts: dict = {}
 
-    def _after_apply(self, gates) -> None:
-        if self.incremental_ssta and self._base is not None:
-            update_ssta_after_resize(self._base, self.model, gates)
+    def run(self):
+        # Widths may have changed since a previous run: start from a
+        # full pass.
+        self._base = None
+        self._resized = []
+        return super().run()
 
-    def _refresh_base(self, counter: OpCounter):
-        if not self.incremental_ssta or self._base is None:
-            self._base = run_ssta(self.graph, self.model, counter=counter)
+    def _after_apply(self, gates) -> None:
+        self._resized.extend(gates)
+
+    def _refresh_base(self, counter: OpCounter) -> SSTAResult:
+        if self._base is None:
+            self._base = run_ssta(
+                self.graph, self.model, counter=counter, keep_arcs=True
+            )
+        elif self._resized:
+            update_ssta_after_resize(
+                self._base, self.model, self._resized, counter=counter
+            )
+            self._resized = []
         return self._base
 
     def _build_fronts(self, base, candidates, dw, counter):

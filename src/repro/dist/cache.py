@@ -1,14 +1,11 @@
-"""Keyed result cache for the timing kernels (the optimizer memo).
+"""Keyed result cache for the timing engines (the optimizer memo).
 
 The sizing loop re-evaluates sensitivity by re-running SSTA
 perturbation fronts, and across candidate gates and optimizer
-iterations the *same* (arrival, delay-PDF) convolutions are recomputed
-thousands of times: every front re-convolves the unperturbed arcs of
-each node it touches with exactly the operands the base SSTA already
-used, and consecutive iterations re-time a circuit in which only one
-gate's cone changed.  :class:`ConvolutionCache` memoizes those results
-— the analogue, one layer up, of the FFT backend's forward-transform
-memo.
+iterations the *same* timing nodes are re-merged from the same fan-in
+thousands of times: sibling fronts re-visit one another's territory,
+and a warm service request replays a whole earlier analysis.
+:class:`ConvolutionCache` memoizes those finished results.
 
 Design constraints, in order:
 
@@ -23,31 +20,33 @@ Design constraints, in order:
    (0 of ~47k), so nothing is kept to rebuild one.
 2. **Content keys, not identity keys.**  Keys are fingerprints of the
    operand mass vectors (plus ``dt``, offsets, the trim epsilon, and
-   the backend), so re-created but equal operands hit, and a resized
-   gate's new delay PDF — new masses, new fingerprint — can never
-   alias a stale entry.  Fingerprints are SHA-1 digests of the
-   immutable mass bytes, memoized per
+   the backend), so re-created but equal operands hit — a fresh
+   circuit copy in a warm service process, or a snapshot loaded by
+   another process — and a resized gate's new delay PDF (new masses,
+   new fingerprint) can never alias a stale entry.  Fingerprints are
+   SHA-1 digests of the immutable mass bytes, memoized per
    :class:`~repro.dist.pdf.DiscretePDF` instance (its ``_fp``
    attribute), so repeated lookups of long-lived operands cost O(1).
 3. **Bounded memory.**  The cache is an LRU over a fixed number of
    entries (:data:`DEFAULT_CACHE_CAPACITY` by default); eviction churn
    at tiny capacities is exercised by the property suite.
 
-One LRU holds three memo kinds, each with one cache path:
+One LRU holds two memo kinds, each with one cache path:
 
 * **node** — a timing node's whole merged arrival, probed by every
   engine (full, incremental and backward SSTA, the perturbation
   fronts) before any kernel work (:meth:`lookup_node`);
-* **ADD** — one convolution result, probed batch-wise by
-  :func:`~repro.dist.ops.convolve_many` (:meth:`lookup_many`);
 * **gap** — one Theorem-4 percentile gap (:meth:`lookup_gap`).
 
-There is no per-operation MAX memo.  A MAX request only reaches the
-kernel behind a node-memo miss, which means the node's fan-in changed,
-so it almost never recurs: a cold 10-iteration pruned c432 sizing run
-never reaches one, and cold backward passes on c432, c880 and c1908
-hit it 1 of 116, 0 of 234 and 0 of 279 times.  A repeated pass is
-served by the node memo instead.
+There is no per-operation memo.  A kernel request only happens behind
+a node-memo miss, which means the node's fan-in changed, so its MAX
+almost never recurs (a cold 10-iteration pruned c432 sizing run never
+repeats one).  Its ADDs do recur, but the recurring ones are the
+unperturbed arcs a perturbation front re-requests from the base pass,
+and those are matched by object identity in the base pass's own arc
+memo (:class:`~repro.timing.ssta.ArcMemo`) with no hashing and no LRU
+traffic.  A content-hashed ADD memo cost more on a cold sizing run
+than it saved, and its entries pushed node entries out of the LRU.
 
 The cache is *enabled per analysis* through
 ``AnalysisConfig(cache=...)`` (see :mod:`repro.config`) and threaded
@@ -85,11 +84,11 @@ from .pdf import DiscretePDF
 __all__ = ["ConvolutionCache", "CacheStats", "DEFAULT_CACHE_CAPACITY"]
 
 #: Default entry bound.  A c432 sizing iteration's working set is
-#: ~25k entries (one per distinct kernel request across the base SSTA
-#: and every perturbation front), and an undersized cache *thrashes* —
-#: each iteration evicts what the next would have hit.  32k entries
-#: hold the paper suite's working sets with room to spare while
-#: bounding memory at tens of MiB of ~100-bin float64 vectors.
+#: thousands of entries (one per distinct node arrival and gap across
+#: the base SSTA and every perturbation front), and an undersized cache
+#: *thrashes* — each iteration evicts what the next would have hit.
+#: 32k entries hold the paper suite's working sets with room to spare
+#: while bounding memory at tens of MiB of ~100-bin float64 vectors.
 DEFAULT_CACHE_CAPACITY: int = 32768
 
 #: Monotonic sequence for snapshot temp-file names: combined with pid
@@ -210,8 +209,7 @@ class _Entry:
 
 
 class ConvolutionCache:
-    """Size-bounded LRU memo over node arrivals, convolutions and
-    percentile gaps.
+    """Size-bounded LRU memo over node arrivals and percentile gaps.
 
     Parameters
     ----------
@@ -270,41 +268,14 @@ class ConvolutionCache:
         )
 
     # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
-    # The key builders are public API: batched callers (``convolve_many``,
-    # the level scheduler) build each request's key once, probe with
-    # it, deduplicate identical requests within one batch against it,
-    # and store under it — a key is never derived twice for one request.
-
-    @staticmethod
-    def convolve_key(
-        a: DiscretePDF, b: DiscretePDF, trim_eps: float, backend
-    ) -> tuple:
-        """Cache key of ``convolve(a, b)`` under the given trim epsilon
-        and (resolved) backend."""
-        # The finished result depends on the operand offsets only
-        # through their sum (its own offset), so every split of one sum
-        # over the two operands shares the entry.
-        return (
-            "conv",
-            a.dt,
-            trim_eps,
-            getattr(backend, "name", type(backend).__name__),
-            a._fp,  # noqa: SLF001 - the per-instance digest memo
-            b._fp,  # noqa: SLF001
-            a.offset + b.offset,
-        )
-
-    # ------------------------------------------------------------------
     # LRU plumbing (callers hold self._lock)
     # ------------------------------------------------------------------
     def _get(self, key: tuple, backend) -> Optional[_Entry]:
         """Probe one key: the entry on a hit, None on a miss.  An entry
         stored under a different backend object (a distinct instance
         sharing the stored one's name) is the miss it is: the caller
-        recomputes.  ADD and node entries carry their resolved backend;
-        gap entries carry None and are probed with None."""
+        recomputes.  Node entries carry their resolved backend; gap
+        entries carry None and are probed with None."""
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
@@ -333,49 +304,6 @@ class ConvolutionCache:
             self.stats.evictions += 1
 
     # ------------------------------------------------------------------
-    # ADD (convolution): batched requests from convolve_many
-    # ------------------------------------------------------------------
-    def lookup_many(self, keys: Sequence[tuple], backend) -> tuple:
-        """Resolve a batch of ADD requests (:meth:`convolve_key` keys,
-        ``backend`` the resolved kernel) in one locked pass, as a
-        sequential loop sees them before the batch's first store.
-
-        Returns ``(results, dups)``: ``results[i]`` is the stored
-        result or None.  A repeat of a key that missed earlier in the
-        batch is not probed — a sequential loop would hit the entry its
-        first occurrence stores, and probing now would register a miss
-        that stream never sees — and its index goes to ``dups`` for the
-        caller to resolve after its stores.
-        """
-        results: list = [None] * len(keys)
-        dups: list = []
-        missed: set = set()
-        with self._lock:
-            for i, key in enumerate(keys):
-                if key in missed:
-                    dups.append(i)
-                    continue
-                entry = self._get(key, backend)
-                if entry is None:
-                    missed.add(key)
-                else:
-                    results[i] = entry.result
-        return results, dups
-
-    def store_many(
-        self,
-        keys: Sequence[tuple],
-        results: Sequence[DiscretePDF],
-        backend,
-    ) -> None:
-        """Insert a batch of freshly computed ADD results under one
-        lock, in order (``backend`` as in :meth:`lookup_many`)."""
-        new = [_Entry(result, backend) for result in results]
-        with self._lock:
-            for key, entry in zip(keys, new):
-                self._put(key, entry)
-
-    # ------------------------------------------------------------------
     # Whole-node arrival memo (the engines' coarse-grained fast path)
     # ------------------------------------------------------------------
     # A timing node's arrival is a pure function of its fan-in operand
@@ -388,10 +316,10 @@ class ConvolutionCache:
 
     def lookup_node(self, key: tuple, backend) -> Optional[DiscretePDF]:
         """Memoized whole-node arrival for a key built by
-        :meth:`node_key`, or None.  Like :meth:`lookup_many`, the
-        resolved backend object is verified identically — two distinct
-        instances sharing a name (e.g. ``AutoBackend``s with different
-        cost ratios) must never serve each other's bits."""
+        :meth:`node_key`, or None.  The resolved backend object is
+        verified identically — two distinct instances sharing a name
+        (e.g. ``AutoBackend``s with different cost ratios) must never
+        serve each other's bits."""
         with self._lock:
             entry = self._get(("node",) + key, backend)
         return None if entry is None else entry.result
@@ -466,13 +394,18 @@ class ConvolutionCache:
     # Only registry-kernel entries are saved — a non-registry backend
     # instance cannot be identified by name alone, and writing it under
     # its name could alias a different implementation's entries on
-    # load.  A format-2 file written while the cache still held a MAX
-    # kind may carry ``"max"`` entries: they load, are never probed,
-    # and age out of the LRU.
+    # load.  A format-2 file written while the cache still held an ADD
+    # or a MAX kind carries ``"conv"`` or ``"max"`` entries that no
+    # engine probes any more: :meth:`load` (and so
+    # :meth:`merge_snapshots`) skips them, so a warm start never fills
+    # the LRU with dead entries.
 
     #: Snapshot format version (bump on any layout change).  Files of
     #: another format are rejected, never translated: delete them.
     SNAPSHOT_FORMAT: int = 2
+
+    #: First key element of every kind an engine probes.
+    _LIVE_KINDS = frozenset({"node", "gap"})
 
     def save(self, path) -> int:
         """Write every (registry-kernel) entry to ``path`` in LRU
@@ -569,7 +502,8 @@ class ConvolutionCache:
         """Rebuild a cache from a :meth:`save` snapshot.
 
         ``capacity`` overrides the recorded bound (the oldest entries
-        are dropped if the snapshot exceeds it).  Backend names are
+        are dropped if the snapshot exceeds it).  Entries of a kind no
+        engine probes any more are skipped.  Backend names are
         resolved against the current registry, so hits served from
         loaded entries pass the same identity check fresh entries do.
         Snapshots are trusted input (they are pickles): load only
@@ -605,11 +539,15 @@ class ConvolutionCache:
                 capacity if capacity is not None else payload["capacity"]
             )
             for key, result, name in payload["entries"]:
+                if key[0] not in cls._LIVE_KINDS:
+                    continue
                 backend = None if name is None else get_backend(name)
                 cache._entries[key] = _Entry(result, backend)
         except DistributionError:
             raise
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (
+            KeyError, IndexError, ValueError, TypeError, AttributeError,
+        ) as exc:
             # A payload that unpickled but has the wrong shape (hand
             # edit, partial write that still parses) is corruption too.
             raise DistributionError(

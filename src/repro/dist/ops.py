@@ -34,35 +34,18 @@ argument for call-site uniformity (engines thread one backend choice
 through every operation); the independence max is a CDF product, not a
 convolution, so its numerics are backend-invariant by construction.
 
-Two accelerations ride on top of that contract:
-
-* the ADD kernels (:func:`convolve`, :func:`convolve_many`) take an
-  optional ``cache`` — a :class:`~repro.dist.cache.ConvolutionCache`
-  memoizing finished results keyed by operand content and offsets,
-  backend, and trim epsilon.  Hits return bits identical to a fresh
-  computation and are tallied on the counter as *hits*, never as
-  computed operations.  The MAX kernels take no cache: a MAX request
-  reaches them only behind a node-memo miss, where it almost never
-  recurs (see :mod:`repro.dist.cache`);
-* :func:`convolve_many` batches a node's (or a level's) fan-in ADDs
-  through the backend's ``convolve_many`` entry point, bitwise
-  identical to sequential calls, and :func:`stat_max_groups` batches
-  many independent MAX reductions into one compiled sweep (or, without
-  the tier, stacked CDF products over same-shape groups).  The
-  singleton entry points are one-element batches of these, so each
-  kernel has one code path.
-
-:func:`convolve_many` replicates the *sequential request stream* when
-a cache is attached: requests are resolved against the cache in order,
-in one locked pass per batch (its stores take one more), duplicate
-requests within one batch are served from the entry their first
-occurrence stores (computed once, tallied as hits — exactly what a
-sequential loop would do), and an empty or fully cached batch never
-invokes the backend at all.  This is what keeps kernel tallies and
-cache statistics invariant between the level-batched and per-node
-execution modes of the timing engines whenever the cache holds its
-working set (an eviction-thrashing cache may hit and miss differently
-between the orders, but every value stays bitwise).
+The kernels are memo-free: every request is computed.
+:func:`convolve_many` batches a node's (or a level's) fan-in ADDs
+through the backend's ``convolve_many`` entry point, bitwise identical
+to sequential calls, and :func:`stat_max_groups` batches many
+independent MAX reductions into one compiled sweep (or, without the
+tier, stacked CDF products over same-shape groups).  The singleton
+entry points are one-element batches of these, so each kernel has one
+code path.  Reuse lives one layer up, in the timing engines: the
+whole-node memo of :class:`~repro.dist.cache.ConvolutionCache`
+(whose hits the engines tally on the counter as *hits*, never as
+computed operations) and the identity-matched arc memo of an SSTA
+pass (:class:`~repro.timing.ssta.ArcMemo`).
 """
 
 from __future__ import annotations
@@ -75,7 +58,6 @@ import numpy as np
 from ..errors import DistributionError, GridMismatchError
 from . import _compiled
 from .backends import BackendLike, get_backend
-from .cache import ConvolutionCache
 from .pdf import DiscretePDF
 
 __all__ = [
@@ -98,11 +80,11 @@ class OpCounter:
     additive: thread one instance through an analysis to attribute all
     of its work, or keep separate instances and :meth:`merge` them.
 
-    Cache hits are tallied **distinctly**: a request served from a
-    :class:`~repro.dist.cache.ConvolutionCache` increments
-    :attr:`convolve_cache_hits` (an ADD entry, or a node entry's gate
-    arcs) / :attr:`max_cache_hits` (a node entry's MAX merge) and
-    leaves the mult/add tallies untouched — :attr:`convolutions` and
+    Cache hits are tallied **distinctly**: a node served from the
+    node memo of a :class:`~repro.dist.cache.ConvolutionCache`
+    increments :attr:`convolve_cache_hits` (one per gate arc) and
+    :attr:`max_cache_hits` (its MAX merge) and leaves the mult/add
+    tallies untouched — :attr:`convolutions` and
     :attr:`max_ops` count only the operations actually computed, so
     cached work is visible without inflating the Table-2 statistics.
     The invariant the tests pin: *computed + hits* equals the cache-off
@@ -204,22 +186,17 @@ def convolve(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-    cache: Optional[ConvolutionCache] = None,
 ) -> DiscretePDF:
     """Distribution of the sum of two independent arrivals (ADD).
 
     Offsets add, so no regridding happens: the result lives on the same
     ``dt`` grid at offset ``a.offset + b.offset``.  ``trim_eps`` total
     tail mass is trimmed afterwards (split between the tails).
-    ``backend`` selects the convolution kernel (default ``auto``);
-    ``cache`` memoizes results keyed by operand content — hits are
-    bit-identical to fresh computations and tallied separately on the
-    counter (they are not computed work).  A one-pair
-    :func:`convolve_many` batch.
+    ``backend`` selects the convolution kernel (default ``auto``).  A
+    one-pair :func:`convolve_many` batch.
     """
     return convolve_many(
-        [(a, b)], trim_eps=trim_eps, counter=counter, backend=backend,
-        cache=cache,
+        [(a, b)], trim_eps=trim_eps, counter=counter, backend=backend
     )[0]
 
 
@@ -229,89 +206,40 @@ def convolve_many(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-    cache: Optional[ConvolutionCache] = None,
 ) -> list:
     """Batched ADD: one :func:`convolve` result per ``(a, b)`` pair.
 
     The SSTA inner loop convolves every fan-in arrival with its arc's
     delay PDF before one MAX reduction; this entry point hands all of a
     node's (or level's) pairs to the backend at once, so a compiled
-    backend convolves them in one foreign call.  It is the ADD kernel's
-    one cache path: cached pairs are resolved first and never re-enter
-    the batch.
+    backend convolves them in one foreign call.
 
     Equivalence contract with the looped path: **bitwise identical per
     pair regardless of batch composition**, for every shipped backend
-    (see ``ConvolutionBackend.convolve_many``).  This is load-bearing
-    for the result cache, which shares entries between batches of any
-    composition.  Backends without a ``convolve_many`` method fall
-    back to a ``convolve_masses`` loop.
-
-    With a cache attached the *tallies* match the looped path too:
-    duplicate pairs within one batch are computed once and the repeats
-    served from the just-stored entry (counted as hits), exactly as a
-    sequential loop's later calls would hit the earlier call's entry.
-    A batch that is empty — or whose every pair resolves from the
-    cache — never touches the backend.
+    (see ``ConvolutionBackend.convolve_many``).  The timing engines
+    rely on it: the node and arc memos share results between batches
+    of any composition.  Backends without a ``convolve_many`` method
+    fall back to a ``convolve_masses`` loop.  An empty batch never
+    touches the backend.
     """
     if not pairs:
         return []
     kernel = get_backend(backend)
     for a, b in pairs:
         _require_same_grid((a, b))
-    if cache is None:
-        results: list = [None] * len(pairs)
-        todo = range(len(pairs))
-        dups: list = []
+    batch = [(a.masses, b.masses) for a, b in pairs]
+    if callable(getattr(kernel, "convolve_many", None)):
+        raws = kernel.convolve_many(batch)
     else:
-        # One locked pass resolves the batch as a sequential loop's
-        # probes would; repeats of a missed pair come back in ``dups``.
-        keys = [cache.convolve_key(a, b, trim_eps, kernel) for a, b in pairs]
-        results, dups = cache.lookup_many(keys, kernel)
-        dupset = set(dups)
-        todo = [
-            i for i, r in enumerate(results) if r is None and i not in dupset
-        ]
-        if counter is not None:
-            counter.convolve_cache_hits += len(pairs) - len(todo) - len(dups)
-    if todo:
-        sub = [pairs[i] for i in todo]
-        batch = [(a.masses, b.masses) for a, b in sub]
-        # Backends without the batched entry point fall back to a
-        # convolve_masses loop.
-        if callable(getattr(kernel, "convolve_many", None)):
-            raws = kernel.convolve_many(batch)
-        else:
-            raws = [kernel.convolve_masses(a, b) for a, b in batch]
-        if counter is not None:
-            counter.convolutions += len(todo)
-        built = _build_results(
-            raws,
-            [a.dt for a, _b in sub],
-            [a.offset + b.offset for a, b in sub],
-            trim_eps,
-        )
-        for i, res in zip(todo, built):
-            results[i] = res
-        if cache is not None:
-            cache.store_many([keys[i] for i in todo], built, kernel)
-    for i in dups:
-        hit = cache.lookup_many([keys[i]], kernel)[0][0]
-        if hit is None:
-            # The representative's entry was already evicted (tiny
-            # capacity churn) — recompute, as the sequential loop would.
-            a, b = pairs[i]
-            raw = kernel.convolve_masses(a.masses, b.masses)
-            if counter is not None:
-                counter.convolutions += 1
-            hit = _build_results(
-                [raw], [a.dt], [a.offset + b.offset], trim_eps
-            )[0]
-            cache.store_many([keys[i]], [hit], kernel)
-        elif counter is not None:
-            counter.convolve_cache_hits += 1
-        results[i] = hit
-    return results
+        raws = [kernel.convolve_masses(a, b) for a, b in batch]
+    if counter is not None:
+        counter.convolutions += len(pairs)
+    return _build_results(
+        raws,
+        [a.dt for a, _b in pairs],
+        [a.offset + b.offset for a, b in pairs],
+        trim_eps,
+    )
 
 
 def _padded_cdfs(pdfs: Sequence[DiscretePDF]) -> tuple:

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional
 
 from ..config import AnalysisConfig
 from ..dist.backends import BackendLike, get_backend
-from ..dist.cache import ConvolutionCache
 from ..dist.ops import OpCounter, convolve
 from ..dist.pdf import DiscretePDF
 from ..errors import TimingError
@@ -53,17 +52,15 @@ class BackwardSSTAResult:
 
     ``to_sink[node]`` is the distribution of the longest remaining
     delay from ``node`` to the sink (zero at the sink itself).
-    ``backend`` and ``cache`` record the convolution backend and result
-    cache the pass ran under, so downstream criticality queries default
-    to the same kernel and memo instead of silently mixing them within
-    one analysis.
+    ``backend`` records the convolution backend the pass ran under, so
+    downstream criticality queries default to the same kernel instead
+    of silently mixing kernels within one analysis.
     """
 
     graph: TimingGraph
     to_sink: List[DiscretePDF]
     counter: OpCounter
     backend: BackendLike = "auto"
-    cache: Optional[ConvolutionCache] = None
 
     def to_sink_of_net(self, net: str) -> DiscretePDF:
         """Delay-to-sink PDF at a named net."""
@@ -104,8 +101,8 @@ def run_backward_ssta(
     nodes are mutually independent in the backward direction too —
     runs through the batched level scheduler, bitwise identical to the
     sequential walk.  Both modes use the forward engines' node merge,
-    so with a cache attached they consult the same whole-node and ADD
-    memos: a repeated pass resolves every node in one probe.
+    so with a cache attached they consult the same whole-node memo: a
+    repeated pass resolves every node in one probe.
     """
     cfg = config if config is not None else model.config
     own = counter if counter is not None else OpCounter()
@@ -146,7 +143,6 @@ def run_backward_ssta(
             )
     return BackwardSSTAResult(
         graph=graph, to_sink=to_sink, counter=own, backend=kernel,  # type: ignore[arg-type]
-        cache=cache,
     )
 
 
@@ -166,15 +162,14 @@ def node_criticality(
     the net essentially set the circuit delay; near 0 means the net is
     statistically irrelevant.  Relative ranking is what the analysis
     consumers use.  ``backend`` defaults to the kernel the backward
-    pass ran under (and the query reuses its result cache), keeping one
-    backend and memo choice threaded through the whole analysis.
+    pass ran under, keeping one backend threaded through the whole
+    analysis.
     """
     graph = forward.graph
     node = graph.node_of_net(net)
     kernel = backward.backend if backend is None else backend
     through = convolve(
-        forward.arrivals[node], backward.to_sink[node], backend=kernel,
-        cache=backward.cache,
+        forward.arrivals[node], backward.to_sink[node], backend=kernel
     )
     target = forward.sink_pdf.percentile(percentile)
     return 1.0 - through.cdf_at(target)

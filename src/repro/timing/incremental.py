@@ -11,13 +11,17 @@ sweep a perturbation front performs, but committing the results.
 The update is **exact**: it uses the same kernel and delay-PDF cache as
 :func:`~repro.timing.ssta.run_ssta`, and it recomputes a node only
 while its result can still change; downstream nodes whose recomputed
-arrival is bitwise identical to the stored one cut the wave off.  The
-result's gate-delay snapshot (``SSTAResult.delays``) is refreshed for
-every gate whose delay the resize changed, so later consumers of the
-result — the wave itself and perturbation fronts — read current delays.
-``tests/timing/test_incremental.py`` asserts bitwise equality against
-full reruns; the optimizers expose it behind an ``incremental_ssta``
-flag (off by default to follow the paper's pseudocode literally).
+arrival is bitwise identical to the stored one cut the wave off, and
+keep their stored object.  The result's gate-delay snapshot
+(``SSTAResult.delays``) is refreshed for every gate whose delay the
+resize changed, and its arc memo (``SSTAResult.arcs``) loses every
+entry whose arrival or delay the update replaced and gains every arc
+the wave computes — so later consumers of the result, the wave itself
+and perturbation fronts, read current objects.  Unchanged arrivals
+stay the *same objects*, which is what lets the pruned sizer, whose
+base this is after its first iteration, resume fronts across
+iterations by identity.  ``tests/timing/test_incremental.py`` asserts
+bitwise equality against full reruns.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def update_ssta_after_resize(
     refreshed from the model — no other gate's delay can have changed —
     so the wave, and any perturbation front later built on ``result``,
     reads exactly the delay objects a fresh
-    :func:`~repro.timing.ssta.run_ssta` would hold.
+    :func:`~repro.timing.ssta.run_ssta` would hold.  ``counter``
+    receives the wave's kernel tallies.
     """
     graph: TimingGraph = result.graph
     cfg = model.config
@@ -85,12 +90,18 @@ def update_ssta_after_resize(
     cache = cfg.cache
     arrivals = result.arrivals
     delays = result.delays
+    arcs = result.arcs
 
     seeds: Set[int] = set()
     for gate in resized_gates:
         for g in model.gates_affected_by_resize(gate):
-            delays[g.output] = model.delay_pdf(g)
-            seeds.add(graph.gate_output_node(g))
+            node = graph.gate_output_node(g)
+            old, new = delays[g.output], model.delay_pdf(g)
+            if arcs is not None and new is not old:
+                for edge in graph.fanin_edges(node):
+                    arcs.drop(arrivals[edge.src], old)
+            delays[g.output] = new
+            seeds.add(node)
 
     def get_delay_pdf(gate: Gate) -> DiscretePDF:
         return delays[gate.output]
@@ -125,6 +136,8 @@ def update_ssta_after_resize(
                 counter=counter,
                 backend=kernel,
                 cache=cache,
+                arcs=arcs,
+                fill_arcs=True,
             )
         else:
             news = [
@@ -137,15 +150,20 @@ def update_ssta_after_resize(
                     counter=counter,
                     backend=kernel,
                     cache=cache,
+                    arcs=arcs,
+                    fill_arcs=True,
                 )
                 for n in batch
             ]
         for n, new_pdf in zip(batch, news):
             recomputed += 1
-            if _identical(new_pdf, arrivals[n]):
+            old = arrivals[n]
+            if _identical(new_pdf, old):
                 continue  # wave dies here
             arrivals[n] = new_pdf
             for edge in graph.fanout_edges(n):
+                if arcs is not None and edge.gate is not None:
+                    arcs.drop(old, delays[edge.gate.output])
                 if edge.dst not in queued:
                     queued.add(edge.dst)
                     heapq.heappush(heap, (graph.level(edge.dst), edge.dst))

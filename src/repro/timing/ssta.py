@@ -33,11 +33,15 @@ independent work; the level-batching differential suite and the CI
 drift gate enforce the equivalence end to end.
 
 With a cache attached every node first probes the whole-node memo;
-only a miss reaches the kernels, whose ADDs probe the convolution memo
-and whose MAX merge is always computed (there is no per-op MAX memo:
-behind a node-memo miss the fan-in changed, so the MAX request almost
-never recurs).  The backward pass of :mod:`repro.timing.criticality`
-runs the same node merge.
+only a miss reaches the kernels.  Behind a miss, a gate arc whose
+operands are the very objects an SSTA pass convolved takes that pass's
+finished result from its **arc memo** (:class:`ArcMemo`, matched by
+object identity, never by content); every other ADD and every MAX
+merge is computed.  Only the sizer's base pass keeps an arc memo
+(``run_ssta(keep_arcs=True)``, refreshed by the incremental wave): its
+perturbation fronts re-request the unperturbed arcs of every node they
+touch.  The backward pass of :mod:`repro.timing.criticality` runs the
+same node merge.
 
 The kernels are shared with the perturbation-front machinery of the
 optimizer (`repro.core.perturbation`): a perturbed propagation is the
@@ -62,6 +66,7 @@ from .delay_model import DelayModel
 from .graph import TimingGraph
 
 __all__ = [
+    "ArcMemo",
     "SSTAResult",
     "run_ssta",
     "compute_node_arrival",
@@ -111,6 +116,101 @@ def _node_hit_tally(counter: Optional[OpCounter], parts: NodeParts) -> None:
         counter.max_cache_hits += len(parts) - 1
 
 
+class ArcMemo:
+    """Finished ADD results of one SSTA pass's gate arcs, matched by
+    object identity.
+
+    An entry maps the exact ``(arrival, delay)`` objects a pass
+    convolved to the result it produced, so a later request for the
+    same two objects — a perturbation front reading an unperturbed arc
+    — gets that very result object back: bitwise what recomputing
+    would give, with no hashing.  Entries hold references to both
+    operands, so the ``id`` pair keying an entry cannot be reused by
+    another object while the entry lives.  The memo is valid only under
+    the trim epsilon and resolved backend it was filled with; the
+    scheduler refuses any other.
+
+    A reuse from the memo is not a cache hit: it is tallied nowhere on
+    the :class:`~repro.dist.ops.OpCounter`, exactly like a request that
+    was never made.
+    """
+
+    __slots__ = ("trim_eps", "kernel", "_entries")
+
+    def __init__(self, trim_eps: float, kernel) -> None:
+        self.trim_eps = trim_eps
+        self.kernel = kernel
+        self._entries: Dict[tuple, tuple] = {}
+
+    def get(
+        self, arrival: DiscretePDF, delay: DiscretePDF
+    ) -> Optional[DiscretePDF]:
+        entry = self._entries.get((id(arrival), id(delay)))
+        return None if entry is None else entry[2]
+
+    def put(
+        self, arrival: DiscretePDF, delay: DiscretePDF, result: DiscretePDF
+    ) -> None:
+        self._entries[(id(arrival), id(delay))] = (arrival, delay, result)
+
+    def drop(self, arrival: DiscretePDF, delay: DiscretePDF) -> None:
+        self._entries.pop((id(arrival), id(delay)), None)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        """``(arrival, delay, result)`` per entry."""
+        return iter(self._entries.values())
+
+
+def _arc_contribs(
+    parts_list: Sequence[NodeParts],
+    trim_eps: float,
+    counter: Optional[OpCounter],
+    kernel,
+    arcs: Optional[ArcMemo],
+    fill_arcs: bool,
+) -> List[List[DiscretePDF]]:
+    """Every node's MAX operands: virtual arcs pass their arrival
+    through, gate arcs come from the arc memo or from **one**
+    :func:`~repro.dist.ops.convolve_many` dispatch over all remaining
+    pairs.  With ``fill_arcs`` the computed pairs are stored in
+    ``arcs``."""
+    if arcs is not None and (
+        arcs.trim_eps != trim_eps or arcs.kernel is not kernel
+    ):
+        raise TimingError(
+            "arc memo was filled under another trim epsilon or backend"
+        )
+    contribs_list: List[List[DiscretePDF]] = []
+    pairs = []
+    slots = []
+    for parts in parts_list:
+        contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
+        for slot, (pdf, delay) in enumerate(parts):
+            if delay is None:
+                contribs[slot] = pdf
+                continue
+            res = None if arcs is None else arcs.get(pdf, delay)
+            if res is None:
+                pairs.append((pdf, delay))
+                slots.append((contribs, slot))
+            else:
+                contribs[slot] = res
+        contribs_list.append(contribs)  # type: ignore[arg-type]
+    if pairs:
+        done = convolve_many(
+            pairs, trim_eps=trim_eps, counter=counter, backend=kernel
+        )
+        for (contribs, slot), res in zip(slots, done):
+            contribs[slot] = res
+        if fill_arcs and arcs is not None:
+            for (pdf, delay), res in zip(pairs, done):
+                arcs.put(pdf, delay, res)
+    return contribs_list
+
+
 def _merge_parts(
     parts: NodeParts,
     trim_eps: float,
@@ -118,25 +218,14 @@ def _merge_parts(
     kernel,
     cache: Optional[ConvolutionCache],
     node_key: Optional[tuple],
+    arcs: Optional[ArcMemo],
+    fill_arcs: bool,
 ) -> DiscretePDF:
     """Sequential ADD-then-MAX merge of one node's parts, stored in the
     node memo under ``node_key`` (when a cache is attached)."""
-    contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
-    pairs = []
-    pair_slots = []
-    for i, (pdf, delay) in enumerate(parts):
-        if delay is None:
-            contribs[i] = pdf
-        else:
-            pairs.append((pdf, delay))
-            pair_slots.append(i)
-    if pairs:
-        for i, res in zip(
-            pair_slots,
-            convolve_many(pairs, trim_eps=trim_eps, counter=counter,
-                          backend=kernel, cache=cache),
-        ):
-            contribs[i] = res
+    contribs = _arc_contribs(
+        [parts], trim_eps, counter, kernel, arcs, fill_arcs
+    )[0]
     result = stat_max_many(
         contribs, trim_eps=trim_eps, counter=counter, backend=kernel
     )
@@ -151,6 +240,8 @@ def _node_arrival(
     counter: Optional[OpCounter],
     kernel,
     cache: Optional[ConvolutionCache],
+    arcs: Optional[ArcMemo] = None,
+    fill_arcs: bool = False,
 ) -> DiscretePDF:
     """One node's merged arrival from its gathered parts — the body of
     :func:`compute_node_arrival`, shared with the backward pass's
@@ -167,7 +258,9 @@ def _node_arrival(
         if hit is not None:
             _node_hit_tally(counter, parts)
             return hit
-    return _merge_parts(parts, trim_eps, counter, kernel, cache, node_key)
+    return _merge_parts(
+        parts, trim_eps, counter, kernel, cache, node_key, arcs, fill_arcs
+    )
 
 
 def compute_node_arrival(
@@ -180,17 +273,21 @@ def compute_node_arrival(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
+    arcs: Optional[ArcMemo] = None,
+    fill_arcs: bool = False,
 ) -> DiscretePDF:
     """Arrival PDF at ``node`` given fan-in arrivals and edge delays.
 
     Virtual (source/sink) arcs add zero delay; gate arcs convolve the
     fan-in arrival with the gate's pin-to-pin delay PDF; multiple arcs
     merge through the independence max.  All of a node's gate arcs go
-    through one batched :func:`~repro.dist.ops.convolve_many` call, so
-    cached pairs skip computation entirely.  ``backend`` selects the
-    convolution kernel and ``cache`` the node and ADD memos — callers
-    (full SSTA, incremental updates, perturbation fronts) must pass
-    the same choices to stay bitwise interchangeable.
+    through one batched :func:`~repro.dist.ops.convolve_many` call.
+    ``backend`` selects the convolution kernel and ``cache`` the node
+    memo — callers (full SSTA, incremental updates, perturbation
+    fronts) must pass the same choices to stay bitwise
+    interchangeable.  ``arcs`` is an :class:`ArcMemo` consulted behind
+    a node-memo miss, and ``fill_arcs`` stores the computed arcs in it
+    (only a pass that owns the memo fills it).
 
     This is the sequential reference kernel; the level-batched
     scheduler (:func:`compute_level_arrivals`) reproduces a loop of
@@ -198,7 +295,9 @@ def compute_node_arrival(
     """
     kernel = get_backend(backend)
     parts = node_fanin_parts(graph, node, get_arrival, get_delay_pdf)
-    return _node_arrival(parts, trim_eps, counter, kernel, cache)
+    return _node_arrival(
+        parts, trim_eps, counter, kernel, cache, arcs, fill_arcs
+    )
 
 
 def compute_level_arrivals(
@@ -208,6 +307,8 @@ def compute_level_arrivals(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     cache: Optional[ConvolutionCache] = None,
+    arcs: Optional[ArcMemo] = None,
+    fill_arcs: bool = False,
 ) -> List[DiscretePDF]:
     """The level scheduler: merged arrivals for a batch of mutually
     independent nodes, one per parts list.
@@ -225,9 +326,10 @@ def compute_level_arrivals(
        is unchanged resolve in one probe each, and a node repeating an
        earlier node's key within the level resolves from the entry that
        node stores — as it would sequentially);
-    2. gathers every remaining gate-arc ADD of the level into **one**
-       :func:`~repro.dist.ops.convolve_many` dispatch (cache hits are
-       filtered out of the batch inside, misses inserted after);
+    2. takes every remaining gate arc found in the arc memo ``arcs``
+       from there, and gathers the rest of the level's ADDs into
+       **one** :func:`~repro.dist.ops.convolve_many` dispatch (with
+       ``fill_arcs``, their results are stored in ``arcs``);
     3. merges every node's contributions through **one**
        :func:`~repro.dist.ops.stat_max_groups` sweep and stores each
        result in the node memo.
@@ -240,7 +342,7 @@ def compute_level_arrivals(
     shifting hit/miss patterns while the values stay bitwise; both
     regimes are pinned by the differential suite, per backend and cache
     configuration).  A level with nothing left to compute (empty, or
-    every node/pair served from the cache) never touches the backend.
+    every node served from the cache) never touches the backend.
     """
     n = len(parts_list)
     results: List[Optional[DiscretePDF]] = [None] * n
@@ -271,34 +373,17 @@ def compute_level_arrivals(
     else:
         todo = list(range(n))
 
-    # One batched ADD dispatch for the whole level.
-    pairs = []
-    pair_slots: List[Tuple[int, int]] = []
-    contribs_by_node: Dict[int, List[Optional[DiscretePDF]]] = {}
-    for i in todo:
-        parts = parts_list[i]
-        contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
-        for slot, (pdf, delay) in enumerate(parts):
-            if delay is None:
-                contribs[slot] = pdf
-            else:
-                pairs.append((pdf, delay))
-                pair_slots.append((i, slot))
-        contribs_by_node[i] = contribs
-    if pairs:
-        for (i, slot), res in zip(
-            pair_slots,
-            convolve_many(pairs, trim_eps=trim_eps, counter=counter,
-                          backend=kernel, cache=cache),
-        ):
-            contribs_by_node[i][slot] = res
-
-    # One batched MAX sweep for the whole level.
     if todo:
+        # One batched ADD dispatch and one batched MAX sweep for the
+        # whole level.
+        contribs_list = _arc_contribs(
+            [parts_list[i] for i in todo],
+            trim_eps, counter, kernel, arcs, fill_arcs,
+        )
         for i, res in zip(
             todo,
             stat_max_groups(
-                [contribs_by_node[i] for i in todo],
+                contribs_list,
                 trim_eps=trim_eps, counter=counter, backend=kernel,
             ),
         ):
@@ -314,7 +399,8 @@ def compute_level_arrivals(
             # Entry already evicted (tiny capacity churn): recompute
             # sequentially, as the per-node walk would at this point.
             hit = _merge_parts(
-                parts, trim_eps, counter, kernel, cache, node_keys[i]
+                parts, trim_eps, counter, kernel, cache, node_keys[i],
+                arcs, fill_arcs,
             )
         else:
             _node_hit_tally(counter, parts)
@@ -337,12 +423,20 @@ class SSTAResult:
     delays from it instead of re-deriving them, and
     :func:`~repro.timing.incremental.update_ssta_after_resize` refreshes
     the entries of the gates a resize affects.
+
+    ``arcs`` is the pass's :class:`ArcMemo` — the finished ADD result of
+    every gate arc it computed — when the pass was asked to keep one
+    (``run_ssta(keep_arcs=True)``, the pruned sizer's base), else None.
+    The incremental update keeps it in step with ``arrivals`` and
+    ``delays``: every entry pairs a current arrival with a current
+    delay.
     """
 
     graph: TimingGraph
     arrivals: List[DiscretePDF]
     delays: Dict[str, DiscretePDF]
     counter: OpCounter = field(default_factory=OpCounter)
+    arcs: Optional[ArcMemo] = None
 
     @property
     def sink_pdf(self) -> DiscretePDF:
@@ -372,6 +466,7 @@ def run_ssta(
     *,
     config: Optional[AnalysisConfig] = None,
     counter: Optional[OpCounter] = None,
+    keep_arcs: bool = False,
 ) -> SSTAResult:
     """One full block-based SSTA pass over the circuit.
 
@@ -384,6 +479,11 @@ def run_ssta(
     bitwise identical and retained for differential testing.  Each
     gate's delay PDF is derived once, up front, and shared by all of
     its arcs (:attr:`SSTAResult.delays`).
+
+    ``keep_arcs`` makes the pass fill an :class:`ArcMemo` with every
+    gate arc it computes (:attr:`SSTAResult.arcs`) for perturbation
+    fronts to reuse.  A pass nobody builds fronts on should not keep
+    one: it holds a result per arc for the life of the result.
     """
     cfg = config if config is not None else model.config
     own_counter = counter if counter is not None else OpCounter()
@@ -392,6 +492,7 @@ def run_ssta(
     arrivals[graph.source] = DiscretePDF.delta(cfg.dt, 0.0)
     get_arrival = arrivals.__getitem__
     delays = {g.output: model.delay_pdf(g) for g in graph.circuit.topo_gates()}
+    arcs = ArcMemo(cfg.tail_eps, kernel) if keep_arcs else None
 
     def get_delay_pdf(gate: Gate) -> DiscretePDF:
         return delays[gate.output]
@@ -415,6 +516,8 @@ def run_ssta(
                     counter=own_counter,
                     backend=kernel,
                     cache=cfg.cache,
+                    arcs=arcs,
+                    fill_arcs=keep_arcs,
                 ),
             ):
                 arrivals[node] = pdf
@@ -431,10 +534,13 @@ def run_ssta(
                 counter=own_counter,
                 backend=kernel,
                 cache=cfg.cache,
+                arcs=arcs,
+                fill_arcs=keep_arcs,
             )
     return SSTAResult(
         graph=graph,
         arrivals=arrivals,  # type: ignore[arg-type]
         delays=delays,
         counter=own_counter,
+        arcs=arcs,
     )

@@ -53,13 +53,18 @@ class TestExactnessProperty:
 
     @settings(max_examples=8, deadline=None)
     @given(spec=small_circuits())
-    def test_incremental_equals_fresh(self, spec):
-        fresh = PrunedStatisticalSizer(
+    def test_cached_pruned_equals_brute_force(self, spec):
+        """Three iterations, so the pruned sizer's incremental base
+        refresh and front reuse run, with the node memo on."""
+        bf = BruteForceStatisticalSizer(
             generate_circuit(spec), config=CFG, max_iterations=3
         ).run()
-        inc = PrunedStatisticalSizer(
-            generate_circuit(spec), config=CFG, max_iterations=3,
-            incremental_ssta=True,
+        pr = PrunedStatisticalSizer(
+            generate_circuit(spec), config=CFG.with_updates(cache=4096),
+            max_iterations=3,
         ).run()
-        assert [s.gate for s in fresh.steps] == [s.gate for s in inc.steps]
-        assert fresh.final_objective == inc.final_objective
+        assert [s.gate for s in bf.steps] == [s.gate for s in pr.steps]
+        assert [s.sensitivity for s in bf.steps] == [
+            s.sensitivity for s in pr.steps
+        ]
+        assert bf.final_objective == pr.final_objective

@@ -145,37 +145,39 @@ class TestHeuristicSizer:
 
 
 class TestIncrementalSizer:
-    def test_incremental_matches_full(self, c17, fast_config):
-        """incremental_ssta=True must reproduce the literal-pseudocode
-        trajectory bit for bit (the update is exact)."""
-        full = PrunedStatisticalSizer(
+    """The pruned sizer refreshes its base SSTA incrementally after the
+    first iteration and resumes fronts across iterations; the brute
+    force sizer runs a full SSTA per candidate.  They must still agree
+    bit for bit."""
+
+    def test_incremental_matches_brute_force(self, c17, fast_config):
+        brute = BruteForceStatisticalSizer(
             c17.copy(), config=fast_config, max_iterations=6
         ).run()
-        inc = PrunedStatisticalSizer(
-            c17.copy(), config=fast_config, max_iterations=6,
-            incremental_ssta=True,
+        pruned = PrunedStatisticalSizer(
+            c17.copy(), config=fast_config, max_iterations=6
         ).run()
-        assert [s.gate for s in full.steps] == [s.gate for s in inc.steps]
-        assert [s.sensitivity for s in full.steps] == [
-            s.sensitivity for s in inc.steps
+        assert [s.gate for s in brute.steps] == [s.gate for s in pruned.steps]
+        assert [s.sensitivity for s in brute.steps] == [
+            s.sensitivity for s in pruned.steps
         ]
-        assert full.final_objective == inc.final_objective
+        assert brute.final_objective == pruned.final_objective
 
     def test_incremental_on_benchmark(self, fast_config):
         from repro.netlist.benchmarks import load
 
-        full = PrunedStatisticalSizer(
+        brute = BruteForceStatisticalSizer(
             load("c432", scale=0.25), config=fast_config, max_iterations=4
         ).run()
-        inc = PrunedStatisticalSizer(
-            load("c432", scale=0.25), config=fast_config, max_iterations=4,
-            incremental_ssta=True,
+        pruned = PrunedStatisticalSizer(
+            load("c432", scale=0.25), config=fast_config, max_iterations=4
         ).run()
-        assert [s.gate for s in full.steps] == [s.gate for s in inc.steps]
+        assert [s.gate for s in brute.steps] == [s.gate for s in pruned.steps]
+        assert brute.final_objective == pruned.final_objective
 
     def test_incremental_with_multi_gate(self, c17, fast_config):
         result = PrunedStatisticalSizer(
             c17, config=fast_config, max_iterations=3,
-            incremental_ssta=True, gates_per_iteration=2,
+            gates_per_iteration=2,
         ).run()
         assert result.final_objective < result.initial_objective

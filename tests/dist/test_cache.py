@@ -1,15 +1,17 @@
-"""Cached-vs-uncached equivalence harness for the kernel result cache.
+"""Cached-vs-uncached equivalence harness for the timing result cache.
 
 The :class:`~repro.dist.cache.ConvolutionCache` promises *bitwise
-transparency*: any sequence of kernel requests served through a cache
-— whatever its capacity, however much eviction churn it suffers —
+transparency*: any sequence of requests served through a cache —
+whatever its capacity, however much eviction churn it suffers —
 returns exactly the bits the uncached kernels would have produced.
 These tests pin that promise under every backend with adversarial
 operands (deltas, disjoint supports, repeated and translated operands,
 mass-deficient cumulative sums), plus the batched ``convolve_many``
 equivalence contract: bitwise against the looped path for every
-shipped backend.  The cache holds three kinds (node, ADD, gap); the
-MAX kernels take no cache.
+shipped backend.  The cache holds two kinds (node, gap); the kernels
+themselves take no cache.  Most tests drive the node memo through the
+level scheduler with one-arc nodes (an arrival and a gate delay), the
+smallest request that stores an entry.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.dist.families import truncated_gaussian_pdf
 from repro.dist.ops import OpCounter, convolve, convolve_many, stat_max_many
 from repro.dist.pdf import DiscretePDF
 from repro.errors import DistributionError
+from repro.timing.ssta import compute_level_arrivals
 
 ALL_BACKENDS = available_backends()
 
@@ -69,17 +72,29 @@ def recount_bytes(cache: ConvolutionCache) -> int:
     return total
 
 
-def lookup_add(cache, a, b, trim_eps, kernel):
-    """One ADD probe through the cache's batched API (its only ADD
-    path): the stored ``convolve(a, b)`` result, or None."""
-    key = cache.convolve_key(a, b, trim_eps, kernel)
-    return cache.lookup_many([key], kernel)[0][0]
+def arc_node(a, b, *, trim_eps=0.0, backend="auto", counter=None,
+             cache=None):
+    """The arrival of a one-arc node (arrival ``a`` through a gate of
+    delay ``b``) through the level scheduler: with a cache, one
+    node-memo probe, and on a miss the ADD, its one-operand MAX and a
+    store."""
+    return compute_level_arrivals(
+        [[(a, b)]], trim_eps=trim_eps, counter=counter, backend=backend,
+        cache=cache,
+    )[0]
 
 
-def store_add(cache, a, b, trim_eps, kernel, result):
-    """Store one ``convolve(a, b)`` result through the batched API."""
-    key = cache.convolve_key(a, b, trim_eps, kernel)
-    cache.store_many([key], [result], kernel)
+def lookup_arc(cache, a, b, trim_eps, kernel):
+    """One node-memo probe for the one-arc node ``(a, b)``: the stored
+    arrival, or None."""
+    return cache.lookup_node(cache.node_key([(a, b)], trim_eps, kernel),
+                             kernel)
+
+
+def store_arc(cache, a, b, trim_eps, kernel, result):
+    """Store the one-arc node ``(a, b)``'s arrival."""
+    cache.store_node(cache.node_key([(a, b)], trim_eps, kernel), result,
+                     kernel)
 
 
 def assert_bitwise(a: DiscretePDF, b: DiscretePDF) -> None:
@@ -88,15 +103,15 @@ def assert_bitwise(a: DiscretePDF, b: DiscretePDF) -> None:
     assert np.array_equal(a.masses, b.masses)
 
 
-class TestCachedConvolveBitwise:
+class TestCachedNodeBitwise:
     @settings(max_examples=120, deadline=None)
     @given(a=pdfs(), b=pdfs(), trim=st.sampled_from([0.0, 1e-9, 1e-6]))
     def test_hit_is_bitwise_identical_per_backend(self, a, b, trim):
         for backend in ALL_BACKENDS:
             cache = ConvolutionCache(capacity=8)
-            plain = convolve(a, b, trim_eps=trim, backend=backend)
-            miss = convolve(a, b, trim_eps=trim, backend=backend, cache=cache)
-            hit = convolve(a, b, trim_eps=trim, backend=backend, cache=cache)
+            plain = arc_node(a, b, trim_eps=trim, backend=backend)
+            miss = arc_node(a, b, trim_eps=trim, backend=backend, cache=cache)
+            hit = arc_node(a, b, trim_eps=trim, backend=backend, cache=cache)
             assert_bitwise(plain, miss)
             assert_bitwise(plain, hit)
             assert cache.stats.hits == 1 and cache.stats.misses == 1
@@ -104,13 +119,13 @@ class TestCachedConvolveBitwise:
     @settings(max_examples=60, deadline=None)
     @given(a=pdfs())
     def test_repeated_operand_squares(self, a):
-        """convolve(a, a) — one operand appearing twice in the key."""
+        """arc_node(a, a) — one operand appearing twice in the key."""
         cache = ConvolutionCache(capacity=4)
         for backend in ALL_BACKENDS:
-            plain = convolve(a, a, backend=backend)
+            plain = arc_node(a, a, backend=backend)
             for _ in range(2):
                 assert_bitwise(
-                    plain, convolve(a, a, backend=backend, cache=cache)
+                    plain, arc_node(a, a, backend=backend, cache=cache)
                 )
 
     def test_identical_offsets_return_the_stored_object(self):
@@ -120,14 +135,15 @@ class TestCachedConvolveBitwise:
         a = DiscretePDF(2.0, 3, rng.random(40))
         b = DiscretePDF(2.0, -5, rng.random(25))
         cache = ConvolutionCache()
-        first = convolve(a, b, trim_eps=1e-9, cache=cache)
-        second = convolve(a, b, trim_eps=1e-9, cache=cache)
+        first = arc_node(a, b, trim_eps=1e-9, cache=cache)
+        second = arc_node(a, b, trim_eps=1e-9, cache=cache)
         assert second is first
 
     def test_translated_operands_miss_and_recompute_bitwise(self):
-        """The ADD key carries the operand-offset sum: a translated
-        recurrence of the same mass vectors misses and recomputes bit
-        for bit, and computed + hits equal the cache-off tally."""
+        """The node key carries every operand's absolute offset: a
+        translated recurrence of the same mass vectors misses and
+        recomputes bit for bit, and computed + hits equal the
+        cache-off tally."""
         rng = np.random.default_rng(8)
         a = DiscretePDF(2.0, 0, rng.random(30))
         b = DiscretePDF(2.0, 0, rng.random(20))
@@ -135,37 +151,37 @@ class TestCachedConvolveBitwise:
         cache = ConvolutionCache()
         counter, plain_counter = OpCounter(), OpCounter()
         for x, y in [(a, b), (a2, b2), (a2, b2)]:
-            cached = convolve(x, y, trim_eps=1e-9, counter=counter,
+            cached = arc_node(x, y, trim_eps=1e-9, counter=counter,
                               cache=cache)
-            plain = convolve(x, y, trim_eps=1e-9, counter=plain_counter)
+            plain = arc_node(x, y, trim_eps=1e-9, counter=plain_counter)
             assert_bitwise(plain, cached)
         assert (cache.stats.misses, cache.stats.hits) == (2, 1)
         assert (counter.convolutions, counter.convolve_cache_hits) == (2, 1)
         assert counter.total_requests == plain_counter.convolutions == 3
 
-    def test_offset_split_over_the_same_sum_hits(self):
-        """Only the operand-offset sum enters the key, so moving one
-        bin from ``a`` to ``b`` is the same request: it hits and is
-        bitwise the fresh computation."""
+    def test_offset_split_over_the_same_sum_misses(self):
+        """Each operand's offset enters the node key, so moving one bin
+        from ``a`` to ``b`` is another request: it misses and computes
+        the same bits."""
         rng = np.random.default_rng(18)
         a = DiscretePDF(2.0, 6, rng.random(25))
         b = DiscretePDF(2.0, -3, rng.random(14))
         cache = ConvolutionCache()
-        first = convolve(a, b, trim_eps=1e-9, cache=cache)
+        first = arc_node(a, b, trim_eps=1e-9, cache=cache)
         a1, b1 = a.shifted_bins(1), b.shifted_bins(-1)
-        hit = convolve(a1, b1, trim_eps=1e-9, cache=cache)
-        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
-        assert hit is first
-        assert_bitwise(hit, convolve(a1, b1, trim_eps=1e-9))
+        split = arc_node(a1, b1, trim_eps=1e-9, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (2, 0)
+        assert split is not first
+        assert_bitwise(split, first)
 
     def test_deltas_and_disjoint_supports(self):
         delta = DiscretePDF.delta(2.0, 40.0)
         far = DiscretePDF(2.0, 100_000, np.random.default_rng(9).random(12))
         cache = ConvolutionCache()
         for backend in ALL_BACKENDS:
-            plain = convolve(delta, far, backend=backend)
-            convolve(delta, far, backend=backend, cache=cache)
-            hit = convolve(delta, far, backend=backend, cache=cache)
+            plain = arc_node(delta, far, backend=backend)
+            arc_node(delta, far, backend=backend, cache=cache)
+            hit = arc_node(delta, far, backend=backend, cache=cache)
             assert_bitwise(plain, hit)
 
     def test_distinct_equal_content_operands_hit(self):
@@ -176,9 +192,9 @@ class TestCachedConvolveBitwise:
         a1 = DiscretePDF(2.0, 2, raw.copy())
         b = DiscretePDF(2.0, 0, rng.random(15))
         cache = ConvolutionCache()
-        first = convolve(a1, b, cache=cache)
+        first = arc_node(a1, b, cache=cache)
         a2 = DiscretePDF(2.0, 2, raw.copy())
-        second = convolve(a2, b, cache=cache)
+        second = arc_node(a2, b, cache=cache)
         assert cache.stats.hits == 1
         assert second is first
 
@@ -187,31 +203,16 @@ class TestCachedConvolveBitwise:
         a = DiscretePDF(2.0, 0, rng.random(700))
         b = DiscretePDF(2.0, 0, rng.random(700))
         cache = ConvolutionCache()
-        convolve(a, b, trim_eps=0.0, backend="direct", cache=cache)
-        convolve(a, b, trim_eps=1e-6, backend="direct", cache=cache)
-        convolve(a, b, trim_eps=0.0, backend="fft", cache=cache)
+        arc_node(a, b, trim_eps=0.0, backend="direct", cache=cache)
+        arc_node(a, b, trim_eps=1e-6, backend="direct", cache=cache)
+        arc_node(a, b, trim_eps=0.0, backend="fft", cache=cache)
         assert cache.stats.misses == 3 and cache.stats.hits == 0
         # and each variant now hits its own entry, bitwise-correctly
-        d = convolve(a, b, trim_eps=0.0, backend="direct", cache=cache)
-        f = convolve(a, b, trim_eps=0.0, backend="fft", cache=cache)
+        d = arc_node(a, b, trim_eps=0.0, backend="direct", cache=cache)
+        f = arc_node(a, b, trim_eps=0.0, backend="fft", cache=cache)
         assert cache.stats.hits == 2
-        assert_bitwise(d, convolve(a, b, trim_eps=0.0, backend="direct"))
-        assert_bitwise(f, convolve(a, b, trim_eps=0.0, backend="fft"))
-
-    def test_same_named_foreign_backend_cannot_serve_entry(self):
-        """Two distinct FFTBackend instances share a name; the entry
-        verifier must treat the second as a miss, never serve bits
-        computed under a different kernel object."""
-        rng = np.random.default_rng(12)
-        a = DiscretePDF(2.0, 0, rng.random(20))
-        b = DiscretePDF(2.0, 0, rng.random(20))
-        cache = ConvolutionCache()
-        mine = FFTBackend()
-        convolve(a, b, backend=mine, cache=cache)
-        out = convolve(a, b, backend=FFTBackend(), cache=cache)
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 2
-        assert_bitwise(out, convolve(a, b, backend="fft"))
+        assert_bitwise(d, arc_node(a, b, trim_eps=0.0, backend="direct"))
+        assert_bitwise(f, arc_node(a, b, trim_eps=0.0, backend="fft"))
 
 
 class TestStatMaxTakesNoCache:
@@ -269,8 +270,8 @@ class TestEvictionChurn:
         cache = ConvolutionCache(capacity=capacity)
         for _round in range(2):
             for i in range(len(ops) - 1):
-                plain = convolve(ops[i], ops[i + 1], trim_eps=1e-9)
-                churned = convolve(
+                plain = arc_node(ops[i], ops[i + 1], trim_eps=1e-9)
+                churned = arc_node(
                     ops[i], ops[i + 1], trim_eps=1e-9, cache=cache
                 )
                 assert_bitwise(plain, churned)
@@ -281,21 +282,21 @@ class TestEvictionChurn:
         mk = lambda seed_row: DiscretePDF(2.0, 0, rng.random(8) + 0.01)
         a, b, c, d = (mk(i) for i in range(4))
         cache = ConvolutionCache(capacity=2)
-        convolve(a, b, cache=cache)  # entry 1
-        convolve(a, c, cache=cache)  # entry 2
-        convolve(a, b, cache=cache)  # touch entry 1 (now MRU)
-        convolve(a, d, cache=cache)  # evicts entry 2 (LRU)
+        arc_node(a, b, cache=cache)  # entry 1
+        arc_node(a, c, cache=cache)  # entry 2
+        arc_node(a, b, cache=cache)  # touch entry 1 (now MRU)
+        arc_node(a, d, cache=cache)  # evicts entry 2 (LRU)
         assert cache.stats.evictions == 1
-        convolve(a, b, cache=cache)  # still cached
+        arc_node(a, b, cache=cache)  # still cached
         assert cache.stats.hits == 2
-        convolve(a, c, cache=cache)  # was evicted: a miss again
+        arc_node(a, c, cache=cache)  # was evicted: a miss again
         assert cache.stats.misses == 4
 
     def test_clear_drops_entries_keeps_stats(self):
         rng = np.random.default_rng(16)
         a = DiscretePDF(2.0, 0, rng.random(10))
         cache = ConvolutionCache()
-        convolve(a, a, cache=cache)
+        arc_node(a, a, cache=cache)
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
@@ -370,19 +371,31 @@ class TestConvolveManyEquivalence:
     def test_empty_batch(self):
         assert convolve_many([]) == []
 
-    def test_cached_pairs_skip_the_batch_and_stay_bitwise(self):
+    def test_no_cache_argument(self):
+        """The ADD kernels are memo-free: reuse lives in the engines'
+        node memo and a pass's arc memo."""
         rng = np.random.default_rng(18)
-        pairs = [
-            (DiscretePDF(2.0, 0, rng.random(25)), DiscretePDF(2.0, 0, rng.random(25)))
+        a = DiscretePDF(2.0, 0, rng.random(25))
+        cache = ConvolutionCache()
+        with pytest.raises(TypeError):
+            convolve(a, a, cache=cache)
+        with pytest.raises(TypeError):
+            convolve_many([(a, a)], cache=cache)
+
+    def test_cached_nodes_skip_the_batch_and_stay_bitwise(self):
+        rng = np.random.default_rng(18)
+        parts_list = [
+            [(DiscretePDF(2.0, 0, rng.random(25)),
+              DiscretePDF(2.0, 0, rng.random(25)))]
             for _ in range(4)
         ]
         cache = ConvolutionCache()
         counter = OpCounter()
-        first = convolve_many(
-            pairs, trim_eps=1e-9, cache=cache, counter=counter
+        first = compute_level_arrivals(
+            parts_list, trim_eps=1e-9, cache=cache, counter=counter
         )
-        second = convolve_many(
-            pairs, trim_eps=1e-9, cache=cache, counter=counter
+        second = compute_level_arrivals(
+            parts_list, trim_eps=1e-9, cache=cache, counter=counter
         )
         assert counter.convolutions == 4
         assert counter.convolve_cache_hits == 4
@@ -452,8 +465,10 @@ class TestCacheConfigKnob:
 
 class TestNodeMemoGuards:
     def test_same_named_foreign_backend_cannot_serve_node_entry(self):
-        """Mirror of the convolve-level guard: the whole-node memo must
-        verify the backend instance, not just its name."""
+        """Two distinct FFTBackend instances share a name; the
+        whole-node memo must verify the backend instance, not just its
+        name, and never serve bits computed under another kernel
+        object."""
         from repro.timing.graph import TimingGraph
         from repro.timing.ssta import compute_node_arrival
 
@@ -489,12 +504,18 @@ class TestGapMemo:
 
 class TestBatchDedupAgainstSequential:
     """Batched requests must replicate the *sequential* cache stream:
-    duplicate pairs within one ``convolve_many`` batch compute once and
-    replay as hits (PR-4 level batching folds a whole topological
-    level into one batch, so intra-batch duplicates became the norm)."""
+    duplicate nodes within one level compute once and replay as hits
+    (level batching folds a whole topological level into one scheduler
+    call, so intra-level duplicates are the norm)."""
+
+    @staticmethod
+    def _level(pairs, **kwargs):
+        return compute_level_arrivals(
+            [[pair] for pair in pairs], trim_eps=1e-9, **kwargs
+        )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_duplicate_pairs_compute_once_and_hit(self, backend):
+    def test_duplicate_nodes_compute_once_and_hit(self, backend):
         rng = np.random.default_rng(41)
         a = DiscretePDF(2.0, 0, rng.random(24))
         b = DiscretePDF(2.0, 3, rng.random(18))
@@ -502,9 +523,8 @@ class TestBatchDedupAgainstSequential:
         pairs = [(a, b), (c, b), (a, b), (a, b)]
         cache = ConvolutionCache()
         counter = OpCounter()
-        batched = convolve_many(
-            pairs, trim_eps=1e-9, counter=counter, backend=backend,
-            cache=cache,
+        batched = self._level(
+            pairs, counter=counter, backend=backend, cache=cache
         )
         assert counter.convolutions == 2      # (a,b) once, (c,b) once
         assert counter.convolve_cache_hits == 2
@@ -515,11 +535,10 @@ class TestBatchDedupAgainstSequential:
         assert batched[3] is batched[0]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_translated_twin_computes_and_split_twin_hits(self, backend):
-        """Within one batch a translated twin (another offset sum) is a
-        request of its own and is computed; a twin splitting the same
-        offset sum differently is a duplicate, served from the entry
-        its first occurrence stores, exactly as a sequential loop."""
+    def test_translated_and_split_twins_compute(self, backend):
+        """Within one level a translated twin and a twin splitting the
+        same offset sum differently are requests of their own: both
+        are computed, bitwise what the uncached kernels give."""
         rng = np.random.default_rng(43)
         a = DiscretePDF(2.0, 0, rng.random(20))
         b = DiscretePDF(2.0, 1, rng.random(12))
@@ -528,22 +547,20 @@ class TestBatchDedupAgainstSequential:
         pairs = [(a, b), translated, split]
         cache = ConvolutionCache()
         counter = OpCounter()
-        batched = convolve_many(
-            pairs, trim_eps=1e-9, counter=counter, backend=backend,
-            cache=cache,
+        batched = self._level(
+            pairs, counter=counter, backend=backend, cache=cache
         )
-        assert counter.convolutions == 2
-        assert counter.convolve_cache_hits == 1
-        assert batched[2] is batched[0]
+        assert counter.convolutions == 3
+        assert counter.convolve_cache_hits == 0
         for (x, y), res in zip(pairs, batched):
-            assert_bitwise(res, convolve(x, y, trim_eps=1e-9,
+            assert_bitwise(res, arc_node(x, y, trim_eps=1e-9,
                                          backend=backend))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_tallies_and_stats_match_a_sequential_loop(self, backend):
-        """End-to-end invariance: one batch with repeats and translated
+        """End-to-end invariance: one level with repeats and translated
         twins produces exactly the tallies and cache statistics of the
-        equivalent ``convolve`` loop."""
+        equivalent node-by-node loop."""
         rng = np.random.default_rng(47)
         a = DiscretePDF(2.0, 0, rng.random(22))
         b = DiscretePDF(2.0, 2, rng.random(26))
@@ -551,12 +568,11 @@ class TestBatchDedupAgainstSequential:
         pairs = [(a, b), (a, c), (a, b), (a.shifted_bins(3), b), (c, c)]
         cache_b, cache_s = ConvolutionCache(), ConvolutionCache()
         cb, cs = OpCounter(), OpCounter()
-        batched = convolve_many(
-            pairs, trim_eps=1e-9, counter=cb, backend=backend,
-            cache=cache_b,
+        batched = self._level(
+            pairs, counter=cb, backend=backend, cache=cache_b
         )
         looped = [
-            convolve(x, y, trim_eps=1e-9, counter=cs, backend=backend,
+            arc_node(x, y, trim_eps=1e-9, counter=cs, backend=backend,
                      cache=cache_s)
             for x, y in pairs
         ]
@@ -590,30 +606,30 @@ class TestBatchDedupAgainstSequential:
         c = DiscretePDF(2.0, 2, rng.random(20))
         pairs = [(a, b), (c, a), (a, b)]
         cache = ConvolutionCache(capacity=1)
-        batched = convolve_many(pairs, trim_eps=1e-9, cache=cache)
-        plain = [convolve(x, y, trim_eps=1e-9) for x, y in pairs]
+        counter = OpCounter()
+        batched = self._level(pairs, cache=cache, counter=counter)
+        plain = [arc_node(x, y, trim_eps=1e-9) for x, y in pairs]
         for bb, ss in zip(batched, plain):
             assert_bitwise(bb, ss)
+        assert counter.convolutions == 3
 
 
 class TestBatchAwareKeyAPI:
-    """The public key builders + key-accepting lookups the batched
-    callers use must agree with the internal key derivation."""
+    """The public key builder and key-accepting lookup the level
+    scheduler uses must agree with what it stores."""
 
-    def test_convolve_key_roundtrip(self):
-        from repro.dist.backends import get_backend
-
+    def test_node_key_roundtrip(self):
         rng = np.random.default_rng(61)
         a = DiscretePDF(2.0, 0, rng.random(12))
         b = DiscretePDF(2.0, 5, rng.random(14))
         kernel = get_backend("direct")
         cache = ConvolutionCache()
-        res = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
-        key = cache.convolve_key(a, b, 1e-9, kernel)
-        assert cache.lookup_many([key], kernel) == ([res], [])
+        res = arc_node(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+        key = cache.node_key([(a, b)], 1e-9, kernel)
+        assert cache.lookup_node(key, kernel) is res
         # The precomputed key is authoritative: a wrong key misses.
-        wrong = cache.convolve_key(b, a, 1e-9, kernel)
-        assert cache.lookup_many([wrong], kernel) == ([None], [])
+        wrong = cache.node_key([(b, a)], 1e-9, kernel)
+        assert cache.lookup_node(wrong, kernel) is None
 
 
 class TestCacheStatsMerge:
@@ -662,14 +678,14 @@ class TestSnapshotPersistence:
     non-registry-kernel entries are refused at save time."""
 
     def _warm_cache(self, backend="auto"):
-        """One ADD entry and one node entry (the node's parts are the
-        ADD pair and a virtual arc)."""
+        """Two node entries: the one-arc node ``(a, b)`` and a node
+        whose parts are that arc and a virtual arc."""
         kernel = get_backend(backend)
         cache = ConvolutionCache()
         a = truncated_gaussian_pdf(2.0, 500.0, 40.0)
         b = truncated_gaussian_pdf(2.0, 300.0, 25.0)
         c = truncated_gaussian_pdf(2.0, 900.0, 60.0)
-        conv = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+        conv = arc_node(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
         mx = stat_max_many([conv, c], trim_eps=1e-9, backend=kernel)
         cache.store_node(self._node_key(cache, a, b, c, kernel), mx, kernel)
         return cache, (a, b, c), (conv, mx), kernel
@@ -686,7 +702,7 @@ class TestSnapshotPersistence:
 
         loaded = ConvolutionCache.load(path)
         assert len(loaded) == len(cache)
-        hit = lookup_add(loaded, a, b, 1e-9, kernel)
+        hit = lookup_arc(loaded, a, b, 1e-9, kernel)
         assert hit is not None
         assert_bitwise(hit, conv)
         hit_mx = loaded.lookup_node(
@@ -698,23 +714,21 @@ class TestSnapshotPersistence:
 
     def test_translated_recurrence_misses_after_snapshot(self, tmp_path):
         """A loaded entry keeps its absolute key, as a live one does:
-        the same offset sum hits (split either way), a translated
-        recurrence of the operand pair misses."""
+        the very request hits, a translated recurrence of the operand
+        pair misses."""
         kernel = get_backend("direct")
         cache = ConvolutionCache()
         a = DiscretePDF(2.0, 10, np.asarray([0.25, 0.25, 0.5]))
         b = DiscretePDF(2.0, -4, np.asarray([0.5, 0.5]))
-        live = convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+        live = arc_node(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
-        split = lookup_add(
-            loaded, a.shifted_bins(2), b.shifted_bins(-2), 1e-9, kernel
-        )
-        assert split is not None
-        assert_bitwise(split, live)
-        assert lookup_add(loaded, a.shifted_bins(5), b, 1e-9,
-                                      kernel) is None
+        same = lookup_arc(loaded, a, b, 1e-9, kernel)
+        assert same is not None
+        assert_bitwise(same, live)
+        assert lookup_arc(loaded, a.shifted_bins(5), b, 1e-9,
+                          kernel) is None
 
     def test_format2_payload_roundtrip(self, tmp_path):
         """A format-2 snapshot holds ``(key, result, backend name)``
@@ -730,7 +744,7 @@ class TestSnapshotPersistence:
         assert payload["format"] == ConvolutionCache.SNAPSHOT_FORMAT == 2
         assert [len(e) for e in payload["entries"]] == [3, 3, 3]
         names = [name for _key, _result, name in payload["entries"]]
-        assert names == ["direct", "direct", None]  # ADD, node, gap
+        assert names == ["direct", "direct", None]  # node, node, gap
         loaded = ConvolutionCache.load(path)
         assert list(loaded._entries) == list(cache._entries)
         for key, entry in cache._entries.items():
@@ -741,7 +755,7 @@ class TestSnapshotPersistence:
             else:
                 assert twin.result == entry.result
         assert loaded.approx_bytes == cache.approx_bytes
-        assert_bitwise(lookup_add(loaded, a, b, 1e-9, kernel), conv)
+        assert_bitwise(lookup_arc(loaded, a, b, 1e-9, kernel), conv)
         assert_bitwise(
             loaded.lookup_node(self._node_key(loaded, a, b, c, kernel),
                                kernel),
@@ -754,14 +768,14 @@ class TestSnapshotPersistence:
         pdfs_ = [truncated_gaussian_pdf(2.0, 200.0 + 40 * i, 15.0 + 3 * i)
                  for i in range(6)]
         for i in range(5):
-            convolve(pdfs_[i], pdfs_[i + 1], backend=kernel, cache=cache)
+            arc_node(pdfs_[i], pdfs_[i + 1], backend=kernel, cache=cache)
         assert len(cache) == 5  # distinct contents, distinct keys
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path, capacity=2)
         assert len(loaded) == 2
         # The most recently used entries survive the trim.
-        assert lookup_add(loaded, pdfs_[4], pdfs_[5], 0.0, kernel) is not None
+        assert lookup_arc(loaded, pdfs_[4], pdfs_[5], 0.0, kernel) is not None
 
     def test_non_registry_backend_entries_skipped(self, tmp_path):
         class Custom:
@@ -774,7 +788,8 @@ class TestSnapshotPersistence:
         cache = ConvolutionCache()
         a = truncated_gaussian_pdf(2.0, 500.0, 40.0)
         b = truncated_gaussian_pdf(2.0, 300.0, 25.0)
-        convolve(a, b, backend=custom, cache=cache)
+        arc_node(a, b, backend=custom, cache=cache)
+        assert len(cache) == 1
         path = tmp_path / "snap.cache"
         assert cache.save(path) == 0  # alias refused, nothing written
         assert len(ConvolutionCache.load(path)) == 0
@@ -836,6 +851,42 @@ class TestSnapshotPersistence:
         cache.save(path)
         assert ConvolutionCache.load(path).lookup_gap(a, b) == 3.25
 
+    def test_dead_kinds_are_skipped(self, tmp_path):
+        """A format-2 file written while the cache still had ADD and
+        MAX memos mixes ``"conv"`` and ``"max"`` entries with node and
+        gap entries.  No engine probes the first two, so loading (and
+        merging) keeps only the live kinds, in LRU order, with the byte
+        tally of what was kept."""
+        import pickle
+
+        cache, (a, b, c), (conv, mx), kernel = self._warm_cache("direct")
+        cache.store_gap(a, b, 1.5)
+        live = list(cache._entries.items())
+        dead_add = (("conv", 2.0, 1e-9, "direct", a._fp, b._fp,
+                     a.offset + b.offset), conv, "direct")
+        dead_max = (("max", 2.0, 1e-9, (conv._fp, c._fp)), mx, "direct")
+        entries = [dead_add]
+        for key, entry in live:
+            name = None if entry.backend is None else "direct"
+            entries.append((key, entry.result, name))
+            entries.append(dead_max)
+        path = tmp_path / "old.cache"
+        path.write_bytes(pickle.dumps({
+            "format": 2, "capacity": 64, "entries": entries,
+        }))
+        loaded = ConvolutionCache.load(path)
+        assert list(loaded._entries) == [key for key, _entry in live]
+        assert {key[0] for key in loaded._entries} == {"node", "gap"}
+        assert loaded.approx_bytes == recount_bytes(loaded)
+        assert loaded.approx_bytes == cache.approx_bytes
+        assert_bitwise(lookup_arc(loaded, a, b, 1e-9, kernel), conv)
+        assert loaded.lookup_gap(a, b) == 1.5
+
+        out = tmp_path / "merged.cache"
+        assert ConvolutionCache.merge_snapshots([path], out) == len(live)
+        merged = ConvolutionCache.load(out)
+        assert list(merged._entries) == [key for key, _entry in live]
+
 
 class TestThreadSafety:
     """Concurrency contract of the shared cache (the analysis service
@@ -879,14 +930,14 @@ class TestThreadSafety:
                     # so lookups and stores interleave heavily.
                     for j in range(len(pairs)):
                         a, b = pairs[(j + tid * 3 + r) % len(pairs)]
-                        hit = lookup_add(cache, a, b, 1e-9, backend)
+                        hit = lookup_arc(cache, a, b, 1e-9, backend)
                         if hit is not None:
                             local.record(hits=1)
                         else:
                             local.record(misses=1)
                             res = convolve(a, b, trim_eps=1e-9,
                                            backend=backend)
-                            store_add(cache, a, b, 1e-9, backend, res)
+                            store_arc(cache, a, b, 1e-9, backend, res)
             except BaseException as exc:  # pragma: no cover - fail loud
                 errors.append((tid, exc))
             deltas.append(local)
@@ -938,18 +989,18 @@ class TestThreadSafety:
         # Every resident entry still replays bitwise.
         backend = get_backend("direct")
         for a, b in self._operands(24):
-            hit = lookup_add(cache, a, b, 1e-9, backend)
+            hit = lookup_arc(cache, a, b, 1e-9, backend)
             if hit is not None:
                 fresh = convolve(a, b, trim_eps=1e-9, backend=backend)
                 assert hit.offset == fresh.offset
                 assert np.array_equal(hit.masses, fresh.masses)
 
     def test_batched_requests_keep_exact_tallies_under_churn(self):
-        """Batched probes and stores mutate the tallies in place under
-        the shared lock: with batches of distinct pairs, every probe
-        is a counted hit or a computed miss, so the final stats equal
-        the merged per-thread counters, while a byte-budget evictor
-        races them."""
+        """Level-batched probes and stores mutate the tallies in place
+        under the shared lock: with levels of distinct nodes, every
+        probe is a counted hit or a computed miss, so the final stats
+        equal the merged per-thread counters, while a byte-budget
+        evictor races them."""
         import sys
         import threading
 
@@ -966,8 +1017,11 @@ class TestThreadSafety:
                 for r in range(20):
                     start = (tid * 5 + r * 3) % len(pairs)
                     batch = (pairs + pairs)[start : start + 8]
-                    convolve_many(batch, trim_eps=1e-9, backend="direct",
-                                  counter=counters[tid], cache=cache)
+                    compute_level_arrivals(
+                        [[pair] for pair in batch], trim_eps=1e-9,
+                        backend="direct", counter=counters[tid],
+                        cache=cache,
+                    )
             except BaseException as exc:  # pragma: no cover - fail loud
                 errors.append(exc)
 
@@ -1005,7 +1059,8 @@ class TestThreadSafety:
         assert cache.approx_bytes == recount_bytes(cache)
 
     def test_concurrent_mixed_kind_requests(self):
-        """ADD, node, and gap entries share one locked LRU."""
+        """One-arc node, two-part node and gap entries share one
+        locked LRU."""
         import threading
 
         cache = ConvolutionCache(1 << 10)
@@ -1019,9 +1074,9 @@ class TestThreadSafety:
                 barrier.wait()
                 for _ in range(40):
                     for a, b in pairs:
-                        if lookup_add(cache, a, b, 1e-9, backend) is None:
+                        if lookup_arc(cache, a, b, 1e-9, backend) is None:
                             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-                            store_add(cache, a, b, 1e-9, backend, r)
+                            store_arc(cache, a, b, 1e-9, backend, r)
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -1076,7 +1131,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(8))
         b = DiscretePDF(2.0, 1, np.ones(4))
         r = convolve(a, b, trim_eps=1e-9, backend="direct")
-        store_add(cache, a, b, 1e-9, get_backend("direct"), r)
+        store_arc(cache, a, b, 1e-9, get_backend("direct"), r)
         one = cache.approx_bytes
         assert one > 0
         cache.clear()
@@ -1092,7 +1147,7 @@ class TestByteBudget:
             a = DiscretePDF(2.0, i, rng.random(8) + 1e-3)
             b = DiscretePDF(2.0, 2 * i, rng.random(8) + 1e-3)
             r = convolve(a, b, trim_eps=1e-9, backend=backend)
-            store_add(cache, a, b, 1e-9, backend, r)
+            store_arc(cache, a, b, 1e-9, backend, r)
             pairs.append((a, b))
         full = cache.approx_bytes
         evicted = cache.evict_to_bytes(full // 2)
@@ -1101,7 +1156,7 @@ class TestByteBudget:
         assert cache.stats.evictions == evicted
         # The survivors are the most recently used (the last stores).
         hits = [
-            lookup_add(cache, a, b, 1e-9, backend) is not None
+            lookup_arc(cache, a, b, 1e-9, backend) is not None
             for a, b in pairs
         ]
         assert hits == sorted(hits)  # False... then True...
@@ -1113,7 +1168,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        store_add(cache, a, b, 1e-9, backend, r)
+        store_arc(cache, a, b, 1e-9, backend, r)
         assert cache.evict_to_bytes(0) == 1
         assert len(cache) == 0
         with pytest.raises(DistributionError, match="budget"):
@@ -1125,7 +1180,7 @@ class TestByteBudget:
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(2.0, 0, np.ones(3))
         r = convolve(a, b, trim_eps=1e-9, backend=backend)
-        store_add(cache, a, b, 1e-9, backend, r)
+        store_arc(cache, a, b, 1e-9, backend, r)
         path = tmp_path / "snap.cache"
         cache.save(path)
         loaded = ConvolutionCache.load(path)
@@ -1137,7 +1192,7 @@ class TestByteBudget:
 #: LRU-refreshing lookups, byte-budget eviction, snapshot reloads (with
 #: and without a capacity cut) and snapshot merges.
 _BYTE_OPS = st.one_of(
-    st.tuples(st.just("conv"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("arc"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("gap"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
@@ -1171,14 +1226,14 @@ class TestByteAccountingProperty:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             other = ConvolutionCache(8)
-            convolve(pool[0], pool[5], trim_eps=1e-9, backend=backend,
+            arc_node(pool[0], pool[5], trim_eps=1e-9, backend=backend,
                      cache=other)
             other.store_gap(pool[1], pool[2], 0.5)
             other_path = tmp / "other.snap"
             other.save(other_path)
             for step, (kind, x, y) in enumerate(ops):
-                if kind == "conv":
-                    convolve(pool[x], pool[y], trim_eps=1e-9,
+                if kind == "arc":
+                    arc_node(pool[x], pool[y], trim_eps=1e-9,
                              backend=backend, cache=cache)
                 elif kind == "gap":
                     cache.store_gap(pool[x], pool[y], float(x - y))
@@ -1186,7 +1241,7 @@ class TestByteAccountingProperty:
                     result = DiscretePDF(2.0, 0, np.ones(y))
                     cache.store_node(("k", x), result, backend)
                 elif kind == "lookup":
-                    lookup_add(cache, pool[x], pool[y], 1e-9, backend)
+                    lookup_arc(cache, pool[x], pool[y], 1e-9, backend)
                 elif kind == "evict":
                     cache.evict_to_bytes(int(cache.approx_bytes * x))
                 elif kind == "load":
@@ -1206,9 +1261,8 @@ class TestByteAccountingProperty:
 
 
 class TestOneLockPerBatch:
-    """The cache's operation mutex is its stats' lock, and the batched
-    ADD kernel resolves a batch's probes in one acquisition and its
-    stores in one more."""
+    """The cache's operation mutex is its stats' lock, and the level
+    scheduler takes it once per node probe and once per store."""
 
     class _CountingLock:
         def __init__(self, lock):
@@ -1239,16 +1293,18 @@ class TestOneLockPerBatch:
             for i in range(8)
         ]
 
-    def test_convolve_many_locks_once_to_probe_and_once_to_store(self):
+    def test_level_locks_once_per_probe_and_store(self):
         cache = ConvolutionCache(64)
         spy = cache._lock = self._CountingLock(cache._lock)
-        pairs = self._pairs()
-        convolve_many(pairs, trim_eps=1e-9, backend="direct", cache=cache)
-        assert spy.acquired == 2
+        parts_list = [[pair] for pair in self._pairs()]
+        compute_level_arrivals(parts_list, trim_eps=1e-9, backend="direct",
+                               cache=cache)
+        assert spy.acquired == 16
         assert cache.stats.snapshot() == (0, 8, 0)
         spy.acquired = 0
-        convolve_many(pairs, trim_eps=1e-9, backend="direct", cache=cache)
-        assert spy.acquired == 1
+        compute_level_arrivals(parts_list, trim_eps=1e-9, backend="direct",
+                               cache=cache)
+        assert spy.acquired == 8
         assert cache.stats.snapshot() == (8, 8, 0)
 
 
@@ -1264,7 +1320,7 @@ class TestMergeSnapshots:
         for mu in mus:
             a = truncated_gaussian_pdf(2.0, mu, mu / 15.0)
             b = truncated_gaussian_pdf(2.0, mu / 2.0, mu / 25.0)
-            convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+            arc_node(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
             pairs.append((a, b))
         path = tmp_path / name
         cache.save(path)
@@ -1278,7 +1334,7 @@ class TestMergeSnapshots:
         assert n == 4
         merged = ConvolutionCache.load(out)
         for a, b in pairs0 + pairs1:
-            assert lookup_add(merged, a, b, 1e-9, kernel) is not None
+            assert lookup_arc(merged, a, b, 1e-9, kernel) is not None
 
     def test_overlap_dedupes_and_replays_bitwise(self, tmp_path):
         p0, pairs0, kernel = self._snap(tmp_path, "w0", [300.0, 400.0])
@@ -1288,7 +1344,7 @@ class TestMergeSnapshots:
         assert n == 3  # 400.0 pair is content-identical in both
         merged = ConvolutionCache.load(out)
         a, b = pairs0[1]
-        hit = lookup_add(merged, a, b, 1e-9, kernel)
+        hit = lookup_arc(merged, a, b, 1e-9, kernel)
         plain = convolve(a, b, trim_eps=1e-9, backend=kernel)
         assert hit is not None
         assert_bitwise(hit, plain)
@@ -1322,7 +1378,7 @@ class TestMergeSnapshots:
         assert n == 2
         merged = ConvolutionCache.load(out)
         a, b = pairs0[-1]  # most recent survives
-        assert lookup_add(merged, a, b, 1e-9, kernel) is not None
+        assert lookup_arc(merged, a, b, 1e-9, kernel) is not None
 
     def test_merge_into_a_contributor_path(self, tmp_path):
         """The front merges {base, workers...} back INTO base; the
@@ -1333,7 +1389,7 @@ class TestMergeSnapshots:
         assert n == 2
         merged = ConvolutionCache.load(p0)
         for a, b in pairs0 + pairs1:
-            assert lookup_add(merged, a, b, 1e-9, kernel) is not None
+            assert lookup_arc(merged, a, b, 1e-9, kernel) is not None
 
 
 class TestConcurrentSaveRace:
@@ -1348,7 +1404,7 @@ class TestConcurrentSaveRace:
         for mu in (300.0, 400.0, 500.0):
             a = truncated_gaussian_pdf(2.0, mu, mu / 15.0)
             b = truncated_gaussian_pdf(2.0, mu / 2.0, mu / 25.0)
-            convolve(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
+            arc_node(a, b, trim_eps=1e-9, backend=kernel, cache=cache)
         path = tmp_path / "snap.cache"
         errors = []
 

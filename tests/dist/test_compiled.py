@@ -58,7 +58,7 @@ from repro.errors import DistributionError
 from repro.netlist.benchmarks import load
 from repro.timing.delay_model import DelayModel
 from repro.timing.graph import TimingGraph
-from repro.timing.ssta import run_ssta
+from repro.timing.ssta import compute_level_arrivals, run_ssta
 
 from tests.dist.test_backends import TV_TOL, pdfs
 
@@ -175,6 +175,15 @@ class TestCompiledDifferentials:
         assert c.trimmed(1e-9) is c  # trim-idempotence memo stamped
 
 
+def _arc_nodes(pairs, **kwargs):
+    """One-arc nodes ``(arrival, delay)`` through the level scheduler
+    (the engines' node-memo path)."""
+    return compute_level_arrivals(
+        [[pair] for pair in pairs], trim_eps=1e-9, backend="compiled",
+        **kwargs,
+    )
+
+
 @needs_provider
 class TestCacheInterplay:
     """Cache interplay of the compiled convolution."""
@@ -184,12 +193,8 @@ class TestCacheInterplay:
         rng = np.random.default_rng(17)
         a = _rand_pdf(rng, 21)
         b = _rand_pdf(rng, 13, offset=2)
-        first = convolve(
-            a, b, trim_eps=1e-9, backend="compiled", cache=cache
-        )
-        again = convolve(
-            a, b, trim_eps=1e-9, backend="compiled", cache=cache
-        )
+        first = _arc_nodes([(a, b)], cache=cache)[0]
+        again = _arc_nodes([(a, b)], cache=cache)[0]
         assert again is first
 
     def test_translated_recurrence_misses_and_matches_fresh_compute(self):
@@ -203,9 +208,8 @@ class TestCacheInterplay:
         a2 = a.shifted_bins(7)  # masses shared bitwise, new offset
         counter = OpCounter()
         for x in (a, a2, a2):
-            res = convolve(x, b, trim_eps=1e-9, backend="compiled",
-                           counter=counter, cache=cache)
-            fresh = convolve(x, b, trim_eps=1e-9, backend="compiled")
+            res = _arc_nodes([(x, b)], counter=counter, cache=cache)[0]
+            fresh = _arc_nodes([(x, b)])[0]
             assert res.offset == fresh.offset
             assert np.array_equal(res.masses, fresh.masses)
         assert (cache.stats.misses, cache.stats.hits) == (2, 1)
@@ -426,15 +430,11 @@ class TestRegistryCompat:
             (_rand_pdf(rng, 15), _rand_pdf(rng, 12, offset=1))
             for _ in range(5)
         ]
-        ref = convolve_many(
-            pairs, trim_eps=1e-9, backend="compiled", cache=cache
-        )
+        ref = _arc_nodes(pairs, cache=cache)
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == len(pairs)
         loaded = ConvolutionCache.load(path)
-        hits = convolve_many(
-            pairs, trim_eps=1e-9, backend="compiled", cache=loaded
-        )
+        hits = _arc_nodes(pairs, cache=loaded)
         assert loaded.stats.hits == len(pairs)
         for r, h in zip(ref, hits):
             assert r.offset == h.offset

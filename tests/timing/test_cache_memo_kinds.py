@@ -1,12 +1,13 @@
 """Which memo kinds each engine consults, and run-to-run determinism
 of the cached sizing loop.
 
-The kernel cache holds three kinds of entries in one LRU: whole-node
-arrivals (``"node"``), ADD results (``"conv"``) and Theorem-4 gaps
-(``"gap"``).  Every engine — full, incremental and backward SSTA and
-the perturbation fronts — probes the node memo first; there is no
-per-op MAX memo, because behind a node-memo miss a MAX request almost
-never recurs.
+The cache holds two kinds of entries in one LRU: whole-node arrivals
+(``"node"``) and Theorem-4 gaps (``"gap"``).  Every engine — full,
+incremental and backward SSTA and the perturbation fronts — probes the
+node memo first; there is no per-op memo.  Behind a node-memo miss a
+MAX request almost never recurs, and the ADDs that do recur are the
+base pass's arcs, which fronts match by identity in the pass's own arc
+memo (``SSTAResult.arcs``), outside the cache.
 """
 
 import numpy as np
@@ -40,12 +41,12 @@ def _setup(circuit_name: str, level_batch: bool):
 
 @pytest.mark.parametrize("level_batch", [True, False])
 class TestMemoKinds:
-    def test_ssta_stores_no_max_entries(self, level_batch):
+    def test_ssta_stores_only_node_entries(self, level_batch):
         cache, cfg, _c, graph, model = _setup("c432", level_batch)
         run_ssta(graph, model, config=cfg)
-        assert _kinds(cache) == {"node", "conv"}
+        assert _kinds(cache) == {"node"}
 
-    def test_incremental_update_stores_no_max_entries(self, level_batch):
+    def test_incremental_update_stores_only_node_entries(self, level_batch):
         cache, cfg, circuit, graph, model = _setup("c432", level_batch)
         base = run_ssta(graph, model, config=cfg)
         cache.clear()
@@ -53,9 +54,11 @@ class TestMemoKinds:
         gate.width += 1.0
         assert update_ssta_after_resize(base, model, [gate]) > 0
         assert len(cache) > 0
-        assert "max" not in _kinds(cache)
+        assert _kinds(cache) == {"node"}
 
-    def test_perturbation_front_stores_no_max_entries(self, level_batch):
+    def test_perturbation_front_stores_node_and_gap_entries(
+        self, level_batch
+    ):
         cache, cfg, circuit, graph, model = _setup("c432", level_batch)
         base = run_ssta(graph, model, config=cfg)
         cache.clear()
@@ -64,13 +67,12 @@ class TestMemoKinds:
             PerturbationFront(
                 graph, model, base, gate, 1.0, objective
             ).run_to_sink()
-        assert {"node", "conv", "gap"} <= _kinds(cache)
-        assert "max" not in _kinds(cache)
+        assert _kinds(cache) == {"node", "gap"}
 
     def test_backward_pass_uses_the_node_memo(self, level_batch):
         cache, cfg, _c, graph, model = _setup("c432", level_batch)
         cold = run_backward_ssta(graph, model, config=cfg)
-        assert _kinds(cache) == {"node", "conv"}
+        assert _kinds(cache) == {"node"}
         # A warm rerun resolves every node in one node-memo probe: no
         # kernel work, the same requests, the same bits.
         warm = run_backward_ssta(graph, model, config=cfg)

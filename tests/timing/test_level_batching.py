@@ -326,7 +326,8 @@ class TestAllHitsLevelSkipsBackend:
 class TestConvolveManyDifferential:
     """Scheduler-level ADD batching against the per-call reference,
     over synthetic pairs including translated replays, deltas, and an
-    intra-batch duplicate."""
+    intra-batch duplicate.  With a cache each pair is a one-arc node:
+    the kernels take no cache, the node memo does."""
 
     def _pairs(self):
         def g(sigma, center):
@@ -347,14 +348,15 @@ class TestConvolveManyDifferential:
         cache_b = None if cache_spec is None else ConvolutionCache(cache_spec)
         cache_s = None if cache_spec is None else ConvolutionCache(cache_spec)
         cb, cs = OpCounter(), OpCounter()
-        batched = convolve_many(
-            pairs, trim_eps=1e-9, counter=cb, backend=backend, cache=cache_b
+        batched = compute_level_arrivals(
+            [[pair] for pair in pairs], trim_eps=1e-9, counter=cb,
+            backend=backend, cache=cache_b,
         )
         looped = [
-            convolve(
-                a, b, trim_eps=1e-9, counter=cs, backend=backend,
+            compute_level_arrivals(
+                [[(a, b)]], trim_eps=1e-9, counter=cs, backend=backend,
                 cache=cache_s,
-            )
+            )[0]
             for a, b in pairs
         ]
         assert len(batched) == len(pairs)
