@@ -22,7 +22,9 @@ with reconciled aggregate cache stats), walks the scaled-up netlist
 ladder (the ``scale`` section: gates vs generation/SSTA wall-clock
 and peak-RSS curves, each size point in its own subprocess so
 ``ru_maxrss`` is an honest per-size high-water mark, with the dense
-arrival-store footprint), and writes
+arrival-store footprint), splits one cold full pass at the ladder's
+first point into layers (the ``ssta_layers`` row: delay snapshot, ADD,
+fused merge, bookkeeping, with the host stamp), and writes
 ``BENCH_dist.json`` next to the repo root.  Every future optimization of the hot path
 should move these numbers and nothing else.
 
@@ -41,6 +43,10 @@ violation):
 * level-batched vs sequential sink distributions are **bitwise
   identical** per backend, cache on and off (the level scheduler's
   promise — any inequality at all fails the gate);
+* the fused level merge (deferred ADDs built and merged in one
+  compiled call) gives every c432 and c880 arrival bitwise as building
+  the ADD objects and merging them does (skipped without the fused
+  kernel);
 * the quick c17 sizer run serves at least ``--min-hit-rate`` of its
   kernel requests from the cache — a silently broken cache key fails
   the build instead of quietly recomputing everything (the failure
@@ -1178,6 +1184,109 @@ def _bench_scale(quick: bool, check_drift: bool) -> dict:
     }
 
 
+#: Cold full passes behind the per-layer row (medians are reported).
+SSTA_LAYER_REPEATS = 5
+
+
+def _ssta_layer_pass(graph, circuit, cfg) -> dict:
+    """One cold pass (fresh DelayModel, cache off) with its wall-clock
+    split into layers by timing the level scheduler's call sites in
+    ``repro.timing.ssta``: the gate-delay snapshot (``gate_delays``),
+    the ADD (``convolve_many``), the fused merge (``stat_max_groups``)
+    and the bookkeeping around them (``node_fanin_parts`` plus the
+    scheduler's own time outside its two kernel calls)."""
+    from repro.timing import ssta
+    from repro.timing.delay_model import DelayModel
+
+    spent = {"delay_snapshot": 0.0, "add": 0.0, "fused_merge": 0.0,
+             "fanin_parts": 0.0, "scheduler": 0.0}
+    names = {"gate_delays": "delay_snapshot", "convolve_many": "add",
+             "stat_max_groups": "fused_merge",
+             "node_fanin_parts": "fanin_parts",
+             "compute_level_arrivals": "scheduler"}
+    real = {name: getattr(ssta, name) for name in names}
+
+    def timed(name):
+        fn, layer = real[name], names[name]
+
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[layer] += time.perf_counter() - t0
+        return wrapper
+
+    for name in names:
+        setattr(ssta, name, timed(name))
+    try:
+        model = DelayModel(circuit, config=cfg)
+        t0 = time.perf_counter()
+        ssta.run_ssta(graph, model, config=cfg)
+        wall = time.perf_counter() - t0
+    finally:
+        for name, fn in real.items():
+            setattr(ssta, name, fn)
+    layers = {
+        "delay_snapshot": spent["delay_snapshot"],
+        "add": spent["add"],
+        "fused_merge": spent["fused_merge"],
+        "bookkeeping": spent["fanin_parts"] + spent["scheduler"]
+        - spent["add"] - spent["fused_merge"],
+    }
+    return {"wall": wall, "layers": layers}
+
+
+def _bench_ssta_layers(quick: bool) -> dict:
+    """Where one cold full SSTA pass spends its time, per layer, at the
+    scale ladder's first point (~10^4 gates; ~4 * 10^3 quick).  The
+    layers' sum must come within ~10% of the wall-clock (its
+    ``coverage``); the rest is ``run_ssta``'s own loop.  A warm-up pass
+    first resolves the compiled provider and the circuit's load index,
+    which every later pass reuses."""
+    from repro.netlist.benchmarks import spec_for
+    from repro.netlist.generate import generate_circuit
+    from repro.timing.delay_model import DelayModel
+    from repro.timing.graph import TimingGraph
+    from repro.timing.ssta import run_ssta
+
+    factor = SCALE_FACTORS_QUICK[0] if quick else SCALE_FACTORS[0]
+    repeats = 3 if quick else SSTA_LAYER_REPEATS
+    cfg = AnalysisConfig(dt=SCALE_DT)
+    circuit = generate_circuit(spec_for("c880").scaled(factor))
+    graph = TimingGraph(circuit)
+    run_ssta(graph, DelayModel(circuit, config=cfg), config=cfg)
+    passes = [_ssta_layer_pass(graph, circuit, cfg) for _ in range(repeats)]
+    wall = _quartiles([1e3 * p["wall"] for p in passes])
+    layers = {
+        name: round(float(np.median(
+            [1e3 * p["layers"][name] for p in passes]
+        )), 3)
+        for name in passes[0]["layers"]
+    }
+    # Coverage per pass, then its median: a pass the host slowed as a
+    # whole keeps its own ratio.
+    coverage = float(np.median(
+        [sum(p["layers"].values()) / p["wall"] for p in passes]
+    ))
+    row = {
+        "host": _host_stamp(),
+        "spec": f"c880 x{factor}",
+        "gates": circuit.n_gates,
+        "dt": SCALE_DT,
+        "repeats": repeats,
+        "wall_ms": wall,
+        "layers_ms": layers,
+        "layer_sum_ms": round(sum(layers.values()), 3),
+        "coverage": round(coverage, 3),
+    }
+    print(f"ssta layers c880 x{factor} ({circuit.n_gates} gates): "
+          f"wall {wall['median']:.1f} ms = "
+          + ", ".join(f"{k} {v:.1f}" for k, v in layers.items())
+          + f" (coverage {row['coverage']:.2f})")
+    return row
+
+
 def _bench_ssta_c432() -> dict:
     """End-to-end run_ssta wall time on c432 per backend (fresh model
     each run so the delay-PDF cache does not leak across backends)."""
@@ -1391,6 +1500,38 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
                     (f"c17-level-batch-{backend}-cache-{label}", 1.0)
                 )
 
+    # Fused vs materialized level merge: the compiled merge of deferred
+    # ADDs must give every c432/c880 arrival exactly as building the
+    # ADD objects and merging them does.  Skipped (recorded as such)
+    # when the fused kernel is unavailable: then only the object path
+    # runs.
+    provider = _compiled.get_provider()
+    if provider is None or not provider.merge_ok:
+        report.append({"fused_merge_gate": "skipped",
+                       "reason": _compiled.fail_reason() or "merge_ok unset"})
+        print("drift fused/materialized merge gate skipped: no fused merge")
+    else:
+        for name in ("c432", "c880"):
+            circuit = load(name)
+            graph = TimingGraph(circuit)
+            runs = {}
+            for fused in (True, False):
+                provider.merge_ok = fused
+                try:
+                    runs[fused] = run_ssta(graph, DelayModel(circuit))
+                finally:
+                    provider.merge_ok = True
+            bitwise = all(
+                p.offset == q.offset and np.array_equal(p.masses, q.masses)
+                for p, q in zip(runs[True].arrivals, runs[False].arrivals)
+            )
+            report.append({"circuit": name,
+                           "fused_vs_materialized_bitwise": bitwise})
+            print(f"drift {name} fused/materialized merge  "
+                  f"bitwise={bitwise}")
+            if not bitwise:
+                failures.append((f"{name}-fused-merge", 1.0))
+
     # Minimum hit rate on the quick sizer benchmark: a silently broken
     # cache key hits nothing and fails here.
     sizer = _bench_sizers(quick=True)["pruned_c17"]
@@ -1448,6 +1589,7 @@ def run(
     }
     payload["service"]["overload"] = _bench_service_overload(quick)
     payload["scale"] = _bench_scale(quick, check_drift)
+    payload["ssta_layers"] = _bench_ssta_layers(quick)
     if not quick:
         payload["run_ssta_c432"] = _bench_ssta_c432()
         payload["sizers"] = _bench_sizers(quick=False)
@@ -1465,6 +1607,8 @@ def main(argv=None) -> int:
                              f"{DRIFT_TOL_PS} ps, any cache-on/off drift, "
                              "any batched-vs-sequential sink inequality "
                              "(exact, per backend, cache on/off), "
+                             "any fused-vs-materialized merge "
+                             "inequality on c432/c880, "
                              "a compiled sink off direct by more than "
                              "1e-12 TV or a compiled batched speedup "
                              f"under {COMPILED_MIN_SPEEDUP:.0f}x at the "

@@ -388,11 +388,7 @@ class PerturbationFront:
         cache = self._cache
         if cache is None:
             return max_percentile_gap(base, pert)
-        gap = cache.lookup_gap(base, pert)
-        if gap is None:
-            gap = max_percentile_gap(base, pert)
-            cache.store_gap(base, pert, gap)
-        return gap
+        return cache.memo_gap(base, pert, max_percentile_gap)
 
     def _retire_fanins(self, node: int) -> None:
         """Decrement pending fan-out counts of this node's perturbed

@@ -1,12 +1,12 @@
 """The compiled kernel tier: a small C library built on first use.
 
-A ~350-line C source is compiled once with the system C compiler
+A ~500-line C source is compiled once with the system C compiler
 (content-addressed under ``~/.cache/repro/compiled``) and loaded
 through cffi, or ctypes when cffi is absent.  When no compiler is
 available, or the library fails its self-check, ``get_provider()``
 returns ``None`` and every caller runs the pure-NumPy code instead.
 
-Four kernel families, all operating on packed flat buffers (operands
+Five kernel families, all operating on packed flat buffers (operands
 concatenated, ``int64`` offset/length arrays) so a whole level batch
 costs one foreign call:
 
@@ -24,6 +24,9 @@ costs one foreign call:
 * **max sweep** — the padded-CDF product and adjacent difference of
   the grouped statistical MAX, bitwise the NumPy sweep (the same
   multiplications and subtractions in the same order).
+* **level merge** — a level's raw ADD outputs built (as by **build**),
+  every group's MAX swept over them and the results built, in one call:
+  the level scheduler's fused merge, with no result object per ADD.
 * **convolve** — scatter-form direct convolution for the opt-in
   ``compiled``/``compiled-auto`` backends.  This one is a *tolerance*
   class (sequential instead of pairwise accumulation: within 1e-12
@@ -33,10 +36,11 @@ costs one foreign call:
 ``-ffp-contract=off`` pins the build's arithmetic (no FMA
 contraction).  A self-check proves each bitwise kernel on fixed
 vectors before first use; a mismatch clears only that kernel's flag
-(``build_ok``, ``gap_ok``, ``max_ok``) and its callers fall back to
-NumPy, which gives the same bits.  A convolution that fails its
-tolerance check rejects the provider outright.  The kernels keep no
-module-level state, so concurrent threads may call them at once.
+(``build_ok``, ``gap_ok``, ``max_ok``, ``merge_ok``) and its callers
+fall back to NumPy, which gives the same bits.  A convolution that
+fails its tolerance check rejects the provider outright.  The kernels
+keep no module-level state, so concurrent threads may call them at
+once.
 
 ``REPRO_DISABLE_COMPILED=1`` disables provider resolution entirely
 (the kill switch); ``REPRO_COMPILED_CACHE`` overrides where the C
@@ -47,6 +51,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
+import operator
 import os
 import shutil
 import subprocess
@@ -159,8 +165,8 @@ static double cum_down(const double *a, long long hi, long long lo)
 
 /* Mirror of DiscretePDF._trusted(dt, off, raw).trimmed(2 * half).
    Writes the kept, normalized vector to m[0..klen) (m has room for n
-   values), the cut index to *plo, and returns klen (-1 on a total that
-   is not positive and finite). */
+   values, and may be raw itself), the cut index to *plo, and returns
+   klen (-1 on a total that is not positive and finite). */
 static long long build_one(const double *raw, long long n, double half,
                            double *m, long long *plo)
 {
@@ -171,7 +177,7 @@ static long long build_one(const double *raw, long long n, double half,
     if (!(total > 0.0) || isinf(total)) return -1;
     if (total != 1.0)
         for (j = 0; j < n; ++j) m[j] = raw[j] / total;
-    else
+    else if (m != raw)
         memcpy(m, raw, (size_t)n * sizeof(double));
 
     if (n >= 128) {
@@ -285,41 +291,192 @@ EXPORT long long repro_build_batch(
 }
 
 /* Row r of a group is operand r's unit CDF (DiscretePDF._unit_cdf:
-   the sequential cumulative sum of its cdflen[r] masses, divided by
-   its final value unless that is exactly 1) placed at bin rstart[r]
-   of the group's union range of gwidth[g] bins; below it the row is 0,
-   above it 1.  The rows are multiplied in order, then differenced. */
+   the sequential cumulative sum of its n masses, divided by its final
+   value unless that is exactly 1) placed at bin s of the group's union
+   range of W bins; below it the row is 0, above it 1.  The first row
+   is stored into OUT, each later one multiplied in, in order.  The
+   product's values are finite and non-negative, so multiplying by a 0
+   row bin stores +0.0 and multiplying by a 1 leaves the value as it
+   is: only the operand's own bins are computed. */
+static void sweep_row(const double *M, long long n, long long s,
+                      long long W, int first, double *OUT)
+{
+    double last = M[0], acc = M[0], v;
+    long long j, w;
+    for (j = 1; j < n; ++j) last += M[j];
+    for (w = 0; w < s; ++w) OUT[w] = 0.0;
+    OUT += s;
+    for (j = 0; j < n; ++j) {
+        if (j > 0) acc += M[j];
+        v = (last != 1.0) ? acc / last : acc;
+        if (first) OUT[j] = v;
+        else OUT[j] *= v;
+    }
+    if (first)
+        for (w = s + n; w < W; ++w) OUT[w - s] = 1.0;
+}
+
+/* The product's adjacent difference: the MAX's raw masses, in place. */
+static void sweep_diff(double *OUT, long long W)
+{
+    long long w;
+    for (w = W - 1; w >= 1; --w) OUT[w] = OUT[w] - OUT[w - 1];
+}
+
+/* Group g holds gk[g] operands of M (mlen[r] masses each, back to
+   back) placed at rstart[r]; its raw MAX fills the next gwidth[g]
+   values of OUT. */
 EXPORT void repro_max_sweep(
     const double *M, const long long *mlen, const long long *rstart,
     const long long *gk, const long long *gwidth, double *OUT,
     long long ngroups)
 {
-    long long g, r, w, j;
+    long long g, r;
     for (g = 0; g < ngroups; ++g) {
         long long W = gwidth[g], k = gk[g];
         for (r = 0; r < k; ++r) {
-            long long s = rstart[r], n = mlen[r];
-            double last = M[0], acc = 0.0, v;
-            for (j = 1; j < n; ++j) last += M[j];
-            for (w = 0; w < W; ++w) {
-                if (w < s) {
-                    v = 0.0;
-                } else if (w < s + n) {
-                    acc = (w == s) ? M[0] : acc + M[w - s];
-                    v = (last != 1.0) ? acc / last : acc;
-                } else {
-                    v = 1.0;
-                }
-                if (r == 0) OUT[w] = v;
-                else OUT[w] *= v;
-            }
-            M += n;
+            sweep_row(M, mlen[r], rstart[r], W, r == 0, OUT);
+            M += mlen[r];
         }
-        for (w = W - 1; w >= 1; --w) OUT[w] = OUT[w] - OUT[w - 1];
+        sweep_diff(OUT, W);
         rstart += k;
         mlen += k;
         OUT += W;
     }
+}
+
+typedef struct { const double *m; long long off, n; } operand;
+
+/* Room repro_merge_level needs in OUT for the same operands: per group
+   the span of its raw operands before trimming (trimming only cuts
+   bins) and finished ones, capped at max_bins (a longer result is an
+   error before anything is written).  -1 on an operand index out of
+   range. */
+EXPORT long long repro_merge_room(
+    const long long *rlen, const long long *roff, long long nraw,
+    const long long *flen, const long long *foff, long long nfin,
+    const long long *src, const long long *gk, long long ngroups,
+    long long max_bins)
+{
+    long long g, r, k, j, lo = 0, hi = 0, off, end, room = 0;
+    for (g = 0; g < ngroups; ++g, src += k) {
+        k = gk[g];
+        for (r = 0; r < k; ++r) {
+            j = src[r];
+            if (j >= nraw || (j < 0 && ~j >= nfin)) return -1;
+            off = j >= 0 ? roff[j] : foff[~j];
+            end = off + (j >= 0 ? rlen[j] : flen[~j]);
+            if (r == 0 || off < lo) lo = off;
+            if (r == 0 || end > hi) hi = end;
+        }
+        room += hi - lo < max_bins ? hi - lo : max_bins;
+    }
+    return room;
+}
+
+/* The fused level merge: a level's ADDs built and every group's MAX
+   taken and built, without a result object per ADD.  Raw ADD i is
+   rlen[i] values of RAW (back to back) at absolute offset roff[i]; it
+   is built once (build_one at half) into KEPT.  Finished operand f
+   is flen[f] values of FIN at offset foff[f].  Operand j of the level
+   is raw ADD src[j] when src[j] >= 0, else finished operand ~src[j];
+   group g owns the next gk[g] operands.  A one-operand group (always a
+   raw ADD) yields that ADD as built; any other group the MAX of its
+   operands, built at the same half.  Results go back to back into OUT
+   (room for ocap values); OMETA[2g], OMETA[2g+1] receive result g's
+   absolute offset and length.  Returns 0, or 1 with ERR[0] set to
+   1 (ERR[1] = bins of a distribution longer than max_bins), 2 (a
+   total that is not positive), 3 (ERR[1] = the room OUT needs; OUT is
+   untouched), 4 (out of memory) or 5 (an operand index out of
+   range). */
+EXPORT long long repro_merge_level(
+    const double *RAW, const long long *rlen, const long long *roff,
+    long long nraw, const double *FIN, const long long *flen,
+    const long long *foff, long long nfin, const long long *src,
+    const long long *gk, long long ngroups, double half,
+    long long max_bins, double *KEPT, double *OUT,
+    long long ocap, long long *OMETA, long long *ERR)
+{
+    operand *ops, *op;
+    const long long *s;
+    long long i, g, r, k, lo, hi, W, klen, cut, need = 0;
+
+    ops = (operand *)malloc((size_t)(nraw + nfin + 1) * sizeof(operand));
+    if (ops == NULL) { ERR[0] = 4; return 1; }
+    for (i = 0; i < nraw; ++i) {
+        if (rlen[i] > max_bins) { ERR[0] = 1; ERR[1] = rlen[i]; goto fail; }
+        klen = build_one(RAW, rlen[i], half, KEPT, &cut);
+        if (klen < 0) { ERR[0] = 2; goto fail; }
+        ops[i].m = KEPT;
+        ops[i].off = roff[i] + cut;
+        ops[i].n = klen;
+        RAW += rlen[i];
+        KEPT += klen;
+    }
+    for (i = 0; i < nfin; ++i) {
+        ops[nraw + i].m = FIN;
+        ops[nraw + i].off = foff[i];
+        ops[nraw + i].n = flen[i];
+        FIN += flen[i];
+    }
+#define OPND(j) (ops + (s[j] >= 0 ? s[j] : nraw + ~s[j]))
+    /* Indices and sizes first, so a short OUT is reported before it
+       is written. */
+    for (g = 0, s = src; g < ngroups; ++g, s += k) {
+        k = gk[g];
+        for (r = 0; r < k; ++r)
+            if (s[r] >= nraw || (s[r] < 0 && ~s[r] >= nfin)) {
+                ERR[0] = 5;
+                goto fail;
+            }
+        if (k == 1) { need += OPND(0)->n; continue; }
+        lo = OPND(0)->off;
+        hi = lo + OPND(0)->n;
+        for (r = 1; r < k; ++r) {
+            op = OPND(r);
+            if (op->off < lo) lo = op->off;
+            if (op->off + op->n > hi) hi = op->off + op->n;
+        }
+        W = hi - lo;
+        if (W > max_bins) { ERR[0] = 1; ERR[1] = W; goto fail; }
+        need += W;
+    }
+    if (need > ocap) { ERR[0] = 3; ERR[1] = need; goto fail; }
+    for (g = 0, s = src; g < ngroups; ++g, s += k) {
+        k = gk[g];
+        if (k == 1) {
+            op = OPND(0);
+            memcpy(OUT, op->m, (size_t)op->n * sizeof(double));
+            OMETA[2 * g] = op->off;
+            OMETA[2 * g + 1] = op->n;
+            OUT += op->n;
+            continue;
+        }
+        lo = OPND(0)->off;
+        hi = lo + OPND(0)->n;
+        for (r = 1; r < k; ++r) {
+            op = OPND(r);
+            if (op->off < lo) lo = op->off;
+            if (op->off + op->n > hi) hi = op->off + op->n;
+        }
+        W = hi - lo;
+        for (r = 0; r < k; ++r) {
+            op = OPND(r);
+            sweep_row(op->m, op->n, op->off - lo, W, r == 0, OUT);
+        }
+        sweep_diff(OUT, W);
+        klen = build_one(OUT, W, half, OUT, &cut);
+        if (klen < 0) { ERR[0] = 2; goto fail; }
+        OMETA[2 * g] = lo + cut;
+        OMETA[2 * g + 1] = klen;
+        OUT += klen;
+    }
+#undef OPND
+    free(ops);
+    return 0;
+fail:
+    free(ops);
+    return 1;
 }
 
 /* DiscretePDF._knots: fp[0] = 0, fp[i+1] = min(cumsum[i], 1),
@@ -447,6 +604,14 @@ long long repro_build_batch(const double *, const long long *, double,
     long long, double *, long long *, long long);
 void repro_max_sweep(const double *, const long long *, const long long *,
     const long long *, const long long *, double *, long long);
+long long repro_merge_room(const long long *, const long long *,
+    long long, const long long *, const long long *, long long,
+    const long long *, const long long *, long long, long long);
+long long repro_merge_level(const double *, const long long *,
+    const long long *, long long, const double *, const long long *,
+    const long long *, long long, const long long *, const long long *,
+    long long, double, long long, double *, double *, long long,
+    long long *, long long *);
 double repro_gap(const double *, long long, long long,
     const double *, long long, long long, double, double);
 """
@@ -517,7 +682,8 @@ def _compile_library(rebuild: bool = False) -> Path:
 
 
 def _lengths(arrs: Sequence[np.ndarray]) -> np.ndarray:
-    return np.array([a.size for a in arrs], dtype=np.int64)
+    """The sizes of 1-D vectors, as an int64 array."""
+    return np.fromiter(map(len, arrs), dtype=np.int64, count=len(arrs))
 
 
 def _packed(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -553,6 +719,37 @@ class _Rows(Sequence):
         return self.buffer[end - int(self.lengths[i]):end]
 
 
+def _new_pdfs(buffer: np.ndarray, offsets, lengths, dts, trim_eps) -> list:
+    """Finished results from kernel output: result ``i`` is the next
+    ``lengths[i]`` values of ``buffer`` at ``offsets[i]``, trimmed at
+    ``trim_eps`` — the fields ``_trusted``/``trimmed`` would set, the
+    trim-idempotence memo included."""
+    # Hot loop: one exact-length array per result, owning its memory (a
+    # view would pin the whole batch buffer for the result's lifetime).
+    # frombuffer over the row's own bytes is born read-only, which is
+    # cheaper than copy + flags; fields go straight into the instance
+    # dict.
+    data = buffer.tobytes()
+    frombuffer = np.frombuffer
+    new = object.__new__
+    setattr_ = object.__setattr__
+    cls = DiscretePDF
+    results = []
+    append = results.append
+    start = 0
+    for off, kl, dt in zip(offsets, lengths, dts):
+        end = start + 8 * kl
+        out = new(cls)
+        setattr_(out, "__dict__", {
+            "dt": dt, "offset": off,
+            "masses": frombuffer(data[start:end]),
+            "_trim_level": trim_eps,
+        })
+        start = end
+        append(out)
+    return results
+
+
 class _CProvider:
     """C shared-library provider (cffi preferred, ctypes fallback).
 
@@ -574,6 +771,7 @@ class _CProvider:
         self.build_ok = True
         self.gap_ok = True
         self.max_ok = True
+        self.merge_ok = True
 
     # -- loading -------------------------------------------------------
     @classmethod
@@ -613,6 +811,9 @@ class _CProvider:
             ("repro_conv_batch", None, (d, i, d, i, d, n)),
             ("repro_build_batch", n, (d, i, f, n, d, i, n)),
             ("repro_max_sweep", None, (d, i, i, i, i, d, n)),
+            ("repro_merge_room", n, (i, i, n, i, i, n, i, i, n, n)),
+            ("repro_merge_level", n, (d, i, i, n, d, i, i, n, i, i, n, f,
+                                      n, d, d, n, i, i)),
             ("repro_gap", f, (d, n, n, d, n, n, f, f)),
         ):
             fn = getattr(lib, name)
@@ -671,32 +872,77 @@ class _CProvider:
             )
         if rc < 0:
             raise DistributionError("total probability mass must be positive")
-        # Hot loop: one exact-length array per result, owning its
-        # memory (a view would pin the whole batch buffer for the
-        # result's lifetime).  frombuffer over the row's own bytes is
-        # born read-only, which is cheaper than copy + flags; fields go
-        # straight into the instance dict the way _trusted/trimmed set
-        # them, trim-idempotence memo included.
         meta = META.tolist()
-        data = KEPT.tobytes()
-        frombuffer = np.frombuffer
-        new = object.__new__
-        setattr_ = object.__setattr__
-        cls = DiscretePDF
-        results = []
-        append = results.append
-        start = 0
-        for lo, kl, dt, off in zip(meta[::2], meta[1::2], dts, offsets):
-            end = start + 8 * kl
-            out = new(cls)
-            setattr_(out, "__dict__", {
-                "dt": dt, "offset": off + lo,
-                "masses": frombuffer(data[start:end]),
-                "_trim_level": trim_eps,
-            })
-            start = end
-            append(out)
-        return results
+        return _new_pdfs(
+            KEPT, map(operator.add, offsets, meta[::2]), meta[1::2], dts,
+            trim_eps,
+        )
+
+    # -- the fused level merge ------------------------------------------
+    def merge_level(
+        self, raws: Sequence, roffs: Sequence, fins: Sequence,
+        foffs: Sequence, src: Sequence, gk: Sequence, dt: float,
+        trim_eps: float,
+    ) -> list:
+        """One result per group: a one-operand group's is its raw ADD
+        built, any other group's the built MAX of its operands — bitwise
+        building every raw ADD
+        (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``) and
+        merging the objects, through one merge call (after a room pass
+        that sizes its output) and with no object per ADD.  Raw ADD ``i`` is ``raws[i]`` at offset
+        ``roffs[i]``; finished operand ``f`` is ``fins[f]`` (masses) at
+        ``foffs[f]``; operand ``j`` of the level is raw ADD ``src[j]``
+        when ``src[j] >= 0``, else finished operand ``~src[j]``; group
+        ``g`` owns the next ``gk[g]`` operands."""
+        if trim_eps < 0.0:
+            raise DistributionError(f"trim_eps must be >= 0, got {trim_eps}")
+        if type(raws) is _Rows:
+            RAW, rlen = raws.buffer, raws.lengths
+        else:
+            RAW, rlen = _packed(raws), _lengths(raws)
+        FIN = _packed(fins) if fins else np.empty(0)
+        dbl, i64 = self._dbl, self._i64
+        lib = self._lib
+        rlen_p = i64(rlen)
+        roff_p = i64(np.array(roffs, dtype=np.int64))
+        flen_p = i64(_lengths(fins))
+        foff_p = i64(np.array(foffs, dtype=np.int64))
+        src_p = i64(np.array(src, dtype=np.int64))
+        gk_p = i64(np.array(gk, dtype=np.int64))
+        room = lib.repro_merge_room(
+            rlen_p, roff_p, len(rlen), flen_p, foff_p, len(fins), src_p,
+            gk_p, len(gk), MAX_BINS,
+        )
+        if room < 0:
+            raise IndexError("merge operand index out of range")
+        KEPT = np.empty(RAW.size)
+        OUT = np.empty(room)
+        OMETA = np.empty(2 * len(gk), dtype=np.int64)
+        ERR = np.zeros(2, dtype=np.int64)
+        if lib.repro_merge_level(
+            dbl(RAW), rlen_p, roff_p, len(rlen), dbl(FIN), flen_p, foff_p,
+            len(fins), src_p, gk_p, len(gk), trim_eps / 2.0, MAX_BINS,
+            dbl(KEPT), dbl(OUT), room, i64(OMETA), i64(ERR),
+        ):
+            kind, value = ERR.tolist()
+            if kind == 1:
+                raise DistributionError(
+                    f"distribution spans {value} bins, exceeding "
+                    f"MAX_BINS={MAX_BINS}; dt is too small for this analysis"
+                )
+            if kind == 2:
+                raise DistributionError(
+                    "total probability mass must be positive"
+                )
+            if kind == 4:
+                raise MemoryError("fused level merge could not allocate")
+            raise RuntimeError(f"fused level merge failed (code {kind})")
+        meta = OMETA.tolist()
+        lengths = meta[1::2]
+        return _new_pdfs(
+            OUT[:sum(lengths)], meta[::2], lengths, itertools.repeat(dt),
+            trim_eps,
+        )
 
     # -- the Theorem-4 gap ---------------------------------------------
     def gap(self, a: DiscretePDF, b: DiscretePDF, floor: float) -> float:
@@ -839,6 +1085,53 @@ def _self_check(provider) -> None:
                 raise RuntimeError("not bitwise")
     except Exception:
         provider.max_ok = False
+
+    try:
+        _check_merge(provider, rng)
+    except Exception:
+        provider.merge_ok = False
+    if not (provider.build_ok and provider.max_ok):
+        provider.merge_ok = False
+
+
+def _check_merge(provider, rng) -> None:
+    """The fused level merge against building every ADD and merging
+    the objects (the NumPy expressions), on groups of raw ADDs and
+    finished operands: single raws, mixed groups, a raw shared by two
+    groups, finished-only groups."""
+    from .ops import _max_masses
+
+    raws = _check_vectors(rng)
+    roffs = [int(o) for o in rng.integers(-20, 20, len(raws))]
+    fins = [
+        DiscretePDF(
+            2.0, int(rng.integers(-20, 20)),
+            rng.random(int(rng.integers(1, 60))) + 1e-4,
+        )
+        for _ in range(4)
+    ]
+    groups = ((0,), (1, ~0), (2, 3, 4), (~1, ~2), (5, 6, ~3, 7), (8,),
+              (9, 0))
+    src = [j for group in groups for j in group]
+    gk = [len(group) for group in groups]
+    for trim_eps in (0.0, 1e-9, 1e-3):
+        merged = provider.merge_level(
+            raws, roffs, [f.masses for f in fins], [f.offset for f in fins],
+            src, gk, 2.0, trim_eps,
+        )
+        adds = [
+            DiscretePDF._trusted(2.0, off, raw.copy()).trimmed(trim_eps)  # noqa: SLF001
+            for raw, off in zip(raws, roffs)
+        ]
+        for group, res in zip(groups, merged):
+            pdfs = [adds[j] if j >= 0 else fins[~j] for j in group]
+            if len(pdfs) == 1:
+                ref = pdfs[0].trimmed(trim_eps)
+            else:
+                lo, masses = _max_masses(pdfs)
+                ref = DiscretePDF._trusted(2.0, lo, masses).trimmed(trim_eps)  # noqa: SLF001
+            if not _same(res, ref) or res.dt != 2.0:
+                raise RuntimeError("not bitwise")
 
 
 _lock = threading.Lock()

@@ -36,7 +36,7 @@ One LRU holds two memo kinds, each with one cache path:
 * **node** — a timing node's whole merged arrival, probed by every
   engine (full, incremental and backward SSTA, the perturbation
   fronts) before any kernel work (:meth:`lookup_node`);
-* **gap** — one Theorem-4 percentile gap (:meth:`lookup_gap`).
+* **gap** — one Theorem-4 percentile gap (:meth:`memo_gap`).
 
 There is no per-operation memo.  A kernel request only happens behind
 a node-memo miss, which means the node's fan-in changed, so its MAX
@@ -371,13 +371,28 @@ class ConvolutionCache:
         )
 
     def lookup_gap(self, a: DiscretePDF, b: DiscretePDF) -> Optional[float]:
+        return self._lookup_gap(self._gap_key(a, b))
+
+    def store_gap(self, a: DiscretePDF, b: DiscretePDF, gap: float) -> None:
+        self._store_gap(self._gap_key(a, b), gap)
+
+    def memo_gap(self, a: DiscretePDF, b: DiscretePDF, compute) -> float:
+        """The gap of ``(a, b)`` from the memo, or ``compute(a, b)``
+        stored on a miss: :meth:`lookup_gap` then :meth:`store_gap` with
+        the key built once."""
         key = self._gap_key(a, b)
+        gap = self._lookup_gap(key)
+        if gap is None:
+            gap = compute(a, b)
+            self._store_gap(key, gap)
+        return gap
+
+    def _lookup_gap(self, key: tuple) -> Optional[float]:
         with self._lock:
             entry = self._get(key, None)
         return None if entry is None else entry.result
 
-    def store_gap(self, a: DiscretePDF, b: DiscretePDF, gap: float) -> None:
-        key = self._gap_key(a, b)
+    def _store_gap(self, key: tuple, gap: float) -> None:
         entry = _Entry(gap, None)
         with self._lock:
             self._put(key, entry)

@@ -34,15 +34,24 @@ argument for call-site uniformity (engines thread one backend choice
 through every operation); the independence max is a CDF product, not a
 convolution, so its numerics are backend-invariant by construction.
 
-The kernels are memo-free: every request is computed.
-:func:`convolve_many` batches a node's (or a level's) fan-in ADDs
-through the backend's ``convolve_many`` entry point, bitwise identical
-to sequential calls, and :func:`stat_max_groups` batches many
+The kernels are memo-free: every request is computed, except that a
+batch convolves an (arrival, delay) object pair it holds twice only
+once.  :func:`convolve_many` batches a node's (or a level's) fan-in
+ADDs through the backend's ``convolve_many`` entry point, bitwise
+identical to sequential calls, and :func:`stat_max_groups` batches many
 independent MAX reductions into one compiled sweep (or, without the
 tier, stacked CDF products over same-shape groups).  The singleton
 entry points are one-element batches of these, so each kernel has one
-code path.  Reuse lives one layer up, in the timing engines: the
-whole-node memo of :class:`~repro.dist.cache.ConvolutionCache`
+code path.
+
+A level whose ADD results only feed its MAX merges keeps them raw:
+``convolve_many(..., defer=True)`` returns a :class:`DeferredAdds` (raw
+backend outputs and offsets), and ``stat_max_groups(..., adds=...)``
+builds them, takes every group's MAX and builds the results in one
+compiled call — the fused level merge, bitwise building the ADD
+objects and merging them, which is also what runs without the tier.
+
+Reuse lives one layer up, in the timing engines: the whole-node memo of :class:`~repro.dist.cache.ConvolutionCache`
 (whose hits the engines tally on the counter as *hits*, never as
 computed operations) and the identity-matched arc memo of an SSTA
 pass (:class:`~repro.timing.ssta.ArcMemo`).
@@ -62,6 +71,7 @@ from .pdf import DiscretePDF
 
 __all__ = [
     "OpCounter",
+    "DeferredAdds",
     "convolve",
     "convolve_many",
     "max_batch_raws",
@@ -145,14 +155,18 @@ class OpCounter:
         )
 
 
+def _grid_mismatch(dt: float, other: float) -> GridMismatchError:
+    return GridMismatchError(
+        f"cannot combine distributions with dt={dt} and dt={other}; "
+        "regrid explicitly before mixing analyses"
+    )
+
+
 def _require_same_grid(pdfs: Sequence[DiscretePDF]) -> float:
     dt = pdfs[0].dt
     for p in pdfs[1:]:
         if p.dt != dt:
-            raise GridMismatchError(
-                f"cannot combine distributions with dt={dt} and dt={p.dt}; "
-                "regrid explicitly before mixing analyses"
-            )
+            raise _grid_mismatch(dt, p.dt)
     return dt
 
 
@@ -177,6 +191,55 @@ def _build_results(raws: Sequence, dts, offsets, trim_eps: float) -> list:
         trusted(dt, off, raw).trimmed(trim_eps)
         for raw, dt, off in zip(raws, dts, offsets)
     ]
+
+
+class DeferredAdds:
+    """The ADD results of one :func:`convolve_many` batch before
+    construction: the backend's raw outputs and their absolute offsets,
+    with no :class:`DiscretePDF` per result.
+
+    A level whose ADD results only feed its MAX merges hands them to
+    :func:`stat_max_groups` in this form (a group operand ``i`` of type
+    ``int`` stands for the result of pair ``i``), where the compiled
+    tier builds them and takes every MAX in one call.  ``raws`` and
+    ``offsets`` describe the batch's distinct pairs; ``slots[i]`` is
+    the distinct pair behind pair ``i`` (None when every pair is
+    distinct).  :meth:`built` constructs the results instead — once;
+    later calls return the same list.
+    """
+
+    __slots__ = ("raws", "offsets", "slots", "dt", "trim_eps", "_built")
+
+    def __init__(self, raws, offsets: list, slots: Optional[list],
+                 dt: float, trim_eps: float) -> None:
+        self.raws = raws
+        self.offsets = offsets
+        self.slots = slots
+        self.dt = dt
+        self.trim_eps = trim_eps
+        self._built: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.offsets if self.slots is None else self.slots)
+
+    def built(self) -> list:
+        """One :class:`DiscretePDF` per pair, exactly what
+        ``convolve_many`` without ``defer`` returns."""
+        if self._built is None:
+            self._built = _shared(
+                _build_results(
+                    self.raws, [self.dt] * len(self.offsets), self.offsets,
+                    self.trim_eps,
+                ),
+                self.slots,
+            )
+            self.raws = None
+        return self._built
+
+
+def _shared(results: list, slots: Optional[list]) -> list:
+    """Per-pair results from per-distinct-pair ones."""
+    return results if slots is None else [results[j] for j in slots]
 
 
 def convolve(
@@ -206,7 +269,8 @@ def convolve_many(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
-) -> list:
+    defer: bool = False,
+):
     """Batched ADD: one :func:`convolve` result per ``(a, b)`` pair.
 
     The SSTA inner loop convolves every fan-in arrival with its arc's
@@ -221,24 +285,54 @@ def convolve_many(
     of any composition.  Backends without a ``convolve_many`` method
     fall back to a ``convolve_masses`` loop.  An empty batch never
     touches the backend.
+
+    A batch computes each distinct ``(a, b)`` object pair once: a pair
+    repeated in the batch (two gates with one delay object reading one
+    net) shares the first one's result object.  The counter still
+    tallies one convolution per pair — the operations the analysis
+    requested, which the level scheduler and the sequential walk agree
+    on whatever the batch composition.
+
+    With ``defer`` the results come back unconstructed, as one
+    :class:`DeferredAdds` (every pair must then share one grid): the
+    level scheduler passes them to :func:`stat_max_groups`, which builds
+    them and merges in one compiled call.  The convolutions and the
+    tally are the same either way.
     """
     if not pairs:
         return []
     kernel = get_backend(backend)
-    for a, b in pairs:
-        _require_same_grid((a, b))
+    dt = pairs[0][0].dt
+    # The caller's pairs hold every operand, so no id is reused while
+    # ``index`` lives.
+    index: dict = {}
+    distinct = []
+    slots = []
+    for pair in pairs:
+        a, b = pair
+        if a.dt != b.dt or (defer and a.dt != dt):
+            raise _grid_mismatch(dt if a.dt == b.dt else a.dt, b.dt)
+        key = (id(a), id(b))
+        j = index.get(key)
+        if j is None:
+            j = index[key] = len(distinct)
+            distinct.append(pair)
+        slots.append(j)
+    if counter is not None:
+        counter.convolutions += len(slots)
+    shared = slots if len(distinct) < len(slots) else None
+    pairs = distinct
     batch = [(a.masses, b.masses) for a, b in pairs]
     if callable(getattr(kernel, "convolve_many", None)):
         raws = kernel.convolve_many(batch)
     else:
         raws = [kernel.convolve_masses(a, b) for a, b in batch]
-    if counter is not None:
-        counter.convolutions += len(pairs)
-    return _build_results(
-        raws,
-        [a.dt for a, _b in pairs],
-        [a.offset + b.offset for a, b in pairs],
-        trim_eps,
+    offsets = [a.offset + b.offset for a, b in pairs]
+    if defer:
+        return DeferredAdds(raws, offsets, shared, dt, trim_eps)
+    return _shared(
+        _build_results(raws, [a.dt for a, _b in pairs], offsets, trim_eps),
+        shared,
     )
 
 
@@ -407,6 +501,7 @@ def stat_max_many(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
+    adds: Optional[DeferredAdds] = None,
 ) -> DiscretePDF:
     """Independence MAX of any number of arrivals in one vectorized
     reduction (one CDF product over the stacked union grid).
@@ -415,12 +510,14 @@ def stat_max_many(
     convolution results already trimmed at the same ``trim_eps`` come
     back identically, preserving bitwise reproducibility.  ``backend``
     is validated for call-site uniformity; the max numerics are
-    backend-invariant.  A one-group :func:`stat_max_groups` batch.
+    backend-invariant.  A one-group :func:`stat_max_groups` batch
+    (``adds`` as there).
     """
     if len(pdfs) == 0:
         raise DistributionError("stat_max_many needs at least one distribution")
     return stat_max_groups(
-        [pdfs], trim_eps=trim_eps, counter=counter, backend=backend
+        [pdfs], trim_eps=trim_eps, counter=counter, backend=backend,
+        adds=adds,
     )[0]
 
 
@@ -430,6 +527,7 @@ def stat_max_groups(
     trim_eps: float = 0.0,
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
+    adds: Optional[DeferredAdds] = None,
 ) -> list:
     """Batched MAX: one :func:`stat_max_many` result per operand group.
 
@@ -445,11 +543,32 @@ def stat_max_groups(
     reaches this kernel only behind a node-memo miss, where it almost
     never recurs (see :mod:`repro.dist.cache`).  An empty batch is a
     no-op.
+
+    ``adds`` supplies deferred ADD results (:func:`convolve_many` with
+    ``defer``): an ``int`` operand ``i`` stands for ``adds[i]``.  While
+    they are unbuilt and the compiled tier's fused merge passed its
+    self-check, one foreign call builds every ADD, takes every group's
+    MAX and builds the results (:func:`_fused_groups`); only the group
+    results become objects.  Otherwise the ADDs are built
+    (:meth:`DeferredAdds.built`) and merged as objects.  Both give the
+    same bits and the same tallies.
     """
     if not groups:
         return []
     # Validate once; the max numerics are backend-invariant.
     get_backend(backend)
+    if adds is not None:
+        p = _compiled.get_provider()
+        if (
+            p is not None and p.merge_ok and adds._built is None
+            and adds.trim_eps == trim_eps
+        ):
+            return _fused_groups(p, groups, adds, trim_eps, counter)
+        built = adds.built()
+        groups = [
+            [built[op] if type(op) is int else op for op in pdfs]
+            for pdfs in groups
+        ]
     results: list = [None] * len(groups)
     multi: list = []
     for i, pdfs in enumerate(groups):
@@ -474,5 +593,52 @@ def stat_max_groups(
             trim_eps,
         )
         for i, result in zip(multi, built):
+            results[i] = result
+    return results
+
+
+def _fused_groups(p, groups: Sequence, adds: DeferredAdds, trim_eps: float,
+                  counter: Optional[OpCounter]) -> list:
+    """:func:`stat_max_groups` over deferred ADDs through the provider's
+    fused level merge: the same validation, tallies and bits as
+    building the ADDs and merging the objects.  A one-operand group
+    whose operand is finished is trimmed here, as on the object path."""
+    dt = adds.dt
+    slots = adds.slots
+    results: list = [None] * len(groups)
+    todo = []
+    src = []
+    gk = []
+    fins = []
+    foffs = []
+    max_ops = 0
+    for i, pdfs in enumerate(groups):
+        k = len(pdfs)
+        if k == 0:
+            raise DistributionError(
+                "stat_max_groups needs at least one distribution per group"
+            )
+        if k == 1 and type(pdfs[0]) is not int:
+            results[i] = pdfs[0].trimmed(trim_eps)
+            continue
+        for op in pdfs:
+            if type(op) is int:
+                src.append(op if slots is None else slots[op])
+            else:
+                if op.dt != dt:
+                    raise _grid_mismatch(dt, op.dt)
+                src.append(~len(fins))
+                fins.append(op.masses)
+                foffs.append(op.offset)
+        todo.append(i)
+        gk.append(k)
+        max_ops += k - 1
+    if todo:
+        merged = p.merge_level(
+            adds.raws, adds.offsets, fins, foffs, src, gk, dt, trim_eps
+        )
+        if counter is not None:
+            counter.max_ops += max_ops
+        for i, result in zip(todo, merged):
             results[i] = result
     return results

@@ -26,7 +26,7 @@ critical, which is why the ``Smx`` bound ranking finds it early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..config import AnalysisConfig
 from ..dist.backends import BackendLike, get_backend
@@ -35,7 +35,12 @@ from ..dist.pdf import DiscretePDF
 from ..errors import TimingError
 from .delay_model import DelayModel
 from .graph import TimingGraph
-from .ssta import SSTAResult, _node_arrival, compute_level_arrivals
+from .ssta import (
+    SSTAResult,
+    _node_arrival,
+    compute_level_arrivals,
+    gate_delays,
+)
 
 __all__ = [
     "BackwardSSTAResult",
@@ -67,10 +72,11 @@ class BackwardSSTAResult:
         return self.to_sink[self.graph.node_of_net(net)]
 
 
-def _node_fanout_parts(graph, model, to_sink, node):
+def _node_fanout_parts(graph, delays, to_sink, node):
     """A node's fan-out operands ``(to-sink PDF, delay-or-None)`` in
     edge order — the backward mirror of
-    :func:`~repro.timing.ssta.node_fanin_parts`."""
+    :func:`~repro.timing.ssta.node_fanin_parts`; ``delays`` is the
+    pass's gate-delay snapshot, keyed by gate output net."""
     fanout = graph.fanout_edges(node)
     if not fanout:
         raise TimingError(f"node {node} has no fan-out (not a sink)")
@@ -81,7 +87,7 @@ def _node_fanout_parts(graph, model, to_sink, node):
         if edge.gate is None:
             parts.append((dst_pdf, None))
         else:
-            parts.append((dst_pdf, model.delay_pdf(edge.gate)))
+            parts.append((dst_pdf, delays[edge.gate.output]))
     return parts
 
 
@@ -102,7 +108,10 @@ def run_backward_ssta(
     runs through the batched level scheduler, bitwise identical to the
     sequential walk.  Both modes use the forward engines' node merge,
     so with a cache attached they consult the same whole-node memo: a
-    repeated pass resolves every node in one probe.
+    repeated pass resolves every node in one probe.  Gate delays come
+    from one snapshot per pass
+    (:meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`), the
+    objects ``delay_pdf`` returns.
     """
     cfg = config if config is not None else model.config
     own = counter if counter is not None else OpCounter()
@@ -110,6 +119,7 @@ def run_backward_ssta(
     cache = cfg.cache
     to_sink: List[Optional[DiscretePDF]] = [None] * graph.n_nodes
     to_sink[graph.sink] = DiscretePDF.delta(cfg.dt, 0.0)
+    delays = gate_delays(graph, model)
     if cfg.level_batch:
         # Sink alone occupies the top level; walk the rest downward,
         # visiting nodes within a level in the sequential (reversed
@@ -119,7 +129,7 @@ def run_backward_ssta(
             if not nodes:
                 continue
             parts_list = [
-                _node_fanout_parts(graph, model, to_sink, node)
+                _node_fanout_parts(graph, delays, to_sink, node)
                 for node in nodes
             ]
             for node, pdf in zip(
@@ -138,7 +148,7 @@ def run_backward_ssta(
             if node == graph.sink:
                 continue
             to_sink[node] = _node_arrival(
-                _node_fanout_parts(graph, model, to_sink, node),
+                _node_fanout_parts(graph, delays, to_sink, node),
                 cfg.tail_eps, own, kernel, cache,
             )
     return BackwardSSTAResult(

@@ -35,14 +35,10 @@ from ..dist.backends import get_backend
 from ..dist.ops import OpCounter
 from ..dist.pdf import DiscretePDF
 from ..netlist.circuit import Gate
+from . import ssta
 from .delay_model import DelayModel
 from .graph import TimingGraph
-from .ssta import (
-    SSTAResult,
-    compute_level_arrivals,
-    compute_node_arrival,
-    node_fanin_parts,
-)
+from .ssta import SSTAResult
 
 __all__ = ["update_ssta_after_resize"]
 
@@ -126,11 +122,13 @@ def update_ssta_after_resize(
                 _lvl, nxt = heapq.heappop(heap)
                 queued.discard(nxt)
                 batch.append(nxt)
+            # Through the module, not names bound at import: whoever
+            # wraps the scheduler in ``repro.timing.ssta`` sees the wave.
             parts_list = [
-                node_fanin_parts(graph, n, get_arrival, get_delay_pdf)
+                ssta.node_fanin_parts(graph, n, get_arrival, get_delay_pdf)
                 for n in batch
             ]
-            news = compute_level_arrivals(
+            news = ssta.compute_level_arrivals(
                 parts_list,
                 trim_eps=cfg.tail_eps,
                 counter=counter,
@@ -141,7 +139,7 @@ def update_ssta_after_resize(
             )
         else:
             news = [
-                compute_node_arrival(
+                ssta.compute_node_arrival(
                     graph,
                     n,
                     get_arrival,

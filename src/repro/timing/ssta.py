@@ -18,7 +18,12 @@ Two execution modes share one numeric contract:
   :func:`~repro.dist.ops.convolve_many` dispatch and all of its MAX
   reductions through one :func:`~repro.dist.ops.stat_max_groups`
   sweep, cutting the per-node Python dispatch that dominates the
-  miss-path cost of the sizing loop.
+  miss-path cost of the sizing loop.  The ADD results stay raw
+  (:class:`~repro.dist.ops.DeferredAdds`): with the compiled tier the
+  MAX call builds them, merges and builds the node results in one
+  foreign call, so a level makes a :class:`~repro.dist.pdf.DiscretePDF`
+  per node, not per arc.  Only an arc memo being filled gets ADD
+  objects.
 
 Both modes are **bitwise interchangeable**: the same arrival mass
 vectors and offsets on every backend, cache on or off.  The accounting
@@ -43,6 +48,14 @@ perturbation fronts re-request the unperturbed arcs of every node they
 touch.  The backward pass of :mod:`repro.timing.criticality` runs the
 same node merge.
 
+A full pass takes every gate's delay PDF up front, once, from the
+model's batched snapshot (:func:`gate_delays`,
+:meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`): EQ 1 for
+all gates as array arithmetic, and one ``delay_pdf`` call per exact
+operating point the model has not seen.  Measured on ``ssta-10k`` (9,855 gates, 2-vCPU host),
+these two changes take a cold pass from 647 to 444 ms (perfbench
+medians).
+
 The kernels are shared with the perturbation-front machinery of the
 optimizer (`repro.core.perturbation`): a perturbed propagation is the
 same computation with some arrivals/delay-PDFs overridden, which
@@ -58,7 +71,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..config import AnalysisConfig, DEFAULT_CONFIG
 from ..dist.backends import BackendLike, get_backend
 from ..dist.cache import ConvolutionCache
-from ..dist.ops import OpCounter, convolve_many, stat_max_groups, stat_max_many
+from ..dist.ops import (
+    DeferredAdds,
+    OpCounter,
+    convolve_many,
+    stat_max_groups,
+    stat_max_many,
+)
 from ..dist.pdf import DiscretePDF
 from ..errors import TimingError
 from ..netlist.circuit import Gate
@@ -171,11 +190,15 @@ def _arc_contribs(
     kernel,
     arcs: Optional[ArcMemo],
     fill_arcs: bool,
-) -> List[List[DiscretePDF]]:
-    """Every node's MAX operands: virtual arcs pass their arrival
-    through, gate arcs come from the arc memo or from **one**
-    :func:`~repro.dist.ops.convolve_many` dispatch over all remaining
-    pairs.  With ``fill_arcs`` the computed pairs are stored in
+) -> Tuple[List[list], Optional[DeferredAdds]]:
+    """Every node's MAX operands, and the batch's deferred ADDs.
+
+    Virtual arcs pass their arrival through, gate arcs come from the
+    arc memo or from **one** deferred
+    :func:`~repro.dist.ops.convolve_many` dispatch over the remaining
+    pairs, where an operand ``int`` ``i`` stands for the result of pair
+    ``i`` (see :func:`~repro.dist.ops.stat_max_groups`).  With
+    ``fill_arcs`` the computed results are built and stored in
     ``arcs``."""
     if arcs is not None and (
         arcs.trim_eps != trim_eps or arcs.kernel is not kernel
@@ -183,32 +206,33 @@ def _arc_contribs(
         raise TimingError(
             "arc memo was filled under another trim epsilon or backend"
         )
-    contribs_list: List[List[DiscretePDF]] = []
-    pairs = []
-    slots = []
+    contribs_list: List[list] = []
+    pairs: list = []
     for parts in parts_list:
-        contribs: List[Optional[DiscretePDF]] = [None] * len(parts)
-        for slot, (pdf, delay) in enumerate(parts):
+        contribs = []
+        for part in parts:
+            pdf, delay = part
             if delay is None:
-                contribs[slot] = pdf
+                contribs.append(pdf)
                 continue
-            res = None if arcs is None else arcs.get(pdf, delay)
-            if res is None:
-                pairs.append((pdf, delay))
-                slots.append((contribs, slot))
-            else:
-                contribs[slot] = res
-        contribs_list.append(contribs)  # type: ignore[arg-type]
-    if pairs:
-        done = convolve_many(
-            pairs, trim_eps=trim_eps, counter=counter, backend=kernel
-        )
-        for (contribs, slot), res in zip(slots, done):
-            contribs[slot] = res
-        if fill_arcs and arcs is not None:
-            for (pdf, delay), res in zip(pairs, done):
-                arcs.put(pdf, delay, res)
-    return contribs_list
+            if arcs is not None:
+                res = arcs.get(pdf, delay)
+                if res is not None:
+                    contribs.append(res)
+                    continue
+            contribs.append(len(pairs))
+            pairs.append(part)
+        contribs_list.append(contribs)
+    if not pairs:
+        return contribs_list, None
+    adds = convolve_many(
+        pairs, trim_eps=trim_eps, counter=counter, backend=kernel,
+        defer=True,
+    )
+    if fill_arcs and arcs is not None:
+        for (pdf, delay), res in zip(pairs, adds.built()):
+            arcs.put(pdf, delay, res)
+    return contribs_list, adds
 
 
 def _merge_parts(
@@ -223,11 +247,12 @@ def _merge_parts(
 ) -> DiscretePDF:
     """Sequential ADD-then-MAX merge of one node's parts, stored in the
     node memo under ``node_key`` (when a cache is attached)."""
-    contribs = _arc_contribs(
+    contribs_list, adds = _arc_contribs(
         [parts], trim_eps, counter, kernel, arcs, fill_arcs
-    )[0]
+    )
     result = stat_max_many(
-        contribs, trim_eps=trim_eps, counter=counter, backend=kernel
+        contribs_list[0], trim_eps=trim_eps, counter=counter,
+        backend=kernel, adds=adds,
     )
     if node_key is not None:
         cache.store_node(node_key, result, kernel)
@@ -328,10 +353,12 @@ def compute_level_arrivals(
        node stores — as it would sequentially);
     2. takes every remaining gate arc found in the arc memo ``arcs``
        from there, and gathers the rest of the level's ADDs into
-       **one** :func:`~repro.dist.ops.convolve_many` dispatch (with
-       ``fill_arcs``, their results are stored in ``arcs``);
+       **one** deferred :func:`~repro.dist.ops.convolve_many` dispatch
+       (with ``fill_arcs``, their results are built and stored in
+       ``arcs``);
     3. merges every node's contributions through **one**
-       :func:`~repro.dist.ops.stat_max_groups` sweep and stores each
+       :func:`~repro.dist.ops.stat_max_groups` call — which builds the
+       deferred ADDs and the merged results together — and stores each
        result in the node memo.
 
     The result is bitwise identical to looping
@@ -376,7 +403,7 @@ def compute_level_arrivals(
     if todo:
         # One batched ADD dispatch and one batched MAX sweep for the
         # whole level.
-        contribs_list = _arc_contribs(
+        contribs_list, adds = _arc_contribs(
             [parts_list[i] for i in todo],
             trim_eps, counter, kernel, arcs, fill_arcs,
         )
@@ -385,6 +412,7 @@ def compute_level_arrivals(
             stat_max_groups(
                 contribs_list,
                 trim_eps=trim_eps, counter=counter, backend=kernel,
+                adds=adds,
             ),
         ):
             results[i] = res
@@ -406,6 +434,17 @@ def compute_level_arrivals(
             _node_hit_tally(counter, parts)
         results[i] = hit
     return results  # type: ignore[return-value]
+
+
+def gate_delays(graph: TimingGraph, model: DelayModel) -> Dict[str, DiscretePDF]:
+    """Every gate's delay PDF for one pass, keyed by output net in
+    topological order: the model's batched
+    :meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`, or one
+    ``delay_pdf`` call per gate when the model describes another
+    circuit object than the graph."""
+    if model.circuit is graph.circuit:
+        return model.delay_snapshot()
+    return {g.output: model.delay_pdf(g) for g in graph.circuit.topo_gates()}
 
 
 @dataclass
@@ -477,8 +516,9 @@ def run_ssta(
     ``config.level_batch`` (the default) each topological level runs
     through the batched scheduler; the sequential per-node walk is
     bitwise identical and retained for differential testing.  Each
-    gate's delay PDF is derived once, up front, and shared by all of
-    its arcs (:attr:`SSTAResult.delays`).
+    gate's delay PDF is derived once, up front, through the model's
+    batched snapshot (:func:`gate_delays`), and shared by all of its
+    arcs (:attr:`SSTAResult.delays`).
 
     ``keep_arcs`` makes the pass fill an :class:`ArcMemo` with every
     gate arc it computes (:attr:`SSTAResult.arcs`) for perturbation
@@ -491,11 +531,12 @@ def run_ssta(
     arrivals: List[Optional[DiscretePDF]] = [None] * graph.n_nodes
     arrivals[graph.source] = DiscretePDF.delta(cfg.dt, 0.0)
     get_arrival = arrivals.__getitem__
-    delays = {g.output: model.delay_pdf(g) for g in graph.circuit.topo_gates()}
+    delays = gate_delays(graph, model)
+    # Gates hash by identity: the arcs look their delay up by gate.
+    get_delay_pdf = dict(
+        zip(graph.circuit.topo_gates(), delays.values())
+    ).__getitem__
     arcs = ArcMemo(cfg.tail_eps, kernel) if keep_arcs else None
-
-    def get_delay_pdf(gate: Gate) -> DiscretePDF:
-        return delays[gate.output]
 
     if cfg.level_batch:
         # Level 0 holds exactly the source; every other level's nodes

@@ -501,6 +501,38 @@ class TestGapMemo:
         # translated pair: absolute offsets differ -> no entry served
         assert cache.lookup_gap(a.shifted_bins(2), b.shifted_bins(2)) is None
 
+    def test_memo_gap_builds_one_key_per_probe(self, monkeypatch):
+        """A miss hashes its pair once for the probe and the store; a
+        hit serves the stored bits without computing."""
+        from repro.dist.metrics import max_percentile_gap
+
+        keys = []
+        real_key = ConvolutionCache._gap_key
+
+        def counting_key(a, b):
+            keys.append((a, b))
+            return real_key(a, b)
+
+        monkeypatch.setattr(ConvolutionCache, "_gap_key",
+                            staticmethod(counting_key))
+        computed = []
+
+        def compute(a, b):
+            computed.append((a, b))
+            return max_percentile_gap(a, b)
+
+        rng = np.random.default_rng(21)
+        a = DiscretePDF(2.0, 0, rng.random(30))
+        b = DiscretePDF(2.0, 1, rng.random(30))
+        cache = ConvolutionCache()
+        gap = cache.memo_gap(a, b, compute)
+        assert len(keys) == 1 and len(computed) == 1
+        assert gap == max_percentile_gap(a, b)
+        assert cache.stats.misses == 1 and cache.lookup_gap(a, b) == gap
+        keys.clear()
+        assert cache.memo_gap(a, b, compute) == gap
+        assert len(keys) == 1 and len(computed) == 1
+
 
 class TestBatchDedupAgainstSequential:
     """Batched requests must replicate the *sequential* cache stream:

@@ -109,3 +109,40 @@ class TestEfficiency:
         recomputed = update_ssta_after_resize(result, model, [gate])
         assert recomputed <= 3  # the seed nodes only
         assert_same_arrivals(result, run_ssta(graph, model))
+
+
+class TestSchedulerCallSites:
+    def test_wave_calls_the_scheduler_through_the_ssta_module(
+        self, c17, library, fast_config, monkeypatch
+    ):
+        """The wave looks ``compute_level_arrivals`` and
+        ``node_fanin_parts`` up on ``repro.timing.ssta`` at call time, so
+        a wrapper installed there (a tracer, a profiler) sees every
+        level the wave recomputes."""
+        from repro.timing import ssta
+
+        graph = TimingGraph(c17)
+        model = DelayModel(c17, library, fast_config)
+        result = run_ssta(graph, model)
+        calls = {"levels": 0, "nodes": 0, "parts": 0}
+        real_level = ssta.compute_level_arrivals
+        real_parts = ssta.node_fanin_parts
+
+        def counting_level(parts_list, **kwargs):
+            calls["levels"] += 1
+            calls["nodes"] += len(parts_list)
+            return real_level(parts_list, **kwargs)
+
+        def counting_parts(*args):
+            calls["parts"] += 1
+            return real_parts(*args)
+
+        monkeypatch.setattr(ssta, "compute_level_arrivals", counting_level)
+        monkeypatch.setattr(ssta, "node_fanin_parts", counting_parts)
+        gate = c17.gate("16")
+        gate.width = 3.0
+        recomputed = update_ssta_after_resize(result, model, [gate])
+        assert recomputed > 0
+        assert calls["levels"] > 0
+        assert calls["nodes"] == calls["parts"] == recomputed
+        assert_same_arrivals(result, run_ssta(graph, model))
