@@ -1242,8 +1242,8 @@ def _bench_ssta_layers(quick: bool) -> dict:
     scale ladder's first point (~10^4 gates; ~4 * 10^3 quick).  The
     layers' sum must come within ~10% of the wall-clock (its
     ``coverage``); the rest is ``run_ssta``'s own loop.  A warm-up pass
-    first resolves the compiled provider and the circuit's load index,
-    which every later pass reuses."""
+    first resolves the compiled provider and the circuit's fan-out
+    index, which every later pass reuses."""
     from repro.netlist.benchmarks import spec_for
     from repro.netlist.generate import generate_circuit
     from repro.timing.delay_model import DelayModel

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..config import DEFAULT_TRUNCATION_SIGMA
 from ..errors import DistributionError
-from .ops import _build_results
 from .pdf import DiscretePDF
 
 __all__ = ["truncated_gaussian_pdf", "sample_truncated_gaussian"]
@@ -50,12 +49,8 @@ def truncated_gaussian_pdf(
     window; renormalization to mass 1 happens in the
     :class:`DiscretePDF` constructor, which is precisely the truncated
     law.  ``sigma == 0`` degenerates to a point mass on the nearest
-    grid bin.  The masses are built through the kernels' trusted
-    construction step (compiled when available), bitwise the validated
-    ``DiscretePDF(dt, k_lo, masses).trimmed(trim_eps)``.
+    grid bin.
     """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DistributionError(f"dt must be positive and finite, got {dt}")
     if sigma < 0.0:
         raise DistributionError(f"sigma must be non-negative, got {sigma}")
     if truncation <= 0.0:
@@ -67,14 +62,10 @@ def truncated_gaussian_pdf(
     k_lo = int(round(lo_t / dt))
     k_hi = int(round(hi_t / dt))
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * dt
-    # np.clip's arithmetic without its dispatch wrapper.
-    np.maximum(edges, lo_t, out=edges)
-    np.minimum(edges, hi_t, out=edges)
+    np.clip(edges, lo_t, hi_t, out=edges)
     cdf = _ndtr((edges - mean) / sigma)
-    masses = cdf[1:] - cdf[:-1]
-    if not float(masses.min()) >= 0.0:
-        raise DistributionError("masses must be finite and non-negative")
-    return _build_results([masses], [dt], [k_lo], trim_eps)[0]
+    masses = np.diff(cdf)
+    return DiscretePDF(dt, k_lo, masses).trimmed(trim_eps)
 
 
 def sample_truncated_gaussian(

@@ -51,10 +51,11 @@ builds them, takes every group's MAX and builds the results in one
 compiled call — the fused level merge, bitwise building the ADD
 objects and merging them, which is also what runs without the tier.
 
-Reuse lives one layer up, in the timing engines: the whole-node memo of :class:`~repro.dist.cache.ConvolutionCache`
-(whose hits the engines tally on the counter as *hits*, never as
-computed operations) and the identity-matched arc memo of an SSTA
-pass (:class:`~repro.timing.ssta.ArcMemo`).
+Reuse lives one layer up, in the timing engines: the whole-node memo
+of :class:`~repro.dist.cache.ConvolutionCache` (whose hits the engines
+tally on the counter as *hits*, never as computed operations) and the
+identity-matched arc memo of an SSTA pass
+(:class:`~repro.timing.ssta.ArcMemo`).
 """
 
 from __future__ import annotations
@@ -195,27 +196,31 @@ def _build_results(raws: Sequence, dts, offsets, trim_eps: float) -> list:
 
 class DeferredAdds:
     """The ADD results of one :func:`convolve_many` batch before
-    construction: the backend's raw outputs and their absolute offsets,
-    with no :class:`DiscretePDF` per result.
+    construction: the backend's raw outputs with their grids and
+    absolute offsets, and no :class:`DiscretePDF` per result.
 
     A level whose ADD results only feed its MAX merges hands them to
     :func:`stat_max_groups` in this form (a group operand ``i`` of type
     ``int`` stands for the result of pair ``i``), where the compiled
-    tier builds them and takes every MAX in one call.  ``raws`` and
-    ``offsets`` describe the batch's distinct pairs; ``slots[i]`` is
-    the distinct pair behind pair ``i`` (None when every pair is
-    distinct).  :meth:`built` constructs the results instead — once;
-    later calls return the same list.
+    tier builds them and takes every MAX in one call.  ``raws``,
+    ``dts`` and ``offsets`` describe the batch's distinct pairs;
+    ``slots[i]`` is the distinct pair behind pair ``i`` (None when
+    every pair is distinct), and ``dt`` is the batch's one grid (None
+    for a batch that mixes grids).  :meth:`built` constructs the
+    results instead — once; later calls return the same list.
     """
 
-    __slots__ = ("raws", "offsets", "slots", "dt", "trim_eps", "_built")
+    __slots__ = ("raws", "dts", "offsets", "slots", "dt", "trim_eps",
+                 "_built")
 
-    def __init__(self, raws, offsets: list, slots: Optional[list],
-                 dt: float, trim_eps: float) -> None:
+    def __init__(self, raws, dts: list, offsets: list,
+                 slots: Optional[list], trim_eps: float) -> None:
         self.raws = raws
+        self.dts = dts
         self.offsets = offsets
         self.slots = slots
-        self.dt = dt
+        dt = dts[0]
+        self.dt: Optional[float] = dt if dts.count(dt) == len(dts) else None
         self.trim_eps = trim_eps
         self._built: Optional[list] = None
 
@@ -227,10 +232,8 @@ class DeferredAdds:
         ``convolve_many`` without ``defer`` returns."""
         if self._built is None:
             self._built = _shared(
-                _build_results(
-                    self.raws, [self.dt] * len(self.offsets), self.offsets,
-                    self.trim_eps,
-                ),
+                _build_results(self.raws, self.dts, self.offsets,
+                               self.trim_eps),
                 self.slots,
             )
             self.raws = None
@@ -294,15 +297,15 @@ def convolve_many(
     on whatever the batch composition.
 
     With ``defer`` the results come back unconstructed, as one
-    :class:`DeferredAdds` (every pair must then share one grid): the
-    level scheduler passes them to :func:`stat_max_groups`, which builds
-    them and merges in one compiled call.  The convolutions and the
-    tally are the same either way.
+    :class:`DeferredAdds`: the level scheduler passes them to
+    :func:`stat_max_groups`, which builds them and merges in one
+    compiled call.  Without it they are that batch's
+    :meth:`DeferredAdds.built` results.  The convolutions and the tally
+    are the same either way.
     """
     if not pairs:
         return []
     kernel = get_backend(backend)
-    dt = pairs[0][0].dt
     # The caller's pairs hold every operand, so no id is reused while
     # ``index`` lives.
     index: dict = {}
@@ -310,8 +313,8 @@ def convolve_many(
     slots = []
     for pair in pairs:
         a, b = pair
-        if a.dt != b.dt or (defer and a.dt != dt):
-            raise _grid_mismatch(dt if a.dt == b.dt else a.dt, b.dt)
+        if a.dt != b.dt:
+            raise _grid_mismatch(a.dt, b.dt)
         key = (id(a), id(b))
         j = index.get(key)
         if j is None:
@@ -320,20 +323,19 @@ def convolve_many(
         slots.append(j)
     if counter is not None:
         counter.convolutions += len(slots)
-    shared = slots if len(distinct) < len(slots) else None
-    pairs = distinct
-    batch = [(a.masses, b.masses) for a, b in pairs]
+    batch = [(a.masses, b.masses) for a, b in distinct]
     if callable(getattr(kernel, "convolve_many", None)):
         raws = kernel.convolve_many(batch)
     else:
         raws = [kernel.convolve_masses(a, b) for a, b in batch]
-    offsets = [a.offset + b.offset for a, b in pairs]
-    if defer:
-        return DeferredAdds(raws, offsets, shared, dt, trim_eps)
-    return _shared(
-        _build_results(raws, [a.dt for a, _b in pairs], offsets, trim_eps),
-        shared,
+    adds = DeferredAdds(
+        raws,
+        [a.dt for a, _b in distinct],
+        [a.offset + b.offset for a, b in distinct],
+        slots if len(distinct) < len(slots) else None,
+        trim_eps,
     )
+    return adds if defer else adds.built()
 
 
 def _padded_cdfs(pdfs: Sequence[DiscretePDF]) -> tuple:
@@ -546,10 +548,10 @@ def stat_max_groups(
 
     ``adds`` supplies deferred ADD results (:func:`convolve_many` with
     ``defer``): an ``int`` operand ``i`` stands for ``adds[i]``.  While
-    they are unbuilt and the compiled tier's fused merge passed its
-    self-check, one foreign call builds every ADD, takes every group's
-    MAX and builds the results (:func:`_fused_groups`); only the group
-    results become objects.  Otherwise the ADDs are built
+    they are unbuilt, on one grid, and the compiled tier's fused merge
+    passed its self-check, one foreign call builds every ADD, takes
+    every group's MAX and builds the results (:func:`_fused_groups`);
+    only the group results become objects.  Otherwise the ADDs are built
     (:meth:`DeferredAdds.built`) and merged as objects.  Both give the
     same bits and the same tallies.
     """
@@ -561,7 +563,7 @@ def stat_max_groups(
         p = _compiled.get_provider()
         if (
             p is not None and p.merge_ok and adds._built is None
-            and adds.trim_eps == trim_eps
+            and adds.dt is not None and adds.trim_eps == trim_eps
         ):
             return _fused_groups(p, groups, adds, trim_eps, counter)
         built = adds.built()

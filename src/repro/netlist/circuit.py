@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import NetlistError
 from ..library.cell import CellType
 
-__all__ = ["Gate", "Circuit", "LoadIndex"]
+__all__ = ["Gate", "Circuit"]
 
 
 class Gate:
@@ -71,47 +69,6 @@ class Gate:
         )
 
 
-class LoadIndex:
-    """The gates in topological order, with what EQ 1's load sums need
-    as arrays.  Gate ``i``'s readers (the gates on its output net, in
-    :meth:`Circuit.fanouts` order) are stored by position: with the
-    gates ranked by reader count, most first (:attr:`order`),
-    ``columns[j]`` holds the topological index of reader ``j`` of every
-    gate that has more than ``j`` readers, in rank order — a prefix of
-    the ranking.  The arrays hold one entry per reader, however uneven
-    the fan-out.  :attr:`n_fanout` counts each gate's readers.  The
-    per-gate cell constants are those of :attr:`cells`, the cells the
-    gates had when the index was built."""
-
-    __slots__ = (
-        "gates", "nets", "cells", "cell_names", "order", "columns",
-        "n_fanout", "intrinsic_delay", "drive_k", "input_cap", "cell_cap",
-    )
-
-    def __init__(self, gates: List[Gate], fanouts: Dict) -> None:
-        self.gates = gates
-        self.nets = [g.output for g in gates]
-        self.cells = [g.cell for g in gates]
-        self.cell_names = [c.name for c in self.cells]
-        position = {g.output: i for i, g in enumerate(gates)}
-        rows = [
-            [position[reader.output] for reader, _pin in fanouts.get(net, ())]
-            for net in self.nets
-        ]
-        self.n_fanout = np.array([len(r) for r in rows], dtype=np.int64)
-        self.order = np.argsort(-self.n_fanout, kind="stable")
-        ranked = [rows[i] for i in self.order.tolist()]
-        self.columns = []
-        for j in range(len(ranked[0]) if ranked else 0):
-            column = [row[j] for row in ranked if len(row) > j]
-            self.columns.append(np.array(column, dtype=np.int64))
-        cells = self.cells
-        self.intrinsic_delay = np.array([c.intrinsic_delay for c in cells])
-        self.drive_k = np.array([c.drive_k for c in cells])
-        self.input_cap = np.array([c.input_cap for c in cells])
-        self.cell_cap = np.array([c.cell_cap for c in cells])
-
-
 class Circuit:
     """A combinational gate-level netlist.
 
@@ -132,7 +89,6 @@ class Circuit:
         self._fanouts: Optional[Dict[str, List[Tuple[Gate, int]]]] = None
         self._topo_gates: Optional[List[Gate]] = None
         self._levels: Optional[Dict[str, int]] = None
-        self._load_index: Optional[LoadIndex] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -176,7 +132,6 @@ class Circuit:
         self._fanouts = None
         self._topo_gates = None
         self._levels = None
-        self._load_index = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -249,19 +204,6 @@ class Circuit:
             for pin, net in enumerate(gate.inputs):
                 fo.setdefault(net, []).append((gate, pin))
         self._fanouts = fo
-
-    def load_index(self) -> LoadIndex:
-        """The fan-out structure of :meth:`topo_gates` as arrays (see
-        :class:`LoadIndex`), for the delay model's batched EQ 1 loads.
-        Built on first use and kept with the fan-out index: a resize
-        keeps it, a structural edit drops it, and a gate whose cell
-        differs from the index's rebuilds it."""
-        index = self._load_index
-        gates = self.topo_gates()
-        if index is None or index.cells != [g.cell for g in gates]:
-            assert self._fanouts is not None
-            index = self._load_index = LoadIndex(gates, self._fanouts)
-        return index
 
     def topo_gates(self) -> List[Gate]:
         """Gates in topological order (fan-in before fan-out).

@@ -17,18 +17,15 @@ sizing, thousands of gates share identical operating points, so the
 cache removes most discretization work.
 
 A full analysis takes every gate's delay at once through
-:meth:`DelayModel.delay_snapshot`: EQ 1 for all gates as array
-arithmetic (bitwise the scalar path), then one :meth:`delay_pdf` call
-per exact operating point the model has not seen yet.  A cold
-``ssta-10k`` pass (9,855 gates, 1,300 distinct points) makes 1,300
-calls instead of 9,855, and a warm pass none.
+:meth:`DelayModel.delay_snapshot`: EQ 1 once per gate, then one
+:meth:`delay_pdf` call per exact operating point the model has not
+seen yet.  A cold ``ssta-10k`` pass (9,855 gates, 1,300 distinct
+points) makes 1,300 calls instead of 9,855, and a warm pass none.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
 
 from ..config import AnalysisConfig, DEFAULT_CONFIG
 from ..dist.families import truncated_gaussian_pdf
@@ -98,65 +95,30 @@ class DelayModel:
             self._pdf_cache[key] = pdf
         return pdf
 
-    def _nominal_array(self, index) -> np.ndarray:
-        """EQ 1 for every gate of ``index`` (a
-        :class:`~repro.netlist.circuit.LoadIndex`, topological order)
-        in one array, bitwise :meth:`nominal_delay` per gate: each load
-        sums its fan-out pins in :meth:`load_cap` order, then the wire
-        and output terms, and EQ 1 groups as the scalar code does.  A
-        gate the scalar path would reject (width <= 0) raises the same
-        :class:`~repro.errors.LibraryError`, first in topological
-        order."""
-        widths = np.array([g.width for g in index.gates], dtype=np.float64)
-        pin_caps = widths * index.input_cap
-        # Reader j of every gate that has one, gates ranked by reader
-        # count: each load adds its readers in fan-out order.
-        ranked = np.zeros(widths.size)
-        for column in index.columns:
-            ranked[: column.size] += pin_caps[column]
-        load = np.empty(widths.size)
-        load[index.order] = ranked
-        load += self.library.wire_cap_per_fanout * index.n_fanout
-        is_output = np.array(
-            [net in self._output_set for net in index.nets], dtype=bool
-        )
-        load = np.where(is_output, load + self.library.primary_output_cap,
-                        load)
-        bad = (widths <= 0.0) | (load < 0.0)
-        if bad.any():
-            # The scalar path raises the exact error.
-            self.nominal_delay(index.gates[int(bad.argmax())])
-        return index.intrinsic_delay + index.drive_k * load / (
-            widths * index.cell_cap
-        )
-
     def delay_snapshot(self) -> Dict[str, DiscretePDF]:
         """Every gate's delay PDF, keyed by output net in topological
         order: each entry is the object :meth:`delay_pdf` returns for
         that gate at the current widths.
 
-        Nominal delays come from the batched EQ 1 of
-        :meth:`nominal_delays`, and :meth:`delay_pdf` is called once per
-        exact operating point (cell, width, nominal) this model has not
-        seen before, for its first gate in topological order; the gates
-        sharing a point share its object, and a later snapshot reuses
-        it.  Two points whose nominals differ by an ulp can round to one
-        memo key; the first in topological order then fixes the key's
-        PDF, exactly as a per-gate loop in that order would.
+        Each gate's EQ 1 nominal is computed once, and :meth:`delay_pdf`
+        is called once per exact operating point (cell, width, nominal)
+        this model has not seen before, for its first gate in
+        topological order; the gates sharing a point share its object,
+        and a later snapshot reuses it.  Two points whose nominals
+        differ by an ulp can round to one memo key; the first in
+        topological order then fixes the key's PDF, exactly as a
+        per-gate loop in that order would.
         """
-        index = self.circuit.load_index()
-        nominals = self._nominal_array(index).tolist()
-        widths = [g.width for g in index.gates]
+        nominal_delay = self.nominal_delay
         delay_pdf = self.delay_pdf
         points = self._point_pdfs
         snapshot: Dict[str, DiscretePDF] = {}
-        for gate, net, point in zip(
-            index.gates, index.nets, zip(index.cell_names, widths, nominals)
-        ):
+        for gate in self.circuit.topo_gates():
+            point = (gate.cell.name, gate.width, nominal_delay(gate))
             pdf = points.get(point)
             if pdf is None:
                 pdf = points[point] = delay_pdf(gate)
-            snapshot[net] = pdf
+            snapshot[gate.output] = pdf
         return snapshot
 
     # ------------------------------------------------------------------
@@ -180,11 +142,8 @@ class DelayModel:
         ]
 
     def nominal_delays(self) -> Dict[str, float]:
-        """Snapshot of every gate's nominal delay keyed by gate name (in
-        topological order), computed for all gates at once, bitwise
-        :meth:`nominal_delay` per gate."""
-        index = self.circuit.load_index()
-        return dict(zip(index.nets, self._nominal_array(index).tolist()))
+        """Snapshot of every gate's nominal delay keyed by gate name."""
+        return {g.output: self.nominal_delay(g) for g in self.circuit.gates()}
 
     def cache_info(self) -> Tuple[int, int]:
         """(entries, bins) held by the PDF cache — used by runtime

@@ -50,11 +50,11 @@ same node merge.
 
 A full pass takes every gate's delay PDF up front, once, from the
 model's batched snapshot (:func:`gate_delays`,
-:meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`): EQ 1 for
-all gates as array arithmetic, and one ``delay_pdf`` call per exact
-operating point the model has not seen.  Measured on ``ssta-10k`` (9,855 gates, 2-vCPU host),
-these two changes take a cold pass from 647 to 444 ms (perfbench
-medians).
+:meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`): EQ 1
+once per gate, and one ``delay_pdf`` call per exact operating point the
+model has not seen.  Measured on ``ssta-10k`` (9,855 gates, 2-vCPU
+host), these two changes take a cold pass from 579 to 431 ms
+(perfbench medians).
 
 The kernels are shared with the perturbation-front machinery of the
 optimizer (`repro.core.perturbation`): a perturbed propagation is the
@@ -436,7 +436,9 @@ def compute_level_arrivals(
     return results  # type: ignore[return-value]
 
 
-def gate_delays(graph: TimingGraph, model: DelayModel) -> Dict[str, DiscretePDF]:
+def gate_delays(
+    graph: TimingGraph, model: DelayModel
+) -> Dict[str, DiscretePDF]:
     """Every gate's delay PDF for one pass, keyed by output net in
     topological order: the model's batched
     :meth:`~repro.timing.delay_model.DelayModel.delay_snapshot`, or one

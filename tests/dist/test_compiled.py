@@ -520,7 +520,8 @@ def _distinct_arcs_per_level(graph, result) -> list:
     sizes = []
     for level in range(1, graph.max_level + 1):
         pairs = {
-            (id(result.arrivals[edge.src]), id(result.delays[edge.gate.output]))
+            (id(result.arrivals[edge.src]),
+             id(result.delays[edge.gate.output]))
             for node in graph.nodes_at_level(level)
             for edge in graph.fanin_edges(node)
             if edge.gate is not None
@@ -555,27 +556,50 @@ class TestMissPath:
         assert sizes == _distinct_arcs_per_level(graph, result)
         assert result.counter.convolutions == arcs >= sum(sizes)
 
-    def test_front_advances_one_call_per_level(self, miss_spy):
+    def test_front_advances_one_call_per_level(self, miss_spy, monkeypatch):
+        from repro.timing import ssta
+
+        requests = []
+        real_convolve_many = ssta.convolve_many
+
+        def recording(pairs, **kwargs):
+            requests.append(list(pairs))
+            return real_convolve_many(pairs, **kwargs)
+
+        monkeypatch.setattr(ssta, "convolve_many", recording)
+
+        def distinct(batches) -> list:
+            return [len({(id(a), id(b)) for a, b in pairs})
+                    for pairs in batches]
+
         circuit, graph, model = self._setup("c17", "compiled")
         base = run_ssta(graph, model)
         objective = PercentileObjective(0.99)
+        shared = 0
         for gate in circuit.gates():
             counter = OpCounter()
             start = len(miss_spy)
+            del requests[:]
             front = PerturbationFront(
                 graph, model, base, gate, 1.0, objective, counter=counter
             )
-            # A batch convolves each distinct pair once; the counter
-            # tallies every arc.
+            # The backend convolves each distinct pair of a batch once;
+            # the counter tallies every requested pair.
             init_calls = _conv_builds(miss_spy[start:])
             assert len(init_calls) <= front.levels_propagated
-            assert sum(init_calls) <= counter.convolutions
-            assert bool(init_calls) == bool(counter.convolutions)
+            assert init_calls == distinct(requests)
+            assert counter.convolutions == sum(map(len, requests))
+            shared += counter.convolutions - sum(init_calls)
             while not front.is_done:
                 before = len(miss_spy)
+                del requests[:]
                 made = counter.convolutions
                 front.propagate_one_level()
                 made = counter.convolutions - made
                 new = _conv_builds(miss_spy[before:])
-                assert len(new) == (1 if made else 0)
-                assert sum(new) <= made
+                assert len(requests) == (1 if made else 0)
+                assert new == distinct(requests)
+                assert made == sum(map(len, requests))
+                shared += made - sum(new)
+        # c17's fronts do repeat pairs within a batch.
+        assert shared > 0
