@@ -187,8 +187,8 @@ class PerturbationFront:
         # checks decide reusability exactly.
         #: node -> unperturbed arrival object consumed there
         self._dep_arrivals: Dict[int, DiscretePDF] = {}
-        #: gate output net -> (gate, unperturbed delay PDF object)
-        self._dep_delays: Dict[str, tuple] = {}
+        #: gate output net -> unperturbed delay PDF object consumed
+        self._dep_delays: Dict[str, DiscretePDF] = {}
 
         #: bound after Initialize (before any on-demand propagation) —
         #: recorded so beam-style consumers can rank resumed fronts by
@@ -277,8 +277,7 @@ class PerturbationFront:
         pdf = self._perturbed_delay.get(gate.output)
         if pdf is not None:
             return pdf
-        pdf = self.base.delays[gate.output]
-        self._dep_delays[gate.output] = (gate, pdf)
+        pdf = self._dep_delays[gate.output] = self.base.delays[gate.output]
         return pdf
 
     def propagate_one_level(self) -> None:
@@ -435,12 +434,15 @@ class PerturbationFront:
         The check is exact and conservative: the perturbed delay PDFs
         are re-derived at the candidate's *current* width and compared
         by object identity against the ones the front was built from,
-        and every recorded unperturbed dependency (base arrivals read,
-        delay PDFs of unaffected gates) must be the identical object in
-        the new analysis state.  Identity implies equal content, and no
-        cache is needed for unchanged inputs to stay identical: the
-        delay model returns one object per operating point, and
+        and every recorded unperturbed dependency must be the identical
+        object in ``new_base``: each base arrival read against
+        ``new_base.arrivals``, and each unaffected gate's delay PDF
+        against ``new_base.delays`` — the objects a front reads, so no
+        delay is re-derived for them.  Identity implies equal content,
+        and no cache is needed for unchanged inputs to stay identical:
+        the delay model returns one object per operating point, and
         :func:`~repro.timing.incremental.update_ssta_after_resize`
+        refreshes the delay of every gate a resize affects and
         replaces only arrivals whose bits changed.  A base recomputed
         from scratch holds new objects everywhere (unless a node memo
         returns the stored ones), so a front rebases onto it only
@@ -466,8 +468,9 @@ class PerturbationFront:
         for node, pdf in self._dep_arrivals.items():
             if new_base.arrivals[node] is not pdf:
                 return False
-        for _net, (gate, pdf) in self._dep_delays.items():
-            if self.model.delay_pdf(gate) is not pdf:
+        delays = new_base.delays
+        for net, pdf in self._dep_delays.items():
+            if delays[net] is not pdf:
                 return False
         self.base = new_base
         return True

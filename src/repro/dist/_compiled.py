@@ -1,15 +1,24 @@
 """The compiled kernel tier: a small C library built on first use.
 
-A ~500-line C source is compiled once with the system C compiler
+A ~600-line C source is compiled once with the system C compiler
 (content-addressed under ``~/.cache/repro/compiled``) and loaded
 through cffi, or ctypes when cffi is absent.  When no compiler is
 available, or the library fails its self-check, ``get_provider()``
 returns ``None`` and every caller runs the pure-NumPy code instead.
 
-Five kernel families, all operating on packed flat buffers (operands
+Six kernel families, all operating on packed flat buffers (operands
 concatenated, ``int64`` offset/length arrays) so a whole level batch
 costs one foreign call:
 
+* **add** — ``np.convolve`` for a batch of pairs over the batch's
+  distinct operands, each packed once, with the raw outputs back to back
+  (the layout **build** and **level merge** read).  **Bitwise**
+  ``np.convolve``: it runs numpy's own correlate loop (the operand swap,
+  the reversed shorter operand, the left ramp, middle and right ramp,
+  and the small-kernel path for a shorter operand of at most 11 bins)
+  and calls the same BLAS ``ddot`` numpy calls, so it gives numpy's bits
+  under whichever ``ddot`` kernel the CPU selected.  The level scheduler
+  sends it every pair its backend would hand to ``np.convolve``.
 * **build** — ``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``
   for a batch of raw kernel outputs: normalize, cut the tails, lump the
   dropped mass onto the boundary bins, renormalize.  **Bitwise** the
@@ -36,11 +45,19 @@ costs one foreign call:
 ``-ffp-contract=off`` pins the build's arithmetic (no FMA
 contraction).  A self-check proves each bitwise kernel on fixed
 vectors before first use; a mismatch clears only that kernel's flag
-(``build_ok``, ``gap_ok``, ``max_ok``, ``merge_ok``) and its callers
-fall back to NumPy, which gives the same bits.  A convolution that
-fails its tolerance check rejects the provider outright.  The kernels
-keep no module-level state, so concurrent threads may call them at
-once.
+(``build_ok``, ``gap_ok``, ``max_ok``, ``merge_ok``, ``add_ok``) and
+its callers fall back to NumPy, which gives the same bits.  A
+convolution that fails its tolerance check rejects the provider
+outright.  The kernels keep no module-level state and allocate their
+scratch per call, so concurrent threads may call them at once.
+
+The **add** kernel's ``ddot`` is the ``cblas_ddot`` symbol of the BLAS
+library numpy itself loaded (:func:`_blas_ddot`): its name and integer
+width come from ``numpy.show_config``, the library from the shared
+objects mapped into the process, and its address is passed into each
+call.  When it is not found (a numpy without CBLAS, a platform without
+``/proc/self/maps``) ``add_ok`` is cleared and callers keep the
+``np.convolve`` loop, which gives the same bits.
 
 ``REPRO_DISABLE_COMPILED=1`` disables provider resolution entirely
 (the kill switch); ``REPRO_COMPILED_CACHE`` overrides where the C
@@ -86,6 +103,7 @@ CACHE_DIR_ENV = "REPRO_COMPILED_CACHE"
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -248,7 +266,99 @@ static long long build_one(const double *raw, long long n, double half,
     return klen;
 }
 
+/* The BLAS ddot numpy's own dot calls, passed in by address: with
+   64-bit (ILP64) or 32-bit integers.  numpy's DOUBLE_dot returns
+   0.0 + ddot(n, x, 1, y, 1), and so does this. */
+typedef double (*ddot64_fn)(long long, const double *, long long,
+                            const double *, long long);
+typedef double (*ddot32_fn)(int, const double *, int, const double *,
+                            int);
+
+static double bdot(unsigned long long fn, int ilp64, long long n,
+                   const double *x, const double *y)
+{
+    double s = 0.0;
+    if (ilp64)
+        s += ((ddot64_fn)(uintptr_t)fn)(n, x, 1, y, 1);
+    else
+        s += ((ddot32_fn)(uintptr_t)fn)((int)n, x, 1, y, 1);
+    return s;
+}
+
+/* np.convolve(a, v): numpy's _pyarray_correlate in mode "full" after
+   convolve's swap.  The longer operand comes first (they swap only
+   when v is strictly longer), and the shorter one is reversed into
+   vr.  Output k is 0.0 + ddot over the overlap: the left ramp
+   (n = 1 .. n2 - 1), the n1 - n2 + 1 middle outputs (n = n2), the
+   right ramp (n back down to 1).  For n2 <= 11 numpy's small-kernel
+   path computes the middle outputs without BLAS, s = 0.0 then
+   s += a[i + j] * vr[j] for ascending j, and so does this. */
+static void conv_np(const double *a, long long n1, const double *v,
+                    long long n2, double *vr, double *out,
+                    unsigned long long fn, int ilp64)
+{
+    long long i, j, mid;
+    if (n2 > n1) {
+        const double *tp = a; a = v; v = tp;
+        long long tn = n1; n1 = n2; n2 = tn;
+    }
+    for (j = 0; j < n2; ++j) vr[j] = v[n2 - 1 - j];
+    for (i = 1; i < n2; ++i) *out++ = bdot(fn, ilp64, i, a, vr + n2 - i);
+    mid = n1 - n2 + 1;
+    if (n2 <= 11) {
+        for (i = 0; i < mid; ++i) {
+            double s = 0.0;
+            for (j = 0; j < n2; ++j) s += a[i + j] * vr[j];
+            *out++ = s;
+        }
+    } else {
+        for (i = 0; i < mid; ++i) *out++ = bdot(fn, ilp64, n2, a + i, vr);
+    }
+    for (i = n2 - 1; i >= 1; --i)
+        *out++ = bdot(fn, ilp64, i, a + n1 - i, vr);
+}
+
 /* Operand i of a packed buffer starts where operand i - 1 ended. */
+
+/* The batched ADD: pair p is np.convolve(operand ia[p], operand ib[p])
+   of the nops operands in OPS (olen[i] values each), written back to
+   back into OUT.  Each distinct operand is packed once, however many
+   pairs read it.  Returns 0, 1 when scratch cannot be allocated, or 2
+   on an operand index out of range. */
+EXPORT long long repro_add_batch(
+    unsigned long long ddot, int ilp64, const double *OPS,
+    const long long *olen, long long nops, const long long *ia,
+    const long long *ib, long long npairs, double *OUT)
+{
+    long long i, p, x, y, top = 0, widest = 1;
+    const double **start;
+    double *vr;
+    for (i = 0; i < nops; ++i)
+        if (olen[i] > widest) widest = olen[i];
+    /* vr first: malloc's alignment, like the array numpy allocates for
+       the reversed operand (an SSE ddot kernel's summation order
+       follows the alignment of its second vector). */
+    vr = (double *)malloc(
+        (size_t)widest * sizeof(double) + (size_t)nops * sizeof(double *));
+    if (vr == NULL) return 1;
+    start = (const double **)(vr + widest);
+    for (i = 0; i < nops; ++i) {
+        start[i] = OPS + top;
+        top += olen[i];
+    }
+    for (p = 0; p < npairs; ++p) {
+        x = ia[p];
+        y = ib[p];
+        if (x < 0 || x >= nops || y < 0 || y >= nops) {
+            free(vr);
+            return 2;
+        }
+        conv_np(start[x], olen[x], start[y], olen[y], vr, OUT, ddot, ilp64);
+        OUT += olen[x] + olen[y] - 1;
+    }
+    free(vr);
+    return 0;
+}
 
 EXPORT void repro_conv(const double *a, long long na,
                        const double *b, long long nb, double *out)
@@ -614,6 +724,9 @@ long long repro_merge_level(const double *, const long long *,
     long long *, long long *);
 double repro_gap(const double *, long long, long long,
     const double *, long long, long long, double, double);
+long long repro_add_batch(unsigned long long, int, const double *,
+    const long long *, long long, const long long *, const long long *,
+    long long, double *);
 """
 
 
@@ -679,6 +792,42 @@ def _compile_library(rebuild: bool = False) -> Path:
         finally:
             c_path.unlink(missing_ok=True)
     raise RuntimeError(f"C compilation failed: {last_exc}")
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_ddot() -> Optional[tuple]:
+    """``(address, ilp64)`` of the ``cblas_ddot`` numpy's own ``dot``
+    calls, or ``None`` when it cannot be found.
+
+    ``np.convolve`` reaches BLAS through that symbol, and the BLAS
+    library picks its ``ddot`` kernel (and so its summation order) per
+    CPU at load time; calling the same function is what makes the ADD
+    kernel bitwise ``np.convolve`` on every core type.  The symbol's
+    name and integer width come from ``numpy.show_config`` (a
+    scipy-openblas build prefixes ``scipy_``; an ILP64 build suffixes
+    ``64_``), and the library is looked up among the shared objects
+    already mapped into this process (``/proc/self/maps``), so nothing
+    new is loaded."""
+    import ctypes
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        with open("/proc/self/maps") as maps:
+            mapped = [line.split(None, 5)[-1].strip() for line in maps]
+    except Exception:
+        return None
+    ilp64 = "USE64BITINT" in blas.get("openblas configuration", "")
+    prefix = "scipy_" if blas.get("name", "").startswith("scipy-") else ""
+    symbol = f"{prefix}cblas_ddot{'64_' if ilp64 else ''}"
+    for path in dict.fromkeys(mapped):
+        if "blas" not in os.path.basename(path).lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            return ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value, ilp64
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 def _lengths(arrs: Sequence[np.ndarray]) -> np.ndarray:
@@ -772,6 +921,9 @@ class _CProvider:
         self.gap_ok = True
         self.max_ok = True
         self.merge_ok = True
+        ddot = _blas_ddot()
+        self._ddot, self._ilp64 = ddot if ddot is not None else (0, False)
+        self.add_ok = ddot is not None
 
     # -- loading -------------------------------------------------------
     @classmethod
@@ -815,6 +967,8 @@ class _CProvider:
             ("repro_merge_level", n, (d, i, i, n, d, i, i, n, i, i, n, f,
                                       n, d, d, n, i, i)),
             ("repro_gap", f, (d, n, n, d, n, n, f, f)),
+            ("repro_add_batch", n, (ctypes.c_ulonglong, ctypes.c_int, d,
+                                    i, n, i, i, n, d)),
         ):
             fn = getattr(lib, name)
             fn.restype = restype
@@ -847,6 +1001,29 @@ class _CProvider:
             i64(blen), dbl(OUT), len(pairs),
         )
         return _Rows(OUT, olen)
+
+    # -- the ADD ---------------------------------------------------------
+    def add_many(self, operands: Sequence, ia: Sequence,
+                 ib: Sequence) -> "_Rows":
+        """``np.convolve(operands[ia[p]], operands[ib[p]])`` per pair
+        ``p``, bitwise, through one foreign call: the rows back to back
+        in one buffer.  Each operand is packed once, however many pairs
+        read it.  Only valid while :attr:`add_ok`."""
+        olen = _lengths(operands)
+        ia = np.array(ia, dtype=np.int64)
+        ib = np.array(ib, dtype=np.int64)
+        rlen = olen[ia] + olen[ib] - 1
+        OUT = np.empty(int(rlen.sum()))
+        dbl, i64 = self._dbl, self._i64
+        rc = self._lib.repro_add_batch(
+            self._ddot, self._ilp64, dbl(_packed(operands)), i64(olen),
+            len(operands), i64(ia), i64(ib), len(ia), dbl(OUT),
+        )
+        if rc == 1:
+            raise MemoryError("ADD kernel could not allocate")
+        if rc:
+            raise IndexError("ADD operand index out of range")
+        return _Rows(OUT, rlen)
 
     # -- result construction -------------------------------------------
     def build(self, raws: Sequence, dts, offsets, trim_eps: float) -> list:
@@ -1090,6 +1267,12 @@ def _self_check(provider) -> None:
         _check_merge(provider, rng)
     except Exception:
         provider.merge_ok = False
+
+    try:
+        if provider.add_ok:
+            _check_add(provider, rng)
+    except Exception:
+        provider.add_ok = False
     if not (provider.build_ok and provider.max_ok):
         provider.merge_ok = False
 
@@ -1132,6 +1315,22 @@ def _check_merge(provider, rng) -> None:
                 ref = DiscretePDF._trusted(2.0, lo, masses).trimmed(trim_eps)  # noqa: SLF001
             if not _same(res, ref) or res.dt != 2.0:
                 raise RuntimeError("not bitwise")
+
+
+def _check_add(provider, rng) -> None:
+    """The ADD kernel against ``np.convolve`` on every length pair in
+    1..24 x 1..24 (both sides of the small-kernel bound at 11/12, and
+    both operand orders) and on long pairs up to the 994-bin bound."""
+    operands = [rng.random(n) for n in range(1, 25)]
+    operands += [rng.random(n) for n in (223, 40, 600, 394)]
+    operands[5][[0, 3]] = 0.0
+    ia, ib = zip(*itertools.product(range(24), repeat=2))
+    ia += (24, 25, 26, 27)
+    ib += (25, 24, 27, 26)
+    rows = provider.add_many(operands, ia, ib)
+    for i, j, row in zip(ia, ib, rows):
+        if not np.array_equal(row, np.convolve(operands[i], operands[j])):
+            raise RuntimeError("not bitwise")
 
 
 _lock = threading.Lock()

@@ -65,6 +65,7 @@ both sizers resolve the same backend from the same config.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from typing import Sequence, Union
 
@@ -93,6 +94,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "is_registry_backend",
+    "np_convolve_below",
     "AUTO_COST_RATIO",
     "EQUAL_SIZE_CROSSOVER_BINS",
     "COMPILED_AUTO_COST_RATIO",
@@ -150,7 +152,14 @@ class ConvolutionBackend(Protocol):
 
 
 class DirectBackend:
-    """O(n*m) ``np.convolve`` — the exact reference kernel."""
+    """O(n*m) ``np.convolve`` — the exact reference kernel.
+
+    :func:`~repro.dist.ops.convolve_many` runs this backend's pairs in
+    the compiled tier's ADD kernel when it is available
+    (:func:`np_convolve_below`): bitwise ``np.convolve``, in one foreign
+    call per batch.  This class's own methods stay the ``np.convolve``
+    loop.
+    """
 
     name = "direct"
 
@@ -310,6 +319,11 @@ class AutoBackend:
         The machine's ``k_f / k_d`` — FFT butterfly cost per
         ``N log2 N`` over direct cost per multiply.  Larger values
         favor direct longer.
+
+    :func:`~repro.dist.ops.convolve_many` runs the pairs within
+    :attr:`direct_below` in the compiled tier's ADD kernel when it is
+    available (:func:`np_convolve_below`), bitwise the ``np.convolve``
+    this class would call; longer pairs keep the per-pair dispatch.
     """
 
     name = "auto"
@@ -357,6 +371,22 @@ class AutoBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AutoBackend(cost_ratio={self.cost_ratio:g})"
+
+
+def np_convolve_below(kernel) -> int:
+    """The largest ``a.size + b.size`` of a pair that ``kernel`` always
+    hands to ``np.convolve``: every pair under :class:`DirectBackend`,
+    the pairs within :attr:`AutoBackend.direct_below` under an
+    :class:`AutoBackend`, and none (0) under any other backend, a
+    subclass included.
+
+    :func:`~repro.dist.ops.convolve_many` sends these pairs to the
+    compiled tier's ADD kernel, which gives ``np.convolve``'s bits."""
+    if type(kernel) is DirectBackend:
+        return sys.maxsize
+    if type(kernel) is AutoBackend:
+        return kernel.direct_below
+    return 0
 
 
 class CompiledBackend:

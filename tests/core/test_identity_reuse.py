@@ -59,14 +59,26 @@ def assert_memo_matches_base(base):
         assert (id(arrival), id(delay)) in live
 
 
+def assert_deps_are_live(sizer, front):
+    """A rebased front's recorded dependencies are the live objects:
+    the base's arrivals, and the delay model's PDF for every gate whose
+    delay it read."""
+    for node, pdf in front._dep_arrivals.items():
+        assert front.base.arrivals[node] is pdf
+    for net, pdf in front._dep_delays.items():
+        assert sizer.model.delay_pdf(sizer.circuit.gate(net)) is pdf
+
+
 class CheckedSizer(PrunedStatisticalSizer):
-    """Checks the arc memo against the base at every refresh and counts
-    the fronts each iteration builds."""
+    """Checks the arc memo against the base at every refresh, counts
+    the fronts each iteration builds and checks every rebased front's
+    dependencies against the live objects."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.refreshes = 0
         self.fronts_built = 0
+        self.rebased = 0
 
     def _refresh_base(self, counter):
         base = super()._refresh_base(counter)
@@ -77,15 +89,24 @@ class CheckedSizer(PrunedStatisticalSizer):
     def _build_fronts(self, base, candidates, dw, counter):
         real = pruned_sizer.initialize_fronts
 
+        built = []
+
         def counting(fresh):
             self.fronts_built += len(fresh)
+            built.extend(fresh)
             real(fresh)
 
         pruned_sizer.initialize_fronts = counting
         try:
-            return super()._build_fronts(base, candidates, dw, counter)
+            fronts = super()._build_fronts(base, candidates, dw, counter)
         finally:
             pruned_sizer.initialize_fronts = real
+        fresh = set(map(id, built))
+        for front in fronts:
+            if id(front) not in fresh:
+                assert_deps_are_live(self, front)
+                self.rebased += 1
+        return fronts
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +133,12 @@ class TestSizerReuse:
         assert off.fronts_built == on.fronts_built
         assert off.fronts_built < sum(s.stats.candidates for s in r_off.steps)
         assert off.refreshes == on.refreshes == 10
+        # Every front not built again was rebased, its dependencies
+        # checked live (CheckedSizer._build_fronts).
+        assert off.rebased == on.rebased
+        assert off.rebased + off.fronts_built == sum(
+            s.stats.candidates for s in r_off.steps
+        )
 
     def test_cache_off_counts_no_hits(self, c432_runs):
         _sizer, result = c432_runs[None]

@@ -473,8 +473,9 @@ class TestRegistryCompat:
 @pytest.fixture
 def miss_spy(monkeypatch):
     """Record, in call order, every batched convolution of the
-    backends under test and every build or fused-merge call of the
-    provider (a merge records the raw ADDs it builds)."""
+    backends under test and of the provider's ADD kernel (which runs
+    ``auto``'s ``np.convolve`` pairs), and every build or fused-merge
+    call of the provider (a merge records the raw ADDs it builds)."""
     events = []
     for name in ("auto", "compiled"):
         kernel = get_backend(name)
@@ -486,6 +487,13 @@ def miss_spy(monkeypatch):
 
         monkeypatch.setattr(kernel, "convolve_many", spy_conv)
     provider = _compiled.get_provider()
+    add_many = provider.add_many
+
+    def spy_add(operands, ia, ib):
+        events.append(("conv", len(ia)))
+        return add_many(operands, ia, ib)
+
+    monkeypatch.setattr(provider, "add_many", spy_add)
     build = provider.build
 
     def spy_build(raws, *args):
