@@ -814,7 +814,8 @@ def _blas_ddot() -> Optional[tuple]:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         with open("/proc/self/maps") as maps:
             mapped = [line.split(None, 5)[-1].strip() for line in maps]
-    except Exception:
+    except (TypeError, KeyError, OSError):
+        # An older numpy without ``mode``, no BLAS entry, no /proc.
         return None
     ilp64 = "USE64BITINT" in blas.get("openblas configuration", "")
     prefix = "scipy_" if blas.get("name", "").startswith("scipy-") else ""
@@ -824,9 +825,10 @@ def _blas_ddot() -> Optional[tuple]:
             continue
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            return ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value, ilp64
+            fn = getattr(lib, symbol)
         except (OSError, AttributeError):
             continue
+        return ctypes.cast(fn, ctypes.c_void_p).value, ilp64
     return None
 
 
@@ -1267,14 +1269,14 @@ def _self_check(provider) -> None:
         _check_merge(provider, rng)
     except Exception:
         provider.merge_ok = False
+    if not (provider.build_ok and provider.max_ok):
+        provider.merge_ok = False
 
     try:
         if provider.add_ok:
             _check_add(provider, rng)
     except Exception:
         provider.add_ok = False
-    if not (provider.build_ok and provider.max_ok):
-        provider.merge_ok = False
 
 
 def _check_merge(provider, rng) -> None:
@@ -1329,7 +1331,8 @@ def _check_add(provider, rng) -> None:
     ib += (25, 24, 27, 26)
     rows = provider.add_many(operands, ia, ib)
     for i, j, row in zip(ia, ib, rows):
-        if not np.array_equal(row, np.convolve(operands[i], operands[j])):
+        ref = np.convolve(operands[i], operands[j])
+        if row.tobytes() != ref.tobytes():
             raise RuntimeError("not bitwise")
 
 
