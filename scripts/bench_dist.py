@@ -43,10 +43,10 @@ violation):
 * level-batched vs sequential sink distributions are **bitwise
   identical** per backend, cache on and off (the level scheduler's
   promise — any inequality at all fails the gate);
-* the fused level merge (deferred ADDs built and merged in one
-  compiled call) gives every c432 and c880 arrival bitwise as building
-  the ADD objects and merging them does (skipped without the fused
-  kernel);
+* the compiled level merge (deferred ADDs built and merged in one
+  compiled call) gives every c432 and c880 arrival bitwise as the NumPy
+  path does, which builds the ADD objects and takes each group's CDF
+  product in turn (skipped without the level-merge kernel);
 * the quick c17 sizer run serves at least ``--min-hit-rate`` of its
   kernel requests from the cache — a silently broken cache key fails
   the build instead of quietly recomputing everything (the failure
@@ -252,14 +252,14 @@ def _bench_compiled(quick: bool) -> dict:
       each; the per-call floor);
     * ``batched`` — the ``convolve_many`` miss path end to end,
       including the batch bookkeeping both backends share (both build
-      their results through the same compiled build kernel);
+      their results through the same compiled level merge);
     * ``kernel`` — the per-result work the tier replaces: the NumPy
       dispatch sequence (``np.convolve`` + the ``_trusted`` trim
       construction) per pair, against the provider's two batch calls
-      for the whole level — ``conv_many`` for the raws, ``build`` for
-      the results.  This isolates the dispatch elimination from the
-      shared ``convolve_many`` overhead and is what the drift gate
-      measures.
+      for the whole level — ``conv_many`` for the raws, ``merge_level``
+      (one one-operand group per raw) for the results.  This isolates
+      the dispatch elimination from the shared ``convolve_many``
+      overhead and is what the drift gate measures.
 
     The ``gap`` rows time the Theorem-4 gap (``max_percentile_gap``)
     per call, the compiled kernel against its NumPy body, at 40 and 300
@@ -282,6 +282,7 @@ def _bench_compiled(quick: bool) -> dict:
         "provider": kind,
         "degraded_reason": None if kind else _compiled.fail_reason(),
         "batch": COMPILED_BATCH,
+        "host": _host_stamp(),
     }
     rng = np.random.default_rng(2005)
     rows = []
@@ -312,6 +313,8 @@ def _bench_compiled(quick: bool) -> dict:
             masses = [(p.masses, q.masses) for p, q in pairs]
             dts = [p.dt for p, _ in pairs]
             offs = [p.offset + q.offset for p, q in pairs]
+            singles = list(range(len(pairs)))
+            ones = [1] * len(pairs)
 
             def numpy_kernel():
                 trusted = DiscretePDF._trusted  # noqa: SLF001
@@ -320,8 +323,9 @@ def _bench_compiled(quick: bool) -> dict:
                     trusted(dt, off, raw).trimmed(TRIM_EPS)
 
             def compiled_kernel():
-                provider.build(
-                    provider.conv_many(masses), dts, offs, TRIM_EPS
+                provider.merge_level(
+                    provider.conv_many(masses), offs, (), (), singles,
+                    ones, dts, TRIM_EPS,
                 )
 
             t_nk = _time_op(numpy_kernel)
@@ -1501,10 +1505,11 @@ def _check_drift(bin_counts, min_hit_rate: float, compiled=None) -> list:
                 )
 
     # Fused vs materialized level merge: the compiled merge of deferred
-    # ADDs must give every c432/c880 arrival exactly as building the
-    # ADD objects and merging them does.  Skipped (recorded as such)
-    # when the fused kernel is unavailable: then only the object path
-    # runs.
+    # ADDs must give every c432/c880 arrival exactly as the NumPy path
+    # (``merge_ok`` cleared: the ADD objects built, each group's CDF
+    # product taken and built in NumPy) does.  Skipped (recorded as
+    # such) when the level-merge kernel is unavailable: then only the
+    # NumPy path runs.
     provider = _compiled.get_provider()
     if provider is None or not provider.merge_ok:
         report.append({"fused_merge_gate": "skipped",

@@ -1,41 +1,42 @@
 """The compiled kernel tier: a small C library built on first use.
 
-A ~600-line C source is compiled once with the system C compiler
+A ~550-line C source is compiled once with the system C compiler
 (content-addressed under ``~/.cache/repro/compiled``) and loaded
 through cffi, or ctypes when cffi is absent.  When no compiler is
 available, or the library fails its self-check, ``get_provider()``
 returns ``None`` and every caller runs the pure-NumPy code instead.
 
-Six kernel families, all operating on packed flat buffers (operands
+Four kernel families, all operating on packed flat buffers (operands
 concatenated, ``int64`` offset/length arrays) so a whole level batch
 costs one foreign call:
 
 * **add** — ``np.convolve`` for a batch of pairs over the batch's
   distinct operands, each packed once, with the raw outputs back to back
-  (the layout **build** and **level merge** read).  **Bitwise**
+  (the layout the **level merge** reads).  **Bitwise**
   ``np.convolve``: it runs numpy's own correlate loop (the operand swap,
   the reversed shorter operand, the left ramp, middle and right ramp,
   and the small-kernel path for a shorter operand of at most 11 bins)
   and calls the same BLAS ``ddot`` numpy calls, so it gives numpy's bits
   under whichever ``ddot`` kernel the CPU selected.  The level scheduler
   sends it every pair its backend would hand to ``np.convolve``.
-* **build** — ``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``
-  for a batch of raw kernel outputs: normalize, cut the tails, lump the
-  dropped mass onto the boundary bins, renormalize.  **Bitwise** the
-  NumPy expression: sums reproduce ``np.sum``'s pairwise reduction,
-  cumulative sums are sequential like ``np.cumsum``, and the 64-bin
-  probe and ``argmax`` fallback of ``trimmed`` are mirrored branch for
-  branch.  Every backend builds its results here.
+* **level merge** — every ADD and MAX result is constructed here, under
+  every backend.  One call builds a batch's raw ADD outputs
+  (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``: normalize,
+  cut the tails, lump the dropped mass onto the boundary bins,
+  renormalize), takes every group's MAX over them and over finished
+  operands (the padded-CDF product and its adjacent difference), and
+  builds those results the same way.  A one-operand group is its ADD as
+  built, so a batch of ADD results is a merge of one-operand groups,
+  and a finished-only MAX batch is a merge with no raws.  **Bitwise**
+  the NumPy expressions: sums reproduce ``np.sum``'s pairwise
+  reduction, cumulative sums are sequential like ``np.cumsum``, the
+  64-bin probe and ``argmax`` fallback of ``trimmed`` are mirrored
+  branch for branch, and the CDF product makes the same multiplications
+  and subtractions in the same order.
 * **gap** — ``max_percentile_gap(a, b)`` (the Theorem-4 δ) from the
   operands' ``(dt, offset, masses)``, bitwise the NumPy body: the knots,
   the inf-semantics inverse and ``np.interp`` (branch order, NaN retry)
   are mirrored exactly.
-* **max sweep** — the padded-CDF product and adjacent difference of
-  the grouped statistical MAX, bitwise the NumPy sweep (the same
-  multiplications and subtractions in the same order).
-* **level merge** — a level's raw ADD outputs built (as by **build**),
-  every group's MAX swept over them and the results built, in one call:
-  the level scheduler's fused merge, with no result object per ADD.
 * **convolve** — scatter-form direct convolution for the opt-in
   ``compiled``/``compiled-auto`` backends.  This one is a *tolerance*
   class (sequential instead of pairwise accumulation: within 1e-12
@@ -45,11 +46,11 @@ costs one foreign call:
 ``-ffp-contract=off`` pins the build's arithmetic (no FMA
 contraction).  A self-check proves each bitwise kernel on fixed
 vectors before first use; a mismatch clears only that kernel's flag
-(``build_ok``, ``gap_ok``, ``max_ok``, ``merge_ok``, ``add_ok``) and
-its callers fall back to NumPy, which gives the same bits.  A
-convolution that fails its tolerance check rejects the provider
-outright.  The kernels keep no module-level state and allocate their
-scratch per call, so concurrent threads may call them at once.
+(``merge_ok``, ``gap_ok``, ``add_ok``) and its callers fall back to
+NumPy, which gives the same bits.  A convolution that fails its
+tolerance check rejects the provider outright.  The kernels keep no
+module-level state and allocate their scratch per call, so concurrent
+threads may call them at once.
 
 The **add** kernel's ``ddot`` is the ``cblas_ddot`` symbol of the BLAS
 library numpy itself loaded (:func:`_blas_ddot`): its name and integer
@@ -69,7 +70,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import operator
 import os
 import shutil
 import subprocess
@@ -380,26 +380,6 @@ EXPORT void repro_conv_batch(
     }
 }
 
-/* Results are written back to back into KEPT (which has room for the
-   packed raws); META[2i], META[2i+1] receive result i's cut index and
-   length.  Returns 0, i + 1 when raw i is longer than max_bins, or
-   -(i + 1) when raw i has no positive total. */
-EXPORT long long repro_build_batch(
-    const double *RAW, const long long *rlen, double half,
-    long long max_bins, double *KEPT, long long *META, long long k)
-{
-    long long i, r;
-    for (i = 0; i < k; ++i) {
-        if (rlen[i] > max_bins) return i + 1;
-        r = build_one(RAW, rlen[i], half, KEPT, META + 2 * i);
-        if (r < 0) return -(i + 1);
-        META[2 * i + 1] = r;
-        RAW += rlen[i];
-        KEPT += r;
-    }
-    return 0;
-}
-
 /* Row r of a group is operand r's unit CDF (DiscretePDF._unit_cdf:
    the sequential cumulative sum of its n masses, divided by its final
    value unless that is exactly 1) placed at bin s of the group's union
@@ -433,28 +413,6 @@ static void sweep_diff(double *OUT, long long W)
     for (w = W - 1; w >= 1; --w) OUT[w] = OUT[w] - OUT[w - 1];
 }
 
-/* Group g holds gk[g] operands of M (mlen[r] masses each, back to
-   back) placed at rstart[r]; its raw MAX fills the next gwidth[g]
-   values of OUT. */
-EXPORT void repro_max_sweep(
-    const double *M, const long long *mlen, const long long *rstart,
-    const long long *gk, const long long *gwidth, double *OUT,
-    long long ngroups)
-{
-    long long g, r;
-    for (g = 0; g < ngroups; ++g) {
-        long long W = gwidth[g], k = gk[g];
-        for (r = 0; r < k; ++r) {
-            sweep_row(M, mlen[r], rstart[r], W, r == 0, OUT);
-            M += mlen[r];
-        }
-        sweep_diff(OUT, W);
-        rstart += k;
-        mlen += k;
-        OUT += W;
-    }
-}
-
 typedef struct { const double *m; long long off, n; } operand;
 
 /* Room repro_merge_level needs in OUT for the same operands: per group
@@ -484,8 +442,8 @@ EXPORT long long repro_merge_room(
     return room;
 }
 
-/* The fused level merge: a level's ADDs built and every group's MAX
-   taken and built, without a result object per ADD.  Raw ADD i is
+/* The level merge: a level's ADDs built and every group's MAX taken
+   and built, without a result object per ADD.  Raw ADD i is
    rlen[i] values of RAW (back to back) at absolute offset roff[i]; it
    is built once (build_one at half) into KEPT.  Finished operand f
    is flen[f] values of FIN at offset foff[f].  Operand j of the level
@@ -710,10 +668,6 @@ void repro_conv(const double *, long long, const double *, long long,
     double *);
 void repro_conv_batch(const double *, const long long *,
     const double *, const long long *, double *, long long);
-long long repro_build_batch(const double *, const long long *, double,
-    long long, double *, long long *, long long);
-void repro_max_sweep(const double *, const long long *, const long long *,
-    const long long *, const long long *, double *, long long);
 long long repro_merge_room(const long long *, const long long *,
     long long, const long long *, const long long *, long long,
     const long long *, const long long *, long long, long long);
@@ -842,14 +796,16 @@ def _packed(arrs: Sequence[np.ndarray]) -> np.ndarray:
     layout every kernel reads through its ``double *``)."""
     if len(arrs) == 1:
         return np.ascontiguousarray(arrs[0], dtype=np.float64)
+    if not arrs:
+        return np.empty(0)
     return np.concatenate(arrs, dtype=np.float64)
 
 
 class _Rows(Sequence):
     """The raw vectors of one batched convolution: row ``i`` is a view
     of ``lengths[i]`` values of the packed ``buffer``, made on access.
-    :meth:`_CProvider.build` consumes the packed form directly, so a
-    batch that is only built never materializes its rows."""
+    :meth:`_CProvider.merge_level` consumes the packed form directly, so
+    a batch that is only built never materializes its rows."""
 
     __slots__ = ("buffer", "lengths", "_ends")
 
@@ -919,9 +875,7 @@ class _CProvider:
             # crash, built for another host): rebuild it once.
             so_path = _compile_library(rebuild=True)
             self._lib, self._dbl, self._i64 = self._load(so_path)
-        self.build_ok = True
         self.gap_ok = True
-        self.max_ok = True
         self.merge_ok = True
         ddot = _blas_ddot()
         self._ddot, self._ilp64 = ddot if ddot is not None else (0, False)
@@ -963,8 +917,6 @@ class _CProvider:
         for name, restype, argtypes in (
             ("repro_conv", None, (d, n, d, n, d)),
             ("repro_conv_batch", None, (d, i, d, i, d, n)),
-            ("repro_build_batch", n, (d, i, f, n, d, i, n)),
-            ("repro_max_sweep", None, (d, i, i, i, i, d, n)),
             ("repro_merge_room", n, (i, i, n, i, i, n, i, i, n, n)),
             ("repro_merge_level", n, (d, i, i, n, d, i, i, n, i, i, n, f,
                                       n, d, d, n, i, i)),
@@ -1027,59 +979,30 @@ class _CProvider:
             raise IndexError("ADD operand index out of range")
         return _Rows(OUT, rlen)
 
-    # -- result construction -------------------------------------------
-    def build(self, raws: Sequence, dts, offsets, trim_eps: float) -> list:
-        """``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)`` per
-        raw, bitwise, through one foreign call."""
-        if not raws:
-            return []
-        if type(raws) is _Rows:
-            RAW, rlen = raws.buffer, raws.lengths
-        else:
-            RAW, rlen = _packed(raws), _lengths(raws)
-        KEPT = np.empty(RAW.size)
-        META = np.empty(2 * len(raws), dtype=np.int64)
-        dbl, i64 = self._dbl, self._i64
-        rc = self._lib.repro_build_batch(
-            dbl(RAW), i64(rlen), trim_eps / 2.0, MAX_BINS, dbl(KEPT),
-            i64(META), len(raws),
-        )
-        if rc > 0:
-            raise DistributionError(
-                f"distribution spans {int(rlen[rc - 1])} bins, exceeding "
-                f"MAX_BINS={MAX_BINS}; dt is too small for this analysis"
-            )
-        if rc < 0:
-            raise DistributionError("total probability mass must be positive")
-        meta = META.tolist()
-        return _new_pdfs(
-            KEPT, map(operator.add, offsets, meta[::2]), meta[1::2], dts,
-            trim_eps,
-        )
-
-    # -- the fused level merge ------------------------------------------
+    # -- the level merge: every ADD and MAX result ----------------------
     def merge_level(
         self, raws: Sequence, roffs: Sequence, fins: Sequence,
-        foffs: Sequence, src: Sequence, gk: Sequence, dt: float,
+        foffs: Sequence, src: Sequence, gk: Sequence, dts,
         trim_eps: float,
     ) -> list:
-        """One result per group: a one-operand group's is its raw ADD
-        built, any other group's the built MAX of its operands — bitwise
-        building every raw ADD
+        """One result per group, on grid ``dts[g]``: a one-operand
+        group's is its raw ADD built, any other group's the built MAX of
+        its operands — bitwise building every raw ADD
         (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``) and
         merging the objects, through one merge call (after a room pass
-        that sizes its output) and with no object per ADD.  Raw ADD ``i`` is ``raws[i]`` at offset
-        ``roffs[i]``; finished operand ``f`` is ``fins[f]`` (masses) at
-        ``foffs[f]``; operand ``j`` of the level is raw ADD ``src[j]``
-        when ``src[j] >= 0``, else finished operand ``~src[j]``; group
-        ``g`` owns the next ``gk[g]`` operands."""
+        that sizes its output) and with no object per ADD.  Raw ADD
+        ``i`` is ``raws[i]`` at offset ``roffs[i]``; finished operand
+        ``f`` is ``fins[f]`` (masses) at ``foffs[f]``; operand ``j`` of
+        the level is raw ADD ``src[j]`` when ``src[j] >= 0``, else
+        finished operand ``~src[j]``; group ``g`` owns the next
+        ``gk[g]`` operands.  Either operand set may be empty."""
         if trim_eps < 0.0:
             raise DistributionError(f"trim_eps must be >= 0, got {trim_eps}")
         if type(raws) is _Rows:
             RAW, rlen = raws.buffer, raws.lengths
         else:
             RAW, rlen = _packed(raws), _lengths(raws)
-        FIN = _packed(fins) if fins else np.empty(0)
+        FIN = _packed(fins)
         dbl, i64 = self._dbl, self._i64
         lib = self._lib
         rlen_p = i64(rlen)
@@ -1114,14 +1037,11 @@ class _CProvider:
                     "total probability mass must be positive"
                 )
             if kind == 4:
-                raise MemoryError("fused level merge could not allocate")
-            raise RuntimeError(f"fused level merge failed (code {kind})")
+                raise MemoryError("level merge could not allocate")
+            raise RuntimeError(f"level merge failed (code {kind})")
         meta = OMETA.tolist()
         lengths = meta[1::2]
-        return _new_pdfs(
-            OUT[:sum(lengths)], meta[::2], lengths, itertools.repeat(dt),
-            trim_eps,
-        )
+        return _new_pdfs(OUT[:sum(lengths)], meta[::2], lengths, dts, trim_eps)
 
     # -- the Theorem-4 gap ---------------------------------------------
     def gap(self, a: DiscretePDF, b: DiscretePDF, floor: float) -> float:
@@ -1134,40 +1054,6 @@ class _CProvider:
             dbl(am), am.size, a.offset, dbl(bm), bm.size, b.offset,
             float(a.dt), floor,
         )
-
-    # -- grouped MAX sweep --------------------------------------------
-    def max_sweep(self, groups: Sequence) -> list:
-        """``(lo, masses)`` per operand group — bitwise the NumPy
-        ``_max_masses`` sweep (same unit CDFs, multiplies and
-        differences, in the same order)."""
-        operands = []
-        rstart = []
-        gk = []
-        spans = []
-        for pdfs in groups:
-            lo = min(p.offset for p in pdfs)
-            width = max(p.offset + p.masses.size for p in pdfs) - lo
-            spans.append((lo, width))
-            gk.append(len(pdfs))
-            for p in pdfs:
-                operands.append(p.masses)
-                rstart.append(p.offset - lo)
-        widths = [w for _lo, w in spans]
-        OUT = np.empty(sum(widths))
-        i64 = self._i64
-        self._lib.repro_max_sweep(
-            self._dbl(_packed(operands)), i64(_lengths(operands)),
-            i64(np.array(rstart, dtype=np.int64)),
-            i64(np.array(gk, dtype=np.int64)),
-            i64(np.array(widths, dtype=np.int64)), self._dbl(OUT),
-            len(groups),
-        )
-        out = []
-        o = 0
-        for lo, width in spans:
-            out.append((lo, OUT[o:o + width]))
-            o += width
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -1192,8 +1078,9 @@ def _same(p: DiscretePDF, q: DiscretePDF) -> bool:
 
 
 def _check_vectors(rng) -> list:
-    """Raw vectors that take every branch of the build kernel: short
-    and long, probe taken and not, exact zeros, a total of exactly 1."""
+    """Raw vectors that take every branch of the level merge's build:
+    short and long, probe taken and not, exact zeros, a total of
+    exactly 1."""
     raws = [rng.random(n) + 1e-4 for n in (1, 7, 8, 9, 127, 128, 129, 300)]
     spiky = np.zeros(200)
     spiky[[3, 100, 196]] = (0.25, 0.5, 0.25)
@@ -1220,24 +1107,9 @@ def _self_check(provider) -> None:
         if not np.array_equal(provider.conv_one(a, b), raw):
             raise RuntimeError("compiled scalar/batch paths disagree")
 
-    raws = _check_vectors(rng)
-    try:
-        for trim_eps in (0.0, 1e-9, 1e-3, 0.9):
-            built = provider.build(
-                raws, [2.0] * len(raws), [3] * len(raws), trim_eps
-            )
-            for raw, res in zip(raws, built):
-                ref = DiscretePDF._trusted(  # noqa: SLF001
-                    2.0, 3, raw.copy()
-                ).trimmed(trim_eps)
-                if not _same(res, ref):
-                    raise RuntimeError("not bitwise")
-    except Exception:
-        provider.build_ok = False
-
     from .metrics import _VERTICAL_NOISE_FLOOR, _numpy_gap
 
-    pdfs = [DiscretePDF(2.0, 3, raw) for raw in raws]
+    pdfs = [DiscretePDF(2.0, 3, raw) for raw in _check_vectors(rng)]
     try:
         for a in pdfs:
             for b in (pdfs[0], pdfs[4], a.shifted_bins(1), a):
@@ -1247,29 +1119,9 @@ def _self_check(provider) -> None:
     except Exception:
         provider.gap_ok = False
 
-    from .ops import _max_masses
-
-    groups = []
-    for k in (2, 3, 5):
-        group = []
-        for _ in range(k):
-            m = rng.random(int(rng.integers(3, 40))) + 1e-4
-            group.append(DiscretePDF(2.0, int(rng.integers(-5, 6)), m))
-        groups.append(tuple(group))
-    try:
-        swept = provider.max_sweep(groups)
-        for group, (lo, masses) in zip(groups, swept):
-            ref_lo, ref = _max_masses(group)
-            if lo != ref_lo or not np.array_equal(masses, ref):
-                raise RuntimeError("not bitwise")
-    except Exception:
-        provider.max_ok = False
-
     try:
         _check_merge(provider, rng)
     except Exception:
-        provider.merge_ok = False
-    if not (provider.build_ok and provider.max_ok):
         provider.merge_ok = False
 
     try:
@@ -1280,12 +1132,14 @@ def _self_check(provider) -> None:
 
 
 def _check_merge(provider, rng) -> None:
-    """The fused level merge against building every ADD and merging
-    the objects (the NumPy expressions), on groups of raw ADDs and
-    finished operands: single raws, mixed groups, a raw shared by two
-    groups, finished-only groups."""
+    """The level merge against building every ADD and merging the
+    objects (the NumPy expressions): every raw as a one-operand group
+    (the ADD results), mixed groups of raw ADDs and finished operands
+    (a raw shared by two groups among them), and MAX groups of 2, 3 and
+    5 finished operands with no raws at all."""
     from .ops import _max_masses
 
+    trusted = DiscretePDF._trusted  # noqa: SLF001
     raws = _check_vectors(rng)
     roffs = [int(o) for o in rng.integers(-20, 20, len(raws))]
     fins = [
@@ -1295,28 +1149,36 @@ def _check_merge(provider, rng) -> None:
         )
         for _ in range(4)
     ]
-    groups = ((0,), (1, ~0), (2, 3, 4), (~1, ~2), (5, 6, ~3, 7), (8,),
-              (9, 0))
-    src = [j for group in groups for j in group]
-    gk = [len(group) for group in groups]
-    for trim_eps in (0.0, 1e-9, 1e-3):
-        merged = provider.merge_level(
-            raws, roffs, [f.masses for f in fins], [f.offset for f in fins],
-            src, gk, 2.0, trim_eps,
-        )
+    fin_masses = [f.masses for f in fins]
+    fin_offs = [f.offset for f in fins]
+    mixed = ((0,), (1, ~0), (2, 3, 4), (~1, ~2), (5, 6, ~3, 7), (8,),
+             (9, 0))
+    singles = [(j,) for j in range(len(raws))]
+    finished = ((~0, ~1), (~3, ~0, ~2), (~2, ~1, ~0, ~3, ~1))
+
+    for trim_eps in (0.0, 1e-9, 1e-3, 0.9):
         adds = [
-            DiscretePDF._trusted(2.0, off, raw.copy()).trimmed(trim_eps)  # noqa: SLF001
+            trusted(2.0, off, raw.copy()).trimmed(trim_eps)
             for raw, off in zip(raws, roffs)
         ]
-        for group, res in zip(groups, merged):
-            pdfs = [adds[j] if j >= 0 else fins[~j] for j in group]
-            if len(pdfs) == 1:
-                ref = pdfs[0].trimmed(trim_eps)
-            else:
-                lo, masses = _max_masses(pdfs)
-                ref = DiscretePDF._trusted(2.0, lo, masses).trimmed(trim_eps)  # noqa: SLF001
-            if not _same(res, ref) or res.dt != 2.0:
-                raise RuntimeError("not bitwise")
+        for groups, use_raws in (
+            (singles, True), (mixed, True), (finished, False)
+        ):
+            merged = provider.merge_level(
+                raws if use_raws else (), roffs if use_raws else (),
+                fin_masses, fin_offs, [j for group in groups for j in group],
+                [len(group) for group in groups], [2.0] * len(groups),
+                trim_eps,
+            )
+            for group, res in zip(groups, merged, strict=True):
+                pdfs = [adds[j] if j >= 0 else fins[~j] for j in group]
+                if len(pdfs) == 1:
+                    ref = pdfs[0]
+                else:
+                    lo, masses = _max_masses(pdfs)
+                    ref = trusted(2.0, lo, masses).trimmed(trim_eps)
+                if not _same(res, ref) or res.dt != 2.0:
+                    raise RuntimeError("not bitwise")
 
 
 def _check_add(provider, rng) -> None:

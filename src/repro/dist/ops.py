@@ -8,14 +8,14 @@ Agarwal et al. DAC'03 [3].  Both are pure functions of their operands,
 which is what lets the perturbation fronts and the incremental updater
 reproduce a full SSTA **bitwise**.
 
-Every kernel turns raw ADD/MAX vectors into finished results through
-one construction step, :func:`_build_results` (normalize, trim the
-tails).  That step and the grouped MAX sweep run in the compiled tier
-(:mod:`~repro.dist._compiled`) under every backend, bitwise the NumPy
-expressions they replace; without the tier (no compiler, or
-``REPRO_DISABLE_COMPILED`` set) the NumPy code runs and gives the same
-bits.  The per-result NumPy dispatch, not arithmetic, is what this
-saves.
+Every ADD and MAX result is constructed (normalized, its tails
+trimmed) by one compiled call, the level merge of
+:mod:`~repro.dist._compiled`, under every backend: ADD results as
+one-operand groups (:func:`_build_results`), MAX results with their CDF
+product (:func:`stat_max_groups`), bitwise the NumPy expressions.
+Without the tier (no compiler, or ``REPRO_DISABLE_COMPILED`` set) those
+NumPy expressions run, one group at a time, and give the same bits.
+The per-result NumPy dispatch, not arithmetic, is what the tier saves.
 
 :class:`OpCounter` instruments the kernels transparently: every kernel
 takes an optional ``counter`` and tallies one unit per pairwise
@@ -39,17 +39,16 @@ batch convolves an (arrival, delay) object pair it holds twice only
 once.  :func:`convolve_many` batches a node's (or a level's) fan-in
 ADDs through the backend's ``convolve_many`` entry point, bitwise
 identical to sequential calls, and :func:`stat_max_groups` batches many
-independent MAX reductions into one compiled sweep (or, without the
-tier, stacked CDF products over same-shape groups).  The singleton
+independent MAX reductions into one level-merge call.  The singleton
 entry points are one-element batches of these, so each kernel has one
 code path.
 
 A level whose ADD results only feed its MAX merges keeps them raw:
 ``convolve_many(..., defer=True)`` returns a :class:`DeferredAdds` (raw
 backend outputs and offsets), and ``stat_max_groups(..., adds=...)``
-builds them, takes every group's MAX and builds the results in one
-compiled call — the fused level merge, bitwise building the ADD
-objects and merging them, which is also what runs without the tier.
+builds them, takes every group's MAX and builds the results in the
+same call, bitwise building the ADD objects and merging them, which is
+also what runs without the tier.
 
 Reuse lives one layer up, in the timing engines: the whole-node memo
 of :class:`~repro.dist.cache.ConvolutionCache` (whose hits the engines
@@ -75,7 +74,6 @@ __all__ = [
     "DeferredAdds",
     "convolve",
     "convolve_many",
-    "max_batch_raws",
     "stat_max",
     "stat_max_many",
     "stat_max_groups",
@@ -173,20 +171,21 @@ def _require_same_grid(pdfs: Sequence[DiscretePDF]) -> float:
 
 def _build_results(raws: Sequence, dts, offsets, trim_eps: float) -> list:
     """``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)`` for
-    every raw kernel output — the one construction step behind every
-    ADD and MAX result.
+    every raw kernel output.
 
-    Runs the compiled build kernel when it passed its bitwise
-    self-check, the NumPy expression otherwise: the same bits either
-    way, so no answer, cache key or pruning decision depends on which.
-    Raws are fresh, finite, non-negative vectors (the backend and MAX
-    contracts); they may become the masses of a result.
+    Runs the compiled level merge, one one-operand group per raw, when
+    it passed its bitwise self-check, the NumPy expression otherwise:
+    the same bits either way, so no answer, cache key or pruning
+    decision depends on which.  Raws are fresh, finite, non-negative
+    vectors (the backend and MAX contracts); they may become the masses
+    of a result.
     """
     p = _compiled.get_provider()
-    if p is not None and p.build_ok and raws:
-        if trim_eps < 0.0:
-            raise DistributionError(f"trim_eps must be >= 0, got {trim_eps}")
-        return p.build(raws, dts, offsets, trim_eps)
+    n = len(raws)
+    if n and p is not None and p.merge_ok:
+        return p.merge_level(
+            raws, offsets, (), (), range(n), [1] * n, dts, trim_eps
+        )
     trusted = DiscretePDF._trusted  # noqa: SLF001
     return [
         trusted(dt, off, raw).trimmed(trim_eps)
@@ -205,13 +204,11 @@ class DeferredAdds:
     tier builds them and takes every MAX in one call.  ``raws``,
     ``dts`` and ``offsets`` describe the batch's distinct pairs;
     ``slots[i]`` is the distinct pair behind pair ``i`` (None when
-    every pair is distinct), and ``dt`` is the batch's one grid (None
-    for a batch that mixes grids).  :meth:`built` constructs the
-    results instead — once; later calls return the same list.
+    every pair is distinct).  :meth:`built` constructs the results
+    instead — once; later calls return the same list.
     """
 
-    __slots__ = ("raws", "dts", "offsets", "slots", "dt", "trim_eps",
-                 "_built")
+    __slots__ = ("raws", "dts", "offsets", "slots", "trim_eps", "_built")
 
     def __init__(self, raws, dts: list, offsets: list,
                  slots: Optional[list], trim_eps: float) -> None:
@@ -219,8 +216,6 @@ class DeferredAdds:
         self.dts = dts
         self.offsets = offsets
         self.slots = slots
-        dt = dts[0]
-        self.dt: Optional[float] = dt if dts.count(dt) == len(dts) else None
         self.trim_eps = trim_eps
         self._built: Optional[list] = None
 
@@ -302,7 +297,7 @@ def convolve_many(
     instead to the compiled tier's ADD kernel, which is bitwise
     ``np.convolve``: the loop that dedupes the pairs also indexes their
     distinct operands, and one foreign call convolves them all into one
-    buffer that the build or the fused merge reads as it is.  The other
+    buffer that the level merge reads as it is.  The other
     pairs go to the backend.  Without the kernel (``add_ok`` cleared,
     or no provider) every pair goes to the backend, with the same bits.
 
@@ -418,8 +413,8 @@ def _padded_cdfs(pdfs: Sequence[DiscretePDF]) -> tuple:
 
 
 def _max_masses(pdfs: Sequence[DiscretePDF]) -> tuple:
-    """``(lo_offset, raw mass vector)`` of the independence MAX —
-    the numeric kernel shared by the per-call and grouped paths."""
+    """``(lo_offset, raw mass vector)`` of the independence MAX: the
+    NumPy reference the compiled level merge reproduces bitwise."""
     lo, grid = _padded_cdfs(pdfs)
     cdf = np.prod(grid, axis=0)
     # Adjacent difference, spelled out: bitwise np.diff(cdf, prepend=0)
@@ -429,99 +424,6 @@ def _max_masses(pdfs: Sequence[DiscretePDF]) -> tuple:
     masses[0] = cdf[0]
     np.subtract(cdf[1:], cdf[:-1], out=masses[1:])
     return lo, masses
-
-
-#: Per-fan-in-count verdicts: is the platform's stacked ``(g, k, W)``
-#: CDF product bitwise identical, row for row, to the per-group
-#: ``(k, W)`` product?  The reduction order over the ``k`` operand rows
-#: depends only on ``k`` and the row-major layout — identical in both
-#: shapes on every NumPy tested — but it is a build property, not an
-#: API guarantee, so it is measured (first grouped batch at each ``k``
-#: verifies its first group against :func:`_max_masses`), never
-#: assumed; a ``k`` that fails falls back to the per-group loop
-#: forever after.
-_GROUPED_MAX_BITWISE: dict = {}
-
-
-def _grouped_max_masses(groups: list) -> list:
-    """``_max_masses`` for several same-shape operand groups through
-    one stacked CDF product.
-
-    Every group must hold ``k`` operands spanning a ``width``-bin union
-    range (the caller partitions by that shape).  Returns one
-    ``(lo, masses)`` per group, bitwise identical to per-group
-    :func:`_max_masses` calls — enforced by the first-group check
-    behind :data:`_GROUPED_MAX_BITWISE`.
-    """
-    k = len(groups[0][1])
-    verdict = _GROUPED_MAX_BITWISE.get(k)
-    if verdict is False:  # pragma: no cover - exotic reduce builds
-        return [_max_masses(pdfs) for _lo, pdfs, _w in groups]
-    width = groups[0][2]
-    grid = np.empty((len(groups), k, width))
-    for gi, (lo, pdfs, _w) in enumerate(groups):
-        for ki, p in enumerate(pdfs):
-            start = p.offset - lo
-            n = p.masses.size
-            row = grid[gi, ki]
-            row[:start] = 0.0
-            row[start : start + n] = p._unit_cdf  # noqa: SLF001
-            row[start + n :] = 1.0
-    cdf = np.prod(grid, axis=1)
-    masses = np.empty_like(cdf)
-    masses[:, 0] = cdf[:, 0]
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=masses[:, 1:])
-    if verdict is None:
-        _lo0, ref = _max_masses(groups[0][1])
-        verdict = bool(np.array_equal(masses[0], ref))
-        _GROUPED_MAX_BITWISE[k] = verdict
-        if not verdict:  # pragma: no cover - exotic reduce builds
-            return [_max_masses(pdfs) for _lo, pdfs, _w in groups]
-    # Rows are copied out of the batch matrix so long-lived results
-    # (and cache entries built from them) never pin the full stack.
-    return [(lo, masses[gi].copy()) for gi, (lo, _p, _w) in enumerate(groups)]
-
-
-def max_batch_raws(groups: Sequence) -> list:
-    """``(lo_offset, raw mass vector)`` of the independence MAX for
-    every operand group.
-
-    A pure function of the groups' operand contents and alignments: no
-    counter, no trimming — exactly the compute step
-    :func:`stat_max_groups` performs before result construction.  Groups
-    are partitioned by exact (operand count, union width); same-shape
-    runs stack into one CDF product, each group bitwise its own
-    :func:`_max_masses` call (the :data:`_GROUPED_MAX_BITWISE` guard).
-    Results come back in input order.
-
-    The compiled tier's grouped sweep takes over whenever it passed its
-    bitwise self-check (``max_ok``), under every backend: it is bitwise
-    the NumPy path, so the two are interchangeable per group and the
-    sweep needs no shape partition.
-    """
-    p = _compiled.get_provider()
-    if p is not None and p.max_ok:
-        return p.max_sweep(groups)
-    n = len(groups)
-    out: list = [None] * n
-    shapes: dict = {}
-    spans: dict = {}
-    for i, pdfs in enumerate(groups):
-        lo = min(p.offset for p in pdfs)
-        width = max(p.offset + p.n_bins for p in pdfs) - lo
-        spans[i] = (lo, width)
-        shapes.setdefault((len(pdfs), width), []).append(i)
-    for (_k, _width), idxs in shapes.items():
-        if len(idxs) == 1:
-            i = idxs[0]
-            out[i] = _max_masses(groups[i])
-        else:
-            stacked = _grouped_max_masses(
-                [(spans[i][0], groups[i], spans[i][1]) for i in idxs]
-            )
-            for i, lo_masses in zip(idxs, stacked):
-                out[i] = lo_masses
-    return out
 
 
 def stat_max(
@@ -582,113 +484,94 @@ def stat_max_groups(
     """Batched MAX: one :func:`stat_max_many` result per operand group.
 
     The level-batched engines merge every node of a topological level
-    in one call, through the compiled grouped sweep or (without the
-    tier) stacked CDF products over same-shape groups (see
-    :func:`max_batch_raws`), amortizing the per-reduction dispatch the
-    per-node path pays.
-
-    Every group's result is **bitwise identical** whatever the batch
-    composition, and single-operand groups pass through trimming
-    without touching the counter.  There is no MAX memo: a MAX request
-    reaches this kernel only behind a node-memo miss, where it almost
-    never recurs (see :mod:`repro.dist.cache`).  An empty batch is a
-    no-op.
+    in one call, amortizing the per-reduction dispatch the per-node
+    path pays.  Every group's result is **bitwise identical** whatever
+    the batch composition, and single-operand groups pass through
+    trimming without touching the counter.  There is no MAX memo: a
+    MAX request reaches this kernel only behind a node-memo miss, where
+    it almost never recurs (see :mod:`repro.dist.cache`).  An empty
+    batch is a no-op.
 
     ``adds`` supplies deferred ADD results (:func:`convolve_many` with
-    ``defer``): an ``int`` operand ``i`` stands for ``adds[i]``.  While
-    they are unbuilt, on one grid, and the compiled tier's fused merge
-    passed its self-check, one foreign call builds every ADD, takes
-    every group's MAX and builds the results (:func:`_fused_groups`);
-    only the group results become objects.  Otherwise the ADDs are built
-    (:meth:`DeferredAdds.built`) and merged as objects.  Both give the
-    same bits and the same tallies.
+    ``defer``): an ``int`` operand ``i`` stands for ``adds[i]``.
+
+    With the compiled tier's level merge (``merge_ok``), one foreign
+    call takes every group: unbuilt ADDs at this ``trim_eps`` go in
+    raw, so it builds them, takes every MAX and builds the results,
+    and only the group results become objects; built ADDs and finished
+    operands go in as they are.  Without it the NumPy expressions run:
+    the ADDs are built (:meth:`DeferredAdds.built`) and each group's
+    CDF product is taken and built in turn.  Both give the same bits
+    and the same tallies.
     """
     if not groups:
         return []
     # Validate once; the max numerics are backend-invariant.
     get_backend(backend)
-    if adds is not None:
-        p = _compiled.get_provider()
-        if (
-            p is not None and p.merge_ok and adds._built is None
-            and adds.dt is not None and adds.trim_eps == trim_eps
-        ):
-            return _fused_groups(p, groups, adds, trim_eps, counter)
+    p = _compiled.get_provider()
+    fused = p is not None and p.merge_ok
+    if adds is not None and not (
+        fused and adds._built is None and adds.trim_eps == trim_eps
+    ):
         built = adds.built()
         groups = [
             [built[op] if type(op) is int else op for op in pdfs]
             for pdfs in groups
         ]
+        adds = None
     results: list = [None] * len(groups)
-    multi: list = []
+    todo: list = []
     for i, pdfs in enumerate(groups):
         if len(pdfs) == 0:
             raise DistributionError(
                 "stat_max_groups needs at least one distribution per group"
             )
-        _require_same_grid(pdfs)
-        if len(pdfs) == 1:
+        if len(pdfs) == 1 and type(pdfs[0]) is not int:
             results[i] = pdfs[0].trimmed(trim_eps)
         else:
-            multi.append(i)
-    if multi:
-        todo_groups = [groups[i] for i in multi]
-        computed = max_batch_raws(todo_groups)
-        if counter is not None:
-            counter.max_ops += sum(len(g) - 1 for g in todo_groups)
-        built = _build_results(
-            [masses for _lo, masses in computed],
-            [g[0].dt for g in todo_groups],
-            [lo for lo, _masses in computed],
-            trim_eps,
-        )
-        for i, result in zip(multi, built):
-            results[i] = result
-    return results
-
-
-def _fused_groups(p, groups: Sequence, adds: DeferredAdds, trim_eps: float,
-                  counter: Optional[OpCounter]) -> list:
-    """:func:`stat_max_groups` over deferred ADDs through the provider's
-    fused level merge: the same validation, tallies and bits as
-    building the ADDs and merging the objects.  A one-operand group
-    whose operand is finished is trimmed here, as on the object path."""
-    dt = adds.dt
-    slots = adds.slots
-    results: list = [None] * len(groups)
-    todo = []
-    src = []
-    gk = []
-    fins = []
-    foffs = []
-    max_ops = 0
-    for i, pdfs in enumerate(groups):
-        k = len(pdfs)
-        if k == 0:
-            raise DistributionError(
-                "stat_max_groups needs at least one distribution per group"
-            )
-        if k == 1 and type(pdfs[0]) is not int:
-            results[i] = pdfs[0].trimmed(trim_eps)
-            continue
-        for op in pdfs:
-            if type(op) is int:
-                src.append(op if slots is None else slots[op])
-            else:
-                if op.dt != dt:
-                    raise _grid_mismatch(dt, op.dt)
-                src.append(~len(fins))
-                fins.append(op.masses)
-                foffs.append(op.offset)
-        todo.append(i)
-        gk.append(k)
-        max_ops += k - 1
-    if todo:
+            todo.append(i)
+    if not todo:
+        return results
+    multi = [groups[i] for i in todo]
+    if fused:
+        # Operand ``j`` of the call is raw ADD ``src[j]``, or finished
+        # operand ``~src[j]``.
+        slots = adds.slots if adds is not None else None
+        src = []
+        dts = []
+        fins = []
+        foffs = []
+        for pdfs in multi:
+            dt = None
+            for op in pdfs:
+                if type(op) is int:
+                    j = op if slots is None else slots[op]
+                    op_dt = adds.dts[j]
+                    src.append(j)
+                else:
+                    op_dt = op.dt
+                    src.append(~len(fins))
+                    fins.append(op.masses)
+                    foffs.append(op.offset)
+                if dt is None:
+                    dt = op_dt
+                elif op_dt != dt:
+                    raise _grid_mismatch(dt, op_dt)
+            dts.append(dt)
         merged = p.merge_level(
-            adds.raws, adds.offsets, fins, foffs, src, gk, dt, trim_eps
+            adds.raws if adds is not None else (),
+            adds.offsets if adds is not None else (),
+            fins, foffs, src, list(map(len, multi)), dts, trim_eps,
         )
-        if counter is not None:
-            counter.max_ops += max_ops
-        for i, result in zip(todo, merged):
-            results[i] = result
+    else:
+        dts = [_require_same_grid(pdfs) for pdfs in multi]
+        computed = [_max_masses(pdfs) for pdfs in multi]
+        merged = _build_results(
+            [masses for _lo, masses in computed], dts,
+            [lo for lo, _masses in computed], trim_eps,
+        )
+    if counter is not None:
+        counter.max_ops += sum(len(pdfs) - 1 for pdfs in multi)
+    for i, result in zip(todo, merged):
+        results[i] = result
     return results

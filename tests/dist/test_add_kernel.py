@@ -212,7 +212,7 @@ def test_failed_ddot_lookup_clears_add_ok(monkeypatch):
     provider = _compiled._CProvider()  # noqa: SLF001
     _compiled._self_check(provider)  # noqa: SLF001
     assert not provider.add_ok
-    assert provider.build_ok and provider.merge_ok
+    assert provider.merge_ok and provider.gap_ok
     monkeypatch.setattr(_compiled, "_provider", provider)
     monkeypatch.setattr(_compiled, "_resolved", True)
     assert _sinks() == ref
@@ -231,7 +231,7 @@ def test_self_check_mismatch_clears_add_ok(monkeypatch):
     monkeypatch.setattr(provider, "add_many", lying)
     _compiled._self_check(provider)  # noqa: SLF001
     assert not provider.add_ok
-    assert provider.build_ok and provider.merge_ok
+    assert provider.merge_ok and provider.gap_ok
 
 
 #: Prints one JSON line: whether the ADD kernel resolved in this

@@ -1,5 +1,6 @@
 """Compiled-tier harness: provider differentials, cache interplay,
-the bitwise MAX sweep, the fallback matrix, and registry compatibility.
+the bitwise level-merge MAX, the fallback matrix, and registry
+compatibility.
 
 Layered on the cross-backend harness (the ``compiled`` and
 ``compiled-auto`` names join every ``ALL_BACKENDS`` loop automatically
@@ -9,15 +10,15 @@ check:
 * the compiled convolution's *own* equivalence class — raw
   convolutions within 1e-12 TV of ``direct``, scalar == batched
   bitwise, cache replays bitwise with fresh computes;
-* the bitwise kernels every backend uses (MAX sweep, result build):
-  compiled == NumPy, and a self-check failure clears only that
-  kernel's flag;
+* the bitwise level merge every backend builds its results with:
+  compiled MAX == per-group NumPy ``_max_masses``, with and without
+  raw ADDs in the call;
 * the degradation matrix — ``REPRO_DISABLE_COMPILED`` and a host
   without a C compiler — under which the compiled backends must *be*
   the pure-NumPy direct kernels, bit for bit, with exactly one
   warning;
 * the miss path: each level's cache misses are convolved in one
-  backend call and built in one build call.
+  backend call and built in one level-merge call.
 
 Every test here passes whether or not a provider resolves on this
 host: provider-specific classes skip when the tier is degraded, and
@@ -49,7 +50,6 @@ from repro.dist.ops import (
     _max_masses,
     convolve,
     convolve_many,
-    max_batch_raws,
     stat_max_groups,
     stat_max_many,
 )
@@ -70,9 +70,9 @@ needs_provider = pytest.mark.skipif(
     PROVIDER is None,
     reason=f"compiled tier degraded ({_compiled.fail_reason()})",
 )
-needs_max_sweep = pytest.mark.skipif(
-    PROVIDER is None or not PROVIDER.max_ok or not PROVIDER.build_ok,
-    reason="compiled MAX sweep unavailable",
+needs_merge = pytest.mark.skipif(
+    PROVIDER is None or not PROVIDER.merge_ok,
+    reason="compiled level merge unavailable",
 )
 
 
@@ -258,9 +258,10 @@ def flag_off(monkeypatch):
     return clear
 
 
-@needs_max_sweep
+@needs_merge
 class TestCompiledMaxSweep:
-    """The grouped-MAX sweep must be bitwise the NumPy sweep."""
+    """The level merge's MAX must be bitwise the per-group NumPy
+    ``_max_masses`` sweep and build."""
 
     def _groups(self, seed, n_groups=7):
         rng = np.random.default_rng(seed)
@@ -275,14 +276,22 @@ class TestCompiledMaxSweep:
             for _ in range(n_groups)
         ]
 
-    def test_sweep_bitwise_with_numpy_sweep(self, flag_off):
+    @staticmethod
+    def _numpy_max(pdfs, trim_eps) -> DiscretePDF:
+        lo, masses = _max_masses(pdfs)
+        return DiscretePDF._trusted(  # noqa: SLF001
+            pdfs[0].dt, lo, masses
+        ).trimmed(trim_eps)
+
+    @pytest.mark.parametrize("trim_eps", [0.0, 1e-9, 1e-3])
+    def test_sweep_bitwise_with_numpy_sweep(self, trim_eps):
         groups = self._groups(31)
-        swept = max_batch_raws(groups)
-        flag_off("max_ok")
-        stock = max_batch_raws(groups)
-        for (lo_s, m_s), (lo_n, m_n) in zip(swept, stock):
-            assert lo_s == lo_n
-            assert np.array_equal(m_s, m_n)
+        for pdfs_, got in zip(
+            groups, stat_max_groups(groups, trim_eps=trim_eps)
+        ):
+            ref = self._numpy_max(pdfs_, trim_eps)
+            assert got.offset == ref.offset
+            assert got.masses.tobytes() == ref.masses.tobytes()
 
     def test_stat_max_many_bitwise_across_backends(self):
         groups = self._groups(37, n_groups=3)
@@ -295,8 +304,7 @@ class TestCompiledMaxSweep:
     def test_stat_max_groups_bitwise_without_the_tier(self, flag_off):
         groups = self._groups(41)
         swept = stat_max_groups(groups, trim_eps=1e-9, backend="direct")
-        flag_off("max_ok")
-        flag_off("build_ok")
+        flag_off("merge_ok")
         got = stat_max_groups(groups, trim_eps=1e-9, backend="compiled")
         for r, g in zip(swept, got):
             assert r.offset == g.offset
@@ -304,10 +312,30 @@ class TestCompiledMaxSweep:
 
     def test_single_group_sweep_matches_max_masses(self):
         for pdfs_ in self._groups(43, n_groups=4):
-            lo_c, m_c = PROVIDER.max_sweep([pdfs_])[0]
-            lo_n, m_n = _max_masses(pdfs_)
-            assert lo_c == lo_n
-            assert np.array_equal(m_c, m_n)
+            got = stat_max_groups([pdfs_], trim_eps=1e-9)[0]
+            ref = self._numpy_max(pdfs_, 1e-9)
+            assert got.offset == ref.offset
+            assert np.array_equal(got.masses, ref.masses)
+
+    def test_finished_only_merge_level(self):
+        """A merge call with no raw ADDs (a MAX batch of finished
+        operands) builds every group's MAX, each on its own grid."""
+        groups = self._groups(47, n_groups=5)
+        groups[2] = tuple(
+            DiscretePDF(4.0, p.offset, p.masses) for p in groups[2]
+        )
+        fins = [p for pdfs_ in groups for p in pdfs_]
+        merged = PROVIDER.merge_level(
+            [], [], [p.masses for p in fins], [p.offset for p in fins],
+            [~j for j in range(len(fins))], [len(g) for g in groups],
+            [g[0].dt for g in groups], 1e-9,
+        )
+        assert len(merged) == len(groups)
+        for pdfs_, got in zip(groups, merged):
+            ref = self._numpy_max(pdfs_, 1e-9)
+            assert got.dt == ref.dt == pdfs_[0].dt
+            assert got.offset == ref.offset
+            assert got.masses.tobytes() == ref.masses.tobytes()
 
 
 class TestFallbackMatrix:
@@ -474,8 +502,8 @@ class TestRegistryCompat:
 def miss_spy(monkeypatch):
     """Record, in call order, every batched convolution of the
     backends under test and of the provider's ADD kernel (which runs
-    ``auto``'s ``np.convolve`` pairs), and every build or fused-merge
-    call of the provider (a merge records the raw ADDs it builds)."""
+    ``auto``'s ``np.convolve`` pairs), and every level-merge call of
+    the provider (recording the raw ADDs it builds)."""
     events = []
     for name in ("auto", "compiled"):
         kernel = get_backend(name)
@@ -494,13 +522,6 @@ def miss_spy(monkeypatch):
         return add_many(operands, ia, ib)
 
     monkeypatch.setattr(provider, "add_many", spy_add)
-    build = provider.build
-
-    def spy_build(raws, *args):
-        events.append(("build", len(raws)))
-        return build(raws, *args)
-
-    monkeypatch.setattr(provider, "build", spy_build)
     merge = provider.merge_level
 
     def spy_merge(raws, *args):
@@ -513,11 +534,11 @@ def miss_spy(monkeypatch):
 
 def _conv_builds(events) -> list:
     """Batch sizes of the convolutions, each checked to be built by the
-    build or fused-merge call right after it."""
+    level-merge call right after it."""
     sizes = []
     for i, (kind, n) in enumerate(events):
         if kind == "conv":
-            assert events[i + 1] in (("build", n), ("merge", n))
+            assert events[i + 1] == ("merge", n)
             sizes.append(n)
     return sizes
 
@@ -543,8 +564,8 @@ def _distinct_arcs_per_level(graph, result) -> list:
 class TestMissPath:
     """With the cache off every ADD is a miss, so each level that
     convolves anything makes exactly one backend call covering all of
-    its distinct gate arcs, and one build or fused-merge call for the
-    raws it returns; the counter tallies every arc."""
+    its distinct gate arcs, and one level-merge call for the raws it
+    returns; the counter tallies every arc."""
 
     def _setup(self, name, backend):
         circuit = load(name)

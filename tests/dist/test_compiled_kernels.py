@@ -1,24 +1,29 @@
 """The compiled tier's bitwise kernels against the NumPy code they
 replace.
 
-The build kernel (``DiscretePDF._trusted(dt, off, raw).trimmed(eps)``)
-and the gap kernel (``max_percentile_gap``) run under every backend,
-so their answers must equal the NumPy expressions bit for bit — not
-within a tolerance.  This module pins that with hypothesis
-differentials over the branch-relevant shapes, a threaded run, two
-subprocess runs (provider on and ``REPRO_DISABLE_COMPILED=1``) over the
-golden circuits and a c432 sizing trajectory, per-kernel self-check
-failure injection, and the C library build cache under concurrent
-resolution.
+The level merge builds every result
+(``DiscretePDF._trusted(dt, off, raw).trimmed(eps)`` for ADD results,
+through :func:`~repro.dist.ops._build_results`) and the gap kernel
+(``max_percentile_gap``) runs under every backend, so their answers
+must equal the NumPy expressions bit for bit — not within a tolerance.
+This module pins that with hypothesis differentials over the
+branch-relevant shapes, a threaded run, two subprocess runs (provider
+on and ``REPRO_DISABLE_COMPILED=1``) over the golden circuits and a
+c432 sizing trajectory, per-kernel self-check failure injection, the
+agreement of the C source's exports with both loaders' declarations,
+and the C library build cache under concurrent resolution.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -33,6 +38,7 @@ from repro.dist.metrics import (
     _numpy_gap,
     max_percentile_gap,
 )
+from repro.dist.ops import _build_results
 from repro.dist.pdf import DiscretePDF
 from repro.netlist.benchmarks import load
 from repro.timing.delay_model import DelayModel
@@ -45,10 +51,14 @@ needs_provider = pytest.mark.skipif(
     PROVIDER is None,
     reason=f"compiled tier degraded ({_compiled.fail_reason()})",
 )
+needs_merge = pytest.mark.skipif(
+    PROVIDER is None or not PROVIDER.merge_ok,
+    reason="compiled level merge unavailable",
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: Sizes straddling every branch of the build kernel: np.sum's
+#: Sizes straddling every branch of the level merge's build: np.sum's
 #: sequential (< 8), eight-accumulator (<= 128) and split (> 128)
 #: regimes, and trimmed()'s 64-bin probe (n >= 128).
 BUILD_SIZES = (1, 7, 8, 127, 128, 129, 300, 9000)
@@ -104,8 +114,11 @@ def raws(draw):
     return raw
 
 
-@needs_provider
+@needs_merge
 class TestBuildDifferential:
+    """ADD results built by the level merge (one one-operand group per
+    raw) against the NumPy expression."""
+
     @settings(deadline=None, max_examples=300)
     @given(
         raw=raws(),
@@ -113,7 +126,7 @@ class TestBuildDifferential:
         offset=st.integers(-50, 50),
     )
     def test_bitwise_numpy(self, raw, trim_eps, offset):
-        got = PROVIDER.build([raw], [2.0], [offset], trim_eps)[0]
+        got = _build_results([raw], [2.0], [offset], trim_eps)[0]
         assert _same(got, _numpy_build(raw, 2.0, offset, trim_eps))
         assert got.__dict__["_trim_level"] == trim_eps
         assert not got.masses.flags.writeable
@@ -125,7 +138,7 @@ class TestBuildDifferential:
     @given(batch=st.lists(raws(), min_size=1, max_size=12))
     def test_batch_bitwise_per_item(self, batch):
         offsets = list(range(len(batch)))
-        got = PROVIDER.build(batch, [2.0] * len(batch), offsets, 1e-9)
+        got = _build_results(batch, [2.0] * len(batch), offsets, 1e-9)
         for raw, off, res in zip(batch, offsets, got):
             assert _same(res, _numpy_build(raw, 2.0, off, 1e-9))
 
@@ -134,14 +147,14 @@ class TestBuildDifferential:
         flat = np.ones(300)
         for raw in (bell, flat):
             for eps in (1e-9, 0.5):
-                got = PROVIDER.build([raw], [1.0], [0], eps)[0]
+                got = _build_results([raw], [1.0], [0], eps)[0]
                 assert _same(got, _numpy_build(raw, 1.0, 0, eps))
 
     def test_non_positive_total_raises(self):
         from repro.errors import DistributionError
 
         with pytest.raises(DistributionError):
-            PROVIDER.build([np.zeros(5)], [1.0], [0], 1e-9)
+            _build_results([np.zeros(5)], [1.0], [0], 1e-9)
 
 
 def _pdf(masses, offset=0, dt=2.0) -> DiscretePDF:
@@ -197,11 +210,25 @@ class TestGapDifferential:
             assert got == _numpy_gap(a, b)
 
 
-@needs_provider
+def _merge(provider, raws, pdfs, trim_eps=1e-9) -> list:
+    """One level-merge call over ``raws`` (at offsets 0, 1, ...) and the
+    finished ``pdfs``: every raw as a one-operand group, then the MAX of
+    each raw with the next raw and a finished operand."""
+    n = len(raws)
+    groups = [(j,) for j in range(n)]
+    groups += [(j, (j + 1) % n, ~(j % len(pdfs))) for j in range(n)]
+    return provider.merge_level(
+        raws, range(n), [p.masses for p in pdfs], [p.offset for p in pdfs],
+        [j for group in groups for j in group], list(map(len, groups)),
+        [2.0] * len(groups), trim_eps,
+    )
+
+
+@needs_merge
 def test_threads_match_serial():
-    """Eight threads hammering build and gap at once (the service's
-    handler threads) get exactly the serial answers: the kernels keep
-    no shared scratch."""
+    """Eight threads hammering the level merge and the gap at once (the
+    service's handler threads) get exactly the serial answers: the
+    kernels keep no shared scratch."""
     rng = np.random.default_rng(97)
     batches = [
         [rng.random(int(rng.integers(1, 400))) + 1e-5 for _ in range(16)]
@@ -213,9 +240,7 @@ def test_threads_match_serial():
     ]
 
     def work(i):
-        built = PROVIDER.build(
-            batches[i], [2.0] * 16, list(range(16)), 1e-9
-        )
+        built = _merge(PROVIDER, batches[i], pdfs[(i + 1) % 8])
         gaps = [
             PROVIDER.gap(p, q, _VERTICAL_NOISE_FLOOR)
             for p, q in zip(pdfs[i], pdfs[(i + 1) % 8])
@@ -241,6 +266,10 @@ def test_threads_match_serial():
         assert all(_same(s, t) for s, t in zip(s_built, t_built))
 
 
+#: Every bitwise kernel's self-check flag.
+FLAGS = ("merge_ok", "gap_ok", "add_ok")
+
+
 class TestSelfCheckInjection:
     """A self-check mismatch clears only that kernel's flag, and the
     answers do not move: the NumPy code gives the same bits."""
@@ -248,9 +277,9 @@ class TestSelfCheckInjection:
     @needs_provider
     @pytest.mark.parametrize(
         "flag, method", [
-            ("build_ok", "build"),
+            ("merge_ok", "merge_level"),
             ("gap_ok", "gap"),
-            ("max_ok", "max_sweep"),
+            ("add_ok", "add_many"),
         ],
     )
     def test_only_that_kernel_disabled(self, flag, method, monkeypatch):
@@ -261,15 +290,16 @@ class TestSelfCheckInjection:
             out = real(*args)
             if method == "gap":
                 return out + 1.0
-            if method == "build":
+            if method == "merge_level":
                 return [r.shifted_bins(1) for r in out]
-            return [(lo + 1, masses) for lo, masses in out]
+            out.buffer[0] += 1.0
+            return out
 
         monkeypatch.setattr(provider, method, lying)
         _compiled._self_check(provider)  # noqa: SLF001
-        flags = {f: getattr(provider, f)
-                 for f in ("build_ok", "gap_ok", "max_ok")}
-        assert flags == {f: f != flag for f in flags}
+        flags = {f: getattr(provider, f) for f in FLAGS}
+        assert flags == {f: f != flag and getattr(PROVIDER, f)
+                         for f in FLAGS}
 
         ref = run_ssta(*_c17())
         monkeypatch.setattr(_compiled, "_provider", provider)
@@ -377,22 +407,61 @@ def test_unloadable_cached_library_is_rebuilt(tmp_path, monkeypatch):
     so_path.write_bytes(b"not a shared library")
     provider = _compiled._CProvider()  # noqa: SLF001
     _compiled._self_check(provider)  # noqa: SLF001
-    assert provider.build_ok and provider.gap_ok and provider.max_ok
+    assert provider.merge_ok and provider.gap_ok
     assert so_path.read_bytes() != b"not a shared library"
 
 
 @needs_provider
 def test_ctypes_loader_gives_the_same_bits(monkeypatch):
     """Without cffi the library loads through ctypes; every kernel
-    still passes its self-check and builds the same results."""
+    still passes its self-check and merges to the same results."""
     monkeypatch.setattr(
         _compiled._CProvider, "_load_cffi", staticmethod(lambda path: None)
     )
     provider = _compiled._CProvider()  # noqa: SLF001
     _compiled._self_check(provider)  # noqa: SLF001
-    assert provider.build_ok and provider.gap_ok and provider.max_ok
+    assert {f: getattr(provider, f) for f in FLAGS} == {
+        f: getattr(PROVIDER, f) for f in FLAGS
+    }
+    assert provider.merge_ok and provider.gap_ok
     rng = np.random.default_rng(5)
     raws = [rng.random(n) + 1e-6 for n in (1, 40, 300)]
-    got = provider.build(raws, [2.0] * 3, [0, 1, 2], 1e-9)
-    ref = PROVIDER.build(raws, [2.0] * 3, [0, 1, 2], 1e-9)
+    pdfs = [_pdf(rng.random(n) + 1e-6, n - 9) for n in (3, 20)]
+    got = _merge(provider, raws, pdfs)
+    ref = _merge(PROVIDER, raws, pdfs)
+    assert len(got) == 6
     assert all(_same(g, r) for g, r in zip(got, ref))
+
+
+def test_kernel_lists_agree(monkeypatch):
+    """Every exported C function is declared in the cffi ``_CDEF`` and
+    bound by the ctypes loader with the same parameter count, and
+    neither names a function the C source does not export: a leftover
+    kernel, or ctypes argtypes that drift from the C signature, fail
+    here rather than silently under the ctypes loader."""
+    import ctypes
+
+    def signatures(pattern, source) -> dict:
+        return {name: len(params.split(","))
+                for name, params in re.findall(pattern, source)}
+
+    exports = signatures(
+        r"EXPORT\s+[\w\s]+?\b(repro_\w+)\s*\(([^)]*)\)",
+        _compiled._C_SOURCE,  # noqa: SLF001
+    )
+    declared = signatures(
+        r"\b(repro_\w+)\s*\(([^)]*)\)", _compiled._CDEF  # noqa: SLF001
+    )
+    bound: dict = collections.defaultdict(types.SimpleNamespace)
+
+    class Library:
+        """Records every function the loader binds."""
+
+        def __getattr__(self, name):
+            return bound[name]
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: Library())
+    _compiled._CProvider._load_ctypes(Path("unused.so"))  # noqa: SLF001
+    assert len(exports) >= 5
+    assert declared == exports
+    assert {name: len(fn.argtypes) for name, fn in bound.items()} == exports

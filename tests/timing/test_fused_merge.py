@@ -25,6 +25,7 @@ from repro.dist.ops import (
     OpCounter,
     convolve,
     convolve_many,
+    stat_max,
     stat_max_groups,
     stat_max_many,
 )
@@ -240,17 +241,20 @@ class TestFusedMerge:
 
     @pytest.mark.parametrize("provider_on", [True, False])
     def test_mixed_grids(self, provider_on):
-        """A batch may mix grids (it then merges as objects); a pair or
-        a MAX group that mixes them raises GridMismatchError."""
+        """A batch may mix grids (each result keeps its own); a pair or
+        a MAX group that mixes them, raw ADDs included, raises
+        GridMismatchError."""
         a = DiscretePDF(2.0, 0, np.ones(4))
         b = DiscretePDF(4.0, 0, np.ones(4))
         with pytest.raises(GridMismatchError):
             convolve_many([(a, b)], defer=True)
         with provider(provider_on):
             adds = convolve_many([(a, a), (b, b)], defer=True)
-            assert adds.dt is None
-            aa, bb = stat_max_groups([[0], [1]], adds=adds)
+            aa, bb, ab = stat_max_groups(
+                [[0], [1], [a, convolve(a, a)]], adds=adds
+            )
             assert same(aa, convolve(a, a)) and same(bb, convolve(b, b))
+            assert same(ab, stat_max(a, convolve(a, a)))
             with pytest.raises(GridMismatchError):
                 stat_max_groups([[0, 1]], adds=convolve_many(
                     [(a, a), (b, b)], defer=True))
@@ -264,7 +268,8 @@ class TestNoAddObjects:
     def test_cache_off_c880_pass_builds_no_add_result(self, monkeypatch):
         """A cache-off pass defers every ADD batch and never builds one:
         one merge call per level with gate arcs makes the node results,
-        bitwise those of the object composition."""
+        bitwise those of the object composition, and a level that only
+        merges finished arrivals makes one with no raws."""
         from repro.timing import ssta
 
         circuit = load("c880")
@@ -305,9 +310,18 @@ class TestNoAddObjects:
                    for node in graph.nodes_at_level(level)
                    for edge in graph.fanin_edges(node))
         )
+        # A level without gate arcs that still merges (the sink's MAX
+        # over virtual arcs) makes a merge call with no raw ADDs.
+        levels_merging = sum(
+            1 for level in range(1, graph.max_level + 1)
+            if any(len(edges) > 1 or any(e.gate is not None for e in edges)
+                   for edges in map(graph.fanin_edges,
+                                    graph.nodes_at_level(level)))
+        )
         assert batches == [True] * levels_with_arcs
         assert built == []
-        assert len(merges) == levels_with_arcs
+        assert sum(1 for n in merges if n) == levels_with_arcs
+        assert len(merges) == levels_merging > levels_with_arcs
         assert all(same(p, q) for p, q in
                    zip(result.arrivals, expected.arrivals))
 
