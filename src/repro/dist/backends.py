@@ -49,11 +49,11 @@ stand up its C library, and degrade to the pure-NumPy numerics above
   FFT backend (``scripts/bench_dist.py`` records the measured
   compiled↔fft crossover next to the direct↔fft one).
 
-A backend only convolves.  Result construction (normalize and trim),
-the grouped MAX sweep and the Theorem-4 gap run in the compiled tier
-for *every* backend, bitwise the NumPy code they replace (see
-:mod:`repro.dist.ops`), so the compiled backends differ from
-``direct`` only in how they convolve.
+A backend only convolves.  Result construction (normalize and trim)
+and the MAX, both through the level merge, and the Theorem-4 gap run
+in the compiled tier for *every* backend, bitwise the NumPy code they
+replace (see :mod:`repro.dist.ops`), so the compiled backends differ
+from ``direct`` only in how they convolve.
 
 Backends are deterministic and carry no *semantic* state: the same
 operand pair always takes the same path and produces the same bits
