@@ -17,8 +17,8 @@ costs one foreign call:
   the reversed shorter operand, the left ramp, middle and right ramp,
   and the small-kernel path for a shorter operand of at most 11 bins)
   and calls the same BLAS ``ddot`` numpy calls, so it gives numpy's bits
-  under whichever ``ddot`` kernel the CPU selected.  The level scheduler
-  sends it every pair its backend would hand to ``np.convolve``.
+  under whichever ``ddot`` kernel the CPU selected.  The ``direct``
+  backend runs every batch through it (``auto`` its direct-side pairs).
 * **level merge** — every ADD and MAX result is constructed here, under
   every backend.  One call builds a batch's raw ADD outputs
   (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``: normalize,
@@ -957,27 +957,54 @@ class _CProvider:
         return _Rows(OUT, olen)
 
     # -- the ADD ---------------------------------------------------------
-    def add_many(self, operands: Sequence, ia: Sequence,
-                 ib: Sequence) -> "_Rows":
-        """``np.convolve(operands[ia[p]], operands[ib[p]])`` per pair
-        ``p``, bitwise, through one foreign call: the rows back to back
-        in one buffer.  Each operand is packed once, however many pairs
-        read it.  Only valid while :attr:`add_ok`."""
-        olen = _lengths(operands)
-        ia = np.array(ia, dtype=np.int64)
-        ib = np.array(ib, dtype=np.int64)
-        rlen = olen[ia] + olen[ib] - 1
-        OUT = np.empty(int(rlen.sum()))
+    def add_many(self, pairs: Sequence) -> "_Rows":
+        """``np.convolve(a, b)`` per pair ``(a, b)``, bitwise, through
+        one foreign call: the rows back to back in one buffer.  Each
+        distinct operand (by identity) is packed once, however many
+        pairs read it.  Only valid while :attr:`add_ok`."""
+        # The caller's pairs hold every operand, so no id is reused
+        # while ``index`` lives.
+        index: dict = {}
+        operands = []
+        ia = []
+        ib = []
+        rlen = []
+        for a, b in pairs:
+            key = id(a)
+            x = index.get(key)
+            if x is None:
+                x = index[key] = len(operands)
+                operands.append(a)
+            key = id(b)
+            y = index.get(key)
+            if y is None:
+                y = index[key] = len(operands)
+                operands.append(b)
+            ia.append(x)
+            ib.append(y)
+            rlen.append(len(a) + len(b) - 1)
+        return self._add_batch(operands, ia, ib, rlen)
+
+    def _add_batch(self, operands: Sequence, ia: list, ib: list,
+                   rlen: list) -> "_Rows":
+        """Row ``p`` is ``np.convolve(operands[ia[p]],
+        operands[ib[p]])``.  ``rlen[p]`` must be its length, the sum of
+        the two operand lengths minus one: the kernel writes each row
+        into a buffer of ``sum(rlen)`` values, after checking the row's
+        two indices."""
+        OUT = np.empty(sum(rlen))
+        IA, IB, RLEN = np.array((ia, ib, rlen), dtype=np.int64)
         dbl, i64 = self._dbl, self._i64
         rc = self._lib.repro_add_batch(
-            self._ddot, self._ilp64, dbl(_packed(operands)), i64(olen),
-            len(operands), i64(ia), i64(ib), len(ia), dbl(OUT),
+            self._ddot, self._ilp64, dbl(_packed(operands)),
+            i64(_lengths(operands)), len(operands), i64(IA), i64(IB),
+            len(ia), dbl(OUT),
         )
         if rc == 1:
             raise MemoryError("ADD kernel could not allocate")
         if rc:
             raise IndexError("ADD operand index out of range")
-        return _Rows(OUT, rlen)
+        return _Rows(OUT, RLEN)
 
     # -- the level merge: every ADD and MAX result ----------------------
     def merge_level(
@@ -1191,7 +1218,8 @@ def _check_add(provider, rng) -> None:
     ia, ib = zip(*itertools.product(range(24), repeat=2))
     ia += (24, 25, 26, 27)
     ib += (25, 24, 27, 26)
-    rows = provider.add_many(operands, ia, ib)
+    rows = provider.add_many([(operands[i], operands[j])
+                              for i, j in zip(ia, ib)])
     for i, j, row in zip(ia, ib, rows):
         ref = np.convolve(operands[i], operands[j])
         if row.tobytes() != ref.tobytes():

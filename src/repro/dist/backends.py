@@ -13,7 +13,10 @@ through every call site, so one knob switches the whole analysis.
 Three backends ship:
 
 * :class:`DirectBackend` — ``np.convolve``.  Exact to the last ulp and
-  the reference every other backend is tested against.
+  the reference every other backend is tested against.  A batch runs
+  in the compiled tier's ADD kernel when the tier has it (``add_ok``):
+  ``np.convolve``'s bits in one foreign call.  Without it the batch is
+  an ``np.convolve`` loop, with the same bits.
 * :class:`FFTBackend` — real-FFT pointwise product, O(N log N).  FFT
   round-off can produce tiny negative ringing and lose a few ulp of
   mass, which would violate the :class:`~repro.dist.pdf.DiscretePDF`
@@ -22,7 +25,7 @@ Three backends ship:
   product before handing it over.  Its batched entry point is a plain
   loop: a stacked 2-D transform measured slower than the loop at the
   sizes ``auto`` sends to FFT (0.61x at 2049 bins, 0.39x at 8193).
-* :class:`AutoBackend` — per-call size dispatch between the two using a
+* :class:`AutoBackend` — per-pair size dispatch between the two using a
   calibrated cost model.  Direct costs ~``k_d * n_a * n_b`` multiplies;
   FFT costs ~``k_f * N log2 N`` with ``N = n_a + n_b - 1``.  The
   measured ratio ``k_f / k_d`` on the benchmark machine is ~25
@@ -34,7 +37,8 @@ Three backends ship:
   reproducibility guarantee on ordinary grids.  The formula depends on
   the pair only through ``n_out`` and the product, so the output length
   below which every split goes direct (994 bins at ratio 25) is worked
-  out once per instance; shorter pairs skip the formula.
+  out once per instance; shorter pairs skip the formula.  A batch makes
+  one call per side, so its direct-side pairs take the ADD kernel too.
 
 Two more ship when the compiled tier (:mod:`repro.dist._compiled`) can
 stand up its C library, and degrade to the pure-NumPy numerics above
@@ -44,7 +48,7 @@ stand up its C library, and degrade to the pure-NumPy numerics above
   inner loop.  Raw convolutions sit in the same 1e-12-TV equivalence
   class as ``fft`` (sequential instead of pairwise accumulation).
   Degraded, it *is* ``direct``, bit for bit.
-* :class:`CompiledAutoBackend` — the ``auto`` cost model with the
+* :class:`CompiledAutoBackend` — the ``auto`` dispatch with the
   compiled kernel on the direct side, re-calibrated against the same
   FFT backend (``scripts/bench_dist.py`` records the measured
   compiled↔fft crossover next to the direct↔fft one).
@@ -65,23 +69,14 @@ both sizers resolve the same backend from the same config.
 
 from __future__ import annotations
 
-import sys
 import weakref
-from typing import Sequence, Union
+from typing import Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
 from ..config import KNOWN_BACKENDS
 from ..errors import DistributionError
-
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from . import _compiled
 
 __all__ = [
     "ConvolutionBackend",
@@ -94,7 +89,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "is_registry_backend",
-    "np_convolve_below",
     "AUTO_COST_RATIO",
     "EQUAL_SIZE_CROSSOVER_BINS",
     "COMPILED_AUTO_COST_RATIO",
@@ -129,7 +123,7 @@ class ConvolutionBackend(Protocol):
         """Linear convolution of ``a`` and ``b`` (1-D, non-negative)."""
         ...
 
-    def convolve_many(self, pairs: Sequence) -> list:
+    def convolve_many(self, pairs: Sequence) -> Sequence:
         """Batched linear convolution of ``(a, b)`` operand pairs.
 
         Returns one output vector per pair, in order, each honoring
@@ -139,8 +133,9 @@ class ConvolutionBackend(Protocol):
         cache keys entries by operand content and offsets, never by the
         call that computed them, so this is what keeps cached batches
         of any composition interchangeable.  Backends are free to
-        amortize work across pairs under that constraint (the compiled
-        backend convolves a whole batch in one foreign call);
+        amortize work across pairs under that constraint (the direct
+        and compiled backends convolve a whole batch in one foreign
+        call);
         third-party backends may omit this method — the kernel layer
         falls back to a :meth:`convolve_masses` loop.  An empty batch
         returns ``[]``
@@ -152,23 +147,21 @@ class ConvolutionBackend(Protocol):
 
 
 class DirectBackend:
-    """O(n*m) ``np.convolve`` — the exact reference kernel.
-
-    :func:`~repro.dist.ops.convolve_many` runs this backend's pairs in
-    the compiled tier's ADD kernel when it is available
-    (:func:`np_convolve_below`): bitwise ``np.convolve``, in one foreign
-    call per batch.  This class's own methods stay the ``np.convolve``
-    loop.
-    """
+    """O(n*m) ``np.convolve`` — the exact reference kernel."""
 
     name = "direct"
 
     def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.convolve(a, b)
 
-    def convolve_many(self, pairs: Sequence) -> list:
-        """Loop fallback: per-pair results are bitwise identical to
-        :meth:`convolve_masses`, whatever the batch composition."""
+    def convolve_many(self, pairs: Sequence) -> Sequence:
+        """The compiled tier's ADD kernel when it passed its self-check
+        (``add_ok``): bitwise ``np.convolve``, one foreign call per
+        batch, its rows in one buffer the level merge reads as it is.
+        Otherwise the ``np.convolve`` loop, with the same bits."""
+        p = _compiled.get_provider()
+        if pairs and p is not None and p.add_ok:
+            return p.add_many(pairs)
         return [np.convolve(a, b) for a, b in pairs]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -320,10 +313,8 @@ class AutoBackend:
         ``N log2 N`` over direct cost per multiply.  Larger values
         favor direct longer.
 
-    :func:`~repro.dist.ops.convolve_many` runs the pairs within
-    :attr:`direct_below` in the compiled tier's ADD kernel when it is
-    available (:func:`np_convolve_below`), bitwise the ``np.convolve``
-    this class would call; longer pairs keep the per-pair dispatch.
+    ``_direct`` is the direct-side kernel (:class:`DirectBackend`
+    here); :class:`CompiledAutoBackend` swaps in the compiled one.
     """
 
     name = "auto"
@@ -344,49 +335,47 @@ class AutoBackend:
         self._fft = _FFT
 
     def chooses(self, n_a: int, n_b: int) -> str:
-        """Name of the kernel this operand pair dispatches to."""
+        """Name of the kernel this operand pair dispatches to: the
+        direct side's or ``"fft"``."""
         n_out = n_a + n_b - 1
         if n_out < self.direct_below:
-            return "direct"
+            return self._direct.name
         fft_cost = self.cost_ratio * n_out * np.log2(n_out + 1)
-        return "direct" if n_a * n_b <= fft_cost else "fft"
+        return self._direct.name if n_a * n_b <= fft_cost else "fft"
 
     def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.chooses(a.size, b.size) == "direct":
-            return self._direct.convolve_masses(a, b)
-        return self._fft.convolve_masses(a, b)
+        if self.chooses(a.size, b.size) == "fft":
+            return self._fft.convolve_masses(a, b)
+        return self._direct.convolve_masses(a, b)
 
-    def convolve_many(self, pairs: Sequence) -> list:
-        """Per-pair dispatch by the cost model: below-crossover pairs
-        run the direct kernel (bitwise the sequential path — the
-        property the default config's reproducibility rests on), the
-        rest the FFT kernel.  Pairs shorter than :attr:`direct_below`
-        go straight to ``np.convolve``."""
+    def convolve_many(self, pairs: Sequence) -> Sequence:
+        """Per-pair dispatch by the cost model, one batch per side:
+        the direct-side pairs (bitwise the sequential path — the
+        property the default config's reproducibility rests on) in one
+        call to the direct kernel, the rest in one call to the FFT
+        kernel.  Pairs shorter
+        than :attr:`direct_below` skip the cost formula.  A batch with
+        no FFT-side pair returns the direct kernel's rows as they are,
+        so the level merge reads them packed."""
         bound = self.direct_below
-        return [
-            np.convolve(a, b) if a.size + b.size <= bound
-            else self.convolve_masses(a, b)
-            for a, b in pairs
+        fft = [
+            i for i, (a, b) in enumerate(pairs)
+            if a.size + b.size > bound
+            and self.chooses(a.size, b.size) == "fft"
         ]
+        if not fft:
+            return self._direct.convolve_many(pairs)
+        on_fft = set(fft)
+        direct = [i for i in range(len(pairs)) if i not in on_fft]
+        out: list = [None] * len(pairs)
+        for idx, kernel in ((direct, self._direct), (fft, self._fft)):
+            rows = kernel.convolve_many([pairs[i] for i in idx])
+            for i, row in zip(idx, rows):
+                out[i] = row
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AutoBackend(cost_ratio={self.cost_ratio:g})"
-
-
-def np_convolve_below(kernel) -> int:
-    """The largest ``a.size + b.size`` of a pair that ``kernel`` always
-    hands to ``np.convolve``: every pair under :class:`DirectBackend`,
-    the pairs within :attr:`AutoBackend.direct_below` under an
-    :class:`AutoBackend`, and none (0) under any other backend, a
-    subclass included.
-
-    :func:`~repro.dist.ops.convolve_many` sends these pairs to the
-    compiled tier's ADD kernel, which gives ``np.convolve``'s bits."""
-    if type(kernel) is DirectBackend:
-        return sys.maxsize
-    if type(kernel) is AutoBackend:
-        return kernel.direct_below
-    return 0
+        return f"{type(self).__name__}(cost_ratio={self.cost_ratio:g})"
 
 
 class CompiledBackend:
@@ -406,8 +395,6 @@ class CompiledBackend:
 
     @staticmethod
     def _provider():
-        from . import _compiled
-
         p = _compiled.get_provider()
         if p is None:
             _compiled.warn_degraded_once()
@@ -429,9 +416,7 @@ class CompiledBackend:
         return p.conv_many(pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from ._compiled import provider_kind
-
-        return f"CompiledBackend(provider={provider_kind()!r})"
+        return f"CompiledBackend(provider={_compiled.provider_kind()!r})"
 
 
 #: Calibrated ``k_f / k_d`` for the compiled-auto dispatch.  The
@@ -447,65 +432,19 @@ COMPILED_AUTO_COST_RATIO: float = 50.0
 COMPILED_EQUAL_SIZE_CROSSOVER_BINS: int = 1024
 
 
-class CompiledAutoBackend:
-    """The :class:`AutoBackend` cost model with the compiled kernel on
-    the direct side.
-
-    Convolutions dispatch between :class:`CompiledBackend` and the
-    shared :class:`FFTBackend` singleton (same transform memo as
-    explicit ``fft``) under a re-calibrated cost ratio.  Degraded it is
-    the stock auto dispatch: NumPy direct below the crossover, FFT
-    above.
+class CompiledAutoBackend(AutoBackend):
+    """The :class:`AutoBackend` dispatch with the compiled kernel on
+    the direct side, under a re-calibrated cost ratio (the FFT side is
+    the shared :class:`FFTBackend` singleton, same transform memo as
+    explicit ``fft``).  Degraded it is the stock auto dispatch: NumPy
+    direct below the crossover, FFT above.
     """
 
     name = "compiled-auto"
 
     def __init__(self, cost_ratio: float = COMPILED_AUTO_COST_RATIO) -> None:
-        if cost_ratio <= 0.0:
-            raise DistributionError(
-                f"cost_ratio must be positive, got {cost_ratio}"
-            )
-        self.cost_ratio = cost_ratio
-        self._compiled = _COMPILED
-        self._fft = _FFT
-
-    def chooses(self, n_a: int, n_b: int) -> str:
-        """``"compiled"`` or ``"fft"`` for this operand pair."""
-        n_out = n_a + n_b - 1
-        fft_cost = self.cost_ratio * n_out * np.log2(n_out + 1)
-        return "compiled" if n_a * n_b <= fft_cost else "fft"
-
-    def convolve_masses(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.chooses(a.size, b.size) == "compiled":
-            return self._compiled.convolve_masses(a, b)
-        return self._fft.convolve_masses(a, b)
-
-    def convolve_many(self, pairs: Sequence) -> list:
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        out: list = [None] * len(pairs)
-        comp_idx: list = []
-        fft_idx: list = []
-        for i, (a, b) in enumerate(pairs):
-            if self.chooses(a.size, b.size) == "compiled":
-                comp_idx.append(i)
-            else:
-                fft_idx.append(i)
-        if comp_idx:
-            batched = self._compiled.convolve_many(
-                [pairs[i] for i in comp_idx]
-            )
-            for i, res in zip(comp_idx, batched):
-                out[i] = res
-        if fft_idx:
-            batched = self._fft.convolve_many([pairs[i] for i in fft_idx])
-            for i, res in zip(fft_idx, batched):
-                out[i] = res
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompiledAutoBackend(cost_ratio={self.cost_ratio:g})"
+        super().__init__(cost_ratio)
+        self._direct = _COMPILED
 
 
 #: Shared compiled singleton — compiled-auto routes its direct-side

@@ -33,6 +33,8 @@ direct kernel below the crossover.  The MAX kernels accept the same
 argument for call-site uniformity (engines thread one backend choice
 through every operation); the independence max is a CDF product, not a
 convolution, so its numerics are backend-invariant by construction.
+Which kernel convolves a pair is the backend's choice alone (its
+``convolve_many``); this module never asks which backend it holds.
 
 The kernels are memo-free: every request is computed, except that a
 batch convolves an (arrival, delay) object pair it holds twice only
@@ -66,7 +68,7 @@ import numpy as np
 
 from ..errors import DistributionError, GridMismatchError
 from . import _compiled
-from .backends import BackendLike, get_backend, np_convolve_below
+from .backends import BackendLike, get_backend
 from .pdf import DiscretePDF
 
 __all__ = [
@@ -291,15 +293,11 @@ def convolve_many(
     requested, which the level scheduler and the sequential walk agree
     on whatever the batch composition.
 
-    Every distinct pair the backend would hand to ``np.convolve``
-    (:func:`~repro.dist.backends.np_convolve_below`: all of them under
-    ``direct``, those of at most 994 bins together under ``auto``) goes
-    instead to the compiled tier's ADD kernel, which is bitwise
-    ``np.convolve``: the loop that dedupes the pairs also indexes their
-    distinct operands, and one foreign call convolves them all into one
-    buffer that the level merge reads as it is.  The other
-    pairs go to the backend.  Without the kernel (``add_ok`` cleared,
-    or no provider) every pair goes to the backend, with the same bits.
+    The distinct pairs go to the backend in one ``convolve_many`` call,
+    which picks the kernel per pair (under ``direct`` and ``auto`` the
+    compiled tier's ADD kernel takes every pair ``np.convolve`` would,
+    with its bits, in one foreign call whose rows the level merge reads
+    as they are).
 
     With ``defer`` the results come back unconstructed, as one
     :class:`DeferredAdds`: the level scheduler passes them to
@@ -311,22 +309,12 @@ def convolve_many(
     if not pairs:
         return []
     kernel = get_backend(backend)
-    p = _compiled.get_provider()
-    below = np_convolve_below(kernel) if p is not None and p.add_ok else 0
     # The caller's pairs hold every operand, so no id is reused while
-    # ``index`` and ``operand_index`` live.
+    # ``index`` lives.
     index: dict = {}
     distinct = []
+    batch = []
     slots = []
-    # The ADD kernel's distinct pairs (``fast``; the backend's are
-    # ``rest``): their distinct operands, and each pair's two operand
-    # indices.
-    operand_index: dict = {}
-    operands = []
-    ia = []
-    ib = []
-    fast = []
-    rest = []
     for pair in pairs:
         a, b = pair
         if a.dt != b.dt:
@@ -336,41 +324,14 @@ def convolve_many(
         if j is None:
             j = index[key] = len(distinct)
             distinct.append(pair)
-            am = a.masses
-            bm = b.masses
-            if am.size + bm.size <= below:
-                x = operand_index.get(key[0])
-                if x is None:
-                    x = operand_index[key[0]] = len(operands)
-                    operands.append(am)
-                y = operand_index.get(key[1])
-                if y is None:
-                    y = operand_index[key[1]] = len(operands)
-                    operands.append(bm)
-                ia.append(x)
-                ib.append(y)
-                fast.append(j)
-            else:
-                rest.append(j)
+            batch.append((a.masses, b.masses))
         slots.append(j)
     if counter is not None:
         counter.convolutions += len(slots)
-    if not rest:
-        raws = p.add_many(operands, ia, ib)
+    if callable(getattr(kernel, "convolve_many", None)):
+        raws = kernel.convolve_many(batch)
     else:
-        batch = [(distinct[j][0].masses, distinct[j][1].masses)
-                 for j in rest]
-        if callable(getattr(kernel, "convolve_many", None)):
-            raws = kernel.convolve_many(batch)
-        else:
-            raws = [kernel.convolve_masses(a, b) for a, b in batch]
-        if fast:
-            merged: list = [None] * len(distinct)
-            for j, raw in zip(rest, raws):
-                merged[j] = raw
-            for j, raw in zip(fast, p.add_many(operands, ia, ib)):
-                merged[j] = raw
-            raws = merged
+        raws = [kernel.convolve_masses(a, b) for a, b in batch]
     adds = DeferredAdds(
         raws,
         [a.dt for a, _b in distinct],

@@ -71,7 +71,7 @@ from ..config import (
 )
 from ..errors import ReproError, ServiceError
 from .protocol import PROTOCOL_VERSION, overload_body
-from .state import ServiceState
+from .state import ServiceState, _quantile
 
 __all__ = ["AnalysisServer", "OverloadStats", "start_server", "serve"]
 
@@ -81,15 +81,6 @@ _QUEUE_WAIT_WINDOW = 8192
 #: Pool-thread stop marker (placed on the work queue *behind* every
 #: admitted request, so draining never drops accepted work).
 _SENTINEL = object()
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile of a non-empty sorted sample."""
-    idx = min(
-        len(sorted_values) - 1,
-        max(0, int(round(q * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[idx]
 
 
 class OverloadStats:

@@ -153,6 +153,15 @@ class _ResidentCircuit:
         self.last_used = now
 
 
+def _quantile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank quantile of a non-empty sorted sample."""
+    idx = min(
+        len(sorted_values) - 1,
+        max(0, int(round(q * (len(sorted_values) - 1)))),
+    )
+    return sorted_values[idx]
+
+
 def _config_signature(config: AnalysisConfig) -> tuple:
     """Everything a resident delay model's numerics depend on (the
     cache is a bitwise-transparent knob)."""
@@ -506,15 +515,6 @@ class ServiceState:
                 self._request_counts.get(endpoint, 0) + 1
             )
 
-    @staticmethod
-    def _quantile(sorted_values: List[float], q: float) -> float:
-        """Nearest-rank quantile of a non-empty sorted sample."""
-        idx = min(
-            len(sorted_values) - 1,
-            max(0, int(round(q * (len(sorted_values) - 1)))),
-        )
-        return sorted_values[idx]
-
     def stats(self) -> dict:
         """Aggregate service statistics (the /stats payload)."""
         hits, misses, evictions = self.cache.stats.snapshot()
@@ -535,8 +535,8 @@ class ServiceState:
                 values = sorted(bucket)
                 latency[endpoint] = {
                     "count": self._request_counts.get(endpoint, 0),
-                    "p50_ms": self._quantile(values, 0.50) * 1e3,
-                    "p99_ms": self._quantile(values, 0.99) * 1e3,
+                    "p50_ms": _quantile(values, 0.50) * 1e3,
+                    "p99_ms": _quantile(values, 0.99) * 1e3,
                 }
         requests = hits + misses
         return {

@@ -20,11 +20,6 @@ from .criticality import (
     node_criticality,
     run_backward_ssta,
 )
-from .correlation import (
-    GridPlacement,
-    QuadTreeCorrelation,
-    run_monte_carlo_correlated,
-)
 from .incremental import update_ssta_after_resize
 from .sta import STAResult, run_sta
 from .yield_analysis import (
@@ -61,9 +56,6 @@ __all__ = [
     "k_longest_paths",
     "wall_metric",
     "update_ssta_after_resize",
-    "GridPlacement",
-    "QuadTreeCorrelation",
-    "run_monte_carlo_correlated",
     "BackwardSSTAResult",
     "run_backward_ssta",
     "node_criticality",

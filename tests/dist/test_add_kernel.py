@@ -31,7 +31,7 @@ from hypothesis import given, settings
 
 from repro.config import AnalysisConfig
 from repro.dist import _compiled
-from repro.dist.backends import AutoBackend, np_convolve_below
+from repro.dist.backends import get_backend
 from repro.dist.ops import OpCounter, convolve_many
 from repro.dist.pdf import DiscretePDF
 from repro.netlist.benchmarks import load
@@ -63,8 +63,12 @@ def _masses(rng, n: int, shape: str) -> np.ndarray:
     return m
 
 
+def _pairs(operands, ia, ib) -> list:
+    return [(operands[i], operands[j]) for i, j in zip(ia, ib)]
+
+
 def _rows_equal(operands, ia, ib) -> bool:
-    rows = PROVIDER.add_many(operands, ia, ib)
+    rows = PROVIDER.add_many(_pairs(operands, ia, ib))
     return all(
         row.tobytes() == np.convolve(operands[i], operands[j]).tobytes()
         for i, j, row in zip(ia, ib, rows)
@@ -122,13 +126,15 @@ class TestAddKernel:
     def test_rows_back_to_back(self):
         rng = np.random.default_rng(3)
         operands = [rng.random(n) for n in (5, 40, 1)]
-        rows = PROVIDER.add_many(operands, [0, 1, 2], [1, 1, 0])
+        rows = PROVIDER.add_many(_pairs(operands, [0, 1, 2], [1, 1, 0]))
         assert list(rows.lengths) == [44, 79, 5]
         assert rows.buffer.size == 44 + 79 + 5
 
     def test_bad_operand_index_raises(self):
+        # ``add_many`` indexes its own operands; the kernel still
+        # range-checks every index it is given.
         with pytest.raises(IndexError):
-            PROVIDER.add_many([np.ones(3)], [0], [-1])
+            PROVIDER._add_batch([np.ones(3)], [0], [-1], [5])  # noqa: SLF001
 
 
 @needs_add
@@ -141,15 +147,15 @@ def test_threads_match_serial():
         operands = [rng.random(int(n)) for n in rng.integers(1, 300, 9)]
         ia, ib = zip(*((int(i), int(j)) for i, j in
                        rng.integers(0, 9, (20, 2))))
-        batches.append((operands, ia, ib))
-    serial = [PROVIDER.add_many(*batch).buffer.tobytes() for batch in batches]
+        batches.append(_pairs(operands, ia, ib))
+    serial = [PROVIDER.add_many(batch).buffer.tobytes() for batch in batches]
     results = [None] * len(batches)
     barrier = threading.Barrier(len(batches))
 
     def run(k):
         barrier.wait()
         for _ in range(10):
-            results[k] = PROVIDER.add_many(*batches[k]).buffer.tobytes()
+            results[k] = PROVIDER.add_many(batches[k]).buffer.tobytes()
 
     threads = [threading.Thread(target=run, args=(k,))
                for k in range(len(batches))]
@@ -161,12 +167,23 @@ def test_threads_match_serial():
 
 
 @needs_add
-def test_batch_routes_pairs_by_the_backend_bound():
-    """Under ``auto`` the pairs within the direct bound go to the ADD
-    kernel and the rest to the backend; every result and the tally
-    equal the per-pair ``np.convolve`` path."""
-    auto = AutoBackend()
-    assert np_convolve_below(auto) == auto.direct_below == 994
+def test_batch_routes_pairs_by_the_backend_bound(monkeypatch):
+    """The ADD kernel gets exactly the distinct pairs ``auto`` sends
+    to its direct side (an above-bound asymmetric pair among them) and
+    every distinct pair under ``direct``; every row is bitwise
+    ``np.convolve``, the FFT-side rows are the FFT backend's, and the
+    tally counts every requested pair."""
+    seen = []
+    real = PROVIDER.add_many
+
+    def spy(pairs):
+        rows = real(pairs)
+        seen.append(list(zip(pairs, rows)))
+        return rows
+
+    monkeypatch.setattr(PROVIDER, "add_many", spy)
+    auto = get_backend("auto")
+    assert auto.direct_below == 994
     rng = np.random.default_rng(8)
     pdfs = [
         DiscretePDF(2.0, int(rng.integers(-5, 5)), rng.random(n) + 1e-6)
@@ -174,19 +191,35 @@ def test_batch_routes_pairs_by_the_backend_bound():
     ]
     pairs = [(pdfs[i], pdfs[j]) for i, j in
              ((0, 1), (2, 3), (3, 2), (4, 4), (0, 4), (1, 0), (0, 1))]
-    for backend in ("auto", "direct"):
+    distinct = pairs[:-1]
+    direct_side = [(a, b) for a, b in distinct
+                   if auto.chooses(a.n_bins, b.n_bins) == "direct"]
+    # (3, 12), (3, 2000) above the bound, and (12, 3).
+    assert [(a.n_bins, b.n_bins) for a, b in direct_side] == [
+        (3, 12), (3, 2000), (12, 3)
+    ]
+    for backend, expected in (("auto", direct_side), ("direct", distinct)):
+        del seen[:]
         counter = OpCounter()
         got = convolve_many(pairs, trim_eps=1e-9, counter=counter,
                             backend=backend)
         assert counter.convolutions == len(pairs)
         assert got[0] is got[-1]
+        (call,) = seen
+        assert [(id(a.masses), id(b.masses)) for a, b in expected] == [
+            (id(a), id(b)) for (a, b), _row in call
+        ]
+        for (a, b), row in call:
+            assert row.tobytes() == np.convolve(a, b).tobytes()
+        on_kernel = {(id(a), id(b)) for a, b in expected}
         for (a, b), res in zip(pairs, got):
-            if backend == "auto" and a.n_bins + b.n_bins > 994:
-                ref = convolve_many([(a, b)], trim_eps=1e-9, backend=auto)[0]
+            if (id(a), id(b)) in on_kernel:
+                raw = np.convolve(a.masses, b.masses)
             else:
-                ref = DiscretePDF._trusted(  # noqa: SLF001
-                    2.0, a.offset + b.offset, np.convolve(a.masses, b.masses)
-                ).trimmed(1e-9)
+                raw = get_backend("fft").convolve_masses(a.masses, b.masses)
+            ref = DiscretePDF._trusted(  # noqa: SLF001
+                2.0, a.offset + b.offset, raw
+            ).trimmed(1e-9)
             assert res.offset == ref.offset
             assert res.masses.tobytes() == ref.masses.tobytes()
 
@@ -249,7 +282,7 @@ pairs = list(itertools.product(range(24), repeat=2))
 pairs += [tuple(int(i) for i in rng.integers(0, len(operands), 2))
           for _ in range(300)]
 ia, ib = zip(*pairs)
-rows = p.add_many(operands, ia, ib)
+rows = p.add_many([(operands[i], operands[j]) for i, j in zip(ia, ib)])
 bad = sum(row.tobytes() != np.convolve(operands[i], operands[j]).tobytes()
           for i, j, row in zip(ia, ib, rows))
 print(json.dumps({"add_ok": p.add_ok, "pairs": len(pairs), "bad": bad}))

@@ -202,7 +202,7 @@ class TestAutoBackend:
     def test_direct_bound_at_default_ratio(self):
         assert AutoBackend().direct_below == 994
 
-    @pytest.mark.parametrize("cost_ratio", [25.0, 7.5])
+    @pytest.mark.parametrize("cost_ratio", [25.0, 7.5, 50.0])
     def test_chooses_equals_cost_formula_across_bound(self, cost_ratio):
         # The short-pair fast path must pick exactly what the formula
         # picks, on every split whose output length crosses the bound.
@@ -224,22 +224,23 @@ class TestAutoBackend:
                 flips += expected == "fft"
         assert flips  # the grid reaches the FFT side
 
-    def test_convolve_many_kernel_per_pair(self):
+    @pytest.mark.parametrize("name", ["auto", "compiled-auto"])
+    def test_convolve_many_kernel_per_pair(self, name):
         # Pairs on both sides of the bound: every row is bitwise the
         # kernel chooses() names for it.
         rng = np.random.default_rng(3)
-        auto = AutoBackend()
+        auto = get_backend(name)
         pairs = [
             (rng.random(n_a), rng.random(n_b))
             for n_a, n_b in [(1, 8), (496, 497), (497, 497), (498, 498),
-                             (600, 600), (3, 2000)]
+                             (600, 600), (3, 2000), (1111, 1111),
+                             (1112, 1112), (1200, 1200)]
         ]
-        for (a, b), row in zip(pairs, auto.convolve_many(pairs)):
-            if auto.chooses(a.size, b.size) == "direct":
-                expected = np.convolve(a, b)
-            else:
-                expected = FFTBackend().convolve_masses(a, b)
-            assert np.array_equal(row, expected)
+        rows = auto.convolve_many(pairs)
+        assert len(rows) == len(pairs)
+        for (a, b), row in zip(pairs, rows):
+            kernel = get_backend(auto.chooses(a.size, b.size))
+            assert np.array_equal(row, kernel.convolve_masses(a, b))
 
 
 class TestBackendRegistry:

@@ -449,7 +449,7 @@ class TestRegistryCompat:
 
     def test_compiled_auto_shares_the_compiled_singleton(self):
         ca = get_backend("compiled-auto")
-        assert ca._compiled is get_backend("compiled")  # noqa: SLF001
+        assert ca._direct is get_backend("compiled")  # noqa: SLF001
 
     def test_cache_snapshot_roundtrip_under_compiled(self, tmp_path):
         cache = ConvolutionCache(64)
@@ -501,9 +501,9 @@ class TestRegistryCompat:
 @pytest.fixture
 def miss_spy(monkeypatch):
     """Record, in call order, every batched convolution of the
-    backends under test and of the provider's ADD kernel (which runs
-    ``auto``'s ``np.convolve`` pairs), and every level-merge call of
-    the provider (recording the raw ADDs it builds)."""
+    backends under test (``auto`` runs its direct-side pairs through
+    the provider's ADD kernel inside that call), and every level-merge
+    call of the provider (recording the raw ADDs it builds)."""
     events = []
     for name in ("auto", "compiled"):
         kernel = get_backend(name)
@@ -515,13 +515,6 @@ def miss_spy(monkeypatch):
 
         monkeypatch.setattr(kernel, "convolve_many", spy_conv)
     provider = _compiled.get_provider()
-    add_many = provider.add_many
-
-    def spy_add(operands, ia, ib):
-        events.append(("conv", len(ia)))
-        return add_many(operands, ia, ib)
-
-    monkeypatch.setattr(provider, "add_many", spy_add)
     merge = provider.merge_level
 
     def spy_merge(raws, *args):

@@ -50,4 +50,3 @@ class TestExamples:
         assert "multi-gate sizing" in out
         assert "heuristic-vs-exact" in out
         assert "bitwise identical: True" in out
-        assert "rho=0.9" in out
