@@ -436,8 +436,8 @@ class CompiledAutoBackend(AutoBackend):
     """The :class:`AutoBackend` dispatch with the compiled kernel on
     the direct side, under a re-calibrated cost ratio (the FFT side is
     the shared :class:`FFTBackend` singleton, same transform memo as
-    explicit ``fft``).  Degraded it is the stock auto dispatch: NumPy
-    direct below the crossover, FFT above.
+    explicit ``fft``).  Degraded, its direct side is the NumPy
+    ``np.convolve``, at the same crossover.
     """
 
     name = "compiled-auto"
