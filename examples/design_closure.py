@@ -10,7 +10,10 @@ experiments and exercises every extension this library adds:
 2. cross-check the approximate *heuristic* optimizer (the paper's
    stated future work) against the exact one — quality vs speed;
 3. track timing through the run with *incremental SSTA* instead of
-   full re-analysis — bitwise-identical arrivals, fraction of the work.
+   full re-analysis — bitwise-identical arrivals, fraction of the work;
+4. stress the signed-off design under *spatially correlated* variation
+   (quad-tree model), which the paper's independence assumption
+   ignores, and report the yield impact.
 
 Run:  python examples/design_closure.py [circuit] [scale]
 """
@@ -22,6 +25,7 @@ import numpy as np
 
 import repro
 from repro.config import AnalysisConfig
+from repro.timing.correlation import QuadTreeCorrelation, run_monte_carlo_correlated
 from repro.timing.incremental import update_ssta_after_resize
 
 CFG = AnalysisConfig(dt=4.0, delta_w=1.0)
@@ -90,6 +94,25 @@ def main() -> None:
     print(f"  3 ECOs re-timed incrementally: {recomputed} node updates, "
           f"{t_inc:.2f}s vs {t_full:.2f}s per full pass "
           f"(bitwise identical: {same})")
+
+    # ------------------------------------------------------------------
+    # 4. Correlation stress: what the independence assumption hides
+    # ------------------------------------------------------------------
+    print("\nspatial-correlation stress (quad-tree model):")
+    sink = full.sink_pdf
+    target = sink.percentile(0.99)
+    for rho in (0.0, 0.3, 0.6, 0.9):
+        mc = run_monte_carlo_correlated(
+            graph, model, QuadTreeCorrelation(levels=3, rho=rho),
+            n_samples=4000, seed=11,
+        )
+        y = repro.timing_yield(mc, target)
+        print(f"  rho={rho:.1f}: sigma {mc.std():6.1f} ps, 99% "
+              f"{mc.percentile(0.99):8.1f} ps, yield at bound target "
+              f"{100 * y:5.1f}%")
+    print("\n(correlation inflates the circuit-delay sigma and pushes the "
+          "true 99% past the independence-based bound — the quantitative "
+          "reason the paper lists correlation modeling as future work)")
 
 
 if __name__ == "__main__":

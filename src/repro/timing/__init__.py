@@ -20,6 +20,11 @@ from .criticality import (
     node_criticality,
     run_backward_ssta,
 )
+from .correlation import (
+    GridPlacement,
+    QuadTreeCorrelation,
+    run_monte_carlo_correlated,
+)
 from .incremental import update_ssta_after_resize
 from .sta import STAResult, run_sta
 from .yield_analysis import (
@@ -56,6 +61,9 @@ __all__ = [
     "k_longest_paths",
     "wall_metric",
     "update_ssta_after_resize",
+    "GridPlacement",
+    "QuadTreeCorrelation",
+    "run_monte_carlo_correlated",
     "BackwardSSTAResult",
     "run_backward_ssta",
     "node_criticality",

@@ -50,3 +50,4 @@ class TestExamples:
         assert "multi-gate sizing" in out
         assert "heuristic-vs-exact" in out
         assert "bitwise identical: True" in out
+        assert "rho=0.9" in out
