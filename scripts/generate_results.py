@@ -2,8 +2,8 @@
 """Regenerate every table/figure and archive the rendered outputs.
 
 Writes results/<artifact>.txt for Table 1, Table 2, Figures 1/2/10.
-Used to populate EXPERIMENTS.md.  Accepts the same fast/full switch as
-the benchmark harness (env REPRO_FULL=1).
+Accepts the same fast/full switch as the benchmark harness (env
+REPRO_FULL=1).
 """
 
 from __future__ import annotations

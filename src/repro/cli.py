@@ -503,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--cache", type=int, default=DEFAULT_CACHE_CAPACITY,
                    metavar="ENTRIES",
-                   help="result-cache capacity (node arrivals and "
-                        "gaps) for the statistical sizer (0 disables; "
-                        "results are bitwise identical either way)")
+                   help="result-cache capacity (node arrivals) for "
+                        "the statistical sizer (0 disables; results are "
+                        "bitwise identical either way)")
     p.add_argument("--cache-file", default=None, metavar="PATH",
                    help="persistent cache snapshot: load it if it "
                         "exists (warm-starting this run bitwise), and "

@@ -103,7 +103,7 @@ class AnalysisConfig:
     Instances are immutable; use :meth:`with_updates` to derive variants
     (e.g. a coarser grid for a quick optimization pass).
 
-    ``cache`` enables the keyed node-arrival and gap memo
+    ``cache`` enables the keyed node-arrival memo
     (:class:`repro.dist.cache.ConvolutionCache`): ``None`` disables
     caching (the default), an ``int`` creates a cache with that entry
     capacity, and an existing instance is used as-is (and *shared* by

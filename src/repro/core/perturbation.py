@@ -94,6 +94,15 @@ def _identical(a: DiscretePDF, b: DiscretePDF) -> bool:
     )
 
 
+def _slot_gap(base: DiscretePDF, pert: DiscretePDF) -> Optional[float]:
+    """The gap ``pert`` keeps for this very ``base`` object, or None
+    (see :meth:`PerturbationFront._percentile_gap`)."""
+    entry = getattr(pert, "_gap", None)
+    if entry is not None and entry[0] is base:
+        return entry[1]
+    return None
+
+
 class PerturbationFront:
     """Level-by-level propagation of one candidate gate's perturbation.
 
@@ -340,16 +349,27 @@ class PerturbationFront:
             )
         self._end_level()
 
-    def _apply_node(self, node: int, perturbed: DiscretePDF) -> None:
+    def _apply_node(
+        self, node: int, perturbed: DiscretePDF,
+        same: Optional[bool] = None,
+    ) -> None:
         """Apply half, per node: retire fan-ins, then record the gap
-        and schedule the fan-out (or finish at the sink)."""
+        and schedule the fan-out (or finish at the sink).  ``same`` is
+        the level merge's verdict on whether ``perturbed`` is bitwise
+        the base arrival (None: not compared, check here)."""
         self._scheduled.discard(node)
         self.nodes_computed += 1
         self._retire_fanins(node)
         # The dependency ledger records the base object (its identity
         # is what try_rebase checks).
         base_pdf = self._dep_arrivals[node] = self.base.arrivals[node]
-        if self.drop_identical and _identical(perturbed, base_pdf):
+        if same is None:
+            # A gap slot for this very base marks a result that is not
+            # bitwise the base (see _percentile_gap).
+            same = _slot_gap(base_pdf, perturbed) is None and _identical(
+                perturbed, base_pdf
+            )
+        if self.drop_identical and same:
             return  # perturbation fully absorbed at this node
         if node == self.graph.sink:
             self.reached_sink = True
@@ -358,7 +378,11 @@ class PerturbationFront:
                 self.objective.improvement(base_pdf, perturbed) / self.dw
             )
             return
-        delta = self._percentile_gap(base_pdf, perturbed)
+        if same:
+            # Kept only without drop_identical; no slot marks it.
+            delta = max_percentile_gap(base_pdf, perturbed)
+        else:
+            delta = self._percentile_gap(base_pdf, perturbed)
         fanouts = self.graph.fanout_edges(node)
         self._perturbed[node] = perturbed
         self._pending[node] = len(fanouts)
@@ -376,18 +400,29 @@ class PerturbationFront:
             self._finish()
 
     def _percentile_gap(self, base: DiscretePDF, pert: DiscretePDF) -> float:
-        """Theorem-4 delta, memoized through the analysis cache.
+        """Theorem-4 delta of a result that is not bitwise its base,
+        memoized on the result.
 
-        The gap evaluation costs as much as the kernel work it
-        measures, and with cached kernels the same (base, perturbed)
-        pair recurs across sibling fronts and optimizer iterations.
-        Keys carry absolute offsets (see ``ConvolutionCache``), so a
-        hit is bit-exact — the pruning order cannot drift by an ulp.
+        The gap costs as much as the kernel work it measures, and the
+        same (base, perturbed) pair recurs: a node-memo hit returns the
+        very result object an earlier front computed against the very
+        same base arrival (sibling fronts, rebuilt fronts of later
+        iterations, a warm service request).  So each result keeps its
+        last gap in its ``_gap`` slot, a ``(base, gap)`` pair dropped
+        by pickling like the result's memos, and read only while
+        ``base`` is that very object: bit-exact, with no hashing.  A
+        slot is written only for a result that is not bitwise its base,
+        which lets a hit skip the identity check too.  The level merge
+        fills it when it builds a result against its base; otherwise
+        the gap is computed here and stored.  The pair is written at
+        once, so a racing thread reads an old pair or a new one, each
+        correct for its own base.
         """
-        cache = self._cache
-        if cache is None:
-            return max_percentile_gap(base, pert)
-        return cache.memo_gap(base, pert, max_percentile_gap)
+        gap = _slot_gap(base, pert)
+        if gap is None:
+            gap = max_percentile_gap(base, pert)
+            object.__setattr__(pert, "_gap", (base, gap))
+        return gap
 
     def _retire_fanins(self, node: int) -> None:
         """Decrement pending fan-out counts of this node's perturbed
@@ -513,21 +548,29 @@ def _advance_together(fronts: Sequence[PerturbationFront]) -> None:
     cfg = head.model.config
     steps = []
     parts_list: List[NodeParts] = []
+    # Each node's unperturbed arrival goes into the merge, which then
+    # returns the identity check and the gap with the result (the sink
+    # needs neither: the objective reads it directly).
+    bases: List[Optional[DiscretePDF]] = []
     for front in fronts:
         nodes = front._next_level()
         steps.append((front, nodes, len(parts_list)))
         parts_list.extend(front._gather(nodes))
-    results = compute_level_arrivals(
+        arrivals = front.base.arrivals
+        sink = front.graph.sink
+        bases.extend([None if n == sink else arrivals[n] for n in nodes])
+    results, same = compute_level_arrivals(
         parts_list,
         trim_eps=cfg.tail_eps,
         counter=head.counter,
         backend=head._backend,
         cache=head._cache,
         arcs=head.base.arcs,
+        bases=bases,
     )
     for front, nodes, start in steps:
-        for node, perturbed in zip(nodes, results[start:start + len(nodes)]):
-            front._apply_node(node, perturbed)
+        for j, node in enumerate(nodes, start):
+            front._apply_node(node, results[j], same[j])
         front._end_level()
 
 

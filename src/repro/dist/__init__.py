@@ -17,8 +17,7 @@ operations the paper's algorithms need:
   distinctly from computed operations);
 * :mod:`~repro.dist.cache` — :class:`ConvolutionCache`, the keyed,
   size-bounded, bitwise-transparent result memo over whole-node
-  arrivals and Theorem-4 gaps, enabled per analysis
-  through ``AnalysisConfig(cache=...)``;
+  arrivals, enabled per analysis through ``AnalysisConfig(cache=...)``;
 * :mod:`~repro.dist.families` — the paper's Section-4 variation model:
   truncated Gaussians (sigma = 10% of nominal, cut at 3 sigma), both
   discretized and sampled;

@@ -325,7 +325,7 @@ static void conv_np(const double *a, long long n1, const double *v,
    back into OUT.  Each distinct operand is packed once, however many
    pairs read it.  Returns 0, 1 when scratch cannot be allocated, or 2
    on an operand index out of range. */
-EXPORT long long repro_add_batch(
+static long long add_rows(
     unsigned long long ddot, int ilp64, const double *OPS,
     const long long *olen, long long nops, const long long *ia,
     const long long *ib, long long npairs, double *OUT)
@@ -358,6 +358,14 @@ EXPORT long long repro_add_batch(
     }
     free(vr);
     return 0;
+}
+
+EXPORT long long repro_add_batch(
+    unsigned long long ddot, int ilp64, const double *OPS,
+    const long long *olen, long long nops, const long long *ia,
+    const long long *ib, long long npairs, double *OUT)
+{
+    return add_rows(ddot, ilp64, OPS, olen, nops, ia, ib, npairs, OUT);
 }
 
 EXPORT void repro_conv(const double *a, long long na,
@@ -413,73 +421,123 @@ static void sweep_diff(double *OUT, long long W)
     for (w = W - 1; w >= 1; --w) OUT[w] = OUT[w] - OUT[w - 1];
 }
 
-typedef struct { const double *m; long long off, n; } operand;
+/* Operand j of a level: a finished vector (m), or raw ADD i not built
+   yet (m NULL; n values at offset at of the level's raw buffer, at
+   absolute offset off).  Building sets m, off and n. */
+typedef struct { const double *m; long long off, n, at; } operand;
 
-/* Room repro_merge_level needs in OUT for the same operands: per group
-   the span of its raw operands before trimming (trimming only cuts
-   bins) and finished ones, capped at max_bins (a longer result is an
-   error before anything is written).  -1 on an operand index out of
-   range. */
-EXPORT long long repro_merge_room(
-    const long long *rlen, const long long *roff, long long nraw,
-    const long long *flen, const long long *foff, long long nfin,
-    const long long *src, const long long *gk, long long ngroups,
-    long long max_bins)
+/* Build raw operand op (build_one at half) from raw into m, which may
+   be raw itself. */
+static int build_raw(operand *op, const double *raw, double half,
+                     double *m)
 {
-    long long g, r, k, j, lo = 0, hi = 0, off, end, room = 0;
-    for (g = 0; g < ngroups; ++g, src += k) {
+    long long cut, klen = build_one(raw, op->n, half, m, &cut);
+    if (klen < 0) return 0;
+    op->m = m;
+    op->off += cut;
+    op->n = klen;
+    return 1;
+}
+
+static double gap_body(const double *ma, long long na, long long offa,
+                       const double *mb, long long nb, long long offb,
+                       double dt, double noise_floor, double *fa);
+
+/* The level merge: a level's ADDs built and every group's MAX taken
+   and built, without a result object per ADD, in one call.
+
+   IX packs the level's index arrays back to back: rlen[nraw],
+   roff[nraw], flen[nfin], foff[nfin], gk[ngroups], base[ngroups] (only
+   when check is set), then src.  Raw ADD i is rlen[i] values at
+   absolute offset roff[i]: the next values of RAW (back to back), or,
+   when nops > 0, row i of the ADD batch this call runs first (add_rows
+   over the nops operands of OPS with ia = ab[0..nraw), ib =
+   ab[nraw..2 nraw); RAW is then unread).  Each raw is built (build_one
+   at half) once, on first use.  Finished operand f is flen[f] values
+   of FIN at offset foff[f].  Operand j of the level is raw ADD src[j]
+   when src[j] >= 0, else finished operand ~src[j]; group g owns the
+   next gk[g] operands.  A one-operand group (always a raw ADD) yields
+   that ADD as built, straight into OUT; any other group the MAX of its
+   operands, built at the same half.
+
+   Results go back to back into OUT (room for ocap values: the span of
+   each group's operands before trimming, capped at max_bins, summed
+   over the groups); OMETA[3g], OMETA[3g+1] receive result g's absolute
+   offset and length.  When check is set, group g with base[g] >= 0 is
+   compared with finished operand base[g]: OMETA[3g+2] is 1 when the
+   result is bitwise that operand (same offset and length, equal
+   elements), else 0 and GAP[g] is max_percentile_gap(base, result) on
+   grid dts[g] (NaN when its scratch cannot be allocated); groups not
+   compared get -1.
+
+   Returns 0, or 1 with ERR = OMETA + 3 ngroups set to ERR[0] = 1
+   (ERR[1] = bins of a distribution longer than max_bins), 2 (a total
+   that is not positive), 3 (ERR[1] = the room OUT needs; nothing is
+   written), 4 (out of memory) or 5 (an operand index out of range;
+   nothing is written). */
+EXPORT long long repro_merge_level(
+    unsigned long long ddot, int ilp64, const double *OPS,
+    const long long *olen, long long nops, const long long *ab,
+    const double *RAW, const double *FIN, const long long *IX,
+    long long nraw, long long nfin, long long ngroups, int check,
+    const double *dts, double half, long long max_bins,
+    double noise_floor, double *OUT, long long ocap, long long *OMETA,
+    double *GAP)
+{
+    const long long *rlen = IX, *roff = rlen + nraw, *flen = roff + nraw;
+    const long long *foff = flen + nfin, *gk = foff + nfin;
+    const long long *base = gk + ngroups;
+    const long long *src = base + (check ? ngroups : 0), *s;
+    operand *ops, *op;
+    const operand *b;
+    long long *ERR = OMETA + 3 * ngroups;
+    double *own = NULL, *kept = NULL, *gs = NULL;
+    const double *raws = RAW;
+    long long i, g, r, k, j, lo = 0, hi = 0, end, W, klen, cut, off;
+    long long need = 0, total = 0, gcap = 0;
+    int same;
+
+    /* Indices and room first, so nothing is written on a bad call. */
+    for (g = 0, s = src; g < ngroups; ++g, s += k) {
         k = gk[g];
+        if (k < 1) { ERR[0] = 5; return 1; }
         for (r = 0; r < k; ++r) {
-            j = src[r];
-            if (j >= nraw || (j < 0 && ~j >= nfin)) return -1;
+            j = s[r];
+            if (j >= nraw || (j < 0 && ~j >= nfin)) { ERR[0] = 5; return 1; }
             off = j >= 0 ? roff[j] : foff[~j];
             end = off + (j >= 0 ? rlen[j] : flen[~j]);
             if (r == 0 || off < lo) lo = off;
             if (r == 0 || end > hi) hi = end;
         }
-        room += hi - lo < max_bins ? hi - lo : max_bins;
+        need += hi - lo < max_bins ? hi - lo : max_bins;
+        if (check && base[g] >= nfin) { ERR[0] = 5; return 1; }
     }
-    return room;
-}
-
-/* The level merge: a level's ADDs built and every group's MAX taken
-   and built, without a result object per ADD.  Raw ADD i is
-   rlen[i] values of RAW (back to back) at absolute offset roff[i]; it
-   is built once (build_one at half) into KEPT.  Finished operand f
-   is flen[f] values of FIN at offset foff[f].  Operand j of the level
-   is raw ADD src[j] when src[j] >= 0, else finished operand ~src[j];
-   group g owns the next gk[g] operands.  A one-operand group (always a
-   raw ADD) yields that ADD as built; any other group the MAX of its
-   operands, built at the same half.  Results go back to back into OUT
-   (room for ocap values); OMETA[2g], OMETA[2g+1] receive result g's
-   absolute offset and length.  Returns 0, or 1 with ERR[0] set to
-   1 (ERR[1] = bins of a distribution longer than max_bins), 2 (a
-   total that is not positive), 3 (ERR[1] = the room OUT needs; OUT is
-   untouched), 4 (out of memory) or 5 (an operand index out of
-   range). */
-EXPORT long long repro_merge_level(
-    const double *RAW, const long long *rlen, const long long *roff,
-    long long nraw, const double *FIN, const long long *flen,
-    const long long *foff, long long nfin, const long long *src,
-    const long long *gk, long long ngroups, double half,
-    long long max_bins, double *KEPT, double *OUT,
-    long long ocap, long long *OMETA, long long *ERR)
-{
-    operand *ops, *op;
-    const long long *s;
-    long long i, g, r, k, lo, hi, W, klen, cut, need = 0;
+    for (i = 0; i < nraw; ++i) {
+        if (rlen[i] > max_bins) { ERR[0] = 1; ERR[1] = rlen[i]; return 1; }
+        total += rlen[i];
+    }
+    if (need > ocap) { ERR[0] = 3; ERR[1] = need; return 1; }
 
     ops = (operand *)malloc((size_t)(nraw + nfin + 1) * sizeof(operand));
     if (ops == NULL) { ERR[0] = 4; return 1; }
-    for (i = 0; i < nraw; ++i) {
-        if (rlen[i] > max_bins) { ERR[0] = 1; ERR[1] = rlen[i]; goto fail; }
-        klen = build_one(RAW, rlen[i], half, KEPT, &cut);
-        if (klen < 0) { ERR[0] = 2; goto fail; }
-        ops[i].m = KEPT;
-        ops[i].off = roff[i] + cut;
-        ops[i].n = klen;
-        RAW += rlen[i];
-        KEPT += klen;
+    if (nops > 0) {
+        /* The ADD rows are this call's own: build them in place. */
+        own = (double *)malloc((size_t)(total + 1) * sizeof(double));
+        if (own == NULL) { ERR[0] = 4; goto fail; }
+        switch (add_rows(ddot, ilp64, OPS, olen, nops, ab, ab + nraw,
+                         nraw, own)) {
+        case 0: break;
+        case 1: ERR[0] = 4; goto fail;
+        default: ERR[0] = 5; goto fail;
+        }
+        raws = kept = own;
+    }
+    for (i = 0, total = 0; i < nraw; ++i) {
+        ops[i].m = NULL;
+        ops[i].off = roff[i];
+        ops[i].n = rlen[i];
+        ops[i].at = total;
+        total += rlen[i];
     }
     for (i = 0; i < nfin; ++i) {
         ops[nraw + i].m = FIN;
@@ -488,61 +546,84 @@ EXPORT long long repro_merge_level(
         FIN += flen[i];
     }
 #define OPND(j) (ops + (s[j] >= 0 ? s[j] : nraw + ~s[j]))
-    /* Indices and sizes first, so a short OUT is reported before it
-       is written. */
-    for (g = 0, s = src; g < ngroups; ++g, s += k) {
-        k = gk[g];
-        for (r = 0; r < k; ++r)
-            if (s[r] >= nraw || (s[r] < 0 && ~s[r] >= nfin)) {
-                ERR[0] = 5;
-                goto fail;
-            }
-        if (k == 1) { need += OPND(0)->n; continue; }
-        lo = OPND(0)->off;
-        hi = lo + OPND(0)->n;
-        for (r = 1; r < k; ++r) {
-            op = OPND(r);
-            if (op->off < lo) lo = op->off;
-            if (op->off + op->n > hi) hi = op->off + op->n;
-        }
-        W = hi - lo;
-        if (W > max_bins) { ERR[0] = 1; ERR[1] = W; goto fail; }
-        need += W;
-    }
-    if (need > ocap) { ERR[0] = 3; ERR[1] = need; goto fail; }
     for (g = 0, s = src; g < ngroups; ++g, s += k) {
         k = gk[g];
         if (k == 1) {
             op = OPND(0);
-            memcpy(OUT, op->m, (size_t)op->n * sizeof(double));
-            OMETA[2 * g] = op->off;
-            OMETA[2 * g + 1] = op->n;
-            OUT += op->n;
-            continue;
+            if (op->m == NULL) {
+                if (!build_raw(op, raws + op->at, half, OUT)) {
+                    ERR[0] = 2;
+                    goto fail;
+                }
+            } else {
+                memcpy(OUT, op->m, (size_t)op->n * sizeof(double));
+            }
+            off = op->off;
+            klen = op->n;
+        } else {
+            for (r = 0; r < k; ++r) {
+                op = OPND(r);
+                if (op->m != NULL) continue;
+                if (kept == NULL) {
+                    kept = (double *)malloc(
+                        (size_t)(total + 1) * sizeof(double));
+                    if (kept == NULL) { ERR[0] = 4; goto fail; }
+                }
+                if (!build_raw(op, raws + op->at, half, kept + op->at)) {
+                    ERR[0] = 2;
+                    goto fail;
+                }
+            }
+            lo = OPND(0)->off;
+            hi = lo + OPND(0)->n;
+            for (r = 1; r < k; ++r) {
+                op = OPND(r);
+                if (op->off < lo) lo = op->off;
+                if (op->off + op->n > hi) hi = op->off + op->n;
+            }
+            W = hi - lo;
+            if (W > max_bins) { ERR[0] = 1; ERR[1] = W; goto fail; }
+            for (r = 0; r < k; ++r) {
+                op = OPND(r);
+                sweep_row(op->m, op->n, op->off - lo, W, r == 0, OUT);
+            }
+            sweep_diff(OUT, W);
+            klen = build_one(OUT, W, half, OUT, &cut);
+            if (klen < 0) { ERR[0] = 2; goto fail; }
+            off = lo + cut;
         }
-        lo = OPND(0)->off;
-        hi = lo + OPND(0)->n;
-        for (r = 1; r < k; ++r) {
-            op = OPND(r);
-            if (op->off < lo) lo = op->off;
-            if (op->off + op->n > hi) hi = op->off + op->n;
+        OMETA[3 * g] = off;
+        OMETA[3 * g + 1] = klen;
+        OMETA[3 * g + 2] = -1;
+        if (check && base[g] >= 0) {
+            b = ops + nraw + base[g];
+            same = b->off == off && b->n == klen;
+            for (i = 0; same && i < klen; ++i) same = b->m[i] == OUT[i];
+            OMETA[3 * g + 2] = same;
+            if (!same) {
+                if (b->n + klen + 2 > gcap) {
+                    free(gs);
+                    gcap = 2 * (b->n + klen + 2);
+                    gs = (double *)malloc((size_t)gcap * sizeof(double));
+                    if (gs == NULL) gcap = 0;
+                }
+                GAP[g] = gs == NULL ? NAN
+                    : gap_body(b->m, b->n, b->off, OUT, klen, off, dts[g],
+                               noise_floor, gs);
+            }
         }
-        W = hi - lo;
-        for (r = 0; r < k; ++r) {
-            op = OPND(r);
-            sweep_row(op->m, op->n, op->off - lo, W, r == 0, OUT);
-        }
-        sweep_diff(OUT, W);
-        klen = build_one(OUT, W, half, OUT, &cut);
-        if (klen < 0) { ERR[0] = 2; goto fail; }
-        OMETA[2 * g] = lo + cut;
-        OMETA[2 * g + 1] = klen;
         OUT += klen;
     }
 #undef OPND
+    free(gs);
+    if (kept != own) free(kept);
+    free(own);
     free(ops);
     return 0;
 fail:
+    free(gs);
+    if (kept != own) free(kept);
+    free(own);
     free(ops);
     return 1;
 }
@@ -616,19 +697,14 @@ static double interp(const double *fp, long long len, long long off,
     return res;
 }
 
-/* max_percentile_gap(a, b).  Returns NaN when scratch cannot be
-   allocated (the caller then runs the NumPy code). */
-EXPORT double repro_gap(
-    const double *ma, long long na, long long offa,
-    const double *mb, long long nb, long long offb,
-    double dt, double noise_floor)
+/* max_percentile_gap(a, b) with scratch fa of na + nb + 2 values. */
+static double gap_body(const double *ma, long long na, long long offa,
+                       const double *mb, long long nb, long long offb,
+                       double dt, double noise_floor, double *fa)
 {
     long long la = na + 1, lb = nb + 1, fla, flb, i;
     long long ha = 0, hb = 0, hx = 0;
-    double *fa, *fb, best = -INFINITY, p, qa, qb, g, margin;
-    fa = (double *)malloc((size_t)(la + lb) * sizeof(double));
-    if (fa == NULL) return NAN;
-    fb = fa + la;
+    double *fb = fa + la, best = -INFINITY, p, qa, qb, g, margin;
     knots(ma, na, fa);
     knots(mb, nb, fb);
     /* _ramp_floor: searchsorted(fp, 0.0, side="right"). */
@@ -644,6 +720,19 @@ EXPORT double repro_gap(
         if (isnan(g)) { best = g; break; }
         if (g > best) best = g;
     }
+    return best;
+}
+
+/* max_percentile_gap(a, b).  Returns NaN when scratch cannot be
+   allocated (the caller then runs the NumPy code). */
+EXPORT double repro_gap(
+    const double *ma, long long na, long long offa,
+    const double *mb, long long nb, long long offb,
+    double dt, double noise_floor)
+{
+    double best, *fa = (double *)malloc((size_t)(na + nb + 2) * sizeof(double));
+    if (fa == NULL) return NAN;
+    best = gap_body(ma, na, offa, mb, nb, offb, dt, noise_floor, fa);
     free(fa);
     return best;
 }
@@ -668,14 +757,11 @@ void repro_conv(const double *, long long, const double *, long long,
     double *);
 void repro_conv_batch(const double *, const long long *,
     const double *, const long long *, double *, long long);
-long long repro_merge_room(const long long *, const long long *,
-    long long, const long long *, const long long *, long long,
-    const long long *, const long long *, long long, long long);
-long long repro_merge_level(const double *, const long long *,
-    const long long *, long long, const double *, const long long *,
-    const long long *, long long, const long long *, const long long *,
-    long long, double, long long, double *, double *, long long,
-    long long *, long long *);
+long long repro_merge_level(unsigned long long, int, const double *,
+    const long long *, long long, const long long *, const double *,
+    const double *, const long long *, long long, long long, long long,
+    int, const double *, double, long long, double, double *, long long,
+    long long *, double *);
 double repro_gap(const double *, long long, long long,
     const double *, long long, long long, double, double);
 long long repro_add_batch(unsigned long long, int, const double *,
@@ -805,14 +891,28 @@ class _Rows(Sequence):
     """The raw vectors of one batched convolution: row ``i`` is a view
     of ``lengths[i]`` values of the packed ``buffer``, made on access.
     :meth:`_CProvider.merge_level` consumes the packed form directly, so
-    a batch that is only built never materializes its rows."""
+    a batch that is only built never materializes its rows.
 
-    __slots__ = ("buffer", "lengths", "_ends")
+    Rows of :meth:`_CProvider.add_many` are pending until first read:
+    ``buffer`` runs the ADD then, and a merge handed them still pending
+    runs the ADD inside its own call instead (``_add`` holds the
+    provider, the packed operands and their ``(ia, ib, rlen)`` index).
+    """
 
-    def __init__(self, buffer: np.ndarray, lengths: np.ndarray) -> None:
-        self.buffer = buffer
+    __slots__ = ("_buffer", "lengths", "_ends", "_add")
+
+    def __init__(self, buffer, lengths: np.ndarray, add=None) -> None:
+        self._buffer = buffer
         self.lengths = lengths
         self._ends = None
+        self._add = add
+
+    @property
+    def buffer(self) -> np.ndarray:
+        if self._buffer is None:
+            provider, operands, index = self._add
+            self._buffer = provider._run_add(operands, index)
+        return self._buffer
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -831,13 +931,16 @@ def _new_pdfs(buffer: np.ndarray, offsets, lengths, dts, trim_eps) -> list:
     ``lengths[i]`` values of ``buffer`` at ``offsets[i]``, trimmed at
     ``trim_eps`` — the fields ``_trusted``/``trimmed`` would set, the
     trim-idempotence memo included."""
-    # Hot loop: one exact-length array per result, owning its memory (a
-    # view would pin the whole batch buffer for the result's lifetime).
-    # frombuffer over the row's own bytes is born read-only, which is
-    # cheaper than copy + flags; fields go straight into the instance
-    # dict.
+    # Hot loop: one exact-length read-only view per result into one
+    # bytes copy of the call's output (frombuffer over bytes is born
+    # read-only, cheaper than copy + flags).  The results of one call
+    # share that copy: they are one level's arrivals or front results,
+    # stored and dropped together, and no per-result bytes object is
+    # made (-1.3 MB peak RSS on a cold c432 sizing run).  Fields go
+    # straight into the instance dict.
     data = buffer.tobytes()
     frombuffer = np.frombuffer
+    f64 = np.dtype(np.float64)
     new = object.__new__
     setattr_ = object.__setattr__
     cls = DiscretePDF
@@ -845,16 +948,21 @@ def _new_pdfs(buffer: np.ndarray, offsets, lengths, dts, trim_eps) -> list:
     append = results.append
     start = 0
     for off, kl, dt in zip(offsets, lengths, dts):
-        end = start + 8 * kl
         out = new(cls)
         setattr_(out, "__dict__", {
             "dt": dt, "offset": off,
-            "masses": frombuffer(data[start:end]),
+            "masses": frombuffer(data, f64, kl, start),
             "_trim_level": trim_eps,
         })
-        start = end
+        start += 8 * kl
         append(out)
     return results
+
+
+#: Stand-ins for the arrays a merge call does not read (no fused ADD,
+#: no base operands).
+_NO_DOUBLES = np.zeros(1)
+_NO_INTS = np.zeros(1, dtype=np.int64)
 
 
 class _CProvider:
@@ -880,6 +988,11 @@ class _CProvider:
         ddot = _blas_ddot()
         self._ddot, self._ilp64 = ddot if ddot is not None else (0, False)
         self.add_ok = ddot is not None
+        from .metrics import _VERTICAL_NOISE_FLOOR
+
+        self._floor = _VERTICAL_NOISE_FLOOR
+        self._no_dbl = self._dbl(_NO_DOUBLES)
+        self._no_i64 = self._i64(_NO_INTS)
 
     # -- loading -------------------------------------------------------
     @classmethod
@@ -917,9 +1030,10 @@ class _CProvider:
         for name, restype, argtypes in (
             ("repro_conv", None, (d, n, d, n, d)),
             ("repro_conv_batch", None, (d, i, d, i, d, n)),
-            ("repro_merge_room", n, (i, i, n, i, i, n, i, i, n, n)),
-            ("repro_merge_level", n, (d, i, i, n, d, i, i, n, i, i, n, f,
-                                      n, d, d, n, i, i)),
+            ("repro_merge_level", n, (ctypes.c_ulonglong, ctypes.c_int, d,
+                                      i, n, i, d, d, i, n, n, n,
+                                      ctypes.c_int, d, f, n, f, d, n, i,
+                                      d)),
             ("repro_gap", f, (d, n, n, d, n, n, f, f)),
             ("repro_add_batch", n, (ctypes.c_ulonglong, ctypes.c_int, d,
                                     i, n, i, i, n, d)),
@@ -961,7 +1075,10 @@ class _CProvider:
         """``np.convolve(a, b)`` per pair ``(a, b)``, bitwise, through
         one foreign call: the rows back to back in one buffer.  Each
         distinct operand (by identity) is packed once, however many
-        pairs read it.  Only valid while :attr:`add_ok`."""
+        pairs read it.  The rows are pending (see :class:`_Rows`): a
+        level merge given them runs the ADD in its own call, anything
+        else that reads them runs it on first read.  Only valid while
+        :attr:`add_ok`."""
         # The caller's pairs hold every operand, so no id is reused
         # while ``index`` lives.
         index: dict = {}
@@ -983,77 +1100,121 @@ class _CProvider:
             ia.append(x)
             ib.append(y)
             rlen.append(len(a) + len(b) - 1)
-        return self._add_batch(operands, ia, ib, rlen)
+        idx = np.array((ia, ib, rlen), dtype=np.int64)
+        return _Rows(None, idx[2], (self, operands, idx))
 
     def _add_batch(self, operands: Sequence, ia: list, ib: list,
                    rlen: list) -> "_Rows":
         """Row ``p`` is ``np.convolve(operands[ia[p]],
-        operands[ib[p]])``.  ``rlen[p]`` must be its length, the sum of
-        the two operand lengths minus one: the kernel writes each row
-        into a buffer of ``sum(rlen)`` values, after checking the row's
-        two indices."""
-        OUT = np.empty(sum(rlen))
-        IA, IB, RLEN = np.array((ia, ib, rlen), dtype=np.int64)
+        operands[ib[p]])``, run now.  ``rlen[p]`` must be its length,
+        the sum of the two operand lengths minus one: the kernel writes
+        each row into a buffer of ``sum(rlen)`` values, after checking
+        the row's two indices."""
+        idx = np.array((ia, ib, rlen), dtype=np.int64)
+        return _Rows(self._run_add(operands, idx), idx[2])
+
+    def _run_add(self, operands: Sequence, idx: np.ndarray) -> np.ndarray:
+        """The packed rows of the pairs ``idx = (ia, ib, rlen)``."""
+        OUT = np.empty(int(idx[2].sum()))
         dbl, i64 = self._dbl, self._i64
         rc = self._lib.repro_add_batch(
             self._ddot, self._ilp64, dbl(_packed(operands)),
-            i64(_lengths(operands)), len(operands), i64(IA), i64(IB),
-            len(ia), dbl(OUT),
+            i64(_lengths(operands)), len(operands), i64(idx[0]),
+            i64(idx[1]), idx.shape[1], dbl(OUT),
         )
         if rc == 1:
             raise MemoryError("ADD kernel could not allocate")
         if rc:
             raise IndexError("ADD operand index out of range")
-        return _Rows(OUT, RLEN)
+        return OUT
 
     # -- the level merge: every ADD and MAX result ----------------------
     def merge_level(
         self, raws: Sequence, roffs: Sequence, fins: Sequence,
         foffs: Sequence, src: Sequence, gk: Sequence, dts,
-        trim_eps: float,
-    ) -> list:
+        trim_eps: float, bases: Optional[Sequence] = None,
+    ):
         """One result per group, on grid ``dts[g]``: a one-operand
         group's is its raw ADD built, any other group's the built MAX of
         its operands — bitwise building every raw ADD
         (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``) and
-        merging the objects, through one merge call (after a room pass
-        that sizes its output) and with no object per ADD.  Raw ADD
-        ``i`` is ``raws[i]`` at offset ``roffs[i]``; finished operand
-        ``f`` is ``fins[f]`` (masses) at ``foffs[f]``; operand ``j`` of
-        the level is raw ADD ``src[j]`` when ``src[j] >= 0``, else
-        finished operand ``~src[j]``; group ``g`` owns the next
-        ``gk[g]`` operands.  Either operand set may be empty."""
+        merging the objects, through one foreign call and with no
+        object per ADD.  Raw ADD ``i`` is ``raws[i]`` at offset
+        ``roffs[i]``; finished operand ``f`` is ``fins[f]`` (masses) at
+        ``foffs[f]``; operand ``j`` of the level is raw ADD ``src[j]``
+        when ``src[j] >= 0``, else finished operand ``~src[j]``; group
+        ``g`` owns the next ``gk[g]`` operands.  Either operand set may
+        be empty.  Pending :meth:`add_many` rows are convolved inside
+        the same call.
+
+        ``bases`` (one :class:`DiscretePDF` or None per group) adds the
+        perturbation front's per-node checks to the call: for a group
+        whose base is on its grid, whether the result is bitwise the
+        base (``_identical``), and if not the Theorem-4 gap
+        ``max_percentile_gap(base, result)``, bitwise the gap kernel,
+        stored in the result's ``_gap`` slot as ``(base, gap)`` (see
+        ``PerturbationFront._percentile_gap``).  The call then returns
+        ``(results, same)``, ``same[g]`` being True, False or None (not
+        compared).  Only valid while :attr:`gap_ok` too."""
         if trim_eps < 0.0:
             raise DistributionError(f"trim_eps must be >= 0, got {trim_eps}")
-        if type(raws) is _Rows:
-            RAW, rlen = raws.buffer, raws.lengths
-        else:
-            RAW, rlen = _packed(raws), _lengths(raws)
-        FIN = _packed(fins)
         dbl, i64 = self._dbl, self._i64
-        lib = self._lib
-        rlen_p = i64(rlen)
-        roff_p = i64(np.array(roffs, dtype=np.int64))
-        flen_p = i64(_lengths(fins))
-        foff_p = i64(np.array(foffs, dtype=np.int64))
-        src_p = i64(np.array(src, dtype=np.int64))
-        gk_p = i64(np.array(gk, dtype=np.int64))
-        room = lib.repro_merge_room(
-            rlen_p, roff_p, len(rlen), flen_p, foff_p, len(fins), src_p,
-            gk_p, len(gk), MAX_BINS,
+        no_dbl = self._no_dbl
+        ngroups = len(gk)
+        if type(raws) is _Rows and raws._buffer is None:
+            _provider, operands, idx = raws._add
+            ops_p, olen_p, nops, ab_p, raw_p = (
+                dbl(_packed(operands)), i64(_lengths(operands)),
+                len(operands), i64(idx), no_dbl,
+            )
+            rlen = raws.lengths.tolist()
+        else:
+            if type(raws) is _Rows:
+                raw_p, rlen = dbl(raws.buffer), raws.lengths.tolist()
+            else:
+                raw_p, rlen = dbl(_packed(raws)), list(map(len, raws))
+            ops_p, olen_p, nops, ab_p = no_dbl, self._no_i64, 0, self._no_i64
+        check = bases is not None
+        if check:
+            fins = list(fins)
+            foffs = list(foffs)
+            sel = []
+            for base, dt in zip(bases, dts, strict=True):
+                if base is None or base.dt != dt:
+                    sel.append(-1)
+                else:
+                    sel.append(len(fins))
+                    fins.append(base.masses)
+                    foffs.append(base.offset)
+            dts_p = dbl(np.array(dts, dtype=np.float64))
+            GAP = np.empty(ngroups)
+            gap_p = dbl(GAP)
+        else:
+            sel = ()
+            dts_p = gap_p = no_dbl
+        flen = list(map(len, fins))
+        IX = np.array(
+            [*rlen, *roffs, *flen, *foffs, *gk, *sel, *src], dtype=np.int64
         )
-        if room < 0:
-            raise IndexError("merge operand index out of range")
-        KEPT = np.empty(RAW.size)
-        OUT = np.empty(room)
-        OMETA = np.empty(2 * len(gk), dtype=np.int64)
-        ERR = np.zeros(2, dtype=np.int64)
-        if lib.repro_merge_level(
-            dbl(RAW), rlen_p, roff_p, len(rlen), dbl(FIN), flen_p, foff_p,
-            len(fins), src_p, gk_p, len(gk), trim_eps / 2.0, MAX_BINS,
-            dbl(KEPT), dbl(OUT), room, i64(OMETA), i64(ERR),
-        ):
-            kind, value = ERR.tolist()
+        head = (
+            self._ddot, self._ilp64, ops_p, olen_p, nops, ab_p, raw_p,
+            dbl(_packed(fins)), i64(IX), len(rlen), len(fins), ngroups,
+            check, dts_p, trim_eps / 2.0, MAX_BINS, self._floor,
+        )
+        OMETA = np.empty(3 * ngroups + 2, dtype=np.int64)
+        tail = (i64(OMETA), gap_p)
+        merge = self._lib.repro_merge_level
+        # The room the call needs is each group's operand span before
+        # trimming.  The operands' own lengths cover it unless a group's
+        # supports leave gaps; then the call writes nothing and reports
+        # the exact room, and runs again.
+        OUT = np.empty(sum(rlen) + sum(flen) + 64 * ngroups)
+        failed = merge(*head, dbl(OUT), OUT.size, *tail)
+        if failed and OMETA[3 * ngroups] == 3:
+            OUT = np.empty(int(OMETA[3 * ngroups + 1]))
+            failed = merge(*head, dbl(OUT), OUT.size, *tail)
+        if failed:
+            kind, value = OMETA[3 * ngroups:].tolist()
             if kind == 1:
                 raise DistributionError(
                     f"distribution spans {value} bins, exceeding "
@@ -1065,10 +1226,26 @@ class _CProvider:
                 )
             if kind == 4:
                 raise MemoryError("level merge could not allocate")
+            if kind == 5:
+                raise IndexError("merge operand index out of range")
             raise RuntimeError(f"level merge failed (code {kind})")
         meta = OMETA.tolist()
-        lengths = meta[1::2]
-        return _new_pdfs(OUT[:sum(lengths)], meta[::2], lengths, dts, trim_eps)
+        lengths = meta[1:3 * ngroups:3]
+        results = _new_pdfs(
+            OUT[:sum(lengths)], meta[0:3 * ngroups:3], lengths, dts, trim_eps
+        )
+        if not check:
+            return results
+        same: list = [None] * ngroups
+        for g, flag in enumerate(meta[2:3 * ngroups:3]):
+            if flag < 0:
+                continue
+            same[g] = flag == 1
+            if flag == 0:
+                gap = float(GAP[g])
+                if gap == gap:  # NaN: no scratch; the caller recomputes
+                    object.__setattr__(results[g], "_gap", (bases[g], gap))
+        return results, same
 
     # -- the Theorem-4 gap ---------------------------------------------
     def gap(self, a: DiscretePDF, b: DiscretePDF, floor: float) -> float:
@@ -1163,7 +1340,11 @@ def _check_merge(provider, rng) -> None:
     objects (the NumPy expressions): every raw as a one-operand group
     (the ADD results), mixed groups of raw ADDs and finished operands
     (a raw shared by two groups among them), and MAX groups of 2, 3 and
-    5 finished operands with no raws at all."""
+    5 finished operands with no raws at all.  While :attr:`gap_ok`,
+    each call also compares its results with base operands: none, the
+    expected result itself (bitwise equal), a finished operand (the
+    gap) and one on another grid (not compared)."""
+    from .metrics import _numpy_gap
     from .ops import _max_masses
 
     trusted = DiscretePDF._trusted  # noqa: SLF001
@@ -1178,6 +1359,7 @@ def _check_merge(provider, rng) -> None:
     ]
     fin_masses = [f.masses for f in fins]
     fin_offs = [f.offset for f in fins]
+    coarse = DiscretePDF(4.0, 0, np.ones(3))
     mixed = ((0,), (1, ~0), (2, 3, 4), (~1, ~2), (5, 6, ~3, 7), (8,),
              (9, 0))
     singles = [(j,) for j in range(len(raws))]
@@ -1191,19 +1373,40 @@ def _check_merge(provider, rng) -> None:
         for groups, use_raws in (
             (singles, True), (mixed, True), (finished, False)
         ):
+            refs = []
+            for group in groups:
+                pdfs = [adds[j] if j >= 0 else fins[~j] for j in group]
+                if len(pdfs) == 1:
+                    refs.append(pdfs[0])
+                else:
+                    lo, masses = _max_masses(pdfs)
+                    refs.append(trusted(2.0, lo, masses).trimmed(trim_eps))
+            bases = None
+            if provider.gap_ok:
+                bases = [
+                    (None, ref, fins[g % 4], coarse)[g % 4]
+                    for g, ref in enumerate(refs)
+                ]
             merged = provider.merge_level(
                 raws if use_raws else (), roffs if use_raws else (),
                 fin_masses, fin_offs, [j for group in groups for j in group],
                 [len(group) for group in groups], [2.0] * len(groups),
-                trim_eps,
+                trim_eps, bases,
             )
-            for group, res in zip(groups, merged, strict=True):
-                pdfs = [adds[j] if j >= 0 else fins[~j] for j in group]
-                if len(pdfs) == 1:
-                    ref = pdfs[0]
-                else:
-                    lo, masses = _max_masses(pdfs)
-                    ref = trusted(2.0, lo, masses).trimmed(trim_eps)
+            if bases is not None:
+                merged, same = merged
+                for res, ref, base, flag in zip(merged, refs, bases, same):
+                    if base is None or base.dt != 2.0:
+                        ok = flag is None and not hasattr(res, "_gap")
+                    elif _same(ref, base):
+                        ok = flag is True and not hasattr(res, "_gap")
+                    else:
+                        slot = getattr(res, "_gap", None)
+                        ok = (flag is False and slot[0] is base
+                              and slot[1] == _numpy_gap(base, ref))
+                    if not ok:
+                        raise RuntimeError("not bitwise")
+            for res, ref in zip(merged, refs, strict=True):
                 if not _same(res, ref) or res.dt != 2.0:
                     raise RuntimeError("not bitwise")
 
@@ -1211,18 +1414,32 @@ def _check_merge(provider, rng) -> None:
 def _check_add(provider, rng) -> None:
     """The ADD kernel against ``np.convolve`` on every length pair in
     1..24 x 1..24 (both sides of the small-kernel bound at 11/12, and
-    both operand orders) and on long pairs up to the 994-bin bound."""
+    both operand orders) and on long pairs up to the 994-bin bound;
+    while :attr:`merge_ok`, also its rows convolved inside a level
+    merge against the merge of the ``np.convolve`` rows."""
     operands = [rng.random(n) for n in range(1, 25)]
     operands += [rng.random(n) for n in (223, 40, 600, 394)]
     operands[5][[0, 3]] = 0.0
     ia, ib = zip(*itertools.product(range(24), repeat=2))
     ia += (24, 25, 26, 27)
     ib += (25, 24, 27, 26)
-    rows = provider.add_many([(operands[i], operands[j])
-                              for i, j in zip(ia, ib)])
-    for i, j, row in zip(ia, ib, rows):
-        ref = np.convolve(operands[i], operands[j])
+    pairs = [(operands[i], operands[j]) for i, j in zip(ia, ib)]
+    refs = [np.convolve(a, b) for a, b in pairs]
+    for row, ref in zip(provider.add_many(pairs), refs, strict=True):
         if row.tobytes() != ref.tobytes():
+            raise RuntimeError("not bitwise")
+    if not provider.merge_ok:
+        return
+    n = len(pairs)
+    roffs = [int(o) for o in rng.integers(-20, 20, n)]
+    # One-operand groups, then pairs of neighbouring rows.
+    src = list(range(n)) + [j for p in range(0, n - 1, 2) for j in (p, p + 1)]
+    gk = [1] * n + [2] * (n // 2)
+    args = (roffs, (), (), src, gk, [2.0] * len(gk), 1e-9)
+    fused = provider.merge_level(provider.add_many(pairs), *args)
+    for res, ref in zip(fused, provider.merge_level(refs, *args),
+                        strict=True):
+        if not _same(res, ref):
             raise RuntimeError("not bitwise")
 
 

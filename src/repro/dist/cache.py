@@ -31,17 +31,19 @@ Design constraints, in order:
    entries (:data:`DEFAULT_CACHE_CAPACITY` by default); eviction churn
    at tiny capacities is exercised by the property suite.
 
-One LRU holds two memo kinds, each with one cache path:
+The LRU holds one memo kind, **node**: a timing node's whole merged
+arrival, probed by every engine (full, incremental and backward SSTA,
+the perturbation fronts) before any kernel work (:meth:`lookup_node`).
 
-* **node** — a timing node's whole merged arrival, probed by every
-  engine (full, incremental and backward SSTA, the perturbation
-  fronts) before any kernel work (:meth:`lookup_node`);
-* **gap** — one Theorem-4 percentile gap (:meth:`memo_gap`).
+There is no gap memo.  A front's Theorem-4 gap recurs only where its
+perturbed result does, on a node-memo hit against the same base
+arrival, so it lives on that result object
+(``PerturbationFront._percentile_gap``): no key, no lock, no LRU entry.
 
-There is no per-operation memo.  A kernel request only happens behind
-a node-memo miss, which means the node's fan-in changed, so its MAX
-almost never recurs (a cold 10-iteration pruned c432 sizing run never
-repeats one).  Its ADDs do recur, but the recurring ones are the
+There is no per-operation memo either.  A kernel request only happens
+behind a node-memo miss, which means the node's fan-in changed, so its
+MAX almost never recurs (a cold 10-iteration pruned c432 sizing run
+never repeats one).  Its ADDs do recur, but the recurring ones are the
 unperturbed arcs a perturbation front re-requests from the base pass,
 and those are matched by object identity in the base pass's own arc
 memo (:class:`~repro.timing.ssta.ArcMemo`) with no hashing and no LRU
@@ -84,8 +86,8 @@ from .pdf import DiscretePDF
 __all__ = ["ConvolutionCache", "CacheStats", "DEFAULT_CACHE_CAPACITY"]
 
 #: Default entry bound.  A c432 sizing iteration's working set is
-#: thousands of entries (one per distinct node arrival and gap across
-#: the base SSTA and every perturbation front), and an undersized cache
+#: thousands of entries (one per distinct node arrival across the base
+#: SSTA and every perturbation front), and an undersized cache
 #: *thrashes* — each iteration evicts what the next would have hit.
 #: 32k entries hold the paper suite's working sets with room to spare
 #: while bounding memory at tens of MiB of ~100-bin float64 vectors.
@@ -188,9 +190,9 @@ _ENTRY_OVERHEAD_BYTES = 256
 
 
 class _Entry:
-    """One memoized result: ``result`` is the finished value (a
-    :class:`DiscretePDF`, or a float for the gap memo); ``backend`` the
-    resolved backend object the entry was computed under, verified
+    """One memoized result: ``result`` is the finished
+    :class:`DiscretePDF`; ``backend`` the resolved backend object the
+    entry was computed under, verified
     identically on hit so two distinct backend instances sharing a name
     can never serve each other's bits; ``nbytes`` its approximate
     resident size, fixed at construction: the byte accounting adds it
@@ -202,14 +204,11 @@ class _Entry:
     def __init__(self, result, backend) -> None:
         self.result = result
         self.backend = backend
-        n = _ENTRY_OVERHEAD_BYTES
-        if isinstance(result, DiscretePDF):
-            n += result.masses.nbytes
-        self.nbytes = n
+        self.nbytes = _ENTRY_OVERHEAD_BYTES + result.masses.nbytes
 
 
 class ConvolutionCache:
-    """Size-bounded LRU memo over node arrivals and percentile gaps.
+    """Size-bounded LRU memo over node arrivals.
 
     Parameters
     ----------
@@ -274,8 +273,7 @@ class ConvolutionCache:
         """Probe one key: the entry on a hit, None on a miss.  An entry
         stored under a different backend object (a distinct instance
         sharing the stored one's name) is the miss it is: the caller
-        recomputes.  Node entries carry their resolved backend; gap
-        entries carry None and are probed with None."""
+        recomputes."""
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
@@ -349,55 +347,6 @@ class ConvolutionCache:
         )
 
     # ------------------------------------------------------------------
-    # Percentile-gap memo (the Theorem-4 delta evaluations)
-    # ------------------------------------------------------------------
-    # ``max_percentile_gap(base, perturbed)`` costs as much as the
-    # kernel work it measures; with result objects shared through this
-    # cache the same (base, perturbed) pair recurs across fronts and
-    # iterations.  Keys again carry absolute offsets so a hit is the
-    # bit-exact value a fresh evaluation would produce — the pruning
-    # heap ordering (and hence the bitwise-selection guarantee) cannot
-    # be perturbed by an ulp-shifted translated evaluation.
-
-    @staticmethod
-    def _gap_key(a: DiscretePDF, b: DiscretePDF) -> tuple:
-        return (
-            "gap",
-            a.dt,
-            a.offset,
-            a._fp,  # noqa: SLF001
-            b.offset,
-            b._fp,  # noqa: SLF001
-        )
-
-    def lookup_gap(self, a: DiscretePDF, b: DiscretePDF) -> Optional[float]:
-        return self._lookup_gap(self._gap_key(a, b))
-
-    def store_gap(self, a: DiscretePDF, b: DiscretePDF, gap: float) -> None:
-        self._store_gap(self._gap_key(a, b), gap)
-
-    def memo_gap(self, a: DiscretePDF, b: DiscretePDF, compute) -> float:
-        """The gap of ``(a, b)`` from the memo, or ``compute(a, b)``
-        stored on a miss: :meth:`lookup_gap` then :meth:`store_gap` with
-        the key built once."""
-        key = self._gap_key(a, b)
-        gap = self._lookup_gap(key)
-        if gap is None:
-            gap = compute(a, b)
-            self._store_gap(key, gap)
-        return gap
-
-    def _lookup_gap(self, key: tuple) -> Optional[float]:
-        with self._lock:
-            entry = self._get(key, None)
-        return None if entry is None else entry.result
-
-    def _store_gap(self, key: tuple, gap: float) -> None:
-        entry = _Entry(gap, None)
-        with self._lock:
-            self._put(key, entry)
-
-    # ------------------------------------------------------------------
     # Persistence (cross-run warm starts)
     # ------------------------------------------------------------------
     # Keys are content fingerprints (SHA-1 of mass bytes) plus grid,
@@ -409,18 +358,18 @@ class ConvolutionCache:
     # Only registry-kernel entries are saved — a non-registry backend
     # instance cannot be identified by name alone, and writing it under
     # its name could alias a different implementation's entries on
-    # load.  A format-2 file written while the cache still held an ADD
-    # or a MAX kind carries ``"conv"`` or ``"max"`` entries that no
-    # engine probes any more: :meth:`load` (and so
-    # :meth:`merge_snapshots`) skips them, so a warm start never fills
-    # the LRU with dead entries.
+    # load.  A format-2 file written while the cache still held an ADD,
+    # a MAX or a gap kind carries ``"conv"``, ``"max"`` or ``"gap"``
+    # entries that no engine probes any more: :meth:`load` (and so
+    # :meth:`merge_snapshots` and the multi-worker front) skips them,
+    # so a warm start never fills the LRU with dead entries.
 
     #: Snapshot format version (bump on any layout change).  Files of
     #: another format are rejected, never translated: delete them.
     SNAPSHOT_FORMAT: int = 2
 
     #: First key element of every kind an engine probes.
-    _LIVE_KINDS = frozenset({"node", "gap"})
+    _LIVE_KINDS = frozenset({"node"})
 
     def save(self, path) -> int:
         """Write every (registry-kernel) entry to ``path`` in LRU
@@ -437,14 +386,8 @@ class ConvolutionCache:
         with self._lock:
             items = list(self._entries.items())
         for key, entry in items:
-            backend = entry.backend
-            if backend is None:
-                name = None
-            elif is_registry_backend(backend):
-                name = backend.name
-            else:
-                continue
-            entries.append((key, entry.result, name))
+            if is_registry_backend(entry.backend):
+                entries.append((key, entry.result, entry.backend.name))
         payload = {
             "format": self.SNAPSHOT_FORMAT,
             "capacity": self.capacity,
@@ -556,8 +499,7 @@ class ConvolutionCache:
             for key, result, name in payload["entries"]:
                 if key[0] not in cls._LIVE_KINDS:
                     continue
-                backend = None if name is None else get_backend(name)
-                cache._entries[key] = _Entry(result, backend)
+                cache._entries[key] = _Entry(result, get_backend(name))
         except DistributionError:
             raise
         except (

@@ -50,7 +50,12 @@ A level whose ADD results only feed its MAX merges keeps them raw:
 backend outputs and offsets), and ``stat_max_groups(..., adds=...)``
 builds them, takes every group's MAX and builds the results in the
 same call, bitwise building the ADD objects and merging them, which is
-also what runs without the tier.
+also what runs without the tier.  When the compiled ADD kernel took the
+whole batch, its rows are still pending then, and the same call
+convolves them too.  A perturbation front's level also passes each
+node's base arrival (``bases=``): the call then reports which results
+are bitwise their base and gives the others their Theorem-4 gap, so a
+front level is one foreign call.
 
 Reuse lives one layer up, in the timing engines: the whole-node memo
 of :class:`~repro.dist.cache.ConvolutionCache` (whose hits the engines
@@ -441,7 +446,8 @@ def stat_max_groups(
     counter: Optional[OpCounter] = None,
     backend: BackendLike = "auto",
     adds: Optional[DeferredAdds] = None,
-) -> list:
+    bases: Optional[Sequence] = None,
+):
     """Batched MAX: one :func:`stat_max_many` result per operand group.
 
     The level-batched engines merge every node of a topological level
@@ -464,9 +470,17 @@ def stat_max_groups(
     the ADDs are built (:meth:`DeferredAdds.built`) and each group's
     CDF product is taken and built in turn.  Both give the same bits
     and the same tallies.
+
+    ``bases`` (one :class:`DiscretePDF` or None per group) asks for a
+    perturbation front's per-node checks: the call then returns
+    ``(results, same)``.  Where the merge built a group's result and
+    the gap kernel is trusted too (``gap_ok``), ``same[i]`` says
+    whether the result is bitwise ``bases[i]``, and a result that is
+    not carries ``max_percentile_gap(bases[i], result)`` in its gap
+    slot; everywhere else ``same[i]`` is None and the caller checks.
     """
     if not groups:
-        return []
+        return ([], []) if bases is not None else []
     # Validate once; the max numerics are backend-invariant.
     get_backend(backend)
     p = _compiled.get_provider()
@@ -481,6 +495,7 @@ def stat_max_groups(
         ]
         adds = None
     results: list = [None] * len(groups)
+    same: list = [None] * len(groups)
     todo: list = []
     for i, pdfs in enumerate(groups):
         if len(pdfs) == 0:
@@ -491,48 +506,55 @@ def stat_max_groups(
             results[i] = pdfs[0].trimmed(trim_eps)
         else:
             todo.append(i)
-    if not todo:
-        return results
-    multi = [groups[i] for i in todo]
-    if fused:
-        # Operand ``j`` of the call is raw ADD ``src[j]``, or finished
-        # operand ``~src[j]``.
-        slots = adds.slots if adds is not None else None
-        src = []
-        dts = []
-        fins = []
-        foffs = []
-        for pdfs in multi:
-            dt = None
-            for op in pdfs:
-                if type(op) is int:
-                    j = op if slots is None else slots[op]
-                    op_dt = adds.dts[j]
-                    src.append(j)
-                else:
-                    op_dt = op.dt
-                    src.append(~len(fins))
-                    fins.append(op.masses)
-                    foffs.append(op.offset)
-                if dt is None:
-                    dt = op_dt
-                elif op_dt != dt:
-                    raise _grid_mismatch(dt, op_dt)
-            dts.append(dt)
-        merged = p.merge_level(
-            adds.raws if adds is not None else (),
-            adds.offsets if adds is not None else (),
-            fins, foffs, src, list(map(len, multi)), dts, trim_eps,
-        )
-    else:
-        dts = [_require_same_grid(pdfs) for pdfs in multi]
-        computed = [_max_masses(pdfs) for pdfs in multi]
-        merged = _build_results(
-            [masses for _lo, masses in computed], dts,
-            [lo for lo, _masses in computed], trim_eps,
-        )
-    if counter is not None:
-        counter.max_ops += sum(len(pdfs) - 1 for pdfs in multi)
-    for i, result in zip(todo, merged):
-        results[i] = result
-    return results
+    if todo:
+        multi = [groups[i] for i in todo]
+        checked = None
+        if fused:
+            # Operand ``j`` of the call is raw ADD ``src[j]``, or finished
+            # operand ``~src[j]``.
+            slots = adds.slots if adds is not None else None
+            src = []
+            dts = []
+            fins = []
+            foffs = []
+            for pdfs in multi:
+                dt = None
+                for op in pdfs:
+                    if type(op) is int:
+                        j = op if slots is None else slots[op]
+                        op_dt = adds.dts[j]
+                        src.append(j)
+                    else:
+                        op_dt = op.dt
+                        src.append(~len(fins))
+                        fins.append(op.masses)
+                        foffs.append(op.offset)
+                    if dt is None:
+                        dt = op_dt
+                    elif op_dt != dt:
+                        raise _grid_mismatch(dt, op_dt)
+                dts.append(dt)
+            if bases is not None and p.gap_ok:
+                checked = [bases[i] for i in todo]
+            merged = p.merge_level(
+                adds.raws if adds is not None else (),
+                adds.offsets if adds is not None else (),
+                fins, foffs, src, list(map(len, multi)), dts, trim_eps,
+                checked,
+            )
+            if checked is not None:
+                merged, flags = merged
+                for i, flag in zip(todo, flags):
+                    same[i] = flag
+        else:
+            dts = [_require_same_grid(pdfs) for pdfs in multi]
+            computed = [_max_masses(pdfs) for pdfs in multi]
+            merged = _build_results(
+                [masses for _lo, masses in computed], dts,
+                [lo for lo, _masses in computed], trim_eps,
+            )
+        if counter is not None:
+            counter.max_ops += sum(len(pdfs) - 1 for pdfs in multi)
+        for i, result in zip(todo, merged):
+            results[i] = result
+    return (results, same) if bases is not None else results

@@ -47,6 +47,13 @@ class DiscretePDF:
         to 1 on construction.
     """
 
+    # Memos live in the instance dict.  A perturbation front's
+    # Theorem-4 gap, ``(base, gap)``, is a slot of its own (see
+    # ``PerturbationFront._percentile_gap``): most front results carry
+    # one next to their fingerprint, and a sixth dict entry would
+    # double the dict of every such result.
+    __slots__ = ("__dict__", "__weakref__", "_gap")
+
     dt: float
     offset: int
     masses: np.ndarray = field(repr=False)
@@ -85,10 +92,11 @@ class DiscretePDF:
     # ------------------------------------------------------------------
     # Instances accumulate per-instance memos in ``__dict__`` — the
     # cached CDF/knot arrays, the ``_unit_cdf`` row, ``_ramp_floor``,
-    # the trim-level marker, and the cache-key fingerprint.  All of
-    # them are pure deterministic functions of ``(dt, offset, masses)``
-    # and every consumer rebuilds them on demand, so pickling ships
-    # only the defining triple: payloads stay compact (cache snapshots
+    # the trim-level marker, and the cache-key fingerprint — and a
+    # front result its ``_gap`` slot.  All of them are deterministic
+    # functions of ``(dt, offset, masses)`` (the gap, of the base
+    # object too) and every consumer rebuilds them on demand, so
+    # pickling ships only the defining triple: payloads stay compact (cache snapshots
     # pickle every resident entry), and a round-trip is bitwise — same
     # grid, same offset, same mass bytes.
 

@@ -334,7 +334,8 @@ def compute_level_arrivals(
     cache: Optional[ConvolutionCache] = None,
     arcs: Optional[ArcMemo] = None,
     fill_arcs: bool = False,
-) -> List[DiscretePDF]:
+    bases: Optional[Sequence[Optional[DiscretePDF]]] = None,
+):
     """The level scheduler: merged arrivals for a batch of mutually
     independent nodes, one per parts list.
 
@@ -370,9 +371,18 @@ def compute_level_arrivals(
     regimes are pinned by the differential suite, per backend and cache
     configuration).  A level with nothing left to compute (empty, or
     every node served from the cache) never touches the backend.
+
+    ``bases`` (one unperturbed arrival or None per node) is a
+    perturbation front's: the call then returns ``(results, same)``,
+    where ``same[i]`` says whether a node the merge computed is bitwise
+    ``bases[i]`` and a result that is not carries its Theorem-4 gap
+    (see :func:`~repro.dist.ops.stat_max_groups`).  ``same[i]`` is None
+    where nothing was compared (a memo hit, a pass-through node, no
+    compiled tier), and the front checks those itself.
     """
     n = len(parts_list)
     results: List[Optional[DiscretePDF]] = [None] * n
+    same: List[Optional[bool]] = [None] * n
     kernel = get_backend(backend)
     node_keys: List[Optional[tuple]] = [None] * n
     todo: List[int] = []
@@ -407,14 +417,17 @@ def compute_level_arrivals(
             [parts_list[i] for i in todo],
             trim_eps, counter, kernel, arcs, fill_arcs,
         )
-        for i, res in zip(
-            todo,
-            stat_max_groups(
-                contribs_list,
-                trim_eps=trim_eps, counter=counter, backend=kernel,
-                adds=adds,
-            ),
-        ):
+        merged = stat_max_groups(
+            contribs_list,
+            trim_eps=trim_eps, counter=counter, backend=kernel,
+            adds=adds,
+            bases=None if bases is None else [bases[i] for i in todo],
+        )
+        if bases is not None:
+            merged, flags = merged
+            for i, flag in zip(todo, flags):
+                same[i] = flag
+        for i, res in zip(todo, merged):
             results[i] = res
             if node_keys[i] is not None:
                 cache.store_node(node_keys[i], res, kernel)
@@ -433,6 +446,8 @@ def compute_level_arrivals(
         else:
             _node_hit_tally(counter, parts)
         results[i] = hit
+    if bases is not None:
+        return results, same
     return results  # type: ignore[return-value]
 
 

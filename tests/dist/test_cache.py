@@ -8,7 +8,7 @@ These tests pin that promise under every backend with adversarial
 operands (deltas, disjoint supports, repeated and translated operands,
 mass-deficient cumulative sums), plus the batched ``convolve_many``
 equivalence contract: bitwise against the looped path for every
-shipped backend.  The cache holds two kinds (node, gap); the kernels
+shipped backend.  The cache holds one kind (node); the kernels
 themselves take no cache.  Most tests drive the node memo through the
 level scheduler with one-arc nodes (an arrival and a gate delay), the
 smallest request that stores an entry.
@@ -486,54 +486,6 @@ class TestNodeMemoGuards:
         assert cache.lookup_node(key, kernel_b) is None
 
 
-class TestGapMemo:
-    def test_roundtrip_and_absolute_offset_keying(self):
-        from repro.dist.metrics import max_percentile_gap
-
-        rng = np.random.default_rng(20)
-        a = DiscretePDF(2.0, 0, rng.random(30))
-        b = DiscretePDF(2.0, 1, rng.random(30))
-        cache = ConvolutionCache()
-        assert cache.lookup_gap(a, b) is None
-        gap = max_percentile_gap(a, b)
-        cache.store_gap(a, b, gap)
-        assert cache.lookup_gap(a, b) == gap
-        # translated pair: absolute offsets differ -> no entry served
-        assert cache.lookup_gap(a.shifted_bins(2), b.shifted_bins(2)) is None
-
-    def test_memo_gap_builds_one_key_per_probe(self, monkeypatch):
-        """A miss hashes its pair once for the probe and the store; a
-        hit serves the stored bits without computing."""
-        from repro.dist.metrics import max_percentile_gap
-
-        keys = []
-        real_key = ConvolutionCache._gap_key
-
-        def counting_key(a, b):
-            keys.append((a, b))
-            return real_key(a, b)
-
-        monkeypatch.setattr(ConvolutionCache, "_gap_key",
-                            staticmethod(counting_key))
-        computed = []
-
-        def compute(a, b):
-            computed.append((a, b))
-            return max_percentile_gap(a, b)
-
-        rng = np.random.default_rng(21)
-        a = DiscretePDF(2.0, 0, rng.random(30))
-        b = DiscretePDF(2.0, 1, rng.random(30))
-        cache = ConvolutionCache()
-        gap = cache.memo_gap(a, b, compute)
-        assert len(keys) == 1 and len(computed) == 1
-        assert gap == max_percentile_gap(a, b)
-        assert cache.stats.misses == 1 and cache.lookup_gap(a, b) == gap
-        keys.clear()
-        assert cache.memo_gap(a, b, compute) == gap
-        assert len(keys) == 1 and len(computed) == 1
-
-
 class TestBatchDedupAgainstSequential:
     """Batched requests must replicate the *sequential* cache stream:
     duplicate nodes within one level compute once and replay as hits
@@ -769,23 +721,19 @@ class TestSnapshotPersistence:
         import pickle
 
         cache, (a, b, c), (conv, mx), kernel = self._warm_cache("direct")
-        cache.store_gap(a, b, 1.5)
         path = tmp_path / "snap.cache"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
         assert payload["format"] == ConvolutionCache.SNAPSHOT_FORMAT == 2
-        assert [len(e) for e in payload["entries"]] == [3, 3, 3]
+        assert [len(e) for e in payload["entries"]] == [3, 3]
         names = [name for _key, _result, name in payload["entries"]]
-        assert names == ["direct", "direct", None]  # node, node, gap
+        assert names == ["direct", "direct"]
         loaded = ConvolutionCache.load(path)
         assert list(loaded._entries) == list(cache._entries)
         for key, entry in cache._entries.items():
             twin = loaded._entries[key]
             assert twin.backend is entry.backend
-            if isinstance(entry.result, DiscretePDF):
-                assert_bitwise(twin.result, entry.result)
-            else:
-                assert twin.result == entry.result
+            assert_bitwise(twin.result, entry.result)
         assert loaded.approx_bytes == cache.approx_bytes
         assert_bitwise(lookup_arc(loaded, a, b, 1e-9, kernel), conv)
         assert_bitwise(
@@ -874,33 +822,27 @@ class TestSnapshotPersistence:
         with pytest.raises(DistributionError, match="corrupt"):
             ConvolutionCache.load(path)
 
-    def test_gap_entries_roundtrip(self, tmp_path):
-        cache = ConvolutionCache()
-        a = truncated_gaussian_pdf(2.0, 500.0, 40.0)
-        b = truncated_gaussian_pdf(2.0, 520.0, 40.0)
-        cache.store_gap(a, b, 3.25)
-        path = tmp_path / "snap.cache"
-        cache.save(path)
-        assert ConvolutionCache.load(path).lookup_gap(a, b) == 3.25
-
     def test_dead_kinds_are_skipped(self, tmp_path):
-        """A format-2 file written while the cache still had ADD and
-        MAX memos mixes ``"conv"`` and ``"max"`` entries with node and
-        gap entries.  No engine probes the first two, so loading (and
-        merging) keeps only the live kinds, in LRU order, with the byte
-        tally of what was kept."""
+        """A format-2 file written while the cache still had ADD, MAX
+        and gap memos mixes ``"conv"``, ``"max"`` and ``"gap"`` entries
+        (a gap entry carries no backend name) with node entries.  No
+        engine probes the first three, so loading (and so merging, and
+        the multi-worker front, which reads through both) keeps only
+        the node entries, in LRU order, with the byte tally of what was
+        kept."""
         import pickle
 
         cache, (a, b, c), (conv, mx), kernel = self._warm_cache("direct")
-        cache.store_gap(a, b, 1.5)
         live = list(cache._entries.items())
         dead_add = (("conv", 2.0, 1e-9, "direct", a._fp, b._fp,
                      a.offset + b.offset), conv, "direct")
         dead_max = (("max", 2.0, 1e-9, (conv._fp, c._fp)), mx, "direct")
+        dead_gap = (("gap", 2.0, a.offset, a._fp, b.offset, b._fp), 1.5,
+                    None)
         entries = [dead_add]
         for key, entry in live:
-            name = None if entry.backend is None else "direct"
-            entries.append((key, entry.result, name))
+            entries.append((key, entry.result, "direct"))
+            entries.append(dead_gap)
             entries.append(dead_max)
         path = tmp_path / "old.cache"
         path.write_bytes(pickle.dumps({
@@ -908,11 +850,10 @@ class TestSnapshotPersistence:
         }))
         loaded = ConvolutionCache.load(path)
         assert list(loaded._entries) == [key for key, _entry in live]
-        assert {key[0] for key in loaded._entries} == {"node", "gap"}
+        assert {key[0] for key in loaded._entries} == {"node"}
         assert loaded.approx_bytes == recount_bytes(loaded)
         assert loaded.approx_bytes == cache.approx_bytes
         assert_bitwise(lookup_arc(loaded, a, b, 1e-9, kernel), conv)
-        assert loaded.lookup_gap(a, b) == 1.5
 
         out = tmp_path / "merged.cache"
         assert ConvolutionCache.merge_snapshots([path], out) == len(live)
@@ -1091,14 +1032,13 @@ class TestThreadSafety:
         assert cache.approx_bytes == recount_bytes(cache)
 
     def test_concurrent_mixed_kind_requests(self):
-        """One-arc node, two-part node and gap entries share one
-        locked LRU."""
+        """One-arc and two-part node entries share one locked LRU."""
         import threading
 
         cache = ConvolutionCache(1 << 10)
         backend = get_backend("direct")
         pairs = self._operands(12)
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(3)
         errors = []
 
         def adds():
@@ -1125,16 +1065,6 @@ class TestThreadSafety:
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        def gaps():
-            try:
-                barrier.wait()
-                for _ in range(40):
-                    for a, b in pairs:
-                        if cache.lookup_gap(a, b) is None:
-                            cache.store_gap(a, b, 0.25)
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
         def evictor():
             try:
                 barrier.wait()
@@ -1144,7 +1074,7 @@ class TestThreadSafety:
                 errors.append(exc)
 
         threads = [threading.Thread(target=f)
-                   for f in (adds, nodes, gaps, evictor)]
+                   for f in (adds, nodes, evictor)]
         for t in threads:
             t.start()
         for t in threads:
@@ -1225,7 +1155,6 @@ class TestByteBudget:
 #: and without a capacity cut) and snapshot merges.
 _BYTE_OPS = st.one_of(
     st.tuples(st.just("arc"), st.integers(0, 5), st.integers(0, 5)),
-    st.tuples(st.just("gap"), st.integers(0, 5), st.integers(0, 5)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
     st.tuples(st.just("node"), st.integers(0, 1), st.integers(1, 40)),
     st.tuples(st.just("lookup"), st.integers(0, 5), st.integers(0, 5)),
@@ -1260,15 +1189,12 @@ class TestByteAccountingProperty:
             other = ConvolutionCache(8)
             arc_node(pool[0], pool[5], trim_eps=1e-9, backend=backend,
                      cache=other)
-            other.store_gap(pool[1], pool[2], 0.5)
             other_path = tmp / "other.snap"
             other.save(other_path)
             for step, (kind, x, y) in enumerate(ops):
                 if kind == "arc":
                     arc_node(pool[x], pool[y], trim_eps=1e-9,
                              backend=backend, cache=cache)
-                elif kind == "gap":
-                    cache.store_gap(pool[x], pool[y], float(x - y))
                 elif kind == "node":
                     result = DiscretePDF(2.0, 0, np.ones(y))
                     cache.store_node(("k", x), result, backend)

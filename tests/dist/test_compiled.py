@@ -338,6 +338,48 @@ class TestCompiledMaxSweep:
             assert got.masses.tobytes() == ref.masses.tobytes()
 
 
+    def test_gapped_supports_retry_with_the_reported_room(
+        self, foreign_calls
+    ):
+        """Operands whose supports lie far apart need more room than
+        their own lengths: the first merge call writes nothing and
+        reports the room, the second builds the results, bitwise the
+        NumPy MAX."""
+        rng = np.random.default_rng(53)
+        near = DiscretePDF(2.0, 0, rng.random(12) + 1e-3)
+        far = DiscretePDF(2.0, 3000, rng.random(12) + 1e-3)
+        raw = rng.random(9) + 1e-3
+        merged = PROVIDER.merge_level(
+            [raw], [1500], [near.masses, far.masses],
+            [near.offset, far.offset], [~0, 0, ~1, 0], [3, 1], [2.0, 2.0],
+            1e-9,
+        )
+        assert foreign_calls == ["repro_merge_level"] * 2
+        add = DiscretePDF._trusted(2.0, 1500, raw.copy()).trimmed(1e-9)
+        for got, ref in zip(merged, (
+            self._numpy_max((near, add, far), 1e-9), add,
+        ), strict=True):
+            assert got.offset == ref.offset
+            assert got.masses.tobytes() == ref.masses.tobytes()
+
+
+    def test_bad_operand_index_raises(self):
+        """The merge range-checks every operand index it is given,
+        the pending ADD rows' operand indices included."""
+        raw = np.ones(3)
+        for src in ([1], [~0], [-5]):
+            with pytest.raises(IndexError):
+                PROVIDER.merge_level(
+                    [raw], [0], [], [], src, [1], [2.0], 0.0
+                )
+        idx = np.array(([0], [1], [5]), dtype=np.int64)
+        pending = _compiled._Rows(  # noqa: SLF001
+            None, idx[2], (PROVIDER, [raw], idx)
+        )
+        with pytest.raises(IndexError):
+            PROVIDER.merge_level(pending, [0], [], [], [0], [1], [2.0], 0.0)
+
+
 class TestFallbackMatrix:
     """Degraded compiled == pure-NumPy direct, bit for bit, warned
     once — under the kill switch and under a host without a C
@@ -525,6 +567,28 @@ def miss_spy(monkeypatch):
     return events
 
 
+@pytest.fixture
+def foreign_calls(monkeypatch):
+    """Record, in call order, the name of every C entry point the
+    provider calls."""
+    calls = []
+    provider = _compiled.get_provider()
+    lib = provider._lib  # noqa: SLF001
+
+    class Recording:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
+
+    monkeypatch.setattr(provider, "_lib", Recording())
+    return calls
+
+
 def _conv_builds(events) -> list:
     """Batch sizes of the convolutions, each checked to be built by the
     level-merge call right after it."""
@@ -568,7 +632,9 @@ class TestMissPath:
 
     @pytest.mark.parametrize("backend", ["auto", "compiled"])
     @pytest.mark.parametrize("name", ["c17", "c432"])
-    def test_run_ssta_one_call_per_level(self, name, backend, miss_spy):
+    def test_run_ssta_one_call_per_level(
+        self, name, backend, miss_spy, foreign_calls
+    ):
         _circuit, graph, model = self._setup(name, backend)
         result = run_ssta(graph, model)
         arcs = sum(
@@ -577,8 +643,31 @@ class TestMissPath:
         sizes = _conv_builds(miss_spy)
         assert sizes == _distinct_arcs_per_level(graph, result)
         assert result.counter.convolutions == arcs >= sum(sizes)
+        # Under auto the ADD runs inside each level's merge call.
+        merges = sum(1 for kind, _n in miss_spy if kind == "merge")
+        conv = ["repro_conv_batch"] if backend == "compiled" else []
+        expected = []
+        for i, (kind, _n) in enumerate(miss_spy):
+            if kind == "merge":
+                after_conv = i > 0 and miss_spy[i - 1][0] == "conv"
+                expected += (conv if after_conv else []) + [
+                    "repro_merge_level"
+                ]
+        assert merges > 0
+        assert foreign_calls == expected
 
-    def test_front_advances_one_call_per_level(self, miss_spy, monkeypatch):
+    @pytest.mark.parametrize("backend", ["auto", "compiled"])
+    def test_front_advances_one_call_per_level(
+        self, backend, miss_spy, foreign_calls, monkeypatch
+    ):
+        """Per front level: one scheduler ADD request, one backend
+        batch of its distinct pairs, one level merge, and the C calls
+        that implies.  Under ``auto`` the ADD kernel runs inside the
+        merge call and the merge returns every identity check and gap,
+        so a level is one foreign call plus the gaps the front still
+        computes itself (one ``repro_gap`` per ``max_percentile_gap``
+        call); ``compiled`` convolves in a call of its own first."""
+        from repro.core import perturbation
         from repro.timing import ssta
 
         requests = []
@@ -589,12 +678,24 @@ class TestMissPath:
             return real_convolve_many(pairs, **kwargs)
 
         monkeypatch.setattr(ssta, "convolve_many", recording)
+        gaps = []
+        real_gap = perturbation.max_percentile_gap
+
+        def counting_gap(a, b):
+            gaps.append((a, b))
+            return real_gap(a, b)
+
+        monkeypatch.setattr(perturbation, "max_percentile_gap", counting_gap)
 
         def distinct(batches) -> list:
             return [len({(id(a), id(b)) for a, b in pairs})
                     for pairs in batches]
 
-        circuit, graph, model = self._setup("c17", "compiled")
+        def level_calls(made, merges) -> list:
+            conv = ["repro_conv_batch"] if made and backend == "compiled" else []
+            return conv + ["repro_merge_level"] * merges
+
+        circuit, graph, model = self._setup("c17", backend)
         base = run_ssta(graph, model)
         objective = PercentileObjective(0.99)
         shared = 0
@@ -602,6 +703,8 @@ class TestMissPath:
             counter = OpCounter()
             start = len(miss_spy)
             del requests[:]
+            del foreign_calls[:]
+            del gaps[:]
             front = PerturbationFront(
                 graph, model, base, gate, 1.0, objective, counter=counter
             )
@@ -611,10 +714,14 @@ class TestMissPath:
             assert len(init_calls) <= front.levels_propagated
             assert init_calls == distinct(requests)
             assert counter.convolutions == sum(map(len, requests))
+            assert foreign_calls.count("repro_gap") == len(gaps)
+            assert "repro_add_batch" not in foreign_calls
             shared += counter.convolutions - sum(init_calls)
             while not front.is_done:
                 before = len(miss_spy)
                 del requests[:]
+                del foreign_calls[:]
+                del gaps[:]
                 made = counter.convolutions
                 front.propagate_one_level()
                 made = counter.convolutions - made
@@ -622,6 +729,13 @@ class TestMissPath:
                 assert len(requests) == (1 if made else 0)
                 assert new == distinct(requests)
                 assert made == sum(map(len, requests))
+                merges = sum(1 for kind, _n in miss_spy[before:]
+                             if kind == "merge")
+                assert merges <= 1
+                assert [c for c in foreign_calls if c != "repro_gap"] == (
+                    level_calls(made, merges)
+                )
+                assert foreign_calls.count("repro_gap") == len(gaps)
                 shared += made - sum(new)
         # c17's fronts do repeat pairs within a batch.
         assert shared > 0

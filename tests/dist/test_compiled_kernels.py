@@ -130,7 +130,8 @@ class TestBuildDifferential:
         assert _same(got, _numpy_build(raw, 2.0, offset, trim_eps))
         assert got.__dict__["_trim_level"] == trim_eps
         assert not got.masses.flags.writeable
-        # An exact-length buffer of its own, not a view of the batch.
+        # A view of the call's exact-length bytes copy of its results
+        # (here one), never of a kernel buffer.
         base = got.masses.base
         assert base is None or len(base) == got.masses.nbytes
 

@@ -1,10 +1,10 @@
 """Which memo kinds each engine consults, and run-to-run determinism
 of the cached sizing loop.
 
-The cache holds two kinds of entries in one LRU: whole-node arrivals
-(``"node"``) and Theorem-4 gaps (``"gap"``).  Every engine — full,
-incremental and backward SSTA and the perturbation fronts — probes the
-node memo first; there is no per-op memo.  Behind a node-memo miss a
+The cache holds one kind of entry, whole-node arrivals (``"node"``); a
+front's Theorem-4 gaps live on its perturbed results.  Every engine —
+full, incremental and backward SSTA and the perturbation fronts —
+probes the node memo first; there is no per-op memo.  Behind a node-memo miss a
 MAX request almost never recurs, and the ADDs that do recur are the
 base pass's arcs, which fronts match by identity in the pass's own arc
 memo (``SSTAResult.arcs``), outside the cache.
@@ -56,9 +56,7 @@ class TestMemoKinds:
         assert len(cache) > 0
         assert _kinds(cache) == {"node"}
 
-    def test_perturbation_front_stores_node_and_gap_entries(
-        self, level_batch
-    ):
+    def test_perturbation_front_stores_only_node_entries(self, level_batch):
         cache, cfg, circuit, graph, model = _setup("c432", level_batch)
         base = run_ssta(graph, model, config=cfg)
         cache.clear()
@@ -67,7 +65,7 @@ class TestMemoKinds:
             PerturbationFront(
                 graph, model, base, gate, 1.0, objective
             ).run_to_sink()
-        assert _kinds(cache) == {"node", "gap"}
+        assert _kinds(cache) == {"node"}
 
     def test_backward_pass_uses_the_node_memo(self, level_batch):
         cache, cfg, _c, graph, model = _setup("c432", level_batch)
