@@ -1,6 +1,6 @@
 """The compiled kernel tier: a small C library built on first use.
 
-A ~550-line C source is compiled once with the system C compiler
+A ~630-line C source is compiled once with the system C compiler
 (content-addressed under ``~/.cache/repro/compiled``) and loaded
 through cffi, or ctypes when cffi is absent.  When no compiler is
 available, or the library fails its self-check, ``get_provider()``
@@ -18,7 +18,9 @@ costs one foreign call:
   and the small-kernel path for a shorter operand of at most 11 bins)
   and calls the same BLAS ``ddot`` numpy calls, so it gives numpy's bits
   under whichever ``ddot`` kernel the CPU selected.  The ``direct``
-  backend runs every batch through it (``auto`` its direct-side pairs).
+  backend runs every batch through it (``auto`` its direct-side pairs);
+  its rows are pending until read, and a level merge handed them still
+  pending runs the ADD inside its own call.
 * **level merge** — every ADD and MAX result is constructed here, under
   every backend.  One call builds a batch's raw ADD outputs
   (``DiscretePDF._trusted(dt, off, raw).trimmed(trim_eps)``: normalize,
@@ -26,8 +28,13 @@ costs one foreign call:
   renormalize), takes every group's MAX over them and over finished
   operands (the padded-CDF product and its adjacent difference), and
   builds those results the same way.  A one-operand group is its ADD as
-  built, so a batch of ADD results is a merge of one-operand groups,
-  and a finished-only MAX batch is a merge with no raws.  **Bitwise**
+  built (straight into the output), so a batch of ADD results is a
+  merge of one-operand groups, and a finished-only MAX batch is a merge
+  with no raws.  The call sizes its own output, and given a base
+  operand per group (a perturbation front's unperturbed arrivals) it
+  also reports which results are bitwise their base and computes the
+  others' Theorem-4 gap with the **gap** kernel's code, so a front
+  level is one foreign call.  **Bitwise**
   the NumPy expressions: sums reproduce ``np.sum``'s pairwise
   reduction, cumulative sums are sequential like ``np.cumsum``, the
   64-bin probe and ``argmax`` fallback of ``trimmed`` are mirrored
@@ -325,7 +332,7 @@ static void conv_np(const double *a, long long n1, const double *v,
    back into OUT.  Each distinct operand is packed once, however many
    pairs read it.  Returns 0, 1 when scratch cannot be allocated, or 2
    on an operand index out of range. */
-static long long add_rows(
+EXPORT long long repro_add_batch(
     unsigned long long ddot, int ilp64, const double *OPS,
     const long long *olen, long long nops, const long long *ia,
     const long long *ib, long long npairs, double *OUT)
@@ -358,14 +365,6 @@ static long long add_rows(
     }
     free(vr);
     return 0;
-}
-
-EXPORT long long repro_add_batch(
-    unsigned long long ddot, int ilp64, const double *OPS,
-    const long long *olen, long long nops, const long long *ia,
-    const long long *ib, long long npairs, double *OUT)
-{
-    return add_rows(ddot, ilp64, OPS, olen, nops, ia, ib, npairs, OUT);
 }
 
 EXPORT void repro_conv(const double *a, long long na,
@@ -450,9 +449,9 @@ static double gap_body(const double *ma, long long na, long long offa,
    roff[nraw], flen[nfin], foff[nfin], gk[ngroups], base[ngroups] (only
    when check is set), then src.  Raw ADD i is rlen[i] values at
    absolute offset roff[i]: the next values of RAW (back to back), or,
-   when nops > 0, row i of the ADD batch this call runs first (add_rows
-   over the nops operands of OPS with ia = ab[0..nraw), ib =
-   ab[nraw..2 nraw); RAW is then unread).  Each raw is built (build_one
+   when nops > 0, row i of the ADD batch this call runs first
+   (repro_add_batch over the nops operands of OPS with ia = ab[0..nraw),
+   ib = ab[nraw..2 nraw); RAW is then unread).  Each raw is built (build_one
    at half) once, on first use.  Finished operand f is flen[f] values
    of FIN at offset foff[f].  Operand j of the level is raw ADD src[j]
    when src[j] >= 0, else finished operand ~src[j]; group g owns the
@@ -524,8 +523,8 @@ EXPORT long long repro_merge_level(
         /* The ADD rows are this call's own: build them in place. */
         own = (double *)malloc((size_t)(total + 1) * sizeof(double));
         if (own == NULL) { ERR[0] = 4; goto fail; }
-        switch (add_rows(ddot, ilp64, OPS, olen, nops, ab, ab + nraw,
-                         nraw, own)) {
+        switch (repro_add_batch(ddot, ilp64, OPS, olen, nops, ab,
+                                ab + nraw, nraw, own)) {
         case 0: break;
         case 1: ERR[0] = 4; goto fail;
         default: ERR[0] = 5; goto fail;
@@ -1103,18 +1102,12 @@ class _CProvider:
         idx = np.array((ia, ib, rlen), dtype=np.int64)
         return _Rows(None, idx[2], (self, operands, idx))
 
-    def _add_batch(self, operands: Sequence, ia: list, ib: list,
-                   rlen: list) -> "_Rows":
-        """Row ``p`` is ``np.convolve(operands[ia[p]],
-        operands[ib[p]])``, run now.  ``rlen[p]`` must be its length,
-        the sum of the two operand lengths minus one: the kernel writes
-        each row into a buffer of ``sum(rlen)`` values, after checking
-        the row's two indices."""
-        idx = np.array((ia, ib, rlen), dtype=np.int64)
-        return _Rows(self._run_add(operands, idx), idx[2])
-
     def _run_add(self, operands: Sequence, idx: np.ndarray) -> np.ndarray:
-        """The packed rows of the pairs ``idx = (ia, ib, rlen)``."""
+        """The packed rows of the pairs ``idx = (ia, ib, rlen)``: row
+        ``p`` is ``np.convolve(operands[ia[p]], operands[ib[p]])``.
+        ``rlen[p]`` must be its length, the sum of the two operand
+        lengths minus one: the kernel writes each row into a buffer of
+        ``sum(rlen)`` values, after checking the row's two indices."""
         OUT = np.empty(int(idx[2].sum()))
         dbl, i64 = self._dbl, self._i64
         rc = self._lib.repro_add_batch(

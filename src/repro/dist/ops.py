@@ -506,55 +506,56 @@ def stat_max_groups(
             results[i] = pdfs[0].trimmed(trim_eps)
         else:
             todo.append(i)
-    if todo:
-        multi = [groups[i] for i in todo]
+    if not todo:
+        return (results, same) if bases is not None else results
+    multi = [groups[i] for i in todo]
+    if fused:
+        # Operand ``j`` of the call is raw ADD ``src[j]``, or finished
+        # operand ``~src[j]``.
+        slots = adds.slots if adds is not None else None
+        src = []
+        dts = []
+        fins = []
+        foffs = []
+        for pdfs in multi:
+            dt = None
+            for op in pdfs:
+                if type(op) is int:
+                    j = op if slots is None else slots[op]
+                    op_dt = adds.dts[j]
+                    src.append(j)
+                else:
+                    op_dt = op.dt
+                    src.append(~len(fins))
+                    fins.append(op.masses)
+                    foffs.append(op.offset)
+                if dt is None:
+                    dt = op_dt
+                elif op_dt != dt:
+                    raise _grid_mismatch(dt, op_dt)
+            dts.append(dt)
         checked = None
-        if fused:
-            # Operand ``j`` of the call is raw ADD ``src[j]``, or finished
-            # operand ``~src[j]``.
-            slots = adds.slots if adds is not None else None
-            src = []
-            dts = []
-            fins = []
-            foffs = []
-            for pdfs in multi:
-                dt = None
-                for op in pdfs:
-                    if type(op) is int:
-                        j = op if slots is None else slots[op]
-                        op_dt = adds.dts[j]
-                        src.append(j)
-                    else:
-                        op_dt = op.dt
-                        src.append(~len(fins))
-                        fins.append(op.masses)
-                        foffs.append(op.offset)
-                    if dt is None:
-                        dt = op_dt
-                    elif op_dt != dt:
-                        raise _grid_mismatch(dt, op_dt)
-                dts.append(dt)
-            if bases is not None and p.gap_ok:
-                checked = [bases[i] for i in todo]
-            merged = p.merge_level(
-                adds.raws if adds is not None else (),
-                adds.offsets if adds is not None else (),
-                fins, foffs, src, list(map(len, multi)), dts, trim_eps,
-                checked,
-            )
-            if checked is not None:
-                merged, flags = merged
-                for i, flag in zip(todo, flags):
-                    same[i] = flag
-        else:
-            dts = [_require_same_grid(pdfs) for pdfs in multi]
-            computed = [_max_masses(pdfs) for pdfs in multi]
-            merged = _build_results(
-                [masses for _lo, masses in computed], dts,
-                [lo for lo, _masses in computed], trim_eps,
-            )
-        if counter is not None:
-            counter.max_ops += sum(len(pdfs) - 1 for pdfs in multi)
-        for i, result in zip(todo, merged):
-            results[i] = result
+        if bases is not None and p.gap_ok:
+            checked = [bases[i] for i in todo]
+        merged = p.merge_level(
+            adds.raws if adds is not None else (),
+            adds.offsets if adds is not None else (),
+            fins, foffs, src, list(map(len, multi)), dts, trim_eps,
+            checked,
+        )
+        if checked is not None:
+            merged, flags = merged
+            for i, flag in zip(todo, flags):
+                same[i] = flag
+    else:
+        dts = [_require_same_grid(pdfs) for pdfs in multi]
+        computed = [_max_masses(pdfs) for pdfs in multi]
+        merged = _build_results(
+            [masses for _lo, masses in computed], dts,
+            [lo for lo, _masses in computed], trim_eps,
+        )
+    if counter is not None:
+        counter.max_ops += sum(len(pdfs) - 1 for pdfs in multi)
+    for i, result in zip(todo, merged):
+        results[i] = result
     return (results, same) if bases is not None else results

@@ -133,8 +133,9 @@ class TestAddKernel:
     def test_bad_operand_index_raises(self):
         # ``add_many`` indexes its own operands; the kernel still
         # range-checks every index it is given.
+        idx = np.array(([0], [-1], [5]), dtype=np.int64)
         with pytest.raises(IndexError):
-            PROVIDER._add_batch([np.ones(3)], [0], [-1], [5])  # noqa: SLF001
+            PROVIDER._run_add([np.ones(3)], idx)  # noqa: SLF001
 
 
 @needs_add
