@@ -185,6 +185,23 @@ def _count_gaps(monkeypatch):
 
 
 class TestGapSlot:
+    @needs_checks
+    def test_cold_fronts_take_every_gap_from_the_merge(self, monkeypatch):
+        """Every c17 node merges two or more arcs, so with the cache off
+        each node a front computes comes out of a level merge that also
+        returned its identity check and gap: the gap function is never
+        called."""
+        circuit, graph, model, base = _front_setup(None)
+        objective = PercentileObjective(0.99)
+        calls = _count_gaps(monkeypatch)
+        computed = 0
+        for gate in circuit.gates():
+            front = PerturbationFront(graph, model, base, gate, 1.0, objective)
+            front.run_to_sink()
+            computed += front.nodes_computed
+        assert computed > 0
+        assert calls == []
+
     def test_warm_node_memo_hit_computes_no_gap(self, monkeypatch):
         """A second front for the same gate against the same base is
         served from the node memo; every gap comes from the results'
