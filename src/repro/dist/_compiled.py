@@ -516,6 +516,16 @@ EXPORT long long repro_merge_level(
         total += rlen[i];
     }
     if (need > ocap) { ERR[0] = 3; ERR[1] = need; return 1; }
+    /* The ADD rows this call runs must be the lengths it was told. */
+    for (i = 0; nops > 0 && i < nraw; ++i) {
+        j = ab[i];
+        k = ab[nraw + i];
+        if (j < 0 || j >= nops || k < 0 || k >= nops
+            || rlen[i] != olen[j] + olen[k] - 1) {
+            ERR[0] = 5;
+            return 1;
+        }
+    }
 
     ops = (operand *)malloc((size_t)(nraw + nfin + 1) * sizeof(operand));
     if (ops == NULL) { ERR[0] = 4; return 1; }
@@ -1423,6 +1433,10 @@ def _check_add(provider, rng) -> None:
             raise RuntimeError("not bitwise")
     if not provider.merge_ok:
         return
+    # Every ninth pair and the long ones: the merge runs the rows with
+    # the code checked above, so this checks how it reads them.
+    pairs = pairs[::9] + pairs[-4:]
+    refs = refs[::9] + refs[-4:]
     n = len(pairs)
     roffs = [int(o) for o in rng.integers(-20, 20, n)]
     # One-operand groups, then pairs of neighbouring rows.

@@ -365,19 +365,25 @@ class TestCompiledMaxSweep:
 
     def test_bad_operand_index_raises(self):
         """The merge range-checks every operand index it is given,
-        the pending ADD rows' operand indices included."""
+        the pending ADD rows' operand indices and row lengths
+        included."""
         raw = np.ones(3)
         for src in ([1], [~0], [-5]):
             with pytest.raises(IndexError):
                 PROVIDER.merge_level(
                     [raw], [0], [], [], src, [1], [2.0], 0.0
                 )
-        idx = np.array(([0], [1], [5]), dtype=np.int64)
-        pending = _compiled._Rows(  # noqa: SLF001
-            None, idx[2], (PROVIDER, [raw], idx)
-        )
-        with pytest.raises(IndexError):
-            PROVIDER.merge_level(pending, [0], [], [], [0], [1], [2.0], 0.0)
+        # An operand index out of range, then a row length that is not
+        # its pair's (the call would run the row past its room).
+        for idx in (([0], [1], [5]), ([0], [0], [9])):
+            idx = np.array(idx, dtype=np.int64)
+            pending = _compiled._Rows(  # noqa: SLF001
+                None, idx[2], (PROVIDER, [raw], idx)
+            )
+            with pytest.raises(IndexError):
+                PROVIDER.merge_level(
+                    pending, [0], [], [], [0], [1], [2.0], 0.0
+                )
 
 
 class TestFallbackMatrix:
